@@ -28,12 +28,10 @@ from .linalg import (
     FqMatrix,
     Subspace,
     enumerate_subspaces,
-    gf2_pack,
-    gf2_rank,
     span,
     subspace_sum,
 )
-from .metrics import MetricReport, pairwise_min_report
+from .metrics import MetricReport, subspace_min_report
 from .rankmetric import (
     RankCode,
     delsarte_rank_distribution,
@@ -76,19 +74,8 @@ def subspace_pair_distance(u: Subspace, v: Subspace) -> int:
 
 def subspace_code_min_distance(sc: SubspaceCode, force: bool = False) -> MetricReport:
     """Exhaustive minimum subspace distance over all unordered member pairs."""
-    if sc.q == 2:
-        packed = [tuple(gf2_pack(r) for r in s.basis.rows) for s in sc.members]
-        dims = [s.dim for s in sc.members]
-
-        def dist(i, j):
-            total = gf2_rank(list(packed[i]) + list(packed[j]))
-            return 2 * total - dims[i] - dims[j]
-
-        report = pairwise_min_report(range(len(sc.members)), dist, "subspace", force=force)
-        i, j = report.witness_indices
-        return MetricReport("subspace", report.minimum,
-                            (sc.members[i], sc.members[j]), (i, j), report.pairs)
-    return pairwise_min_report(sc.members, subspace_pair_distance, "subspace", force=force)
+    return subspace_min_report(sc.members, lambda s: s, subspace_pair_distance,
+                               "subspace", force=force)
 
 
 def lift_rank_code(rc: RankCode) -> SubspaceCode:

@@ -31,10 +31,12 @@ from .metrics import (
     FoldedWord,
     MetricReport,
     Word,
+    _require_same_fold,
     fold,
-    folded_subset_distance,
+    folded_span,
     folded_subspace_distance,
-    pairwise_min_report,
+    subset_min_report,
+    subspace_min_report,
 )
 from .metrics import VectorCode
 from .constructions import SubspaceCode
@@ -68,13 +70,20 @@ class FoldedCode:
 
 def folded_code_min_distance(fc: FoldedCode, metric: str = "subset",
                              force: bool = False) -> MetricReport:
-    if metric == "subset":
-        dist = folded_subset_distance
-    elif metric == "subspace":
-        dist = folded_subspace_distance
-    else:
+    if metric not in ("subset", "subspace"):
         raise InvalidParams(f"folded codes support subset/subspace, not {metric!r}")
-    return pairwise_min_report(fc.codewords, dist, metric, force=force)
+    words = fc.codewords
+
+    def same_fold(w):
+        # the per-pair distances raise on the first pair of unlike folds
+        _require_same_fold(words[0], w)
+        return w
+
+    if metric == "subset":
+        return subset_min_report(words, lambda w: frozenset(same_fold(w).blocks),
+                                 metric, force=force)
+    return subspace_min_report(words, lambda w: folded_span(same_fold(w)),
+                               folded_subspace_distance, metric, force=force)
 
 
 def _span_symbols(basis_rows, length: int, ctx: FieldCtx):

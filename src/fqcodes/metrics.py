@@ -11,6 +11,16 @@ insdel distance.
 Code-level sweeps are exhaustive over unordered pairs with a pair-count
 guard; the witness reported for a minimum is always the first attaining
 pair in codeword order, so reports are reproducible.
+
+Subspace and subset sweeps prepare each member once instead of once per
+pair.  A member's subspace (the span of a word's symbols or of a folded
+word's flattened blocks, or a subspace code's member itself) is stored as
+the frozenset of all q^dim of its vectors, encoded as integers, so
+dim(U ∩ V) = log_q |U ∩ V| is one set intersection; a subset sweep keeps
+each word's symbol or block set the same way.  When the members hold more
+than 2^20 vectors in total the subspace sweep falls back to the per-pair
+functions, which remain the reference the precomputed sweeps are tested
+against.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .linalg import (
     ext_matmul,
     ext_rank,
     ext_in_rowspan,
+    gf2_pack,
     span,
 )
 from .rankmetric import gaussian_binomial
@@ -198,17 +209,23 @@ class MetricReport:
         return f"{self.metric},{self.minimum},{i},{j},{self.pairs}"
 
 
+def _pair_count(m: int, guard: int, force: bool) -> int:
+    """Number of unordered pairs of m members, after the sweep guards."""
+    if m < 2:
+        raise TooFewCodewords("a minimum distance needs at least two members")
+    pairs = m * (m - 1) // 2
+    if pairs > guard and not force:
+        raise SearchTooLarge(f"{pairs} pairs exceed the guard ({guard}); pass force to override")
+    return pairs
+
+
 def pairwise_min_report(items, dist, metric: str,
                         guard: int = PAIR_GUARD, force: bool = False,
                         notes: dict | None = None) -> MetricReport:
     """Exact minimum of dist over unordered pairs; witness is the first attaining pair."""
     items = list(items)
     m = len(items)
-    if m < 2:
-        raise TooFewCodewords("a minimum distance needs at least two members")
-    pairs = m * (m - 1) // 2
-    if pairs > guard and not force:
-        raise SearchTooLarge(f"{pairs} pairs exceed the guard ({guard}); pass force to override")
+    pairs = _pair_count(m, guard, force)
     best = None
     best_pair = None
     idx = None
@@ -220,6 +237,76 @@ def pairwise_min_report(items, dist, metric: str,
                 best_pair = (items[i], items[j])
                 idx = (i, j)
     return MetricReport(metric, best, best_pair, idx, pairs, notes)
+
+
+def folded_span(a: FoldedWord):
+    """F_q-span of the blocks, each flattened to a vector in F_q^(n*r)."""
+    vectors = [tuple(c for s in blk for c in s) for blk in a.blocks]
+    return span(vectors, a.ctx.n * a.block_len, a.ctx.q)
+
+
+def _vector_set(s) -> frozenset:
+    """All q^dim vectors of a subspace as ints: bit i = coordinate i for
+    q = 2, base-q digits (first coordinate most significant) otherwise."""
+    if s.q == 2:
+        vecs = [0]
+        for row in s.basis.rows:
+            b = gf2_pack(row)
+            vecs += [v ^ b for v in vecs]
+        return frozenset(vecs)
+    out = []
+    for v in s.vectors():
+        x = 0
+        for c in v:
+            x = x * s.q + c
+        out.append(x)
+    return frozenset(out)
+
+
+def _set_sweep(items, sets, sizes, level, metric, force, notes) -> MetricReport:
+    """Minimum of sizes[i] + sizes[j] - 2 level[|sets[i] ∩ sets[j]|] over pairs.
+
+    The pair loop is pairwise_min_report's over member indices, so the
+    pair count and the witness (the first attaining pair) are the same as
+    a per-pair sweep's.
+    """
+    def dist(i, j):
+        return sizes[i] + sizes[j] - 2 * level[len(sets[i] & sets[j])]
+
+    rep = pairwise_min_report(range(len(items)), dist, metric, force=force, notes=notes)
+    i, j = rep.witness_indices
+    return MetricReport(metric, rep.minimum, (items[i], items[j]), (i, j), rep.pairs, notes)
+
+
+def subspace_min_report(items, subspace_of, pair_distance, metric: str,
+                        force: bool = False, notes: dict | None = None) -> MetricReport:
+    """Exact minimum subspace distance with each member's subspace computed once.
+
+    subspace_of(item) gives the member's subspace; all must share q and
+    the ambient space.  The pair distance is dim U + dim V - 2k where
+    q^k = |U ∩ V|.  When the members hold more than _MATERIALIZE_GUARD
+    vectors in total, the sweep runs pair_distance on every pair instead.
+    """
+    items = list(items)
+    _pair_count(len(items), PAIR_GUARD, force)
+    subspaces = [subspace_of(x) for x in items]
+    q = subspaces[0].q
+    if sum(q ** s.dim for s in subspaces) > _MATERIALIZE_GUARD:
+        return pairwise_min_report(items, pair_distance, metric, force=force, notes=notes)
+    dims = [s.dim for s in subspaces]
+    log_q = {q ** k: k for k in range(max(dims) + 1)}
+    return _set_sweep(items, [_vector_set(s) for s in subspaces], dims, log_q,
+                      metric, force, notes)
+
+
+def subset_min_report(items, set_of, metric: str, force: bool = False,
+                      notes: dict | None = None) -> MetricReport:
+    """Exact minimum subset distance with each member's set built once."""
+    items = list(items)
+    _pair_count(len(items), PAIR_GUARD, force)
+    sets = [set_of(x) for x in items]
+    sizes = [len(s) for s in sets]
+    return _set_sweep(items, sets, sizes, range(max(sizes) + 1), metric, force, notes)
 
 
 class VectorCode:
@@ -303,28 +390,32 @@ def _span_words(ctx: FieldCtx, rows, length: int):
 _METRICS = {
     "hamming": hamming_distance,
     "insdel": insdel_distance,
-    "subspace": subspace_distance,
-    "subset": subset_distance,
 }
 
 
 def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
                       force: bool = False) -> MetricReport:
     """Exhaustive minimum distance of a vector code under the named metric."""
-    notes = None
+    words = c.codewords
     if metric in _METRICS:
-        dist = _METRICS[metric]
-    elif metric in ("r_subspace", "r_subset"):
-        if r is None or r < 1:
-            raise InvalidParams("r-th metrics need a block length")
-        base = r_subspace_distance if metric == "r_subspace" else r_subset_distance
-        dist = lambda a, b: base(a, b, r)
-        notes = {"block_len": r}
-        if c.length % r:
-            notes["padding"] = "zero"
-    else:
+        return pairwise_min_report(words, _METRICS[metric], metric, force=force)
+    if metric == "subspace":
+        return subspace_min_report(words, word_span, subspace_distance, metric, force=force)
+    if metric == "subset":
+        return subset_min_report(words, lambda w: frozenset(w.symbols), metric, force=force)
+    if metric not in ("r_subspace", "r_subset"):
         raise InvalidParams(f"unknown metric {metric!r}")
-    return pairwise_min_report(c.codewords, dist, metric, force=force, notes=notes)
+    if r is None or r < 1:
+        raise InvalidParams("r-th metrics need a block length")
+    notes = {"block_len": r}
+    if c.length % r:
+        notes["padding"] = "zero"
+    if metric == "r_subspace":
+        return subspace_min_report(words, lambda w: folded_span(fold(w, r)),
+                                   lambda a, b: r_subspace_distance(a, b, r),
+                                   metric, force=force, notes=notes)
+    return subset_min_report(words, lambda w: frozenset(fold(w, r).blocks),
+                             metric, force=force, notes=notes)
 
 
 def generalized_hamming_weights(c: VectorCode, count_guard: int = 10 ** 6) -> list[int]:

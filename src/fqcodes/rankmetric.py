@@ -27,7 +27,7 @@ from .errors import (
     TooFewCodewords,
 )
 from .gf import FieldCtx, LinearEmbedding, embed_linear
-from .linalg import FqMatrix, rref
+from .linalg import FqMatrix, rref, subspace_count
 
 _GABIDULIN_GUARD = 1 << 22
 
@@ -36,14 +36,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Gaussian binomial [n choose k]_q, the number of k-dim subspaces of F_q^n."""
     if k < 0 or k > n:
         raise ParameterOutOfRange(f"k={k} out of range for n={n}")
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    quot, rem = divmod(num, den)
-    if rem:
-        raise PropertyViolation("gaussian binomial division was not exact")
-    return quot
+    return subspace_count(n, k, q)
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,20 @@ def as_int(v) -> int:
         raise ParseError(f"bad integer literal {v!r}") from exc
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-fqcodes-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,6 +87,15 @@ def sha256_file(path: str) -> str:
 
 
 # -- field ---------------------------------------------------------------
+
+def _symbol_from_obj(ctx: FieldCtx, coeffs):
+    """A symbol read from a file: integer coefficients, each in [0, q)."""
+    coeffs = [as_int(c) for c in coeffs]
+    for c in coeffs:
+        if not 0 <= c < ctx.q:
+            raise ParseError(f"coefficient {c} is not in [0, {ctx.q})")
+    return ctx.element(coeffs)
+
 
 def field_to_obj(ctx: FieldCtx) -> dict:
     return {"q": ctx.q, "n": ctx.n, "modulus": list(ctx.modulus)}
@@ -135,12 +152,12 @@ def vector_code_from_obj(d) -> VectorCode:
     try:
         ctx = field_from_obj(d["field"])
         length = as_int(d["length"])
-        codewords = [Word(ctx, tuple(ctx.element(s) for s in w))
+        codewords = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
                      for w in d["codewords"]]
         generator = d.get("generator")
         gen_words = None
         if generator is not None:
-            gen_words = [Word(ctx, tuple(ctx.element(s) for s in w))
+            gen_words = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
                          for w in generator]
         return VectorCode(ctx, length, codewords, generator=gen_words,
                           provenance=d.get("provenance"))
@@ -168,7 +185,7 @@ def rank_code_from_obj(d) -> RankCode:
     try:
         ctx = field_from_obj(d["field"])
         src = field_from_obj(d["src_field"]) if d.get("src_field") else None
-        members = [LinearizedPoly(ctx, tuple(ctx.element(a) for a in coeffs), src)
+        members = [LinearizedPoly(ctx, tuple(_symbol_from_obj(ctx, a) for a in coeffs), src)
                    for coeffs in d["members"]]
         declared = d.get("declared_rank_distance")
         return RankCode(ctx, members, as_int(d["t"]), src=src,
@@ -233,7 +250,7 @@ def folded_code_from_obj(d) -> FoldedCode:
         block_len = as_int(d["block_len"])
         words = []
         for w in d["codewords"]:
-            blocks = tuple(tuple(ctx.element(s) for s in blk) for blk in w)
+            blocks = tuple(tuple(_symbol_from_obj(ctx, s) for s in blk) for blk in w)
             words.append(FoldedWord(ctx, block_len, blocks))
         return FoldedCode(ctx, block_len, tuple(words), d.get("provenance"))
     except (KeyError, TypeError) as exc:
@@ -258,7 +275,7 @@ def difference_set_to_obj(ds: DifferenceSet) -> dict:
 def difference_set_from_obj(d) -> DifferenceSet:
     try:
         ctx = field_from_obj(d["field"])
-        members = tuple(ctx.element(m) for m in d["members"])
+        members = tuple(_symbol_from_obj(ctx, m) for m in d["members"])
         return DifferenceSet(ctx, members, as_int(d["v"]), as_int(d["k"]),
                              as_int(d["lambda"]))
     except (KeyError, TypeError) as exc:

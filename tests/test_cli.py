@@ -119,6 +119,22 @@ def test_metric_too_few_codewords_exits_2(tmp_path, capsys):
     assert "two members" in err
 
 
+def test_metric_on_malformed_symbols_exits_2(tmp_path, capsys):
+    ctx = FieldCtx(2, 2)
+    vc = VectorCode(ctx, 2, [word(ctx, [(1, 0), (0, 1)]), word(ctx, [(1, 1), (0, 0)])])
+    path = tmp_path / "code.json"
+    save_file(str(path), vc)
+    good = json.loads(path.read_text())
+    for bad in ("a", 5):
+        obj = json.loads(json.dumps(good))
+        obj["codewords"][0][0][0] = bad
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "metric", str(path), "--metric", "insdel")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_metric_on_missing_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "metric", str(tmp_path / "nope.json"),
                        "--metric", "insdel")

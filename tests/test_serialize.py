@@ -1,6 +1,8 @@
 """JSON round trips, big-integer encoding, read-time re-validation."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -115,6 +117,29 @@ def test_load_file_errors(tmp_path):
         load_file(str(bad))
 
 
+_FIRST_COEFF = {
+    "vector_code": lambda d: d["codewords"][0][0],
+    "folded_code": lambda d: d["codewords"][0][0][0],
+    "rank_code": lambda d: d["members"][0][0],
+    "difference_set": lambda d: d["members"][0],
+}
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: span_code(spread(2, 2, 4), 2),
+    lambda: evaluation_folded_code(GF8, singer_difference_set(GF8).members),
+    lambda: gabidulin_code(GF8, 1),
+    lambda: singer_difference_set(GF8),
+])
+@pytest.mark.parametrize("bad", ["a", 5, -1, 1.0, True, None])
+def test_symbol_coefficients_must_be_canonical_integers(factory, bad):
+    obj = object_to_obj(factory())
+    symbol = _FIRST_COEFF[obj["kind"]](obj)
+    symbol[0] = bad
+    with pytest.raises(ParseError):
+        load_obj(json.loads(json.dumps(obj)))
+
+
 def test_canonical_output_is_stable(tmp_path):
     sc = spread(2, 2, 4)
     p1 = str(tmp_path / "a.json")
@@ -132,6 +157,17 @@ def test_atomic_write(tmp_path):
     assert open(path).read() == "world\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert not leftovers
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_write_follows_umask(tmp_path, umask):
+    path = tmp_path / "x.json"
+    old = os.umask(umask)
+    try:
+        save_file(str(path), spread(2, 2, 4))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
 
 
 def test_metric_report_serialization():

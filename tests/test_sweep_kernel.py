@@ -1,0 +1,160 @@
+"""Precomputed subspace/subset sweeps against the per-pair distance oracles."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fqcodes.metrics as metrics
+from fqcodes.constructions import (
+    SubspaceCode,
+    subspace_code_min_distance,
+    subspace_pair_distance,
+)
+from fqcodes.derived import (
+    FoldedCode,
+    folded_code_from_vector_code,
+    folded_code_min_distance,
+)
+from fqcodes.errors import LengthMismatch, SearchTooLarge, TooFewCodewords
+from fqcodes.gf import FieldCtx
+from fqcodes.linalg import span
+from fqcodes.metrics import (
+    FoldedWord,
+    VectorCode,
+    Word,
+    code_min_distance,
+    folded_subset_distance,
+    folded_subspace_distance,
+    pairwise_min_report,
+    r_subset_distance,
+    r_subspace_distance,
+    subset_distance,
+    subset_min_report,
+    subspace_distance,
+    subspace_min_report,
+)
+
+GF8 = FieldCtx(2, 3)
+GF9 = FieldCtx(3, 2)
+AMBIENT = {2: 5, 3: 3, 5: 3}
+
+
+def _same(fast, oracle):
+    assert (fast.minimum, fast.witness_indices, fast.pairs) == \
+        (oracle.minimum, oracle.witness_indices, oracle.pairs)
+    assert fast.witness == oracle.witness
+
+
+@st.composite
+def vector_codes(draw, ctx):
+    """Words over a six-element pool, so spans repeat and dimensions mix."""
+    length = draw(st.integers(1, 4))
+    symbol = st.integers(0, 5).map(ctx.element_at)
+    words = draw(st.lists(st.lists(symbol, min_size=length, max_size=length),
+                          min_size=2, max_size=10))
+    code = VectorCode(ctx, length, [Word(ctx, tuple(w)) for w in words])
+    if len(code) < 2:
+        code = VectorCode(ctx, length, list(code.codewords)
+                          + [Word(ctx, (ctx.one,) * length), Word(ctx, (ctx.zero,) * length)])
+    return code
+
+
+@st.composite
+def subspace_codes(draw):
+    q = draw(st.sampled_from(sorted(AMBIENT)))
+    ambient = AMBIENT[q]
+    vector = st.tuples(*[st.integers(0, q - 1)] * ambient)
+    spans = st.lists(vector, max_size=3).map(lambda vs: span(vs, ambient, q))
+    members = draw(st.lists(spans, min_size=2, max_size=10))
+    sc = SubspaceCode(q, ambient, members)
+    if len(sc) < 2:
+        sc = SubspaceCode(q, ambient, list(sc.members) + [span([], ambient, q),
+                                                         span([(1,) * ambient], ambient, q)])
+    return sc
+
+
+fields = st.sampled_from([GF8, GF9])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vector_subspace_and_subset_sweeps_match_oracle(data):
+    c = data.draw(vector_codes(data.draw(fields)))
+    _same(code_min_distance(c, "subspace"),
+          pairwise_min_report(c.codewords, subspace_distance, "subspace"))
+    _same(code_min_distance(c, "subset"),
+          pairwise_min_report(c.codewords, subset_distance, "subset"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subspace_codes())
+def test_subspace_code_sweep_matches_oracle(sc):
+    _same(subspace_code_min_distance(sc),
+          pairwise_min_report(sc.members, subspace_pair_distance, "subspace"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_r_th_sweeps_match_oracle(data):
+    c = data.draw(vector_codes(data.draw(fields)))
+    r = data.draw(st.integers(1, 3))
+    fast = code_min_distance(c, "r_subspace", r=r)
+    _same(fast, pairwise_min_report(c.codewords, lambda a, b: r_subspace_distance(a, b, r),
+                                    "r_subspace"))
+    assert fast.notes == ({"block_len": r, "padding": "zero"} if c.length % r
+                          else {"block_len": r})
+    _same(code_min_distance(c, "r_subset", r=r),
+          pairwise_min_report(c.codewords, lambda a, b: r_subset_distance(a, b, r),
+                              "r_subset"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_folded_sweeps_match_oracle(data):
+    c = data.draw(vector_codes(data.draw(fields)))
+    fc = folded_code_from_vector_code(c, data.draw(st.integers(1, 3)))
+    _same(folded_code_min_distance(fc, "subspace"),
+          pairwise_min_report(fc.codewords, folded_subspace_distance, "subspace"))
+    _same(folded_code_min_distance(fc, "subset"),
+          pairwise_min_report(fc.codewords, folded_subset_distance, "subset"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_budget_fallback_agrees(data):
+    c = data.draw(vector_codes(data.draw(fields)))
+    sc = data.draw(subspace_codes())
+    fast = (code_min_distance(c, "subspace"), code_min_distance(c, "r_subspace", r=2),
+            subspace_code_min_distance(sc))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_MATERIALIZE_GUARD", 0)
+        mp.setattr(metrics, "_set_sweep", None)  # any use of the fast path fails
+        slow = (code_min_distance(c, "subspace"), code_min_distance(c, "r_subspace", r=2),
+                subspace_code_min_distance(sc))
+    for a, b in zip(fast, slow):
+        _same(a, b)
+        assert a.notes == b.notes
+
+
+def test_guards_fire_before_members_are_prepared():
+    def prepare(_):
+        raise AssertionError("member prepared before the guard")
+
+    with pytest.raises(TooFewCodewords, match="two members"):
+        subspace_min_report([span([], 2, 2)], prepare, subspace_pair_distance, "subspace")
+    with pytest.raises(SearchTooLarge, match="exceed the guard"):
+        subspace_min_report(range(4473), prepare, subspace_pair_distance, "subspace")
+    with pytest.raises(SearchTooLarge, match="exceed the guard"):
+        subset_min_report(range(4473), prepare, "subset")
+
+
+def test_folded_code_of_unlike_folds_raises_like_per_pair():
+    a = FoldedWord(GF8, 1, ((GF8.one,),))
+    b = FoldedWord(GF8, 2, ((GF8.one, GF8.zero),))
+    fc = FoldedCode(GF8, 1, (a, b))
+    oracles = {"subset": folded_subset_distance, "subspace": folded_subspace_distance}
+    for metric, dist in oracles.items():
+        with pytest.raises(LengthMismatch, match="block lengths"):
+            pairwise_min_report(fc.codewords, dist, metric)
+        with pytest.raises(LengthMismatch, match="block lengths"):
+            folded_code_min_distance(fc, metric)
