@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    NonMonotoneInput,
-    NotLinear,
-    ParameterOutOfRange,
-    ParityViolation,
-    PropertyViolation,
-    RateTooLow,
-)
+from .errors import InvalidParams, PropertyViolation
 from .linalg import ext_kernel_basis
 from .metrics import (
     VectorCode,
@@ -49,25 +42,25 @@ class BoundReport:
 def singleton_bound(n: int, d: int, q: int, metric: str) -> BoundReport:
     """Cardinality bound q^(n-d+1) (Hamming) or q^(n-d/2+1) (halved metrics)."""
     if n < 1 or q < 2:
-        raise ParameterOutOfRange(f"bad parameters n={n}, q={q}")
+        raise InvalidParams(f"bad parameters n={n}, q={q}")
     if metric == "hamming":
         if not 1 <= d <= n:
-            raise ParameterOutOfRange(f"hamming distance {d} out of range [1, {n}]")
+            raise InvalidParams(f"hamming distance {d} out of range [1, {n}]")
         value = q ** (n - d + 1)
     elif metric in _HALVED_METRICS:
         if d % 2 or not 2 <= d <= 2 * n:
-            raise ParameterOutOfRange(
+            raise InvalidParams(
                 f"{metric} distance {d} must be even in [2, {2 * n}]")
         value = q ** (n - d // 2 + 1)
     else:
-        raise ParameterOutOfRange(f"unknown metric {metric!r}")
+        raise InvalidParams(f"unknown metric {metric!r}")
     return BoundReport(f"singleton_{metric}", {"n": n, "d": d, "q": q}, value)
 
 
 def half_singleton(n: int, k: int) -> int:
     """Insdel-distance cap max{2(n - 2k + 2), 2} for linear [n, k] codes."""
     if not 1 <= k <= n:
-        raise ParameterOutOfRange(f"k={k} out of range [1, {n}]")
+        raise InvalidParams(f"k={k} out of range [1, {n}]")
     return max(2 * (n - 2 * k + 2), 2)
 
 
@@ -82,7 +75,7 @@ class StrongHalfSingleton:
 def strong_half_singleton(ghw) -> StrongHalfSingleton:
     ghw = list(ghw)
     if not ghw or any(b <= a for a, b in zip(ghw, ghw[1:])):
-        raise NonMonotoneInput("generalized Hamming weights must be strictly increasing")
+        raise InvalidParams("generalized Hamming weights must be strictly increasing")
     terms = [d - 2 * (r + 1) + 2 for r, d in enumerate(ghw)]
     return StrongHalfSingleton(doubled=2 * min(terms), undoubled=min(terms))
 
@@ -90,14 +83,14 @@ def strong_half_singleton(ghw) -> StrongHalfSingleton:
 def levenshtein_bound(n: int, q: int) -> int:
     """Size cap for single-deletion-correcting codes of length n over q symbols."""
     if n < 2 or q < 2:
-        raise ParameterOutOfRange(f"need n >= 2 and q >= 2, got n={n}, q={q}")
+        raise InvalidParams(f"need n >= 2 and q >= 2, got n={n}, q={q}")
     return (q ** (n - 1) + (n - 2) * q ** (n - 2) + q) // n
 
 
 def klo_bound(q: int) -> int:
     """Improved length-4 single-deletion cap q^2 (q+1) / 4; q must be even."""
     if q < 2 or q % 2:
-        raise ParityViolation(f"this bound needs even q, got {q}")
+        raise InvalidParams(f"this bound needs even q, got {q}")
     value, rem = divmod(q * q * (q + 1), 4)
     if rem:
         raise PropertyViolation("length-4 bound was not integral")
@@ -121,11 +114,11 @@ def cyclic_shift_witness(c: VectorCode) -> Word:
     its shift is re-verified before returning.
     """
     if not c.linear:
-        raise NotLinear("the witness construction needs a generator")
+        raise InvalidParams("the witness construction needs a generator")
     n = c.length
     k = c.dimension
     if 2 * k <= n:
-        raise RateTooLow(f"need k > n/2, got k={k}, n={n}")
+        raise InvalidParams(f"need k > n/2, got k={k}, n={n}")
     ctx = c.ctx
     gen_rows = [g.symbols for g in c.generator]
     h_rows = ext_kernel_basis(gen_rows, n, ctx)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidParams, TooManyDeletions
+from .errors import InvalidParams
 from .metrics import VectorCode, Word, code_min_distance, insdel_distance
 
 PRNG_NAME = "mt19937"
@@ -44,7 +44,7 @@ class ChannelSpec:
 def _apply_with_rng(w: Word, insertions: int, deletions: int,
                     rng: random.Random) -> Word:
     if deletions > len(w):
-        raise TooManyDeletions(f"cannot delete {deletions} symbols from length {len(w)}")
+        raise InvalidParams(f"cannot delete {deletions} symbols from length {len(w)}")
     symbols = list(w.symbols)
     for _ in range(deletions):
         del symbols[rng.randrange(len(symbols))]

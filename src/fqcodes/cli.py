@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -43,7 +42,7 @@ from .derived import (
     singer_difference_set,
     span_code,
 )
-from .errors import FqcodesError, InvalidParams, ParseError, PropertyViolation
+from .errors import FqcodesError, InvalidParams, PropertyViolation
 from .gf import FieldCtx
 from .metrics import VectorCode, code_min_distance
 from .rankmetric import RankCode, gabidulin_code, rank_distance_of_code
@@ -402,16 +401,10 @@ def main(argv=None) -> int:
     args._argv = list(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PropertyViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except FqcodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,14 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    DivisibilityViolation,
-    EnumerationTooLarge,
-    InfeasibleParameters,
-    InvalidParams,
-    NotFound,
-    ParameterOutOfRange,
-)
+from .errors import InvalidParams, NotFound, SearchTooLarge
 from .gf import FieldCtx
 from .linalg import (
     FqMatrix,
@@ -106,8 +99,7 @@ def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
     F_{q^ambient}; exists exactly when block_dim divides ambient_dim.
     """
     if block_dim < 1 or ambient_dim % block_dim != 0:
-        raise DivisibilityViolation(
-            f"spread needs {block_dim} | {ambient_dim}")
+        raise InvalidParams(f"spread needs {block_dim} | {ambient_dim}")
     ctx = FieldCtx(q, ambient_dim)
     sub = [x for x in ctx.elements() if ctx.subfield_member(x, block_dim)]
     expected = (q ** ambient_dim - 1) // (q ** block_dim - 1)
@@ -149,7 +141,7 @@ def sidon_check(ctx: FieldCtx, v: Subspace) -> bool:
     if v.ambient != ctx.n or v.q != ctx.q:
         raise InvalidParams("subspace does not live in the given field")
     if ctx.q ** v.dim > _SIDON_GUARD:
-        raise EnumerationTooLarge("subspace too large for the product scan")
+        raise SearchTooLarge("subspace too large for the product scan")
     nonzero = [x for x in v.vectors() if any(x)]
     products = {}
     for a in nonzero:
@@ -168,7 +160,7 @@ def sidon_check(ctx: FieldCtx, v: Subspace) -> bool:
 def sidon_search(ctx: FieldCtx, k: int) -> Subspace:
     """First k-dimensional Sidon space in enumeration order; NotFound if none."""
     if not 0 < 2 * k < ctx.n:
-        raise ParameterOutOfRange(f"need 0 < k < n/2, got k={k}, n={ctx.n}")
+        raise InvalidParams(f"need 0 < k < n/2, got k={k}, n={ctx.n}")
     for cand in enumerate_subspaces(ctx.q, ctx.n, k):
         if sidon_check(ctx, cand):
             return cand
@@ -180,7 +172,7 @@ def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
     if v.ambient != ctx.n or v.q != ctx.q:
         raise InvalidParams("subspace does not live in the given field")
     if ctx.q ** v.dim > _SIDON_GUARD:
-        raise EnumerationTooLarge("subspace too large to multiply out")
+        raise SearchTooLarge("subspace too large to multiply out")
     basis_elems = [tuple(r) for r in v.basis.rows]
     members = []
     seen = set()
@@ -227,11 +219,11 @@ def block_enlarged_family(ctx: FieldCtx, t: int) -> SubspaceCode:
     if n % 2:
         raise InvalidParams("block enlargement needs an even degree")
     if not n // 2 <= t < n:
-        raise ParameterOutOfRange(f"need n/2 <= t < n, got t={t}, n={n}")
+        raise InvalidParams(f"need n/2 <= t < n, got t={t}, n={n}")
     half = FieldCtx(ctx.q, n // 2)
     h2s = _greedy_row_disjoint_multipliers(half)
     if not h2s:
-        raise InfeasibleParameters("no admissible lower-block multipliers")
+        raise InvalidParams("no admissible lower-block multipliers")
     h1s = [poly_to_matrix(p) for p in gabidulin_code(half, t - n // 2).members]
     inner = gabidulin_code(ctx, t)
     q = ctx.q
@@ -286,17 +278,17 @@ def cardinality_calculator(construction: str, params: dict):
         return q ** (n * (t + 1))
     if construction == "lifted_mrd_plus_rank":
         if 2 * t < n:
-            raise ParameterOutOfRange("rank-enlarged form needs t >= n/2")
+            raise InvalidParams("rank-enlarged form needs t >= n/2")
         return q ** (n * (t + 1)) + _rank_sum(q, n, t)
     if construction == "multilevel":
         s = params["s"]
         if s < 0:
-            raise ParameterOutOfRange("tower height must be >= 0")
+            raise InvalidParams("tower height must be >= 0")
         rs = _rank_sum(q, n, t) if s > 0 else 0
         return sum(q ** ((s - j) * n * (t + 1)) * rs ** j for j in range(s + 1))
     if construction == "block_enlarged":
         if n % 2:
-            raise ParameterOutOfRange("block-enlarged form needs even n")
+            raise InvalidParams("block-enlarged form needs even n")
         exp = (3 * n // 2) * (t + 1) - n * n // 4
         return Fraction(4 * (q ** (n // 2) - 1) * q ** exp, n * n)
     raise InvalidParams(f"unknown construction {construction!r}")

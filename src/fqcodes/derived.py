@@ -17,15 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    EmptySet,
-    EnumerationTooLarge,
-    InvalidParams,
-    LengthOutOfRange,
-    LengthTooShort,
-    ParameterTooSmall,
-    PropertyViolation,
-)
+from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx
 from .metrics import (
     FoldedWord,
@@ -108,7 +100,7 @@ def span_code(sc: SubspaceCode, l: int, field_ctx: FieldCtx | None = None) -> Ve
         raise InvalidParams("field context does not match the ambient space")
     max_dim = max((s.dim for s in sc.members), default=0)
     if l < max_dim:
-        raise LengthTooShort(f"length {l} cannot span dimension {max_dim}")
+        raise InvalidParams(f"length {l} cannot span dimension {max_dim}")
     words = [Word(ctx, _span_symbols(s.basis.rows, l, ctx)) for s in sc.members]
     return VectorCode(ctx, l, words,
                       provenance={"construction": "span_code", "length": l,
@@ -129,7 +121,7 @@ def partial_span_code(sc: SubspaceCode, l: int,
         raise InvalidParams("constant-dimension distance must be even")
     t = k - d // 2
     if not t + 1 <= l <= k:
-        raise LengthOutOfRange(f"need {t + 1} <= l <= {k}, got {l}")
+        raise InvalidParams(f"need {t + 1} <= l <= {k}, got {l}")
     ctx = field_ctx if field_ctx is not None else FieldCtx(sc.q, sc.ambient)
     if ctx.q != sc.q or ctx.n != sc.ambient:
         raise InvalidParams("field context does not match the ambient space")
@@ -153,9 +145,9 @@ def all_vectors_code(sc: SubspaceCode, l: int,
     q = sc.q
     low = q ** (k - d // 2)
     if not low < l <= q ** k:
-        raise LengthOutOfRange(f"need {low} < l <= {q ** k}, got {l}")
+        raise InvalidParams(f"need {low} < l <= {q ** k}, got {l}")
     if q ** k > _VECTOR_GUARD:
-        raise EnumerationTooLarge("member subspaces too large to list")
+        raise SearchTooLarge("member subspaces too large to list")
     ctx = field_ctx if field_ctx is not None else FieldCtx(sc.q, sc.ambient)
     if ctx.q != sc.q or ctx.n != sc.ambient:
         raise InvalidParams("field context does not match the ambient space")
@@ -177,7 +169,7 @@ def singer_difference_set(ctx: FieldCtx) -> DifferenceSet:
     if ctx.q != 2:
         raise InvalidParams("the Singer construction here is binary")
     if ctx.n < 3:
-        raise ParameterTooSmall("need n >= 3")
+        raise InvalidParams("need n >= 3")
     members = [x for x in ctx.elements() if x != ctx.zero and ctx.trace(x) == 0]
     v = ctx.order - 1
     k = 2 ** (ctx.n - 1) - 1
@@ -199,7 +191,7 @@ def m_of_d(ctx: FieldCtx, members) -> int:
     """max |yD ∩ D| over nonzero y != 1 (the identity would trivially give |D|)."""
     members = list(members)
     if not members:
-        raise EmptySet("m(D) of an empty set")
+        raise InvalidParams("m(D) of an empty set")
     if ctx.zero in members:
         raise InvalidParams("D must consist of nonzero elements")
     mset = set(members)
@@ -223,7 +215,7 @@ def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
     """
     points = [ctx.element(p) for p in points]
     if not points:
-        raise EmptySet("the evaluation point set is empty")
+        raise InvalidParams("the evaluation point set is empty")
     if ctx.zero in points or len(set(points)) != len(points):
         raise InvalidParams("points must be distinct and nonzero")
     seen = {}

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Every error raised by the library derives from FqcodesError so callers
-(and the CLI exit-code mapping) can catch one base class.
+Every error raised by the library derives from FqcodesError, so callers
+catch one base class.  The subclasses are the outcomes a caller can act
+on; the CLI exits 1 on PropertyViolation and 2 on every other error.
 """
 
 
@@ -9,113 +10,21 @@ class FqcodesError(Exception):
     pass
 
 
-# field construction / arithmetic
-class NonPrimeCharacteristic(FqcodesError):
-    pass
+class ParseError(FqcodesError):
+    """A file or serialized object is malformed or invalid."""
 
 
-class ReducibleModulus(FqcodesError):
-    pass
-
-
-class ZeroInverse(FqcodesError):
-    pass
-
-
-class NonDivisorDegree(FqcodesError):
-    pass
-
-
-class DimensionTooSmall(FqcodesError):
-    pass
-
-
-# linear algebra
-class LengthMismatch(FqcodesError):
-    pass
-
-
-class AmbientMismatch(FqcodesError):
-    pass
-
-
-class EnumerationTooLarge(FqcodesError):
-    pass
-
-
-# metric sweeps
-class TooFewCodewords(FqcodesError):
-    pass
+class InvalidParams(FqcodesError):
+    """A bad argument: out of range, or a length, field or ambient mismatch."""
 
 
 class SearchTooLarge(FqcodesError):
-    pass
-
-
-# constructions
-class DivisibilityViolation(FqcodesError):
-    pass
-
-
-class NotFound(FqcodesError):
-    pass
-
-
-class InfeasibleParameters(FqcodesError):
-    pass
-
-
-# derived codes
-class LengthTooShort(FqcodesError):
-    pass
-
-
-class LengthOutOfRange(FqcodesError):
-    pass
-
-
-class ParameterTooSmall(FqcodesError):
-    pass
+    """An enumeration or pairwise sweep beyond its size guard."""
 
 
 class PropertyViolation(FqcodesError):
     """An internal consistency re-check failed (construction bug, not user error)."""
 
 
-class EmptySet(FqcodesError):
-    pass
-
-
-# bounds
-class ParameterOutOfRange(FqcodesError):
-    pass
-
-
-class NonMonotoneInput(FqcodesError):
-    pass
-
-
-class ParityViolation(FqcodesError):
-    pass
-
-
-class RateTooLow(FqcodesError):
-    pass
-
-
-class NotLinear(FqcodesError):
-    pass
-
-
-# channel
-class TooManyDeletions(FqcodesError):
-    pass
-
-
-# files / CLI
-class ParseError(FqcodesError):
-    pass
-
-
-class InvalidParams(FqcodesError):
-    pass
+class NotFound(FqcodesError):
+    """A search over a finite space came back empty."""

@@ -26,20 +26,14 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (
-    DimensionTooSmall,
-    InvalidParams,
-    NonDivisorDegree,
-    NonPrimeCharacteristic,
-    ReducibleModulus,
-    ZeroInverse,
-)
+from .errors import InvalidParams
 from .linalg import FqMatrix
 
 Element = tuple  # length-n tuple of ints in [0, q)
 
 _TABLE_LIMIT = 1 << 16
 _MAX_DEGREE = 24
+_MAX_CHARACTERISTIC = _TABLE_LIMIT  # keeps is_prime's trial division short
 
 
 def is_prime(p: int) -> bool:
@@ -97,7 +91,7 @@ def _smallest_irreducible(q: int, n: int) -> tuple[int, ...]:
         cand = list(tail) + [1]
         if _is_irreducible(cand, q):
             return tuple(cand)
-    raise ReducibleModulus(f"no irreducible of degree {n} over F_{q}")  # unreachable
+    raise InvalidParams(f"no irreducible of degree {n} over F_{q}")  # unreachable
 
 
 class FieldCtx:
@@ -107,8 +101,10 @@ class FieldCtx:
                  "_unit_order", "_red", "_exp", "_log")
 
     def __init__(self, q: int, n: int, modulus=None):
+        if q > _MAX_CHARACTERISTIC:
+            raise InvalidParams(f"q={q} exceeds supported maximum {_MAX_CHARACTERISTIC}")
         if not is_prime(q):
-            raise NonPrimeCharacteristic(f"q={q} is not prime")
+            raise InvalidParams(f"q={q} is not prime")
         if n < 1:
             raise InvalidParams(f"extension degree n={n} must be >= 1")
         if n > _MAX_DEGREE:
@@ -116,11 +112,13 @@ class FieldCtx:
         if modulus is None:
             modulus = _smallest_irreducible(q, n)
         else:
-            modulus = tuple(int(c) % q for c in modulus)
+            modulus = tuple(int(c) for c in modulus)
+            if not all(0 <= c < q for c in modulus):
+                raise InvalidParams(f"modulus coefficient not in [0, {q}): {list(modulus)}")
             if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(f"modulus must be monic of degree {n}")
+                raise InvalidParams(f"modulus must be monic of degree {n}")
             if not _is_irreducible(list(modulus), q):
-                raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{q}")
+                raise InvalidParams(f"modulus {list(modulus)} is reducible over F_{q}")
         self.q = q
         self.n = n
         self.modulus = tuple(modulus)
@@ -242,7 +240,7 @@ class FieldCtx:
 
     def inv(self, a: Element) -> Element:
         if a == self.zero:
-            raise ZeroInverse("0 has no multiplicative inverse")
+            raise InvalidParams("0 has no multiplicative inverse")
         if self._log is not None:
             k = (-self._log[self.index_of(a)]) % self._unit_order
             return self._exp[k]
@@ -254,7 +252,7 @@ class FieldCtx:
                 return self.zero
             if e == 0:
                 return self.one
-            raise ZeroInverse("0 cannot be raised to a negative power")
+            raise InvalidParams("0 cannot be raised to a negative power")
         e %= self._unit_order if self._unit_order else 1
         if self._log is not None:
             return self._exp[(self._log[self.index_of(a)] * e) % self._unit_order]
@@ -291,7 +289,7 @@ class FieldCtx:
     def subfield_member(self, x: Element, k: int) -> bool:
         """True iff x lies in the subfield F_{q^k} (requires k | n)."""
         if k < 1 or self.n % k != 0:
-            raise NonDivisorDegree(f"k={k} does not divide n={self.n}")
+            raise InvalidParams(f"k={k} does not divide n={self.n}")
         return self.frobenius(x, k) == x
 
     def multiplication_matrix(self, x: Element) -> FqMatrix:
@@ -350,7 +348,7 @@ class LinearEmbedding:
         if src.q != dst.q:
             raise InvalidParams("embedding requires matching base characteristic")
         if dst.n < src.n:
-            raise DimensionTooSmall(f"cannot embed degree {src.n} into degree {dst.n}")
+            raise InvalidParams(f"cannot embed degree {src.n} into degree {dst.n}")
         self.src = src
         self.dst = dst
 

@@ -17,12 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    AmbientMismatch,
-    EnumerationTooLarge,
-    InvalidParams,
-    LengthMismatch,
-)
+from .errors import InvalidParams, SearchTooLarge
 
 _ENUM_GUARD = 1 << 20       # cap on q^ambient for subspace enumeration
 _ENUM_COUNT_CAP = 1 << 22   # cap on the number of subspaces materialized
@@ -39,7 +34,7 @@ class FqMatrix:
     def __post_init__(self):
         for r in self.rows:
             if len(r) != self.cols:
-                raise LengthMismatch(f"row of length {len(r)} in a {self.cols}-column matrix")
+                raise InvalidParams(f"row of length {len(r)} in a {self.cols}-column matrix")
             for e in r:
                 if not 0 <= e < self.q:
                     raise InvalidParams(f"entry {e} not reduced mod {self.q}")
@@ -63,7 +58,7 @@ class FqMatrix:
 
     def matmul(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q or self.cols != other.nrows:
-            raise LengthMismatch("incompatible matrix product")
+            raise InvalidParams("incompatible matrix product")
         q = self.q
         out = []
         for r in self.rows:
@@ -78,12 +73,12 @@ class FqMatrix:
 
     def vstack(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q or self.cols != other.cols:
-            raise LengthMismatch("vstack needs matching widths")
+            raise InvalidParams("vstack needs matching widths")
         return FqMatrix(self.q, self.rows + other.rows, self.cols)
 
     def hstack(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q or self.nrows != other.nrows:
-            raise LengthMismatch("hstack needs matching heights")
+            raise InvalidParams("hstack needs matching heights")
         rows = tuple(a + b for a, b in zip(self.rows, other.rows))
         return FqMatrix(self.q, rows, self.cols + other.cols)
 
@@ -161,7 +156,7 @@ class Subspace:
 
     def __post_init__(self):
         if self.basis.q != self.q or self.basis.cols != self.ambient:
-            raise AmbientMismatch("basis does not match declared ambient space")
+            raise InvalidParams("basis does not match declared ambient space")
         reduced, rk = rref(self.basis)
         if rk != self.basis.nrows or reduced != self.basis:
             raise InvalidParams("subspace basis must be a zero-row-free RREF matrix")
@@ -184,7 +179,7 @@ class Subspace:
     def contains(self, vector) -> bool:
         vector = tuple(int(e) % self.q for e in vector)
         if len(vector) != self.ambient:
-            raise LengthMismatch("vector length does not match ambient dimension")
+            raise InvalidParams("vector length does not match ambient dimension")
         stacked = [list(r) for r in self.basis.rows] + [list(vector)]
         _, rk, _ = _rref_rows(stacked, self.ambient, self.q)
         return rk == self.dim
@@ -199,7 +194,7 @@ def span(vectors, ambient: int, q: int) -> Subspace:
     for v in vectors:
         v = [int(e) % q for e in v]
         if len(v) != ambient:
-            raise LengthMismatch(f"vector of length {len(v)} in ambient {ambient}")
+            raise InvalidParams(f"vector of length {len(v)} in ambient {ambient}")
         rows.append(v)
     rows, rk, _ = _rref_rows(rows, ambient, q)
     basis = tuple(tuple(r) for r in rows[:rk])
@@ -208,7 +203,7 @@ def span(vectors, ambient: int, q: int) -> Subspace:
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.q != v.q or u.ambient != v.ambient:
-        raise AmbientMismatch("subspace sum needs a common ambient space")
+        raise InvalidParams("subspace sum needs a common ambient space")
     return span(u.basis.rows + v.basis.rows, u.ambient, u.q)
 
 
@@ -257,9 +252,9 @@ def enumerate_subspaces(q: int, ambient: int, dim: int):
     if dim < 0 or dim > ambient:
         raise InvalidParams(f"dimension {dim} out of range for ambient {ambient}")
     if q ** ambient > _ENUM_GUARD:
-        raise EnumerationTooLarge(f"q^ambient = {q ** ambient} exceeds {_ENUM_GUARD}")
+        raise SearchTooLarge(f"q^ambient = {q ** ambient} exceeds {_ENUM_GUARD}")
     if subspace_count(ambient, dim, q) > _ENUM_COUNT_CAP:
-        raise EnumerationTooLarge("too many subspaces to materialize")
+        raise SearchTooLarge("too many subspaces to materialize")
     return _enumerate_subspaces(q, ambient, dim)
 
 
@@ -365,7 +360,7 @@ def enumerate_ext_rref_bases(ctx, ambient: int, dim: int, count_guard: int = 10 
     if dim < 0 or dim > ambient:
         raise InvalidParams(f"dimension {dim} out of range for ambient {ambient}")
     if subspace_count(ambient, dim, ctx.order) > count_guard:
-        raise EnumerationTooLarge("too many extension-field subspaces to enumerate")
+        raise SearchTooLarge("too many extension-field subspaces to enumerate")
     elems = [ctx.element_at(i) for i in range(ctx.order)]
     bases = []
     for pivots in itertools.combinations(range(ambient), dim):

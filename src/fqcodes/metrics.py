@@ -28,14 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    EnumerationTooLarge,
-    InvalidParams,
-    LengthMismatch,
-    NotLinear,
-    SearchTooLarge,
-    TooFewCodewords,
-)
+from .errors import InvalidParams, SearchTooLarge
 from .gf import FieldCtx
 from .linalg import (
     enumerate_ext_rref_bases,
@@ -61,7 +54,7 @@ class Word:
     def __post_init__(self):
         for s in self.symbols:
             if len(s) != self.ctx.n:
-                raise LengthMismatch("symbol does not belong to the word's field")
+                raise InvalidParams("symbol does not belong to the word's field")
 
     def __len__(self):
         return len(self.symbols)
@@ -82,7 +75,7 @@ class FoldedWord:
     def __post_init__(self):
         for b in self.blocks:
             if len(b) != self.block_len:
-                raise LengthMismatch("ragged block in folded word")
+                raise InvalidParams("ragged block in folded word")
 
 
 def _require_same_ctx(a, b):
@@ -93,7 +86,7 @@ def _require_same_ctx(a, b):
 def hamming_distance(a: Word, b: Word) -> int:
     _require_same_ctx(a, b)
     if len(a) != len(b):
-        raise LengthMismatch("hamming distance needs equal lengths")
+        raise InvalidParams("hamming distance needs equal lengths")
     return sum(1 for x, y in zip(a.symbols, b.symbols) if x != y)
 
 
@@ -156,7 +149,7 @@ def _require_same_fold(a: FoldedWord, b: FoldedWord):
     if a.ctx != b.ctx:
         raise InvalidParams("folded words live in different fields")
     if a.block_len != b.block_len:
-        raise LengthMismatch("folded words have different block lengths")
+        raise InvalidParams("folded words have different block lengths")
 
 
 def folded_subspace_distance(a: FoldedWord, b: FoldedWord) -> int:
@@ -182,14 +175,14 @@ def folded_subset_distance(a: FoldedWord, b: FoldedWord) -> int:
 def r_subspace_distance(a: Word, b: Word, r: int) -> int:
     _require_same_ctx(a, b)
     if len(a) != len(b):
-        raise LengthMismatch("r-th distances need equal lengths")
+        raise InvalidParams("r-th distances need equal lengths")
     return folded_subspace_distance(fold(a, r), fold(b, r))
 
 
 def r_subset_distance(a: Word, b: Word, r: int) -> int:
     _require_same_ctx(a, b)
     if len(a) != len(b):
-        raise LengthMismatch("r-th distances need equal lengths")
+        raise InvalidParams("r-th distances need equal lengths")
     return folded_subset_distance(fold(a, r), fold(b, r))
 
 
@@ -212,7 +205,7 @@ class MetricReport:
 def _pair_count(m: int, guard: int, force: bool) -> int:
     """Number of unordered pairs of m members, after the sweep guards."""
     if m < 2:
-        raise TooFewCodewords("a minimum distance needs at least two members")
+        raise InvalidParams("a minimum distance needs at least two members")
     pairs = m * (m - 1) // 2
     if pairs > guard and not force:
         raise SearchTooLarge(f"{pairs} pairs exceed the guard ({guard}); pass force to override")
@@ -324,15 +317,14 @@ class VectorCode:
         self.length = length
         seen = {}
         for w in codewords:
-            if w.ctx != ctx:
-                raise InvalidParams("codeword from a different field")
-            if len(w) != length:
-                raise LengthMismatch("codeword of wrong length")
+            self._check_word(w, "codeword")
             seen.setdefault(w.symbols, w)
         self.codewords = tuple(seen.values())
         self.generator = tuple(generator) if generator is not None else None
         self.provenance = dict(provenance) if provenance else {}
         if self.generator is not None:
+            for g in self.generator:
+                self._check_word(g, "generator row")
             rows = [g.symbols for g in self.generator]
             k = len(rows)
             if ext_rank(rows, length, ctx) != k:
@@ -341,6 +333,12 @@ class VectorCode:
                 expected = {w.symbols for w in _span_words(ctx, rows, length)}
                 if expected != set(seen):
                     raise InvalidParams("codeword set does not equal the generator row span")
+
+    def _check_word(self, w: Word, what: str) -> None:
+        if w.ctx != self.ctx:
+            raise InvalidParams(f"{what} from a different field")
+        if len(w) != self.length:
+            raise InvalidParams(f"{what} of wrong length")
 
     @property
     def linear(self) -> bool:
@@ -367,7 +365,7 @@ class VectorCode:
         length = len(rows[0])
         k = len(rows)
         if ctx.order ** k > _MATERIALIZE_GUARD:
-            raise EnumerationTooLarge("row span too large to materialize")
+            raise SearchTooLarge("row span too large to materialize")
         codewords = _span_words(ctx, [r.symbols for r in rows], length)
         return cls(ctx, length, codewords, generator=rows, provenance=provenance)
 
@@ -421,7 +419,7 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
 def generalized_hamming_weights(c: VectorCode, count_guard: int = 10 ** 6) -> list[int]:
     """d_r = minimum support size over r-dimensional subcodes, r = 1..k."""
     if not c.linear:
-        raise NotLinear("generalized Hamming weights need a generator")
+        raise InvalidParams("generalized Hamming weights need a generator")
     ctx = c.ctx
     rows = [g.symbols for g in c.generator]
     k = len(rows)

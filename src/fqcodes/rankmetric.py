@@ -18,14 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (
-    EnumerationTooLarge,
-    InvalidParams,
-    ParameterOutOfRange,
-    PropertyViolation,
-    SearchTooLarge,
-    TooFewCodewords,
-)
+from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx, LinearEmbedding, embed_linear
 from .linalg import FqMatrix, rref, subspace_count
 
@@ -35,7 +28,7 @@ _GABIDULIN_GUARD = 1 << 22
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Gaussian binomial [n choose k]_q, the number of k-dim subspaces of F_q^n."""
     if k < 0 or k > n:
-        raise ParameterOutOfRange(f"k={k} out of range for n={n}")
+        raise InvalidParams(f"k={k} out of range for n={n}")
     return subspace_count(n, k, q)
 
 
@@ -147,7 +140,7 @@ def gabidulin_code(ctx: FieldCtx, t: int) -> RankCode:
         raise InvalidParams(f"t={t} out of range for degree {ctx.n}")
     size = ctx.order ** (t + 1)
     if size > _GABIDULIN_GUARD:
-        raise EnumerationTooLarge(f"{size} members exceed the materialization guard")
+        raise SearchTooLarge(f"{size} members exceed the materialization guard")
     members = [LinearizedPoly(ctx, coeffs) for coeffs in _coefficient_tuples(ctx, t)]
     return RankCode(ctx, members, t,
                     declared_rank_distance=ctx.n - t,
@@ -165,7 +158,7 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
         raise InvalidParams(f"t={t} out of range for domain degree {src.n}")
     size = dst.order ** (t + 1)
     if size > _GABIDULIN_GUARD:
-        raise EnumerationTooLarge(f"{size} members exceed the materialization guard")
+        raise SearchTooLarge(f"{size} members exceed the materialization guard")
     src_arg = None if dst == src else src
     members = [LinearizedPoly(dst, coeffs, src_arg)
                for coeffs in _coefficient_tuples(dst, t)]
@@ -179,7 +172,7 @@ def rank_distance_of_code(c: RankCode, force: bool = False,
                           guard: int = 10 ** 7) -> int:
     """Exact minimum rank distance; linear codes scan nonzero members only."""
     if len(c.members) < 2:
-        raise TooFewCodewords("rank distance needs at least two members")
+        raise InvalidParams("rank distance needs at least two members")
     if c.linear:
         best = None
         for p in c.members:
@@ -189,7 +182,7 @@ def rank_distance_of_code(c: RankCode, force: bool = False,
             if best is None or r < best:
                 best = r
         if best is None:
-            raise TooFewCodewords("linear rank code has no nonzero member")
+            raise InvalidParams("linear rank code has no nonzero member")
         return best
     pairs = len(c.members) * (len(c.members) - 1) // 2
     if pairs > guard and not force:
@@ -239,7 +232,7 @@ def delsarte_rank_distribution(n: int, d: int, q: int) -> RankDistribution:
     nonnegative and to sum to q^(n(n-d+1)).
     """
     if not 1 <= d <= n:
-        raise ParameterOutOfRange(f"d={d} out of range for n={n}")
+        raise InvalidParams(f"d={d} out of range for n={n}")
     counts = [0] * (n + 1)
     counts[0] = 1
     for r in range(d, n + 1):

@@ -11,6 +11,7 @@ surfaces as ParseError.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -57,6 +58,30 @@ def as_int(v) -> int:
         raise ParseError(f"bad integer literal {v!r}") from exc
 
 
+def _parses(what: str):
+    """Make a loader raise only ParseError: `malformed <what>` for a missing
+    key or a wrong JSON type, `invalid <what>` for a value the library rejects."""
+    def decorate(loader):
+        @functools.wraps(loader)
+        def load(d):
+            try:
+                return loader(d)
+            except (KeyError, TypeError) as exc:
+                raise ParseError(f"malformed {what}: {exc}") from exc
+            except FqcodesError as exc:
+                raise ParseError(f"invalid {what}: {exc}") from exc
+        return load
+    return decorate
+
+
+def _provenance(d):
+    """The optional provenance of a code file: an object or null."""
+    prov = d.get("provenance")
+    if prov is not None and not isinstance(prov, dict):
+        raise ParseError(f"provenance must be an object or null, not {type(prov).__name__}")
+    return prov
+
+
 def _umask() -> int:
     mask = os.umask(0o022)
     os.umask(mask)
@@ -101,14 +126,9 @@ def field_to_obj(ctx: FieldCtx) -> dict:
     return {"q": ctx.q, "n": ctx.n, "modulus": list(ctx.modulus)}
 
 
+@_parses("field object")
 def field_from_obj(d) -> FieldCtx:
-    try:
-        return FieldCtx(as_int(d["q"]), as_int(d["n"]),
-                        [as_int(c) for c in d["modulus"]])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed field object: {exc}") from exc
-    except FqcodesError as exc:
-        raise ParseError(f"invalid field object: {exc}") from exc
+    return FieldCtx(as_int(d["q"]), as_int(d["n"]), [as_int(c) for c in d["modulus"]])
 
 
 # -- subspaces -------------------------------------------------------------
@@ -117,16 +137,12 @@ def subspace_to_obj(s: Subspace) -> dict:
     return {"ambient": s.ambient, "q": s.q, "basis": [list(r) for r in s.basis.rows]}
 
 
+@_parses("subspace object")
 def subspace_from_obj(d) -> Subspace:
-    try:
-        q = as_int(d["q"])
-        ambient = as_int(d["ambient"])
-        rows = tuple(tuple(as_int(e) for e in r) for r in d["basis"])
-        return Subspace(q, ambient, FqMatrix(q, rows, ambient))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed subspace object: {exc}") from exc
-    except FqcodesError as exc:
-        raise ParseError(f"invalid subspace basis: {exc}") from exc
+    q = as_int(d["q"])
+    ambient = as_int(d["ambient"])
+    rows = tuple(tuple(as_int(e) for e in r) for r in d["basis"])
+    return Subspace(q, ambient, FqMatrix(q, rows, ambient))
 
 
 # -- vector codes ----------------------------------------------------------
@@ -148,23 +164,19 @@ def vector_code_to_obj(c: VectorCode) -> dict:
     return obj
 
 
+@_parses("vector code")
 def vector_code_from_obj(d) -> VectorCode:
-    try:
-        ctx = field_from_obj(d["field"])
-        length = as_int(d["length"])
-        codewords = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
-                     for w in d["codewords"]]
-        generator = d.get("generator")
-        gen_words = None
-        if generator is not None:
-            gen_words = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
-                         for w in generator]
-        return VectorCode(ctx, length, codewords, generator=gen_words,
-                          provenance=d.get("provenance"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed vector code: {exc}") from exc
-    except FqcodesError as exc:
-        raise ParseError(f"invalid vector code: {exc}") from exc
+    ctx = field_from_obj(d["field"])
+    length = as_int(d["length"])
+    codewords = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
+                 for w in d["codewords"]]
+    generator = d.get("generator")
+    gen_words = None
+    if generator is not None:
+        gen_words = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
+                     for w in generator]
+    return VectorCode(ctx, length, codewords, generator=gen_words,
+                      provenance=_provenance(d))
 
 
 # -- rank codes --------------------------------------------------------------
@@ -181,20 +193,16 @@ def rank_code_to_obj(c: RankCode) -> dict:
     }
 
 
+@_parses("rank code")
 def rank_code_from_obj(d) -> RankCode:
-    try:
-        ctx = field_from_obj(d["field"])
-        src = field_from_obj(d["src_field"]) if d.get("src_field") else None
-        members = [LinearizedPoly(ctx, tuple(_symbol_from_obj(ctx, a) for a in coeffs), src)
-                   for coeffs in d["members"]]
-        declared = d.get("declared_rank_distance")
-        return RankCode(ctx, members, as_int(d["t"]), src=src,
-                        declared_rank_distance=as_int(declared) if declared is not None else None,
-                        provenance=d.get("provenance"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed rank code: {exc}") from exc
-    except FqcodesError as exc:
-        raise ParseError(f"invalid rank code: {exc}") from exc
+    ctx = field_from_obj(d["field"])
+    src = field_from_obj(d["src_field"]) if d.get("src_field") else None
+    members = [LinearizedPoly(ctx, tuple(_symbol_from_obj(ctx, a) for a in coeffs), src)
+               for coeffs in d["members"]]
+    declared = d.get("declared_rank_distance")
+    return RankCode(ctx, members, as_int(d["t"]), src=src,
+                    declared_rank_distance=as_int(declared) if declared is not None else None,
+                    provenance=_provenance(d))
 
 
 # -- subspace codes ----------------------------------------------------------
@@ -211,24 +219,20 @@ def subspace_code_to_obj(sc: SubspaceCode) -> dict:
     }
 
 
+@_parses("subspace code")
 def subspace_code_from_obj(d) -> SubspaceCode:
-    try:
-        q = as_int(d["q"])
-        ambient = as_int(d["ambient"])
-        members = []
-        for entry in d["subspaces"]:
-            rows = tuple(tuple(as_int(e) for e in r) for r in entry["basis"])
-            members.append(Subspace(q, ambient, FqMatrix(q, rows, ambient)))
-        cdim = d.get("constant_dim")
-        dist = d.get("declared_distance")
-        return SubspaceCode(q, ambient, members,
-                            constant_dim=as_int(cdim) if cdim is not None else None,
-                            declared_distance=as_int(dist) if dist is not None else None,
-                            provenance=d.get("provenance"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed subspace code: {exc}") from exc
-    except FqcodesError as exc:
-        raise ParseError(f"invalid subspace code: {exc}") from exc
+    q = as_int(d["q"])
+    ambient = as_int(d["ambient"])
+    members = []
+    for entry in d["subspaces"]:
+        rows = tuple(tuple(as_int(e) for e in r) for r in entry["basis"])
+        members.append(Subspace(q, ambient, FqMatrix(q, rows, ambient)))
+    cdim = d.get("constant_dim")
+    dist = d.get("declared_distance")
+    return SubspaceCode(q, ambient, members,
+                        constant_dim=as_int(cdim) if cdim is not None else None,
+                        declared_distance=as_int(dist) if dist is not None else None,
+                        provenance=_provenance(d))
 
 
 # -- folded codes -------------------------------------------------------------
@@ -244,19 +248,15 @@ def folded_code_to_obj(fc: FoldedCode) -> dict:
     }
 
 
+@_parses("folded code")
 def folded_code_from_obj(d) -> FoldedCode:
-    try:
-        ctx = field_from_obj(d["field"])
-        block_len = as_int(d["block_len"])
-        words = []
-        for w in d["codewords"]:
-            blocks = tuple(tuple(_symbol_from_obj(ctx, s) for s in blk) for blk in w)
-            words.append(FoldedWord(ctx, block_len, blocks))
-        return FoldedCode(ctx, block_len, tuple(words), d.get("provenance"))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed folded code: {exc}") from exc
-    except FqcodesError as exc:
-        raise ParseError(f"invalid folded code: {exc}") from exc
+    ctx = field_from_obj(d["field"])
+    block_len = as_int(d["block_len"])
+    words = []
+    for w in d["codewords"]:
+        blocks = tuple(tuple(_symbol_from_obj(ctx, s) for s in blk) for blk in w)
+        words.append(FoldedWord(ctx, block_len, blocks))
+    return FoldedCode(ctx, block_len, tuple(words), _provenance(d))
 
 
 # -- difference sets -----------------------------------------------------------
@@ -272,16 +272,12 @@ def difference_set_to_obj(ds: DifferenceSet) -> dict:
     }
 
 
+@_parses("difference set")
 def difference_set_from_obj(d) -> DifferenceSet:
-    try:
-        ctx = field_from_obj(d["field"])
-        members = tuple(_symbol_from_obj(ctx, m) for m in d["members"])
-        return DifferenceSet(ctx, members, as_int(d["v"]), as_int(d["k"]),
-                             as_int(d["lambda"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed difference set: {exc}") from exc
-    except FqcodesError as exc:
-        raise ParseError(f"invalid difference set: {exc}") from exc
+    ctx = field_from_obj(d["field"])
+    members = tuple(_symbol_from_obj(ctx, m) for m in d["members"])
+    return DifferenceSet(ctx, members, as_int(d["v"]), as_int(d["k"]),
+                         as_int(d["lambda"]))
 
 
 # -- reports ---------------------------------------------------------------------
@@ -379,7 +375,7 @@ def load_obj(d):
         kind = d["kind"]
     except (KeyError, TypeError) as exc:
         raise ParseError("file has no 'kind' discriminator") from exc
-    loader = _LOADERS.get(kind)
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise ParseError(f"unknown kind {kind!r}")
     return loader(d)
@@ -387,11 +383,11 @@ def load_obj(d):
 
 def load_file(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return load_obj(d)
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fqcodes.errors import TooManyDeletions
+from fqcodes.errors import InvalidParams
 from fqcodes.gf import FieldCtx
 from fqcodes.channel import (
     AMBIGUOUS,
@@ -48,7 +48,7 @@ def test_channel_deterministic():
 
 def test_too_many_deletions():
     w = word(F2, [(1,), (0,)])
-    with pytest.raises(TooManyDeletions):
+    with pytest.raises(InvalidParams, match="cannot delete 3 symbols"):
         apply_channel(w, ChannelSpec(0, 3, 0))
 
 

@@ -141,6 +141,37 @@ def test_metric_on_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _assert_exit_2(capsys, path):
+    code, _, err = run(capsys, "metric", str(path), "--metric", "subset")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_metric_on_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert "is not valid JSON" in _assert_exit_2(capsys, path)
+
+
+def test_metric_on_deeply_nested_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert "is not valid JSON" in _assert_exit_2(capsys, path)
+
+
+def test_metric_on_bad_provenance_exits_2(tmp_path, capsys):
+    ctx = FieldCtx(2, 2)
+    vc = VectorCode(ctx, 2, [word(ctx, [(1, 0), (0, 1)]), word(ctx, [(1, 1), (0, 0)])])
+    path = tmp_path / "code.json"
+    save_file(str(path), vc)
+    obj = json.loads(path.read_text())
+    obj["provenance"] = "abc"
+    path.write_text(json.dumps(obj))
+    assert "provenance must be an object or null" in _assert_exit_2(capsys, path)
+
+
 def test_bounds_table(tmp_path, capsys):
     code, stdout, _ = run(capsys, "bounds", "--n", "4", "--q", "2")
     assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqcodes.errors import DivisibilityViolation, ParameterOutOfRange
+from fqcodes.errors import InvalidParams
 from fqcodes.gf import FieldCtx
 from fqcodes.linalg import enumerate_subspaces, span
 from fqcodes.constructions import (
@@ -102,7 +102,7 @@ def test_spread_226():
 
 
 def test_spread_divisibility_guard():
-    with pytest.raises(DivisibilityViolation):
+    with pytest.raises(InvalidParams, match=r"spread needs 2 \| 5"):
         spread(2, 2, 5)
 
 
@@ -143,7 +143,7 @@ def _line(ctx, x):
 
 
 def test_sidon_search_precondition():
-    with pytest.raises(ParameterOutOfRange):
+    with pytest.raises(InvalidParams, match="need 0 < k < n/2, got k=2, n=4"):
         sidon_search(FieldCtx(2, 4), 2)
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fqcodes.errors import EnumerationTooLarge, LengthMismatch
+from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx
 from fqcodes.linalg import (
     FqMatrix,
@@ -66,7 +66,7 @@ def test_span_order_and_duplicate_independent():
 
 
 def test_span_length_mismatch():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidParams, match="vector of length 3 in ambient 2"):
         span([(1, 0), (1, 0, 0)], 2, 2)
 
 
@@ -144,7 +144,7 @@ def test_enumeration_sorted_and_restartable():
 
 
 def test_enumeration_guard():
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(SearchTooLarge, match=r"q\^ambient = 33554432 exceeds"):
         enumerate_subspaces(2, 25, 1)
 
 

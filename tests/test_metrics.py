@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqcodes.errors import (
-    InvalidParams,
-    LengthMismatch,
-    SearchTooLarge,
-    TooFewCodewords,
-)
+from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx
 from fqcodes.metrics import (
     VectorCode,
@@ -67,7 +62,7 @@ def test_hamming_examples():
     assert hamming_distance(a, b) == 2
     c = w2([0, 1, 1, 1])
     assert hamming_distance(a, c) == 1
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(InvalidParams, match="hamming distance needs equal lengths"):
         hamming_distance(a, w2([0, 1]))
 
 
@@ -208,7 +203,7 @@ def test_code_min_distance_two_words():
 
 def test_code_min_distance_guards():
     a = w2([0, 1])
-    with pytest.raises(TooFewCodewords):
+    with pytest.raises(InvalidParams, match="needs at least two members"):
         code_min_distance(VectorCode(F2, 2, [a]), "hamming")
     words = [w2([x, y, z]) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     with pytest.raises(SearchTooLarge):

@@ -48,6 +48,19 @@ def test_field_rejects_bad_modulus():
         field_from_obj({"q": 2, "n": 3, "modulus": [1, 1, 1, 1]})
 
 
+@pytest.mark.parametrize("modulus", [[1, 1, 0, 3], [3, -1, 0, 1]])
+def test_field_rejects_non_canonical_modulus(modulus):
+    # both reduce mod 2 to the irreducible [1, 1, 0, 1]
+    with pytest.raises(ParseError, match=r"invalid field object: modulus coefficient not in \[0, 2\)"):
+        field_from_obj({"q": 2, "n": 3, "modulus": modulus})
+
+
+def test_field_caps_the_characteristic_before_the_primality_test():
+    # 2^61 - 1 is prime; trial division up to its square root would not finish
+    with pytest.raises(ParseError, match="q=2305843009213693951 exceeds supported maximum"):
+        field_from_obj({"q": 2 ** 61 - 1, "n": 1, "modulus": [0, 1]})
+
+
 def test_subspace_round_trip_and_validation():
     sc = spread(2, 2, 4)
     s = sc.members[0]
@@ -138,6 +151,44 @@ def test_symbol_coefficients_must_be_canonical_integers(factory, bad):
     symbol[0] = bad
     with pytest.raises(ParseError):
         load_obj(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: span_code(spread(2, 2, 4), 2),
+    lambda: evaluation_folded_code(GF8, singer_difference_set(GF8).members),
+    lambda: gabidulin_code(GF8, 1),
+    lambda: spread(2, 2, 4),
+])
+@pytest.mark.parametrize("bad", ["abc", [["a", 1]], 0, False])
+def test_provenance_must_be_an_object_or_null(factory, bad):
+    obj = object_to_obj(factory())
+    obj["provenance"] = bad
+    with pytest.raises(ParseError, match="provenance must be an object or null"):
+        load_obj(obj)
+    obj["provenance"] = None
+    assert load_obj(obj).provenance in (None, {})
+
+
+def test_load_file_rejects_bad_encoding_and_deep_nesting(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError, match="is not valid JSON: 'utf-8' codec"):
+        load_file(str(path))
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ParseError, match="is not valid JSON: maximum recursion depth"):
+        load_file(str(path))
+
+
+def test_generator_row_of_wrong_length_rejected():
+    obj = object_to_obj(span_code(spread(2, 2, 4), 2))
+    obj["generator"] = [[]]
+    with pytest.raises(ParseError, match="invalid vector code: generator row of wrong length"):
+        load_obj(obj)
+
+
+def test_unhashable_kind_rejected():
+    with pytest.raises(ParseError, match="unknown kind"):
+        load_obj({"kind": []})
 
 
 def test_canonical_output_is_stable(tmp_path):
