@@ -12,7 +12,7 @@ exhaustive nearest-codeword decoder.
 __version__ = "0.1.0"
 
 from .errors import FqcodesError
-from .gf import FieldCtx, field_create, embed_linear
+from .gf import FieldCtx, embed_linear
 from .linalg import (
     FqMatrix,
     Subspace,

@@ -101,10 +101,6 @@ def _rotate_right(symbols):
     return (symbols[-1],) + symbols[:-1]
 
 
-def _rotate_left(symbols):
-    return symbols[1:] + (symbols[0],)
-
-
 def cyclic_shift_witness(c: VectorCode) -> Word:
     """A nonzero codeword whose left cyclic shift is also a codeword.
 

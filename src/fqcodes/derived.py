@@ -26,7 +26,6 @@ from .metrics import (
     _require_same_fold,
     fold,
     folded_span,
-    folded_subspace_distance,
     subset_min_report,
     subspace_min_report,
 )
@@ -75,7 +74,7 @@ def folded_code_min_distance(fc: FoldedCode, metric: str = "subset",
         return subset_min_report(words, lambda w: frozenset(same_fold(w).blocks),
                                  metric, force=force)
     return subspace_min_report(words, lambda w: folded_span(same_fold(w)),
-                               folded_subspace_distance, metric, force=force)
+                               metric, force=force)
 
 
 def _span_symbols(basis_rows, length: int, ctx: FieldCtx):
@@ -93,11 +92,9 @@ def _span_symbols(basis_rows, length: int, ctx: FieldCtx):
     return tuple(symbols[:length])
 
 
-def span_code(sc: SubspaceCode, l: int, field_ctx: FieldCtx | None = None) -> VectorCode:
+def span_code(sc: SubspaceCode, l: int) -> VectorCode:
     """One length-l spanning word per member subspace, over F_{q^ambient}."""
-    ctx = field_ctx if field_ctx is not None else FieldCtx(sc.q, sc.ambient)
-    if ctx.q != sc.q or ctx.n != sc.ambient:
-        raise InvalidParams("field context does not match the ambient space")
+    ctx = FieldCtx(sc.q, sc.ambient)
     max_dim = max((s.dim for s in sc.members), default=0)
     if l < max_dim:
         raise InvalidParams(f"length {l} cannot span dimension {max_dim}")
@@ -110,21 +107,21 @@ def span_code(sc: SubspaceCode, l: int, field_ctx: FieldCtx | None = None) -> Ve
                                   "modulus": list(ctx.modulus)})
 
 
-def partial_span_code(sc: SubspaceCode, l: int,
-                      field_ctx: FieldCtx | None = None) -> VectorCode:
-    """First l independent basis vectors per member; needs t+1 <= l <= k."""
+def _dimension_and_t(sc: SubspaceCode, what: str) -> tuple[int, int]:
+    """(k, t) of a constant-dimension-k code of declared distance 2(k - t)."""
     if sc.constant_dim is None or sc.declared_distance is None:
-        raise InvalidParams("partial span code needs constant dimension and a declared distance")
-    k = sc.constant_dim
-    d = sc.declared_distance
-    if d % 2:
+        raise InvalidParams(f"{what} needs constant dimension and a declared distance")
+    if sc.declared_distance % 2:
         raise InvalidParams("constant-dimension distance must be even")
-    t = k - d // 2
+    return sc.constant_dim, sc.constant_dim - sc.declared_distance // 2
+
+
+def partial_span_code(sc: SubspaceCode, l: int) -> VectorCode:
+    """First l independent basis vectors per member; needs t+1 <= l <= k."""
+    k, t = _dimension_and_t(sc, "partial span code")
     if not t + 1 <= l <= k:
         raise InvalidParams(f"need {t + 1} <= l <= {k}, got {l}")
-    ctx = field_ctx if field_ctx is not None else FieldCtx(sc.q, sc.ambient)
-    if ctx.q != sc.q or ctx.n != sc.ambient:
-        raise InvalidParams("field context does not match the ambient space")
+    ctx = FieldCtx(sc.q, sc.ambient)
     words = [Word(ctx, tuple(tuple(r) for r in s.basis.rows[:l])) for s in sc.members]
     return VectorCode(ctx, l, words,
                       provenance={"construction": "partial_span_code", "length": l,
@@ -133,24 +130,16 @@ def partial_span_code(sc: SubspaceCode, l: int,
                                   "modulus": list(ctx.modulus)})
 
 
-def all_vectors_code(sc: SubspaceCode, l: int,
-                     field_ctx: FieldCtx | None = None) -> VectorCode:
+def all_vectors_code(sc: SubspaceCode, l: int) -> VectorCode:
     """First l vectors of each member, nonzero-lexicographic order, zero last."""
-    if sc.constant_dim is None or sc.declared_distance is None:
-        raise InvalidParams("all-vectors code needs constant dimension and a declared distance")
-    k = sc.constant_dim
-    d = sc.declared_distance
-    if d % 2:
-        raise InvalidParams("constant-dimension distance must be even")
+    k, t = _dimension_and_t(sc, "all-vectors code")
     q = sc.q
-    low = q ** (k - d // 2)
+    low = q ** t
     if not low < l <= q ** k:
         raise InvalidParams(f"need {low} < l <= {q ** k}, got {l}")
     if q ** k > _VECTOR_GUARD:
         raise SearchTooLarge("member subspaces too large to list")
-    ctx = field_ctx if field_ctx is not None else FieldCtx(sc.q, sc.ambient)
-    if ctx.q != sc.q or ctx.n != sc.ambient:
-        raise InvalidParams("field context does not match the ambient space")
+    ctx = FieldCtx(sc.q, sc.ambient)
     words = []
     for s in sc.members:
         ordered = sorted(s.vectors())
@@ -162,6 +151,15 @@ def all_vectors_code(sc: SubspaceCode, l: int,
                                   "source": sc.provenance or None,
                                   "guaranteed_distance": 2 * (l - low),
                                   "modulus": list(ctx.modulus)})
+
+
+def _translation_overlaps(ctx: FieldCtx, members):
+    """(y, |yD ∩ D|) for every nonzero y != 1 in element order, D = members."""
+    mset = set(members)
+    for i in range(1, ctx.order):
+        y = ctx.element_at(i)
+        if y != ctx.one:
+            yield y, sum(1 for d in members if ctx.mul(y, d) in mset)
 
 
 def singer_difference_set(ctx: FieldCtx) -> DifferenceSet:
@@ -176,12 +174,7 @@ def singer_difference_set(ctx: FieldCtx) -> DifferenceSet:
     lam = 2 ** (ctx.n - 2) - 1
     if len(members) != k:
         raise PropertyViolation(f"trace-zero set has size {len(members)}, expected {k}")
-    mset = set(members)
-    for i in range(1, ctx.order):
-        y = ctx.element_at(i)
-        if y == ctx.one:
-            continue
-        hits = sum(1 for d in members if ctx.mul(y, d) in mset)
+    for y, hits in _translation_overlaps(ctx, members):
         if hits != lam:
             raise PropertyViolation(f"|yD ∩ D| = {hits} != {lam} for y = {y}")
     return DifferenceSet(ctx, tuple(members), v, k, lam)
@@ -194,16 +187,7 @@ def m_of_d(ctx: FieldCtx, members) -> int:
         raise InvalidParams("m(D) of an empty set")
     if ctx.zero in members:
         raise InvalidParams("D must consist of nonzero elements")
-    mset = set(members)
-    best = 0
-    for i in range(1, ctx.order):
-        y = ctx.element_at(i)
-        if y == ctx.one:
-            continue
-        hits = sum(1 for d in members if ctx.mul(y, d) in mset)
-        if hits > best:
-            best = hits
-    return best
+    return max((hits for _, hits in _translation_overlaps(ctx, members)), default=0)
 
 
 def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:

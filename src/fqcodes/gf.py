@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InvalidParams
+from .errors import InvalidParams, SearchTooLarge
 from .linalg import FqMatrix
 
 Element = tuple  # length-n tuple of ints in [0, q)
@@ -34,6 +34,7 @@ Element = tuple  # length-n tuple of ints in [0, q)
 _TABLE_LIMIT = 1 << 16
 _MAX_DEGREE = 24
 _MAX_CHARACTERISTIC = _TABLE_LIMIT  # keeps is_prime's trial division short
+_IRREDUCIBILITY_GUARD = 1 << 20  # cap on the trial divisors of one modulus
 
 
 def is_prime(p: int) -> bool:
@@ -72,11 +73,23 @@ def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], lis
     return _poly_trim(quot), _poly_trim(num)
 
 
+def check_characteristic(q: int) -> None:
+    """Raise InvalidParams unless q is a prime of at most _MAX_CHARACTERISTIC."""
+    if q > _MAX_CHARACTERISTIC:
+        raise InvalidParams(f"q={q} exceeds supported maximum {_MAX_CHARACTERISTIC}")
+    if not is_prime(q):
+        raise InvalidParams(f"q={q} is not prime")
+
+
 def _is_irreducible(poly: list[int], q: int) -> bool:
     """Trial division by every monic polynomial of degree 1 .. deg/2."""
     deg = len(poly) - 1
     if deg < 1:
         return False
+    divisors = sum(q ** d for d in range(1, deg // 2 + 1))
+    if divisors > _IRREDUCIBILITY_GUARD:
+        raise SearchTooLarge(f"irreducibility test of degree {deg} over F_{q} needs "
+                             f"{divisors} trial divisions (guard {_IRREDUCIBILITY_GUARD})")
     for d in range(1, deg // 2 + 1):
         for tail in itertools.product(range(q), repeat=d):
             div = list(tail) + [1]
@@ -101,10 +114,7 @@ class FieldCtx:
                  "_unit_order", "_red", "_exp", "_log")
 
     def __init__(self, q: int, n: int, modulus=None):
-        if q > _MAX_CHARACTERISTIC:
-            raise InvalidParams(f"q={q} exceeds supported maximum {_MAX_CHARACTERISTIC}")
-        if not is_prime(q):
-            raise InvalidParams(f"q={q} is not prime")
+        check_characteristic(q)
         if n < 1:
             raise InvalidParams(f"extension degree n={n} must be >= 1")
         if n > _MAX_DEGREE:
@@ -330,11 +340,6 @@ class FieldCtx:
         self._log = log
 
 
-def field_create(q: int, n: int, modulus=None) -> FieldCtx:
-    """Construct F_{q^n}; default modulus is the lex-smallest monic irreducible."""
-    return FieldCtx(q, n, modulus)
-
-
 class LinearEmbedding:
     """The F_q-linear injection F_{q^k} -> F_{q^(k+h)} sending basis_i to basis_i.
 
@@ -354,10 +359,6 @@ class LinearEmbedding:
 
     def __call__(self, x: Element) -> Element:
         return tuple(x) + (0,) * (self.dst.n - self.src.n)
-
-    def matrix(self) -> FqMatrix:
-        rows = [self(b) for b in self.src.basis()]
-        return FqMatrix(self.src.q, tuple(rows), self.dst.n)
 
 
 def embed_linear(src_ctx: FieldCtx, dst_ctx: FieldCtx) -> LinearEmbedding:

@@ -52,10 +52,6 @@ class FqMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "FqMatrix":
-        cols = tuple(tuple(r[j] for r in self.rows) for j in range(self.cols))
-        return FqMatrix(self.q, cols, self.nrows)
-
     def matmul(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q or self.cols != other.nrows:
             raise InvalidParams("incompatible matrix product")
@@ -70,17 +66,6 @@ class FqMatrix:
                         row[j] = (row[j] + e * orow[j]) % q
             out.append(tuple(row))
         return FqMatrix(q, tuple(out), other.cols)
-
-    def vstack(self, other: "FqMatrix") -> "FqMatrix":
-        if self.q != other.q or self.cols != other.cols:
-            raise InvalidParams("vstack needs matching widths")
-        return FqMatrix(self.q, self.rows + other.rows, self.cols)
-
-    def hstack(self, other: "FqMatrix") -> "FqMatrix":
-        if self.q != other.q or self.nrows != other.nrows:
-            raise InvalidParams("hstack needs matching heights")
-        rows = tuple(a + b for a, b in zip(self.rows, other.rows))
-        return FqMatrix(self.q, rows, self.cols + other.cols)
 
 
 def _rref_rows(rows: list[list[int]], cols: int, q: int):
@@ -115,10 +100,6 @@ def rref(m: FqMatrix) -> tuple[FqMatrix, int]:
     rows = [list(r) for r in m.rows]
     rows, rank, _ = _rref_rows(rows, m.cols, m.q)
     return FqMatrix(m.q, tuple(tuple(r) for r in rows), m.cols), rank
-
-
-def rank(m: FqMatrix) -> int:
-    return rref(m)[1]
 
 
 def gf2_pack(row) -> int:
@@ -188,22 +169,51 @@ class Subspace:
         return tuple(e for r in self.basis.rows for e in r)
 
 
-def span(vectors, ambient: int, q: int) -> Subspace:
-    """Canonical subspace spanned by the given row vectors of length ambient."""
+def _reduced_rows(vectors, ambient: int, q: int) -> list[list[int]]:
+    """The vectors as rows of entries reduced mod q, each of length ambient."""
     rows = []
     for v in vectors:
         v = [int(e) % q for e in v]
         if len(v) != ambient:
             raise InvalidParams(f"vector of length {len(v)} in ambient {ambient}")
         rows.append(v)
-    rows, rk, _ = _rref_rows(rows, ambient, q)
+    return rows
+
+
+def span(vectors, ambient: int, q: int) -> Subspace:
+    """Canonical subspace spanned by the given row vectors of length ambient."""
+    rows, rk, _ = _rref_rows(_reduced_rows(vectors, ambient, q), ambient, q)
     basis = tuple(tuple(r) for r in rows[:rk])
     return Subspace(q, ambient, FqMatrix(q, basis, ambient))
 
 
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+def span_distance(a, b, ambient: int, q: int) -> int:
+    """Subspace distance dim(A + B) - dim(A ∩ B) of the spans of the vector
+    lists a and b in F_q^ambient: 2 rank(a ∪ b) - rank a - rank b."""
+    a = _reduced_rows(a, ambient, q)
+    b = _reduced_rows(b, ambient, q)
+    if q == 2:
+        a = [gf2_pack(r) for r in a]
+        b = [gf2_pack(r) for r in b]
+        rank = gf2_rank
+    else:
+        def rank(rows):
+            return _rref_rows(rows, ambient, q)[1]
+    return 2 * rank(a + b) - rank(a) - rank(b)
+
+
+def _require_common_ambient(u: Subspace, v: Subspace) -> None:
     if u.q != v.q or u.ambient != v.ambient:
         raise InvalidParams("subspace sum needs a common ambient space")
+
+
+def subspace_pair_distance(u: Subspace, v: Subspace) -> int:
+    _require_common_ambient(u, v)
+    return span_distance(u.basis.rows, v.basis.rows, u.ambient, u.q)
+
+
+def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
+    _require_common_ambient(u, v)
     return span(u.basis.rows + v.basis.rows, u.ambient, u.q)
 
 
@@ -255,10 +265,16 @@ def enumerate_subspaces(q: int, ambient: int, dim: int):
         raise SearchTooLarge(f"q^ambient = {q ** ambient} exceeds {_ENUM_GUARD}")
     if subspace_count(ambient, dim, q) > _ENUM_COUNT_CAP:
         raise SearchTooLarge("too many subspaces to materialize")
-    return _enumerate_subspaces(q, ambient, dim)
+    return (Subspace(q, ambient, FqMatrix(q, b, ambient))
+            for b in _rref_index_bases(q, 1, ambient, dim))
 
 
-def _enumerate_subspaces(q: int, ambient: int, dim: int):
+def _rref_index_bases(order: int, one: int, ambient: int, dim: int) -> list:
+    """Every RREF basis of a dim-dimensional subspace of F^ambient, |F| = order.
+
+    Entries are element indices: 0 is zero and `one` is the pivot entry.
+    The bases come sorted lexicographically on their flattened indices.
+    """
     bases = []
     for pivots in itertools.combinations(range(ambient), dim):
         pivot_set = set(pivots)
@@ -266,16 +282,15 @@ def _enumerate_subspaces(q: int, ambient: int, dim: int):
                           for r in range(dim)
                           for c in range(pivots[r] + 1, ambient)
                           if c not in pivot_set]
-        for assign in itertools.product(range(q), repeat=len(free_positions)):
+        for assign in itertools.product(range(order), repeat=len(free_positions)):
             rows = [[0] * ambient for _ in range(dim)]
             for r, p in enumerate(pivots):
-                rows[r][p] = 1
+                rows[r][p] = one
             for (r, c), val in zip(free_positions, assign):
                 rows[r][c] = val
             bases.append(tuple(tuple(r) for r in rows))
     bases.sort()
-    for b in bases:
-        yield Subspace(q, ambient, FqMatrix(q, b, ambient))
+    return bases
 
 
 def field_elements_as_vectors(ctx, elements) -> list[tuple[int, ...]]:
@@ -362,19 +377,5 @@ def enumerate_ext_rref_bases(ctx, ambient: int, dim: int, count_guard: int = 10 
     if subspace_count(ambient, dim, ctx.order) > count_guard:
         raise SearchTooLarge("too many extension-field subspaces to enumerate")
     elems = [ctx.element_at(i) for i in range(ctx.order)]
-    bases = []
-    for pivots in itertools.combinations(range(ambient), dim):
-        pivot_set = set(pivots)
-        free_positions = [(r, c)
-                          for r in range(dim)
-                          for c in range(pivots[r] + 1, ambient)
-                          if c not in pivot_set]
-        for assign in itertools.product(range(ctx.order), repeat=len(free_positions)):
-            rows = [[ctx.zero] * ambient for _ in range(dim)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = ctx.one
-            for (r, c), val in zip(free_positions, assign):
-                rows[r][c] = elems[val]
-            bases.append(tuple(tuple(r) for r in rows))
-    bases.sort(key=lambda b: tuple(ctx.index_of(e) for r in b for e in r))
-    return bases
+    return [tuple(tuple(elems[i] for i in r) for r in b)
+            for b in _rref_index_bases(ctx.order, ctx.index_of(ctx.one), ambient, dim)]

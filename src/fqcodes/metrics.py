@@ -18,9 +18,11 @@ word's flattened blocks, or a subspace code's member itself) is stored as
 the frozenset of all q^dim of its vectors, encoded as integers, so
 dim(U ∩ V) = log_q |U ∩ V| is one set intersection; a subset sweep keeps
 each word's symbol or block set the same way.  When the members hold more
-than 2^20 vectors in total the subspace sweep falls back to the per-pair
-functions, which remain the reference the precomputed sweeps are tested
-against.
+than 2^20 vectors in total the subspace sweep scores each pair of the
+subspaces it has built with linalg.subspace_pair_distance instead.  The
+per-pair functions remain the reference the precomputed sweeps are tested
+against; every subspace distance among them is linalg.span_distance, and
+every subset distance is symmetric_difference.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from .linalg import (
     ext_in_rowspan,
     gf2_pack,
     span,
+    span_distance,
+    subspace_count,
+    subspace_pair_distance,
 )
-from .rankmetric import gaussian_binomial
 
 PAIR_GUARD = 10 ** 7
 _MATERIALIZE_GUARD = 1 << 20
@@ -120,18 +124,18 @@ def word_span(a: Word):
 def subspace_distance(a: Word, b: Word) -> int:
     """dim(S_a + S_b) - dim(S_a ∩ S_b) for the symbol spans S_a, S_b."""
     _require_same_ctx(a, b)
-    sa = word_span(a)
-    sb = word_span(b)
-    total = span(sa.basis.rows + sb.basis.rows, a.ctx.n, a.ctx.q).dim
-    return 2 * total - sa.dim - sb.dim
+    return span_distance(a.symbols, b.symbols, a.ctx.n, a.ctx.q)
+
+
+def symmetric_difference(a: frozenset | set, b: frozenset | set) -> int:
+    """|A Δ B| = |A| + |B| - 2 |A ∩ B|."""
+    return len(a) + len(b) - 2 * len(a & b)
 
 
 def subset_distance(a: Word, b: Word) -> int:
     """Symmetric-difference size of the deduplicated symbol sets."""
     _require_same_ctx(a, b)
-    sa = set(a.symbols)
-    sb = set(b.symbols)
-    return len(sa) + len(sb) - 2 * len(sa & sb)
+    return symmetric_difference(set(a.symbols), set(b.symbols))
 
 
 def fold(a: Word, r: int) -> FoldedWord:
@@ -152,24 +156,20 @@ def _require_same_fold(a: FoldedWord, b: FoldedWord):
         raise InvalidParams("folded words have different block lengths")
 
 
+def _flat_blocks(a: FoldedWord) -> list[tuple]:
+    """The blocks, each flattened to a vector in F_q^(n*r)."""
+    return [tuple(c for s in blk for c in s) for blk in a.blocks]
+
+
 def folded_subspace_distance(a: FoldedWord, b: FoldedWord) -> int:
     """Subspace distance with blocks flattened to vectors in F_q^(n*r)."""
     _require_same_fold(a, b)
-    ambient = a.ctx.n * a.block_len
-    q = a.ctx.q
-    va = [tuple(c for s in blk for c in s) for blk in a.blocks]
-    vb = [tuple(c for s in blk for c in s) for blk in b.blocks]
-    sa = span(va, ambient, q)
-    sb = span(vb, ambient, q)
-    total = span(sa.basis.rows + sb.basis.rows, ambient, q).dim
-    return 2 * total - sa.dim - sb.dim
+    return span_distance(_flat_blocks(a), _flat_blocks(b), a.ctx.n * a.block_len, a.ctx.q)
 
 
 def folded_subset_distance(a: FoldedWord, b: FoldedWord) -> int:
     _require_same_fold(a, b)
-    sa = set(a.blocks)
-    sb = set(b.blocks)
-    return len(sa) + len(sb) - 2 * len(sa & sb)
+    return symmetric_difference(set(a.blocks), set(b.blocks))
 
 
 def r_subspace_distance(a: Word, b: Word, r: int) -> int:
@@ -234,8 +234,7 @@ def pairwise_min_report(items, dist, metric: str,
 
 def folded_span(a: FoldedWord):
     """F_q-span of the blocks, each flattened to a vector in F_q^(n*r)."""
-    vectors = [tuple(c for s in blk for c in s) for blk in a.blocks]
-    return span(vectors, a.ctx.n * a.block_len, a.ctx.q)
+    return span(_flat_blocks(a), a.ctx.n * a.block_len, a.ctx.q)
 
 
 def _vector_set(s) -> frozenset:
@@ -256,40 +255,42 @@ def _vector_set(s) -> frozenset:
     return frozenset(out)
 
 
-def _set_sweep(items, sets, sizes, level, metric, force, notes) -> MetricReport:
-    """Minimum of sizes[i] + sizes[j] - 2 level[|sets[i] ∩ sets[j]|] over pairs.
+def _index_sweep(items, dist, metric, force, notes) -> MetricReport:
+    """pairwise_min_report over member indices, reported on the members.
 
-    The pair loop is pairwise_min_report's over member indices, so the
-    pair count and the witness (the first attaining pair) are the same as
-    a per-pair sweep's.
+    dist(i, j) scores members i and j; the pair count and the witness (the
+    first attaining pair) are the same as a per-pair sweep's.
     """
-    def dist(i, j):
-        return sizes[i] + sizes[j] - 2 * level[len(sets[i] & sets[j])]
-
     rep = pairwise_min_report(range(len(items)), dist, metric, force=force, notes=notes)
     i, j = rep.witness_indices
     return MetricReport(metric, rep.minimum, (items[i], items[j]), (i, j), rep.pairs, notes)
 
 
-def subspace_min_report(items, subspace_of, pair_distance, metric: str,
+def subspace_min_report(items, subspace_of, metric: str,
                         force: bool = False, notes: dict | None = None) -> MetricReport:
     """Exact minimum subspace distance with each member's subspace computed once.
 
     subspace_of(item) gives the member's subspace; all must share q and
     the ambient space.  The pair distance is dim U + dim V - 2k where
     q^k = |U ∩ V|.  When the members hold more than _MATERIALIZE_GUARD
-    vectors in total, the sweep runs pair_distance on every pair instead.
+    vectors in total, each pair of the built subspaces is scored by
+    subspace_pair_distance instead.
     """
     items = list(items)
     _pair_count(len(items), PAIR_GUARD, force)
     subspaces = [subspace_of(x) for x in items]
     q = subspaces[0].q
     if sum(q ** s.dim for s in subspaces) > _MATERIALIZE_GUARD:
-        return pairwise_min_report(items, pair_distance, metric, force=force, notes=notes)
-    dims = [s.dim for s in subspaces]
-    log_q = {q ** k: k for k in range(max(dims) + 1)}
-    return _set_sweep(items, [_vector_set(s) for s in subspaces], dims, log_q,
-                      metric, force, notes)
+        def dist(i, j):
+            return subspace_pair_distance(subspaces[i], subspaces[j])
+    else:
+        sets = [_vector_set(s) for s in subspaces]
+        dims = [s.dim for s in subspaces]
+        log_q = {q ** k: k for k in range(max(dims) + 1)}
+
+        def dist(i, j):
+            return dims[i] + dims[j] - 2 * log_q[len(sets[i] & sets[j])]
+    return _index_sweep(items, dist, metric, force, notes)
 
 
 def subset_min_report(items, set_of, metric: str, force: bool = False,
@@ -298,8 +299,8 @@ def subset_min_report(items, set_of, metric: str, force: bool = False,
     items = list(items)
     _pair_count(len(items), PAIR_GUARD, force)
     sets = [set_of(x) for x in items]
-    sizes = [len(s) for s in sets]
-    return _set_sweep(items, sets, sizes, range(max(sizes) + 1), metric, force, notes)
+    return _index_sweep(items, lambda i, j: symmetric_difference(sets[i], sets[j]),
+                        metric, force, notes)
 
 
 class VectorCode:
@@ -398,7 +399,7 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
     if metric in _METRICS:
         return pairwise_min_report(words, _METRICS[metric], metric, force=force)
     if metric == "subspace":
-        return subspace_min_report(words, word_span, subspace_distance, metric, force=force)
+        return subspace_min_report(words, word_span, metric, force=force)
     if metric == "subset":
         return subset_min_report(words, lambda w: frozenset(w.symbols), metric, force=force)
     if metric not in ("r_subspace", "r_subset"):
@@ -410,7 +411,6 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
         notes["padding"] = "zero"
     if metric == "r_subspace":
         return subspace_min_report(words, lambda w: folded_span(fold(w, r)),
-                                   lambda a, b: r_subspace_distance(a, b, r),
                                    metric, force=force, notes=notes)
     return subset_min_report(words, lambda w: frozenset(fold(w, r).blocks),
                              metric, force=force, notes=notes)
@@ -424,7 +424,7 @@ def generalized_hamming_weights(c: VectorCode, count_guard: int = 10 ** 6) -> li
     rows = [g.symbols for g in c.generator]
     k = len(rows)
     for r in range(1, k + 1):
-        if gaussian_binomial(k, r, ctx.order) > count_guard:
+        if subspace_count(k, r, ctx.order) > count_guard:
             raise SearchTooLarge("too many subcodes to enumerate")
     weights = []
     for r in range(1, k + 1):

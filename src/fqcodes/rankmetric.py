@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx, LinearEmbedding, embed_linear
 from .linalg import FqMatrix, rref, subspace_count
+from .metrics import PAIR_GUARD, pairwise_min_report
 
 _GABIDULIN_GUARD = 1 << 22
 
@@ -169,7 +170,7 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
 
 
 def rank_distance_of_code(c: RankCode, force: bool = False,
-                          guard: int = 10 ** 7) -> int:
+                          guard: int = PAIR_GUARD) -> int:
     """Exact minimum rank distance; linear codes scan nonzero members only."""
     if len(c.members) < 2:
         raise InvalidParams("rank distance needs at least two members")
@@ -184,15 +185,8 @@ def rank_distance_of_code(c: RankCode, force: bool = False,
         if best is None:
             raise InvalidParams("linear rank code has no nonzero member")
         return best
-    pairs = len(c.members) * (len(c.members) - 1) // 2
-    if pairs > guard and not force:
-        raise SearchTooLarge(f"{pairs} pairs exceed the guard")
-    best = None
-    for a, b in itertools.combinations(c.members, 2):
-        r = poly_rank(a.sub(b))
-        if best is None or r < best:
-            best = r
-    return best
+    return pairwise_min_report(c.members, lambda a, b: poly_rank(a.sub(b)), "rank",
+                               guard=guard, force=force).minimum
 
 
 def mrd_check(c: RankCode, m_cols: int, n_rows: int, d: int) -> bool:

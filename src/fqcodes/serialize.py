@@ -23,7 +23,7 @@ from .channel import TrialSummary
 from .constructions import SubspaceCode
 from .derived import DifferenceSet, FoldedCode
 from .errors import FqcodesError, ParseError
-from .gf import FieldCtx
+from .gf import FieldCtx, check_characteristic
 from .linalg import FqMatrix, Subspace
 from .metrics import FoldedWord, MetricReport, VectorCode, Word
 from .rankmetric import LinearizedPoly, RankCode, RankDistribution
@@ -140,6 +140,7 @@ def subspace_to_obj(s: Subspace) -> dict:
 @_parses("subspace object")
 def subspace_from_obj(d) -> Subspace:
     q = as_int(d["q"])
+    check_characteristic(q)
     ambient = as_int(d["ambient"])
     rows = tuple(tuple(as_int(e) for e in r) for r in d["basis"])
     return Subspace(q, ambient, FqMatrix(q, rows, ambient))
@@ -222,6 +223,7 @@ def subspace_code_to_obj(sc: SubspaceCode) -> dict:
 @_parses("subspace code")
 def subspace_code_from_obj(d) -> SubspaceCode:
     q = as_int(d["q"])
+    check_characteristic(q)
     ambient = as_int(d["ambient"])
     members = []
     for entry in d["subspaces"]:
@@ -320,10 +322,6 @@ def bounds_csv(reports) -> str:
         sat = "" if r.satisfied is None else str(r.satisfied).lower()
         lines.append(f"{r.bound},{r.value},{sat}")
     return "\n".join(lines) + "\n"
-
-
-def rank_distribution_to_obj(dist: RankDistribution) -> dict:
-    return {"kind": "rank_distribution", "counts": list(dist.counts)}
 
 
 def rank_distribution_csv(dist: RankDistribution) -> str:

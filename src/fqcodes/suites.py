@@ -39,6 +39,7 @@ from .metrics import (
     r_subspace_distance,
     subset_distance,
     subspace_distance,
+    symmetric_difference,
 )
 from .metrics import VectorCode
 from .rankmetric import (
@@ -60,10 +61,6 @@ class SuiteResult:
     name: str
     checks: list = field(default_factory=list)
     findings: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
 
     def check(self, name: str, ok: bool, detail: str = ""):
         self.checks.append(CheckResult(name, bool(ok), detail))
@@ -217,8 +214,7 @@ def suite_folded_eval() -> SuiteResult:
         words = fc.codewords
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
-                sa, sb = set(words[i].blocks), set(words[j].blocks)
-                dists.add(len(sa) + len(sb) - 2 * len(sa & sb))
+                dists.add(symmetric_difference(set(words[i].blocks), set(words[j].blocks)))
         expected = 2 * (ds.k - ds.lam)
         res.check(f"equidistant n={n}", dists == {expected},
                   f"distances={sorted(dists)} expected {expected}")

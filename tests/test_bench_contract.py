@@ -1,0 +1,64 @@
+"""The benchmark scripts under bench/ still fit the package.
+
+bench/traced_cli.py wraps package functions by name and bench/gen_inputs.py
+imports from the package, so renaming or deleting one of those names would
+otherwise only show up as a failed `bench/run.py --trace 1` run.  These
+tests read bench/ and write nothing there (no bytecode caches either).
+"""
+
+import importlib
+import importlib.util
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+
+
+def _load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_gen_inputs_builds_every_input():
+    gen = _load_bench_module("gen_inputs")
+    for kind, build in gen.GENERATORS.items():
+        assert len(build(random.Random(f"{kind}:0"), 0)) >= 2
+
+
+def test_every_traced_target_resolves():
+    traced = _load_bench_module("traced_cli")
+    for module, attr, _mode in traced.TARGETS:
+        obj = importlib.import_module(f"fqcodes.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attr}"
+    for module in traced.MODULES:
+        importlib.import_module(f"fqcodes.{module}")
+    from fqcodes.suites import SUITES
+    assert set(traced.SUITE_NAMES) == set(SUITES)
+
+
+def test_traced_run_leaves_no_binding_unpatched(tmp_path):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    argv = ["construct", "--kind", "spread", "--q", "2", "--k", "2", "--n", "4",
+            "--out", "spread.json"]
+    subprocess.run([sys.executable, str(BENCH / "traced_cli.py"), "trace.json", "job", "0",
+                    "--", *argv], cwd=tmp_path, env=env, check=True, capture_output=True)
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["rc"] == 0
+    assert trace["unpatched"] == []
+    assert trace["calls"]["constructions.subspace_code_min_distance"] == 1

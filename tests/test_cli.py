@@ -1,8 +1,12 @@
 """CLI commands, exit codes, manifests, byte-identical reruns."""
 
 import json
+import time
+
+import pytest
 
 from fqcodes.cli import main
+from fqcodes.constructions import spread
 from fqcodes.gf import FieldCtx
 from fqcodes.metrics import VectorCode, word
 from fqcodes.serialize import load_file, save_file, sha256_file
@@ -170,6 +174,30 @@ def test_metric_on_bad_provenance_exits_2(tmp_path, capsys):
     obj["provenance"] = "abc"
     path.write_text(json.dumps(obj))
     assert "provenance must be an object or null" in _assert_exit_2(capsys, path)
+
+
+@pytest.mark.parametrize("q, message", [(4, "q=4 is not prime"),
+                                        (2 ** 61 - 1, "exceeds supported maximum")])
+def test_metric_on_subspace_code_over_a_bad_q_exits_2(tmp_path, capsys, q, message):
+    path = tmp_path / "spread.json"
+    save_file(str(path), spread(2, 2, 4))
+    obj = json.loads(path.read_text())
+    obj["q"] = q
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "metric", str(path), "--metric", "subspace")
+    assert code == 2
+    assert err.startswith("error: invalid subspace code: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_metric_on_field_too_large_to_test_for_irreducibility_exits_2(tmp_path, capsys):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({
+        "kind": "difference_set", "field": {"q": 65521, "n": 4, "modulus": [3, 1, 0, 0, 1]},
+        "members": [[1, 0, 0, 0]], "v": 1, "k": 1, "lambda": 0}))
+    start = time.monotonic()
+    assert "trial divisions" in _assert_exit_2(capsys, path)
+    assert time.monotonic() - start < 5
 
 
 def test_bounds_table(tmp_path, capsys):

@@ -6,9 +6,10 @@ import pytest
 
 from fqcodes.errors import InvalidParams
 from fqcodes.gf import FieldCtx
-from fqcodes.linalg import enumerate_subspaces, span
+from fqcodes.linalg import FqMatrix, enumerate_subspaces, span
 from fqcodes.constructions import (
     SubspaceCode,
+    _greedy_row_disjoint_multipliers,
     block_enlarged_family,
     cardinality_calculator,
     lift_rank_code,
@@ -25,6 +26,7 @@ from fqcodes.rankmetric import (
     RankCode,
     empirical_rank_distribution,
     gabidulin_code,
+    poly_to_matrix,
 )
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
@@ -206,6 +208,35 @@ def test_block_enlarged_collapses_to_lifted_code():
     assert fam.provenance["h2_count"] == 1  # all other multipliers share a row
     assert fam.provenance["raw_pairs"] == 4096 * 4
     assert fam.provenance["formula_value"] == "12288"
+
+
+def _raw_block_enlarged(ctx, t):
+    """The family built the long way: the span of (G | GA) for every block
+    matrix G = [[I, H1], [0, H2]] and Gabidulin member A, deduplicated."""
+    q, n, h = ctx.q, ctx.n, ctx.n // 2
+    half = FieldCtx(q, h)
+    h1s = [poly_to_matrix(p) for p in gabidulin_code(half, t - h).members]
+    h2s = _greedy_row_disjoint_multipliers(half)
+    gs = []
+    for h1 in h1s:
+        for h2 in h2s:
+            rows = [tuple(int(i == j) for j in range(h)) + h1.rows[i] for i in range(h)]
+            rows += [(0,) * h + h2.rows[i] for i in range(h)]
+            gs.append(FqMatrix(q, tuple(rows), n))
+    members = [span([gr + ar for gr, ar in zip(g.rows, g.matmul(a).rows)], 2 * n, q)
+               for a in gabidulin_code(ctx, t).matrices() for g in gs]
+    return SubspaceCode(q, 2 * n, members, constant_dim=n), len(members), len(h1s), len(h2s)
+
+
+@pytest.mark.parametrize("q, n, t", [(2, 2, 1), (3, 2, 1), (5, 2, 1), (2, 4, 2)])
+def test_block_enlarged_matches_raw_build(q, n, t):
+    ctx = FieldCtx(q, n)
+    fam = block_enlarged_family(ctx, t)
+    raw, raw_pairs, h1_count, h2_count = _raw_block_enlarged(ctx, t)
+    assert [s.flat_key() for s in fam.members] == [s.flat_key() for s in raw.members]
+    prov = fam.provenance
+    assert (prov["raw_pairs"], prov["h1_count"], prov["h2_count"]) == \
+        (raw_pairs, h1_count, h2_count)
 
 
 def test_block_enlarged_sampled_distance():

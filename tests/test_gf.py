@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from fqcodes.errors import InvalidParams
+from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx, embed_linear
 from fqcodes.linalg import rref
 
@@ -58,6 +58,14 @@ def test_non_prime_characteristic_rejected():
 def test_characteristic_capped():
     with pytest.raises(InvalidParams, match="q=65537 exceeds supported maximum 65536"):
         FieldCtx(2 ** 16 + 1, 1)  # prime, one past the cap
+
+
+def test_irreducibility_test_too_large_is_refused():
+    # trial division would need 65521 + 65521^2 divisors; refused before the loop
+    with pytest.raises(SearchTooLarge, match="irreducibility test of degree 4 over F_65521"):
+        FieldCtx(65521, 4, [3, 1, 0, 0, 1])
+    with pytest.raises(SearchTooLarge, match="trial divisions"):
+        FieldCtx(65521, 4)
 
 
 def test_non_canonical_modulus_rejected():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx
@@ -18,8 +20,10 @@ from fqcodes.linalg import (
     kernel,
     rref,
     span,
+    span_distance,
     subspace_count,
     subspace_intersection_dim,
+    subspace_pair_distance,
     subspace_sum,
 )
 from fqcodes.rankmetric import gaussian_binomial
@@ -188,3 +192,20 @@ def test_ext_rank_and_kernel_over_extension_field():
             for e, x in zip(r, v):
                 acc = f4.add(acc, f4.mul(e, x))
             assert acc == f4.zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_span_distance_is_the_subspace_distance(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    ambient = data.draw(st.integers(1, 4))
+    vector = st.lists(st.integers(0, q - 1), min_size=ambient, max_size=ambient)
+    pool = data.draw(st.lists(vector, min_size=1, max_size=3))
+    # empty lists, zero vectors and vectors repeated within and across the lists
+    rows = st.lists(st.one_of(vector, st.just([0] * ambient), st.sampled_from(pool)),
+                    max_size=5)
+    a, b = data.draw(rows), data.draw(rows)
+    u, v = span(a, ambient, q), span(b, ambient, q)
+    expected = 2 * subspace_sum(u, v).dim - u.dim - v.dim
+    assert span_distance(a, b, ambient, q) == expected
+    assert subspace_pair_distance(u, v) == expected

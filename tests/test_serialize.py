@@ -71,6 +71,14 @@ def test_subspace_round_trip_and_validation():
         subspace_from_obj(bad)
 
 
+@pytest.mark.parametrize("q, message", [(4, "is not prime"),
+                                        (2 ** 61 - 1, "exceeds supported maximum")])
+def test_subspace_loader_checks_the_characteristic(q, message):
+    obj = dict(subspace_to_obj(spread(2, 2, 4).members[0]), q=q)
+    with pytest.raises(ParseError, match=f"invalid subspace object: q={q} {message}"):
+        subspace_from_obj(obj)
+
+
 @pytest.mark.parametrize("factory", [
     lambda: gabidulin_code(GF8, 1),
     lambda: lift_rank_code(gabidulin_code(GF8, 1)),

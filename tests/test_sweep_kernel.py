@@ -128,7 +128,7 @@ def test_budget_fallback_agrees(data):
             subspace_code_min_distance(sc))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_MATERIALIZE_GUARD", 0)
-        mp.setattr(metrics, "_set_sweep", None)  # any use of the fast path fails
+        mp.setattr(metrics, "_vector_set", None)  # any use of the fast path fails
         slow = (code_min_distance(c, "subspace"), code_min_distance(c, "r_subspace", r=2),
                 subspace_code_min_distance(sc))
     for a, b in zip(fast, slow):
@@ -141,9 +141,9 @@ def test_guards_fire_before_members_are_prepared():
         raise AssertionError("member prepared before the guard")
 
     with pytest.raises(InvalidParams, match="two members"):
-        subspace_min_report([span([], 2, 2)], prepare, subspace_pair_distance, "subspace")
+        subspace_min_report([span([], 2, 2)], prepare, "subspace")
     with pytest.raises(SearchTooLarge, match="exceed the guard"):
-        subspace_min_report(range(4473), prepare, subspace_pair_distance, "subspace")
+        subspace_min_report(range(4473), prepare, "subspace")
     with pytest.raises(SearchTooLarge, match="exceed the guard"):
         subset_min_report(range(4473), prepare, "subset")
 
