@@ -60,9 +60,20 @@ from .serialize import (
 )
 from .suites import SUITES, run_suites
 
-CONSTRUCT_KINDS = ("gabidulin", "lifted-mrd", "spread", "sidon-orbit",
-                   "block-enlarged", "span", "all-vectors", "folded-eval",
-                   "singer-ds")
+# The options each construction kind needs, by argparse dest; lifted-mrd
+# needs none of them when it reads its rank code with --from.
+REQUIRED_FLAGS = {
+    "gabidulin": ("n", "t"),
+    "lifted-mrd": ("n", "t"),
+    "spread": ("k", "n"),
+    "sidon-orbit": ("n", "k"),
+    "block-enlarged": ("n", "t"),
+    "span": ("from_path", "length"),
+    "all-vectors": ("from_path", "length"),
+    "folded-eval": ("n",),
+    "singer-ds": ("n",),
+}
+CONSTRUCT_KINDS = tuple(REQUIRED_FLAGS)
 
 
 def _write_manifest(out_path: str, command: str, argv, params: dict,
@@ -95,7 +106,17 @@ def _emit(obj: dict, fmt: str, csv_text: str | None = None,
                             inputs=manifest.get("inputs"), outputs=[out])
 
 
+def _require_flags(args) -> None:
+    needed = REQUIRED_FLAGS[args.kind]
+    if args.kind == "lifted-mrd" and args.from_path:
+        needed = ()
+    missing = ["--" + d.removesuffix("_path") for d in needed if getattr(args, d) is None]
+    if missing:
+        raise InvalidParams(f"--kind {args.kind} needs {' and '.join(missing)}")
+
+
 def _cmd_construct(args) -> int:
+    _require_flags(args)
     kind = args.kind
     params = {"kind": kind}
     inputs = []
@@ -145,8 +166,6 @@ def _cmd_construct(args) -> int:
         sc = block_enlarged_family(ctx, args.t)
         obj = _verify_subspace_code(sc, args.force)
     elif kind in ("span", "all-vectors"):
-        if not args.from_path:
-            raise InvalidParams(f"{kind} needs --from <subspace code file>")
         sc = load_file(args.from_path)
         if not isinstance(sc, SubspaceCode):
             raise InvalidParams("--from must point at a subspace code file")

@@ -21,6 +21,7 @@ from .linalg import (
     FqMatrix,
     Subspace,
     enumerate_subspaces,
+    kernel,
     span,
     subspace_pair_distance,  # noqa: F401  (re-exported)
 )
@@ -86,23 +87,30 @@ def lift_rank_code(rc: RankCode) -> SubspaceCode:
                                     "source": rc.provenance or None})
 
 
+def _subfield_basis(ctx: FieldCtx, k: int) -> list[int]:
+    """An F_q-basis of the subfield F_{q^k}: the kernel of x -> x^(q^k) - x,
+    whose matrix has the image of basis_i as column i."""
+    images = [ctx.coefficients(ctx.sub(ctx.frobenius(b, k), b)) for b in ctx.basis()]
+    columns = FqMatrix(ctx.q, tuple(zip(*images)), ctx.n)
+    return [ctx.element(v) for v in kernel(columns).basis.rows]
+
+
 def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
     """Partition of the nonzero vectors of F_q^ambient into block_dim subspaces.
 
-    Built as the multiplicative cosets of the subfield F_{q^block_dim} inside
-    F_{q^ambient}; exists exactly when block_dim divides ambient_dim.
+    Built as the multiplicative cosets c F_{q^block_dim} of the subfield
+    inside F_{q^ambient}, for c in element order, each spanned by c times a
+    basis of the subfield; exists exactly when block_dim divides ambient_dim.
     """
     if block_dim < 1 or ambient_dim % block_dim != 0:
         raise InvalidParams(f"spread needs {block_dim} | {ambient_dim}")
     ctx = FieldCtx(q, ambient_dim)
-    sub = [x for x in ctx.elements() if ctx.subfield_member(x, block_dim)]
+    sub = _subfield_basis(ctx, block_dim)
     expected = (q ** ambient_dim - 1) // (q ** block_dim - 1)
     members = []
     seen = set()
-    for i in range(1, ctx.order):
-        c = ctx.element_at(i)
-        vecs = [ctx.mul(c, s) for s in sub if s != ctx.zero]
-        member = span(vecs, ambient_dim, q)
+    for c in range(1, ctx.order):
+        member = span([ctx.coefficients(ctx.mul(c, s)) for s in sub], ambient_dim, q)
         key = member.flat_key()
         if key not in seen:
             seen.add(key)
@@ -116,14 +124,12 @@ def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
                                     "modulus": list(ctx.modulus)})
 
 
-def _projective_rep(ctx: FieldCtx, x):
-    """Canonical representative of the line x F_q: scale the first nonzero
-    coefficient to 1."""
-    for c in x:
-        if c:
-            inv = pow(c, ctx.q - 2, ctx.q)
-            return ctx.scalar_mul(inv, x)
-    raise InvalidParams("zero has no projective representative")
+def _projective_rep(ctx: FieldCtx, x: int) -> int:
+    """Canonical representative of the line x F_q: its least nonzero element,
+    the one whose first nonzero coefficient is 1."""
+    if not x:
+        raise InvalidParams("zero has no projective representative")
+    return min(ctx.mul(c * ctx.one, x) for c in range(1, ctx.q))
 
 
 def sidon_check(ctx: FieldCtx, v: Subspace) -> bool:
@@ -136,13 +142,13 @@ def sidon_check(ctx: FieldCtx, v: Subspace) -> bool:
         raise InvalidParams("subspace does not live in the given field")
     if ctx.q ** v.dim > _SIDON_GUARD:
         raise SearchTooLarge("subspace too large for the product scan")
-    nonzero = [x for x in v.vectors() if any(x)]
+    lines = {a: _projective_rep(ctx, a)
+             for a in (ctx.element(x) for x in v.vectors()) if a}
     products = {}
-    for a in nonzero:
-        ra = _projective_rep(ctx, a)
-        for b in nonzero:
+    for a, ra in lines.items():
+        for b, rb in lines.items():
             p = ctx.mul(a, b)
-            pair = frozenset((ra, _projective_rep(ctx, b)))
+            pair = frozenset((ra, rb))
             prev = products.get(p)
             if prev is None:
                 products[p] = pair
@@ -167,12 +173,11 @@ def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
         raise InvalidParams("subspace does not live in the given field")
     if ctx.q ** v.dim > _SIDON_GUARD:
         raise SearchTooLarge("subspace too large to multiply out")
-    basis_elems = [tuple(r) for r in v.basis.rows]
+    basis_elems = [ctx.element(r) for r in v.basis.rows]
     members = []
     seen = set()
-    for i in range(1, ctx.order):
-        x = ctx.element_at(i)
-        member = span([ctx.mul(x, b) for b in basis_elems], ctx.n, ctx.q)
+    for x in range(1, ctx.order):
+        member = span([ctx.coefficients(ctx.mul(x, b)) for b in basis_elems], ctx.n, ctx.q)
         key = member.flat_key()
         if key not in seen:
             seen.add(key)
@@ -188,8 +193,8 @@ def _greedy_row_disjoint_multipliers(half: FieldCtx) -> list[FqMatrix]:
     so the chosen matrices pairwise share no row."""
     chosen = []
     used_rows = set()
-    for i in range(1, half.order):
-        mat = half.multiplication_matrix(half.element_at(i))
+    for x in range(1, half.order):
+        mat = half.multiplication_matrix(x)
         rows = set(mat.rows)
         if rows & used_rows:
             continue

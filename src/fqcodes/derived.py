@@ -79,7 +79,7 @@ def folded_code_min_distance(fc: FoldedCode, metric: str = "subset",
 
 def _span_symbols(basis_rows, length: int, ctx: FieldCtx):
     """Basis rows then cyclic pairwise sums b_1 + b_j, all inside the span."""
-    rows = [tuple(r) for r in basis_rows]
+    rows = [ctx.element(r) for r in basis_rows]
     k = len(rows)
     symbols = list(rows)
     j = 1
@@ -122,7 +122,7 @@ def partial_span_code(sc: SubspaceCode, l: int) -> VectorCode:
     if not t + 1 <= l <= k:
         raise InvalidParams(f"need {t + 1} <= l <= {k}, got {l}")
     ctx = FieldCtx(sc.q, sc.ambient)
-    words = [Word(ctx, tuple(tuple(r) for r in s.basis.rows[:l])) for s in sc.members]
+    words = [Word(ctx, tuple(ctx.element(r) for r in s.basis.rows[:l])) for s in sc.members]
     return VectorCode(ctx, l, words,
                       provenance={"construction": "partial_span_code", "length": l,
                                   "source": sc.provenance or None,
@@ -142,7 +142,7 @@ def all_vectors_code(sc: SubspaceCode, l: int) -> VectorCode:
     ctx = FieldCtx(sc.q, sc.ambient)
     words = []
     for s in sc.members:
-        ordered = sorted(s.vectors())
+        ordered = sorted(ctx.element(v) for v in s.vectors())
         ordered = ordered[1:] + ordered[:1]  # zero sorts first; move it last
         words.append(Word(ctx, tuple(ordered[:l])))
     return VectorCode(ctx, l, words,
@@ -156,8 +156,7 @@ def all_vectors_code(sc: SubspaceCode, l: int) -> VectorCode:
 def _translation_overlaps(ctx: FieldCtx, members):
     """(y, |yD ∩ D|) for every nonzero y != 1 in element order, D = members."""
     mset = set(members)
-    for i in range(1, ctx.order):
-        y = ctx.element_at(i)
+    for y in range(1, ctx.order):
         if y != ctx.one:
             yield y, sum(1 for d in members if ctx.mul(y, d) in mset)
 
@@ -168,7 +167,7 @@ def singer_difference_set(ctx: FieldCtx) -> DifferenceSet:
         raise InvalidParams("the Singer construction here is binary")
     if ctx.n < 3:
         raise InvalidParams("need n >= 3")
-    members = [x for x in ctx.elements() if x != ctx.zero and ctx.trace(x) == 0]
+    members = [x for x in ctx.elements() if x and ctx.trace(x) == 0]
     v = ctx.order - 1
     k = 2 ** (ctx.n - 1) - 1
     lam = 2 ** (ctx.n - 2) - 1
@@ -197,14 +196,14 @@ def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
     codeword a scalar translate of the point tuple, so pairwise block-set
     distances reduce to translation overlaps of the point set.
     """
-    points = [ctx.element(p) for p in points]
+    points = list(points)
+    ctx.check_elements(points, "point")
     if not points:
         raise InvalidParams("the evaluation point set is empty")
     if ctx.zero in points or len(set(points)) != len(points):
         raise InvalidParams("points must be distinct and nonzero")
     seen = {}
-    for i in range(1, ctx.order):
-        w = ctx.element_at(i)
+    for w in range(1, ctx.order):
         blocks = tuple((ctx.mul(w, x),) for x in points)
         seen.setdefault(blocks, FoldedWord(ctx, 1, blocks))
     return FoldedCode(ctx, 1, tuple(seen.values()),

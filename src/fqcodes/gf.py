@@ -1,10 +1,15 @@
 """Arithmetic in the extension field F_{q^n}, q prime.
 
-Elements are plain tuples (c_0, ..., c_{n-1}) of integers in [0, q): the
-coefficient vector of c_0 + c_1*a + ... + c_{n-1}*a^(n-1) where a is a root
-of the modulus.  Tuples are hashable and immutable, so elements can be used
-directly as set members and dict keys, which the subset-metric and orbit
-computations rely on heavily.
+An element is a plain int in [0, q^n): the coefficients (c_0, ..., c_{n-1})
+of c_0 + c_1*a + ... + c_{n-1}*a^(n-1), where a is a root of the modulus,
+read as base-q digits with c_0 most significant.  The same digits encode a
+vector of F_q^n (`pack`, `unpack`), so a symbol and its vector are one int:
+for q = 2 addition is XOR, and a symbol is already the bit-packed row that
+F_2 rank computations use.  The prime field F_q is FieldCtx(q, 1), whose
+elements are the residues 0 .. q-1, so a row over F_q and a row over
+F_{q^n} are the same kind of object.  The coefficient form appears only in
+`element` (coefficients in, validated), `coefficients` (out) and the
+polynomial multiplication that builds the tables and serves larger fields.
 
 The modulus is a monic irreducible polynomial stored constant-term-first
 (modulus[i] = coefficient of x^i).  When omitted it defaults to the
@@ -13,23 +18,22 @@ coefficients compared constant-term-first, so a (q, n) pair always denotes
 one reproducible field without external polynomial tables.
 
 Element order, wherever a "first" element or a deterministic enumeration is
-needed, is lexicographic on the coefficient tuple with c_0 most significant.
-``element_at`` / ``index_of`` realize that order as integers 0 .. q^n - 1.
+needed, is the order of the ints, which is lexicographic on the coefficients
+with c_0 most significant: zero is 0 and one is q^(n-1).
 
-Fields with at most 2^16 elements precompute discrete log/exp tables for
-O(1) multiplication; larger fields fall back to polynomial reduction.
+Fields with at most 2^16 elements precompute discrete log/exp tables, which
+multiplication, inversion, powers and Frobenius index directly; larger
+fields fall back to polynomial reduction.
 A FieldCtx is immutable after construction and every operation is a pure
 function of its inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .errors import InvalidParams, SearchTooLarge
-from .linalg import FqMatrix
-
-Element = tuple  # length-n tuple of ints in [0, q)
 
 _TABLE_LIMIT = 1 << 16
 _MAX_DEGREE = 24
@@ -46,6 +50,38 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def pack(digits, q: int) -> int:
+    """The int whose base-q digits are `digits`, the first most significant."""
+    x = 0
+    for d in digits:
+        x = x * q + d
+    return x
+
+
+def unpack(x: int, q: int, length: int) -> tuple:
+    """The `length` base-q digits of x, the most significant first."""
+    digits = [0] * length
+    for i in range(length - 1, -1, -1):
+        x, digits[i] = divmod(x, q)
+    return tuple(digits)
+
+
+def add_packed(a: int, b: int, q: int, sign: int = 1) -> int:
+    """a + sign * b for vectors packed into ints: coefficient by coefficient
+    mod q, which for q = 2 is XOR."""
+    if q == 2:
+        return a ^ b
+    if a < q and b < q:  # one coefficient each
+        return (a + sign * b) % q
+    out, place = 0, 1
+    while a or b:
+        a, da = divmod(a, q)
+        b, db = divmod(b, q)
+        out += (da + sign * db) % q * place
+        place *= q
+    return out
 
 
 # -- polynomials over F_q as degree-indexed int lists (constant term first) --
@@ -107,6 +143,8 @@ def _smallest_irreducible(q: int, n: int) -> tuple[int, ...]:
     raise InvalidParams(f"no irreducible of degree {n} over F_{q}")  # unreachable
 
 
+
+
 class FieldCtx:
     """The field F_{q^n} with a fixed monic irreducible modulus."""
 
@@ -133,8 +171,8 @@ class FieldCtx:
         self.n = n
         self.modulus = tuple(modulus)
         self.order = q ** n
-        self.zero = (0,) * n
-        self.one = (1,) + (0,) * (n - 1)
+        self.zero = 0
+        self.one = q ** (n - 1)
         self._unit_order = self.order - 1
         # reduction rows: _red[j] = coefficient vector of x^(n+j) mod modulus,
         # for j = 0 .. n-2 (the degrees a raw product can reach)
@@ -168,62 +206,54 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(q={self.q}, n={self.n}, modulus={list(self.modulus)})"
 
-    def element(self, coeffs) -> Element:
-        """Validate and reduce a coefficient sequence into an element."""
-        coeffs = tuple(int(c) % self.q for c in coeffs)
+    def element(self, coeffs) -> int:
+        """The element with coefficients (c_0, ..., c_{n-1}), each an int in [0, q)."""
+        coeffs = tuple(coeffs)
         if len(coeffs) != self.n:
             raise InvalidParams(f"element needs {self.n} coefficients, got {len(coeffs)}")
-        return coeffs
+        for c in coeffs:
+            if not (isinstance(c, int) and 0 <= c < self.q):
+                raise InvalidParams(f"coefficient {c!r} is not in [0, {self.q})")
+        return pack(coeffs, self.q)
 
-    def element_at(self, index: int) -> Element:
+    def coefficients(self, x: int) -> tuple:
+        """The coefficients (c_0, ..., c_{n-1}) of x: its vector in F_q^n."""
+        return unpack(x, self.q, self.n)
+
+    def check_elements(self, xs, what: str = "symbol") -> None:
+        """Raise InvalidParams unless every x in xs is an element, an int in [0, q^n)."""
+        for x in xs:
+            if not (isinstance(x, int) and 0 <= x < self.order):
+                raise InvalidParams(f"{what} {x!r} is not an int in [0, {self.order})")
+
+    def element_at(self, index: int) -> int:
         """The index-th element in lexicographic order (c_0 most significant)."""
         if not 0 <= index < self.order:
             raise InvalidParams(f"element index {index} out of range [0, {self.order})")
-        coeffs = [0] * self.n
-        for pos in range(self.n - 1, -1, -1):
-            coeffs[pos] = index % self.q
-            index //= self.q
-        return tuple(coeffs)
+        return index
 
-    def index_of(self, x: Element) -> int:
-        idx = 0
-        for c in x:
-            idx = idx * self.q + c
-        return idx
-
-    def elements(self):
+    def elements(self) -> range:
         """All q^n elements in lexicographic order."""
-        return (self.element_at(i) for i in range(self.order))
+        return range(self.order)
 
-    def basis(self) -> list[Element]:
+    def basis(self) -> list[int]:
         """Power basis 1, a, a^2, ..., a^(n-1)."""
-        out = []
-        for i in range(self.n):
-            v = [0] * self.n
-            v[i] = 1
-            out.append(tuple(v))
-        return out
+        return [self.q ** (self.n - 1 - i) for i in range(self.n)]
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a: Element, b: Element) -> Element:
-        q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
+    def add(self, a: int, b: int) -> int:
+        if self.q == 2:
+            return a ^ b
+        return add_packed(a, b, self.q)
 
-    def sub(self, a: Element, b: Element) -> Element:
-        q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
+    def sub(self, a: int, b: int) -> int:
+        if self.q == 2:
+            return a ^ b
+        return add_packed(a, b, self.q, -1)
 
-    def neg(self, a: Element) -> Element:
-        q = self.q
-        return tuple((-x) % q for x in a)
-
-    def scalar_mul(self, c: int, a: Element) -> Element:
-        q = self.q
-        c %= q
-        return tuple((c * x) % q for x in a)
-
-    def _mul_raw(self, a: Element, b: Element) -> Element:
+    def _mul_raw(self, a: tuple, b: tuple) -> tuple:
+        """Product of coefficient vectors by polynomial reduction."""
         q, n = self.q, self.n
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(a):
@@ -240,72 +270,72 @@ class FieldCtx:
                     res[i] = (res[i] + c * row[i]) % q
         return tuple(res)
 
-    def mul(self, a: Element, b: Element) -> Element:
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
         if self._log is not None:
-            if a == self.zero or b == self.zero:
-                return self.zero
-            k = (self._log[self.index_of(a)] + self._log[self.index_of(b)]) % self._unit_order
-            return self._exp[k]
-        return self._mul_raw(a, b)
+            return self._exp[(self._log[a] + self._log[b]) % self._unit_order]
+        return pack(self._mul_raw(self.coefficients(a), self.coefficients(b)), self.q)
 
-    def inv(self, a: Element) -> Element:
-        if a == self.zero:
+    def inv(self, a: int) -> int:
+        if not a:
             raise InvalidParams("0 has no multiplicative inverse")
         if self._log is not None:
-            k = (-self._log[self.index_of(a)]) % self._unit_order
-            return self._exp[k]
+            return self._exp[-self._log[a] % self._unit_order]
         return self.pow(a, self.order - 2)
 
-    def pow(self, a: Element, e: int) -> Element:
-        if a == self.zero:
+    def pow(self, a: int, e: int) -> int:
+        if not a:
             if e > 0:
-                return self.zero
+                return 0
             if e == 0:
                 return self.one
             raise InvalidParams("0 cannot be raised to a negative power")
-        e %= self._unit_order if self._unit_order else 1
+        e %= self._unit_order
         if self._log is not None:
-            return self._exp[(self._log[self.index_of(a)] * e) % self._unit_order]
-        result = self.one
-        base = a
+            return self._exp[self._log[a] * e % self._unit_order]
+        result = self.coefficients(self.one)
+        base = self.coefficients(a)
         while e:
             if e & 1:
                 result = self._mul_raw(result, base)
             base = self._mul_raw(base, base)
             e >>= 1
-        return result
+        return pack(result, self.q)
 
-    def frobenius(self, x: Element, i: int) -> Element:
+    def frobenius(self, x: int, i: int) -> int:
         """x^(q^i); the i-fold Frobenius automorphism."""
         if i < 0:
             raise InvalidParams("frobenius exponent must be >= 0")
-        if x == self.zero:
-            return self.zero
+        if not x:
+            return 0
         if self._unit_order <= 1:
             return x
         return self.pow(x, pow(self.q, i, self._unit_order))
 
-    def trace(self, x: Element) -> int:
+    def trace(self, x: int) -> int:
         """Sum of the n Frobenius conjugates; always lies in the prime field."""
-        acc = self.zero
+        acc = 0
         cur = x
         for _ in range(self.n):
             acc = self.add(acc, cur)
             cur = self.frobenius(cur, 1)
-        if any(acc[1:]):
+        c0, rest = divmod(acc, self.one)
+        if rest:
             raise InvalidParams(f"trace of {x} left the prime field: {acc}")
-        return acc[0]
+        return c0
 
-    def subfield_member(self, x: Element, k: int) -> bool:
+    def subfield_member(self, x: int, k: int) -> bool:
         """True iff x lies in the subfield F_{q^k} (requires k | n)."""
         if k < 1 or self.n % k != 0:
             raise InvalidParams(f"k={k} does not divide n={self.n}")
         return self.frobenius(x, k) == x
 
-    def multiplication_matrix(self, x: Element) -> FqMatrix:
+    def multiplication_matrix(self, x: int):
         """Matrix of y -> x*y in the power basis; row i is x * basis_i."""
-        rows = [self.mul(x, b) for b in self.basis()]
-        return FqMatrix(self.q, tuple(rows), self.n)
+        from .linalg import FqMatrix  # linalg builds on this module
+        rows = tuple(self.coefficients(self.mul(x, b)) for b in self.basis())
+        return FqMatrix(self.q, rows, self.n)
 
     # -- internals -----------------------------------------------------------
 
@@ -316,12 +346,13 @@ class FieldCtx:
             self._exp = [self.one]
             self._log = [0] * self.order
             return
+        one = self.coefficients(self.one)
         gen = None
         for i in range(1, self.order):
-            cand = self.element_at(i)
+            cand = self.coefficients(i)
             cur = cand
             count = 1
-            while cur != self.one and count <= unit:
+            while cur != one and count <= unit:
                 cur = self._mul_raw(cur, cand)
                 count += 1
             if count == unit:
@@ -329,25 +360,34 @@ class FieldCtx:
                 break
         if gen is None:
             raise InvalidParams("no primitive element found (internal error)")
-        exp = [self.one] * unit
+        exp = [0] * unit
         log = [0] * self.order
-        cur = self.one
+        cur = one
         for k in range(unit):
-            exp[k] = cur
-            log[self.index_of(cur)] = k
+            x = pack(cur, self.q)
+            exp[k] = x
+            log[x] = k
             cur = self._mul_raw(cur, gen)
         self._exp = exp
         self._log = log
+
+
+@functools.lru_cache(maxsize=16)
+def prime_field(q: int) -> FieldCtx:
+    """F_q as FieldCtx(q, 1), built once per q (the last 16 kept); its elements
+    are the residues."""
+    return FieldCtx(q, 1)
 
 
 class LinearEmbedding:
     """The F_q-linear injection F_{q^k} -> F_{q^(k+h)} sending basis_i to basis_i.
 
     This is coefficient padding: it is injective and F_q-linear but not a ring
-    homomorphism, which is all the rectangular code construction needs.
+    homomorphism, which is all the rectangular code construction needs.  With
+    c_0 most significant, padding h zero coefficients multiplies by q^h.
     """
 
-    __slots__ = ("src", "dst")
+    __slots__ = ("src", "dst", "_shift")
 
     def __init__(self, src: FieldCtx, dst: FieldCtx):
         if src.q != dst.q:
@@ -356,9 +396,10 @@ class LinearEmbedding:
             raise InvalidParams(f"cannot embed degree {src.n} into degree {dst.n}")
         self.src = src
         self.dst = dst
+        self._shift = dst.q ** (dst.n - src.n)
 
-    def __call__(self, x: Element) -> Element:
-        return tuple(x) + (0,) * (self.dst.n - self.src.n)
+    def __call__(self, x: int) -> int:
+        return x * self._shift
 
 
 def embed_linear(src_ctx: FieldCtx, dst_ctx: FieldCtx) -> LinearEmbedding:

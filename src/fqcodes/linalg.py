@@ -1,15 +1,20 @@
-"""Exact linear algebra over F_q and canonical subspaces.
+"""Exact linear algebra over a finite field, with one row-reduction kernel.
 
-Matrices are immutable tuples of row tuples with entries reduced mod q.
+A row is a tuple of field elements, which are ints (see gf): over the prime
+field F_q = FieldCtx(q, 1) an entry is its residue in [0, q), over F_{q^n}
+it is a symbol.  `ext_rref` is the only Gauss-Jordan loop.  rref, span,
+kernel, rank and membership over F_q call it with the prime field; the
+extension-field functions (generalized Hamming weights, parity checks,
+membership in a linear code) call it with their FieldCtx.  The one
+specialization is `gf2_rank`, the rank over F_2 of bit-packed rows.
+
+A vector of F_q^m packs into one int (gf.pack, the first coordinate most
+significant); a symbol of F_{q^n} is already the packed form of its
+coefficient vector, and over F_2 the packed form is the bit-packed row.
+
 A subspace is always stored through its unique reduced-row-echelon basis,
 so subspace equality is plain matrix equality and sets of subspaces
 deduplicate exactly.
-
-The second half of the module provides the same row-reduction machinery
-over an extension field F_{q^n}: rows hold field elements (coefficient
-tuples) and a FieldCtx supplies the arithmetic.  This is what linear codes
-over an extension-field alphabet (generalized Hamming weights, parity
-checks, membership tests) run on.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidParams, SearchTooLarge
+from .gf import pack, prime_field, unpack
 
 _ENUM_GUARD = 1 << 20       # cap on q^ambient for subspace enumeration
 _ENUM_COUNT_CAP = 1 << 22   # cap on the number of subspaces materialized
@@ -55,64 +61,18 @@ class FqMatrix:
     def matmul(self, other: "FqMatrix") -> "FqMatrix":
         if self.q != other.q or self.cols != other.nrows:
             raise InvalidParams("incompatible matrix product")
-        q = self.q
-        out = []
-        for r in self.rows:
-            row = [0] * other.cols
-            for i, e in enumerate(r):
-                if e:
-                    orow = other.rows[i]
-                    for j in range(other.cols):
-                        row[j] = (row[j] + e * orow[j]) % q
-            out.append(tuple(row))
-        return FqMatrix(q, tuple(out), other.cols)
-
-
-def _rref_rows(rows: list[list[int]], cols: int, q: int):
-    """In-place Gauss-Jordan; returns (rows, rank, pivot_columns)."""
-    rank = 0
-    pivots = []
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        if inv != 1:
-            rows[rank] = [(e * inv) % q for e in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows, rank, pivots
+        rows = ext_matmul(self.rows, other.rows, other.cols, prime_field(self.q))
+        return FqMatrix(self.q, tuple(rows), other.cols)
 
 
 def rref(m: FqMatrix) -> tuple[FqMatrix, int]:
     """Unique reduced row echelon form of m and its rank."""
-    rows = [list(r) for r in m.rows]
-    rows, rank, _ = _rref_rows(rows, m.cols, m.q)
-    return FqMatrix(m.q, tuple(tuple(r) for r in rows), m.cols), rank
-
-
-def gf2_pack(row) -> int:
-    """Pack a 0/1 row into an int, bit i = column i."""
-    x = 0
-    for i, e in enumerate(row):
-        if e:
-            x |= 1 << i
-    return x
+    rows, rank, _ = ext_rref(m.rows, m.cols, prime_field(m.q))
+    return FqMatrix(m.q, tuple(rows), m.cols), rank
 
 
 def gf2_rank(packed: list[int]) -> int:
-    """Rank of bit-packed rows over F_2 (fast path for pair sweeps)."""
+    """Rank over F_2 of rows bit-packed into ints (fast path for pair sweeps)."""
     r = 0
     rows = list(packed)
     for i in range(len(rows)):
@@ -125,6 +85,13 @@ def gf2_rank(packed: list[int]) -> int:
                 rows[j] ^= row
         r += 1
     return r
+
+
+def packed_rank(vectors, ambient: int, q: int) -> int:
+    """Rank of vectors of F_q^ambient, each packed into an int (gf.pack)."""
+    if q == 2:
+        return gf2_rank(vectors)
+    return ext_rank([unpack(v, q, ambient) for v in vectors], ambient, prime_field(q))
 
 
 @dataclass(frozen=True)
@@ -146,24 +113,15 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
-    def vectors(self):
+    def vectors(self) -> list[tuple]:
         """All q^dim member vectors (coefficients enumerated big-endian)."""
-        q = self.q
-        for coeffs in itertools.product(range(q), repeat=self.dim):
-            v = [0] * self.ambient
-            for c, row in zip(coeffs, self.basis.rows):
-                if c:
-                    for i, e in enumerate(row):
-                        v[i] = (v[i] + c * e) % q
-            yield tuple(v)
+        return span_vectors(self.basis.rows, self.ambient, prime_field(self.q))
 
     def contains(self, vector) -> bool:
         vector = tuple(int(e) % self.q for e in vector)
         if len(vector) != self.ambient:
             raise InvalidParams("vector length does not match ambient dimension")
-        stacked = [list(r) for r in self.basis.rows] + [list(vector)]
-        _, rk, _ = _rref_rows(stacked, self.ambient, self.q)
-        return rk == self.dim
+        return ext_in_rowspan(vector, self.basis.rows, self.ambient, prime_field(self.q))
 
     def flat_key(self) -> tuple:
         return tuple(e for r in self.basis.rows for e in r)
@@ -182,24 +140,17 @@ def _reduced_rows(vectors, ambient: int, q: int) -> list[list[int]]:
 
 def span(vectors, ambient: int, q: int) -> Subspace:
     """Canonical subspace spanned by the given row vectors of length ambient."""
-    rows, rk, _ = _rref_rows(_reduced_rows(vectors, ambient, q), ambient, q)
-    basis = tuple(tuple(r) for r in rows[:rk])
-    return Subspace(q, ambient, FqMatrix(q, basis, ambient))
+    rows, rk, _ = ext_rref(_reduced_rows(vectors, ambient, q), ambient, prime_field(q))
+    return Subspace(q, ambient, FqMatrix(q, tuple(rows[:rk]), ambient))
 
 
 def span_distance(a, b, ambient: int, q: int) -> int:
     """Subspace distance dim(A + B) - dim(A ∩ B) of the spans of the vector
-    lists a and b in F_q^ambient: 2 rank(a ∪ b) - rank a - rank b."""
-    a = _reduced_rows(a, ambient, q)
-    b = _reduced_rows(b, ambient, q)
-    if q == 2:
-        a = [gf2_pack(r) for r in a]
-        b = [gf2_pack(r) for r in b]
-        rank = gf2_rank
-    else:
-        def rank(rows):
-            return _rref_rows(rows, ambient, q)[1]
-    return 2 * rank(a + b) - rank(a) - rank(b)
+    lists a and b in F_q^ambient, each vector packed into an int (gf.pack):
+    2 rank(a ∪ b) - rank a - rank b."""
+    a, b = list(a), list(b)
+    return (2 * packed_rank(a + b, ambient, q)
+            - packed_rank(a, ambient, q) - packed_rank(b, ambient, q))
 
 
 def _require_common_ambient(u: Subspace, v: Subspace) -> None:
@@ -209,7 +160,9 @@ def _require_common_ambient(u: Subspace, v: Subspace) -> None:
 
 def subspace_pair_distance(u: Subspace, v: Subspace) -> int:
     _require_common_ambient(u, v)
-    return span_distance(u.basis.rows, v.basis.rows, u.ambient, u.q)
+    q = u.q
+    return span_distance([pack(r, q) for r in u.basis.rows],
+                         [pack(r, q) for r in v.basis.rows], u.ambient, q)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
@@ -224,19 +177,7 @@ def subspace_intersection_dim(u: Subspace, v: Subspace) -> int:
 
 def kernel(m: FqMatrix) -> Subspace:
     """Null space of m as a subspace of F_q^cols."""
-    rows = [list(r) for r in m.rows]
-    rows, rk, pivots = _rref_rows(rows, m.cols, m.q)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    q = m.q
-    basis_vecs = []
-    for f in free_cols:
-        v = [0] * m.cols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = (-rows[r][f]) % q
-        basis_vecs.append(v)
-    return span(basis_vecs, m.cols, q)
+    return span(ext_kernel_basis(m.rows, m.cols, prime_field(m.q)), m.cols, m.q)
 
 
 def subspace_count(ambient: int, dim: int, q: int) -> int:
@@ -266,14 +207,14 @@ def enumerate_subspaces(q: int, ambient: int, dim: int):
     if subspace_count(ambient, dim, q) > _ENUM_COUNT_CAP:
         raise SearchTooLarge("too many subspaces to materialize")
     return (Subspace(q, ambient, FqMatrix(q, b, ambient))
-            for b in _rref_index_bases(q, 1, ambient, dim))
+            for b in _rref_bases(q, 1, ambient, dim))
 
 
-def _rref_index_bases(order: int, one: int, ambient: int, dim: int) -> list:
+def _rref_bases(order: int, one: int, ambient: int, dim: int) -> list:
     """Every RREF basis of a dim-dimensional subspace of F^ambient, |F| = order.
 
-    Entries are element indices: 0 is zero and `one` is the pivot entry.
-    The bases come sorted lexicographically on their flattened indices.
+    Entries are elements: 0 is zero and `one` is the pivot entry.  The
+    bases come sorted lexicographically on their flattened entries.
     """
     bases = []
     for pivots in itertools.combinations(range(ambient), dim):
@@ -293,35 +234,37 @@ def _rref_index_bases(order: int, one: int, ambient: int, dim: int) -> list:
     return bases
 
 
-def field_elements_as_vectors(ctx, elements) -> list[tuple[int, ...]]:
-    """Coefficient vectors of field elements; the F_{q^n} = F_q^n identification."""
-    return [ctx.element(e) for e in elements]
-
-
-# -- row reduction over an extension field ----------------------------------
+# -- the row-reduction kernel and what is built on it ------------------------
 
 def ext_rref(rows, ncols: int, ctx):
-    """RREF of rows of field elements; returns (rows, rank, pivot columns)."""
+    """Gauss-Jordan over the field ctx; returns (rows, rank, pivot columns).
+
+    The rows come back in reduced row echelon form, zero rows last.
+    """
     rows = [list(r) for r in rows]
+    mul, sub, one = ctx.mul, ctx.sub, ctx.one
     rank_ = 0
     pivots = []
-    zero = ctx.zero
     for col in range(ncols):
         pivot = None
         for r in range(rank_, len(rows)):
-            if rows[r][col] != zero:
+            if rows[r][col]:
                 pivot = r
                 break
         if pivot is None:
             continue
         rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        inv = ctx.inv(rows[rank_][col])
-        if inv != ctx.one:
-            rows[rank_] = [ctx.mul(inv, e) for e in rows[rank_]]
+        prow = rows[rank_]
+        if prow[col] != one:
+            inv = ctx.inv(prow[col])
+            prow = rows[rank_] = [mul(inv, e) for e in prow]
         for r in range(len(rows)):
-            if r != rank_ and rows[r][col] != zero:
-                f = rows[r][col]
-                rows[r] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[r], rows[rank_])]
+            f = rows[r][col]
+            if r != rank_ and f:
+                if f == one:
+                    rows[r] = list(map(sub, rows[r], prow))
+                else:
+                    rows[r] = [sub(a, mul(f, b)) for a, b in zip(rows[r], prow)]
         pivots.append(col)
         rank_ += 1
         if rank_ == len(rows):
@@ -334,7 +277,7 @@ def ext_rank(rows, ncols: int, ctx) -> int:
 
 
 def ext_kernel_basis(rows, ncols: int, ctx) -> list[tuple]:
-    """Basis of {x : rows . x = 0} over the extension field, free columns in order."""
+    """Basis of {x : rows . x = 0}, one vector per free column, in column order."""
     reduced, _, pivots = ext_rref(rows, ncols, ctx)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -343,7 +286,7 @@ def ext_kernel_basis(rows, ncols: int, ctx) -> list[tuple]:
         v = [ctx.zero] * ncols
         v[f] = ctx.one
         for r, p in enumerate(pivots):
-            v[p] = ctx.neg(reduced[r][f])
+            v[p] = ctx.sub(ctx.zero, reduced[r][f])
         out.append(tuple(v))
     return out
 
@@ -353,29 +296,38 @@ def ext_in_rowspan(vector, rows, ncols: int, ctx) -> bool:
     return ext_rank(list(rows) + [vector], ncols, ctx) == base_rank
 
 
-def ext_matmul(a_rows, b_rows, ctx):
-    """Product of matrices with extension-field entries (lists of row tuples)."""
-    b_cols = len(b_rows[0]) if b_rows else 0
+def ext_matmul(a_rows, b_rows, ncols: int, ctx) -> list[tuple]:
+    """Product of matrices over ctx, given as row lists; b has ncols columns."""
     out = []
     for r in a_rows:
-        row = [ctx.zero] * b_cols
+        row = [ctx.zero] * ncols
         for i, e in enumerate(r):
-            if e != ctx.zero:
-                for j in range(b_cols):
-                    row[j] = ctx.add(row[j], ctx.mul(e, b_rows[i][j]))
+            if e:
+                brow = b_rows[i]
+                for j in range(ncols):
+                    row[j] = ctx.add(row[j], ctx.mul(e, brow[j]))
         out.append(tuple(row))
+    return out
+
+
+def span_vectors(rows, ncols: int, ctx) -> list[tuple]:
+    """Every ctx-linear combination of the rows, in message order: the
+    coefficient of the first row is the most significant, and each
+    coefficient runs over the elements in order."""
+    out = [(ctx.zero,) * ncols]
+    for row in rows:
+        multiples = [tuple(ctx.mul(c, e) for e in row) for c in ctx.elements()]
+        out = [tuple(map(ctx.add, v, m)) for v in out for m in multiples]
     return out
 
 
 def enumerate_ext_rref_bases(ctx, ambient: int, dim: int, count_guard: int = 10 ** 6):
     """All RREF bases of dim-dimensional subspaces of ctx^ambient, sorted.
 
-    Entries are ctx elements; ordering is lexicographic on element indices.
+    Entries are ctx elements; ordering is lexicographic on the elements.
     """
     if dim < 0 or dim > ambient:
         raise InvalidParams(f"dimension {dim} out of range for ambient {ambient}")
     if subspace_count(ambient, dim, ctx.order) > count_guard:
         raise SearchTooLarge("too many extension-field subspaces to enumerate")
-    elems = [ctx.element_at(i) for i in range(ctx.order)]
-    return [tuple(tuple(elems[i] for i in r) for r in b)
-            for b in _rref_index_bases(ctx.order, ctx.index_of(ctx.one), ambient, dim)]
+    return _rref_bases(ctx.order, ctx.one, ambient, dim)

@@ -2,9 +2,11 @@
 
 Five distance functions live here: Hamming, insertion-deletion (via longest
 common subsequence), the subspace and subset pseudometrics, and their
-block-folded variants.  The subspace distance of two words compares the
-F_q-spans of their symbol sets inside F_{q^n} = F_q^n; the subset distance
-compares the deduplicated symbol sets themselves.  Both ignore coordinate
+block-folded variants.  A symbol is an int (see gf), which is at once a
+set member and the packed vector of F_q^n = F_{q^n} it stands for.  The
+subspace distance of two words compares the F_q-spans of their symbols,
+with the symbols themselves as the packed vectors; the subset distance
+compares the deduplicated symbol sets.  Both ignore coordinate
 positions entirely, which is what makes them lower bounds for the
 insdel distance.
 
@@ -15,7 +17,7 @@ pair in codeword order, so reports are reproducible.
 Subspace and subset sweeps prepare each member once instead of once per
 pair.  A member's subspace (the span of a word's symbols or of a folded
 word's flattened blocks, or a subspace code's member itself) is stored as
-the frozenset of all q^dim of its vectors, encoded as integers, so
+the frozenset of all q^dim of its vectors, packed into ints, so
 dim(U ∩ V) = log_q |U ∩ V| is one set intersection; a subset sweep keeps
 each word's symbol or block set the same way.  When the members hold more
 than 2^20 vectors in total the subspace sweep scores each pair of the
@@ -27,19 +29,18 @@ every subset distance is symmetric_difference.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidParams, SearchTooLarge
-from .gf import FieldCtx
+from .gf import FieldCtx, add_packed, pack, prime_field, unpack
 from .linalg import (
     enumerate_ext_rref_bases,
     ext_matmul,
     ext_rank,
     ext_in_rowspan,
-    gf2_pack,
     span,
     span_distance,
+    span_vectors,
     subspace_count,
     subspace_pair_distance,
 )
@@ -56,15 +57,14 @@ class Word:
     symbols: tuple
 
     def __post_init__(self):
-        for s in self.symbols:
-            if len(s) != self.ctx.n:
-                raise InvalidParams("symbol does not belong to the word's field")
+        self.ctx.check_elements(self.symbols)
 
     def __len__(self):
         return len(self.symbols)
 
 
 def word(ctx: FieldCtx, symbols) -> Word:
+    """The word whose symbols have the given coefficient sequences."""
     return Word(ctx, tuple(ctx.element(s) for s in symbols))
 
 
@@ -80,6 +80,7 @@ class FoldedWord:
         for b in self.blocks:
             if len(b) != self.block_len:
                 raise InvalidParams("ragged block in folded word")
+            self.ctx.check_elements(b)
 
 
 def _require_same_ctx(a, b):
@@ -118,7 +119,7 @@ def insdel_distance(a: Word, b: Word) -> int:
 
 def word_span(a: Word):
     """F_q-span of the word's symbols inside F_q^n."""
-    return span(a.symbols, a.ctx.n, a.ctx.q)
+    return span([a.ctx.coefficients(s) for s in a.symbols], a.ctx.n, a.ctx.q)
 
 
 def subspace_distance(a: Word, b: Word) -> int:
@@ -156,9 +157,10 @@ def _require_same_fold(a: FoldedWord, b: FoldedWord):
         raise InvalidParams("folded words have different block lengths")
 
 
-def _flat_blocks(a: FoldedWord) -> list[tuple]:
-    """The blocks, each flattened to a vector in F_q^(n*r)."""
-    return [tuple(c for s in blk for c in s) for blk in a.blocks]
+def _flat_blocks(a: FoldedWord) -> list[int]:
+    """The blocks, each flattened to a vector in F_q^(n*r) and packed: a
+    block's symbols are its base-q^n digits."""
+    return [pack(blk, a.ctx.order) for blk in a.blocks]
 
 
 def folded_subspace_distance(a: FoldedWord, b: FoldedWord) -> int:
@@ -234,25 +236,19 @@ def pairwise_min_report(items, dist, metric: str,
 
 def folded_span(a: FoldedWord):
     """F_q-span of the blocks, each flattened to a vector in F_q^(n*r)."""
-    return span(_flat_blocks(a), a.ctx.n * a.block_len, a.ctx.q)
+    q, ambient = a.ctx.q, a.ctx.n * a.block_len
+    return span([unpack(x, q, ambient) for x in _flat_blocks(a)], ambient, q)
 
 
 def _vector_set(s) -> frozenset:
-    """All q^dim vectors of a subspace as ints: bit i = coordinate i for
-    q = 2, base-q digits (first coordinate most significant) otherwise."""
-    if s.q == 2:
-        vecs = [0]
-        for row in s.basis.rows:
-            b = gf2_pack(row)
-            vecs += [v ^ b for v in vecs]
-        return frozenset(vecs)
-    out = []
-    for v in s.vectors():
-        x = 0
-        for c in v:
-            x = x * s.q + c
-        out.append(x)
-    return frozenset(out)
+    """All q^dim vectors of a subspace, packed into ints: the sums of
+    multiples of the packed basis rows."""
+    q, field = s.q, prime_field(s.q)
+    vecs = [0]
+    for row in s.basis.rows:
+        multiples = [pack([field.mul(c, e) for e in row], q) for c in range(1, q)]
+        vecs += [add_packed(v, m, q) for v in vecs for m in multiples]
+    return frozenset(vecs)
 
 
 def _index_sweep(items, dist, metric, force, notes) -> MetricReport:
@@ -331,7 +327,7 @@ class VectorCode:
             if ext_rank(rows, length, ctx) != k:
                 raise InvalidParams("generator rows are not linearly independent")
             if ctx.order ** k <= _MATERIALIZE_GUARD:
-                expected = {w.symbols for w in _span_words(ctx, rows, length)}
+                expected = set(span_vectors(rows, length, ctx))
                 if expected != set(seen):
                     raise InvalidParams("codeword set does not equal the generator row span")
 
@@ -367,23 +363,8 @@ class VectorCode:
         k = len(rows)
         if ctx.order ** k > _MATERIALIZE_GUARD:
             raise SearchTooLarge("row span too large to materialize")
-        codewords = _span_words(ctx, [r.symbols for r in rows], length)
+        codewords = [Word(ctx, v) for v in span_vectors([r.symbols for r in rows], length, ctx)]
         return cls(ctx, length, codewords, generator=rows, provenance=provenance)
-
-
-def _span_words(ctx: FieldCtx, rows, length: int):
-    """Every F_{q^n}-linear combination of the rows, in message order."""
-    k = len(rows)
-    out = []
-    for msg in itertools.product(range(ctx.order), repeat=k):
-        symbols = [ctx.zero] * length
-        for c_idx, row in zip(msg, rows):
-            if c_idx:
-                c = ctx.element_at(c_idx)
-                for i, s in enumerate(row):
-                    symbols[i] = ctx.add(symbols[i], ctx.mul(c, s))
-        out.append(Word(ctx, tuple(symbols)))
-    return out
 
 
 _METRICS = {
@@ -430,9 +411,8 @@ def generalized_hamming_weights(c: VectorCode, count_guard: int = 10 ** 6) -> li
     for r in range(1, k + 1):
         best = None
         for basis in enumerate_ext_rref_bases(ctx, k, r, count_guard):
-            sub = ext_matmul(list(basis), rows, ctx)
-            supp = sum(1 for j in range(c.length)
-                       if any(row[j] != ctx.zero for row in sub))
+            sub = ext_matmul(basis, rows, c.length, ctx)
+            supp = sum(1 for j in range(c.length) if any(row[j] for row in sub))
             if best is None or supp < best:
                 best = supp
         weights.append(best)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx, LinearEmbedding, embed_linear
-from .linalg import FqMatrix, rref, subspace_count
+from .linalg import FqMatrix, packed_rank, subspace_count
 from .metrics import PAIR_GUARD, pairwise_min_report
 
 _GABIDULIN_GUARD = 1 << 22
@@ -47,9 +47,7 @@ class LinearizedPoly:
             raise InvalidParams("a linearized polynomial needs at least one coefficient")
         if len(self.coeffs) - 1 >= domain.n:
             raise InvalidParams("degree parameter must be below the domain degree")
-        for a in self.coeffs:
-            if len(a) != self.ctx.n:
-                raise InvalidParams("coefficient outside the coefficient field")
+        self.ctx.check_elements(self.coeffs, "coefficient")
 
     @property
     def t(self) -> int:
@@ -60,7 +58,7 @@ class LinearizedPoly:
         return self.src if self.src is not None else self.ctx
 
     def is_zero(self) -> bool:
-        return all(a == self.ctx.zero for a in self.coeffs)
+        return not any(self.coeffs)
 
     def sub(self, other: "LinearizedPoly") -> "LinearizedPoly":
         if (self.ctx, self.src) != (other.ctx, other.src) or self.t != other.t:
@@ -69,7 +67,7 @@ class LinearizedPoly:
         return LinearizedPoly(self.ctx, coeffs, self.src)
 
 
-def linearized_eval(p: LinearizedPoly, x) -> tuple:
+def linearized_eval(p: LinearizedPoly, x: int) -> int:
     """Evaluate p at x; F_q-linear in x."""
     dom = p.domain
     ctx = p.ctx
@@ -82,20 +80,22 @@ def linearized_eval(p: LinearizedPoly, x) -> tuple:
         if i:
             fx = dom.frobenius(x, i)
         arg = phi(fx) if phi is not None else fx
-        if a != ctx.zero:
+        if a:
             acc = ctx.add(acc, ctx.mul(a, arg))
     return acc
 
 
 def poly_to_matrix(p: LinearizedPoly) -> FqMatrix:
     """Matrix of the map in the power bases: row i is the image of basis_i."""
-    dom = p.domain
-    rows = tuple(linearized_eval(p, b) for b in dom.basis())
-    return FqMatrix(p.ctx.q, rows, p.ctx.n)
+    ctx = p.ctx
+    rows = tuple(ctx.coefficients(linearized_eval(p, b)) for b in p.domain.basis())
+    return FqMatrix(ctx.q, rows, ctx.n)
 
 
 def poly_rank(p: LinearizedPoly) -> int:
-    return rref(poly_to_matrix(p))[1]
+    """Rank of the map: the images of the basis are its packed matrix rows."""
+    images = [linearized_eval(p, b) for b in p.domain.basis()]
+    return packed_rank(images, p.ctx.n, p.ctx.q)
 
 
 class RankCode:
@@ -131,8 +131,7 @@ class RankCode:
 
 def _coefficient_tuples(ctx: FieldCtx, t: int):
     """All (t+1)-tuples of coefficients, a_0 most significant in element order."""
-    elems = [ctx.element_at(i) for i in range(ctx.order)]
-    return itertools.product(elems, repeat=t + 1)
+    return itertools.product(ctx.elements(), repeat=t + 1)
 
 
 def gabidulin_code(ctx: FieldCtx, t: int) -> RankCode:

@@ -4,9 +4,11 @@ JSON is the single source of truth on disk; CSV is only a projection for
 tabular reports.  Writing is canonical (sorted keys, two-space indent,
 trailing newline) and atomic (temp file + rename), so identical runs
 produce byte-identical files.  Integers beyond the 53-bit float-safe range
-are emitted as decimal strings; readers accept either form.  Subspace
-bases are re-validated as RREF on read, and any structural problem
-surfaces as ParseError.
+are emitted as decimal strings; readers accept either form.  A field
+element is written as its coefficient list (c_0 first), the one place
+outside gf where elements take that form.  Subspace bases are
+re-validated as RREF on read, and any structural problem surfaces as
+ParseError.
 """
 
 from __future__ import annotations
@@ -113,13 +115,9 @@ def sha256_file(path: str) -> str:
 
 # -- field ---------------------------------------------------------------
 
-def _symbol_from_obj(ctx: FieldCtx, coeffs):
-    """A symbol read from a file: integer coefficients, each in [0, q)."""
-    coeffs = [as_int(c) for c in coeffs]
-    for c in coeffs:
-        if not 0 <= c < ctx.q:
-            raise ParseError(f"coefficient {c} is not in [0, {ctx.q})")
-    return ctx.element(coeffs)
+def _symbol_from_obj(ctx: FieldCtx, coeffs) -> int:
+    """A symbol read from a file: its integer coefficients, each in [0, q)."""
+    return ctx.element([as_int(c) for c in coeffs])
 
 
 def field_to_obj(ctx: FieldCtx) -> dict:
@@ -149,7 +147,7 @@ def subspace_from_obj(d) -> Subspace:
 # -- vector codes ----------------------------------------------------------
 
 def _word_to_lists(w: Word):
-    return [list(s) for s in w.symbols]
+    return [list(w.ctx.coefficients(s)) for s in w.symbols]
 
 
 def vector_code_to_obj(c: VectorCode) -> dict:
@@ -189,7 +187,7 @@ def rank_code_to_obj(c: RankCode) -> dict:
         "src_field": field_to_obj(c.src) if c.src is not None else None,
         "t": c.t,
         "declared_rank_distance": c.declared_rank_distance,
-        "members": [[list(a) for a in p.coeffs] for p in c.members],
+        "members": [[list(c.ctx.coefficients(a)) for a in p.coeffs] for p in c.members],
         "provenance": c.provenance or None,
     }
 
@@ -239,13 +237,16 @@ def subspace_code_from_obj(d) -> SubspaceCode:
 
 # -- folded codes -------------------------------------------------------------
 
+def _blocks_to_lists(w: FoldedWord):
+    return [[list(w.ctx.coefficients(s)) for s in blk] for blk in w.blocks]
+
+
 def folded_code_to_obj(fc: FoldedCode) -> dict:
     return {
         "kind": "folded_code",
         "field": field_to_obj(fc.ctx),
         "block_len": fc.block_len,
-        "codewords": [[[list(s) for s in blk] for blk in w.blocks]
-                      for w in fc.codewords],
+        "codewords": [_blocks_to_lists(w) for w in fc.codewords],
         "provenance": fc.provenance or None,
     }
 
@@ -267,7 +268,7 @@ def difference_set_to_obj(ds: DifferenceSet) -> dict:
     return {
         "kind": "difference_set",
         "field": field_to_obj(ds.ctx),
-        "members": [list(m) for m in ds.members],
+        "members": [list(ds.ctx.coefficients(m)) for m in ds.members],
         "v": ds.v,
         "k": ds.k,
         "lambda": ds.lam,
@@ -288,7 +289,7 @@ def _witness_to_obj(item):
     if isinstance(item, Word):
         return {"word": _word_to_lists(item)}
     if isinstance(item, FoldedWord):
-        return {"blocks": [[list(s) for s in blk] for blk in item.blocks]}
+        return {"blocks": _blocks_to_lists(item)}
     if isinstance(item, Subspace):
         return {"basis": [list(r) for r in item.basis.rows]}
     return {"value": repr(item)}

@@ -56,7 +56,7 @@ def test_edit_count_bounds_distance():
     rng = random.Random(8)
     ctx = FieldCtx(2, 2)
     for _ in range(200):
-        w = word(ctx, [ctx.element_at(rng.randrange(4)) for _ in range(5)])
+        w = word(ctx, [ctx.coefficients(ctx.element_at(rng.randrange(4))) for _ in range(5)])
         ins, dels = rng.randrange(3), rng.randrange(3)
         out = apply_channel(w, ChannelSpec(ins, dels, rng.randrange(10 ** 6)))
         assert len(out) == 5 - dels + ins

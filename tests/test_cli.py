@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from fqcodes.cli import main
+from fqcodes.cli import CONSTRUCT_KINDS, REQUIRED_FLAGS, main
 from fqcodes.constructions import spread
 from fqcodes.gf import FieldCtx
 from fqcodes.metrics import VectorCode, word
@@ -321,3 +321,48 @@ def test_construct_invalid_params_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "--kind", "spread", "--q", "2",
                        "--k", "2", "--n", "5", "--out", out)
     assert code == 2
+
+
+# the flags each construction kind needs, written out independently of the CLI
+NEEDED = {
+    "gabidulin": ("--n", "--t"),
+    "lifted-mrd": ("--n", "--t"),
+    "spread": ("--k", "--n"),
+    "sidon-orbit": ("--n", "--k"),
+    "block-enlarged": ("--n", "--t"),
+    "span": ("--from", "--length"),
+    "all-vectors": ("--from", "--length"),
+    "folded-eval": ("--n",),
+    "singer-ds": ("--n",),
+}
+
+
+def test_every_construct_kind_lists_its_flags():
+    assert set(NEEDED) == set(CONSTRUCT_KINDS)
+    assert {k: tuple("--" + d.removesuffix("_path") for d in v)
+            for k, v in REQUIRED_FLAGS.items()} == NEEDED
+
+
+@pytest.mark.parametrize("kind,flag", [(k, f) for k, flags in NEEDED.items() for f in flags])
+def test_construct_without_a_required_flag_exits_2(tmp_path, capsys, kind, flag):
+    values = {"--n": "4", "--t": "1", "--k": "2", "--length": "3",
+              "--from": str(tmp_path / "spread.json")}
+    save_file(values["--from"], spread(2, 2, 4))
+    argv = ["construct", "--kind", kind, "--out", str(tmp_path / "out.json")]
+    for other in NEEDED[kind]:
+        if other != flag:
+            argv += [other, values[other]]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: --kind {kind} needs {flag}\n"
+    assert stdout == ""
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_construct_lifted_mrd_from_a_file_needs_no_field_flags(tmp_path, capsys):
+    gab = str(tmp_path / "gab.json")
+    assert run(capsys, "construct", "--kind", "gabidulin", "--n", "3", "--t", "1",
+               "--out", gab)[0] == 0
+    code, _, _ = run(capsys, "construct", "--kind", "lifted-mrd", "--from", gab,
+                     "--out", str(tmp_path / "lifted.json"))
+    assert code == 0

@@ -10,6 +10,7 @@ from fqcodes.linalg import FqMatrix, enumerate_subspaces, span
 from fqcodes.constructions import (
     SubspaceCode,
     _greedy_row_disjoint_multipliers,
+    _subfield_basis,
     block_enlarged_family,
     cardinality_calculator,
     lift_rank_code,
@@ -117,7 +118,7 @@ def test_sidon_dim_one_always():
 def test_subfield_is_not_sidon():
     f16 = FieldCtx(2, 4)
     subfield_vecs = [x for x in f16.elements() if f16.subfield_member(x, 2)]
-    v = span([x for x in subfield_vecs if any(x)], 4, 2)
+    v = span([f16.coefficients(x) for x in subfield_vecs if x], 4, 2)
     assert v.dim == 2
     assert not sidon_check(f16, v)
 
@@ -128,7 +129,7 @@ def test_sidon_search_finds_witness():
     assert v.dim == 2
     assert sidon_check(ctx, v)
     # quadruple-level oracle on the found space
-    nonzero = [x for x in v.vectors() if any(x)]
+    nonzero = [ctx.element(x) for x in v.vectors() if any(x)]
     for a in nonzero:
         for b in nonzero:
             for c in nonzero:
@@ -174,7 +175,7 @@ def test_orbit_of_sidon_space():
 def test_orbit_of_subfield_collapses():
     f16 = FieldCtx(2, 4)
     subfield_vecs = [x for x in f16.elements() if f16.subfield_member(x, 2)]
-    v = span([x for x in subfield_vecs if any(x)], 4, 2)
+    v = span([f16.coefficients(x) for x in subfield_vecs if x], 4, 2)
     orbit = orbit_cyclic_code(f16, v)
     assert len(orbit) == 5  # (2^4 - 1) / (2^2 - 1)
 
@@ -187,7 +188,8 @@ def test_orbit_closed_under_multiplication():
     prim = next(x for x in ctx.elements()
                 if x not in (ctx.zero, ctx.one))
     for s in orbit.members:
-        image = span([ctx.mul(prim, tuple(r)) for r in s.basis.rows], 5, 2)
+        image = span([ctx.coefficients(ctx.mul(prim, ctx.element(r))) for r in s.basis.rows],
+                     5, 2)
         assert image.flat_key() in keys
 
 
@@ -269,3 +271,35 @@ def test_declared_distances_reverified():
     for sc in (spread(2, 2, 4), lift_rank_code(gabidulin_code(GF8, 1))):
         rep = subspace_code_min_distance(sc)
         assert rep.minimum >= sc.declared_distance
+
+
+def _spread_by_all_multiples(q, k, n):
+    """The former construction, kept as the oracle: find the subfield by a
+    scan of the field and span c times every nonzero subfield element."""
+    ctx = FieldCtx(q, n)
+    sub = [x for x in ctx.elements() if x and ctx.subfield_member(x, k)]
+    expected = (q ** n - 1) // (q ** k - 1)
+    members, seen = [], set()
+    for c in range(1, ctx.order):
+        member = span([ctx.coefficients(ctx.mul(c, s)) for s in sub], n, q)
+        if member.flat_key() not in seen:
+            seen.add(member.flat_key())
+            members.append(member)
+            if len(members) == expected:
+                break
+    return members
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 2, 4), (2, 2, 6), (3, 2, 4), (2, 3, 6), (2, 4, 8)])
+def test_spread_matches_the_all_multiples_build(q, k, n):
+    assert list(spread(q, k, n).members) == _spread_by_all_multiples(q, k, n)
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 1, 3), (2, 2, 4), (3, 2, 4), (2, 3, 6), (2, 6, 6)])
+def test_subfield_basis_spans_the_subfield(q, k, n):
+    ctx = FieldCtx(q, n)
+    basis = _subfield_basis(ctx, k)
+    assert len(basis) == k
+    vectors = span([ctx.coefficients(b) for b in basis], n, q).vectors()
+    assert sorted(ctx.element(v) for v in vectors) == \
+        [x for x in ctx.elements() if ctx.subfield_member(x, k)]

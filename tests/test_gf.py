@@ -1,6 +1,7 @@
 """Field arithmetic: worked examples plus exhaustive axiom checks."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from fqcodes.linalg import rref
 
 # the GF(8) used in the worked examples: x^3 + x + 1
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
-ALPHA = (0, 1, 0)
+ALPHA = GF8.element((0, 1, 0))
 
 
 def _cubic_has_gf2_root(tail):
@@ -22,7 +23,7 @@ def test_prime_field_default_modulus_is_x():
     f2 = FieldCtx(2, 1)
     assert f2.modulus == (0, 1)
     assert f2.order == 2
-    assert f2.one == (1,)
+    assert f2.one == f2.element((1,))
 
 
 def test_default_gf8_modulus_is_lex_smallest():
@@ -75,7 +76,7 @@ def test_non_canonical_modulus_rejected():
 
 def test_mul_example():
     alpha2 = GF8.mul(ALPHA, ALPHA)
-    assert GF8.mul(ALPHA, alpha2) == (1, 1, 0)  # alpha^3 = alpha + 1
+    assert GF8.mul(ALPHA, alpha2) == GF8.element((1, 1, 0))  # alpha^3 = alpha + 1
 
 
 def test_mul_identity_all_elements():
@@ -84,7 +85,7 @@ def test_mul_identity_all_elements():
 
 
 def test_inv_example_and_brute_force_oracle():
-    assert GF8.inv(ALPHA) == (1, 0, 1)  # alpha^6 = 1 + alpha^2
+    assert GF8.inv(ALPHA) == GF8.element((1, 0, 1))  # alpha^6 = 1 + alpha^2
     for a in GF8.elements():
         if a == GF8.zero:
             continue
@@ -108,7 +109,7 @@ def test_pow_negative_exponent():
 def test_frobenius_examples():
     assert GF8.frobenius(ALPHA, 1) == GF8.mul(ALPHA, ALPHA)
     assert GF8.frobenius(ALPHA, 3) == ALPHA
-    assert GF8.frobenius((1, 1, 0), 1) == (1, 0, 1)  # (a+1)^2 = a^2 + 1
+    assert GF8.frobenius(GF8.element((1, 1, 0)), 1) == GF8.element((1, 0, 1))  # (a+1)^2 = a^2 + 1
 
 
 @pytest.mark.parametrize("ctx", [GF8, FieldCtx(3, 2), FieldCtx(2, 4)])
@@ -178,7 +179,7 @@ def test_multiplication_matrix_examples():
     assert ident.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert GF8.multiplication_matrix(GF8.zero).rows == ((0, 0, 0),) * 3
     f4 = FieldCtx(2, 2)
-    assert f4.multiplication_matrix((0, 1)).rows == ((0, 1), (1, 1))
+    assert f4.multiplication_matrix(f4.element((0, 1))).rows == ((0, 1), (1, 1))
 
 
 @pytest.mark.parametrize("ctx", [FieldCtx(2, 2), GF8])
@@ -200,7 +201,7 @@ def test_embed_trivial_and_injective():
     f2 = FieldCtx(2, 1)
     f4 = FieldCtx(2, 2)
     phi = embed_linear(f2, f4)
-    assert phi(f2.one) == (1, 0)
+    assert f4.coefficients(phi(f2.one)) == (1, 0)
     f16 = FieldCtx(2, 4)
     psi = embed_linear(f4, f16)
     images = {psi(x) for x in f4.elements()}
@@ -211,7 +212,7 @@ def test_embed_compose_frobenius_rank():
     f4 = FieldCtx(2, 2)
     f16 = FieldCtx(2, 4)
     psi = embed_linear(f4, f16)
-    rows = [psi(f4.frobenius(b, 1)) for b in f4.basis()]
+    rows = [f16.coefficients(psi(f4.frobenius(b, 1))) for b in f4.basis()]
     from fqcodes.linalg import FqMatrix
     assert rref(FqMatrix(2, tuple(rows), 4))[1] == 2
 
@@ -263,7 +264,71 @@ def test_arithmetic_without_tables():
 
 def test_element_ordering_constant_term_most_significant():
     f4 = FieldCtx(2, 2)
-    assert [f4.element_at(i) for i in range(4)] == \
+    assert [f4.coefficients(f4.element_at(i)) for i in range(4)] == \
         [(0, 0), (0, 1), (1, 0), (1, 1)]
     for i in range(4):
-        assert f4.index_of(f4.element_at(i)) == i
+        assert f4.element_at(i) == i
+
+
+def test_element_rejects_non_canonical_coefficients():
+    for coeffs in ((2, 0, 0), (0, -1, 0), (1, 0, 3)):
+        with pytest.raises(InvalidParams, match=r"coefficient -?\d is not in \[0, 2\)"):
+            GF8.element(coeffs)
+    with pytest.raises(InvalidParams, match=r"coefficient 0.5 is not in \[0, 2\)"):
+        GF8.element((0.5, 0, 0))
+    with pytest.raises(InvalidParams, match="element needs 3 coefficients, got 2"):
+        GF8.element((1, 0))
+    for x in GF8.elements():
+        assert GF8.element(GF8.coefficients(x)) == x
+
+
+# -- the int arithmetic against schoolbook polynomial arithmetic --------------
+
+def _school_mul(a, b, modulus, q):
+    """Product of coefficient lists (constant term first) reduced by the monic modulus."""
+    n = len(modulus) - 1
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % q
+    for d in range(2 * n - 2, n - 1, -1):
+        c = prod[d]
+        for i, m in enumerate(modulus):
+            prod[d - n + i] = (prod[d - n + i] - c * m) % q
+    return prod[:n]
+
+
+def _school_pow(a, e, modulus, q):
+    result = [1] + [0] * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            result = _school_mul(result, a, modulus, q)
+        a = _school_mul(a, a, modulus, q)
+        e >>= 1
+    return result
+
+
+BIG = FieldCtx(2, 17, [1, 0, 0, 1] + [0] * 13 + [1])  # x^17 + x^3 + 1, no tables
+
+
+@pytest.mark.parametrize("ctx", [GF8, FieldCtx(3, 2), FieldCtx(5, 2), FieldCtx(2, 8), BIG],
+                         ids=["2^3", "3^2", "5^2", "2^8", "2^17"])
+def test_int_arithmetic_matches_schoolbook_polynomials(ctx):
+    assert (ctx._log is None) == (ctx.order > 1 << 16)
+    q, n, mod = ctx.q, ctx.n, ctx.modulus
+    rng = random.Random(ctx.order)
+    if ctx.order <= 64:
+        pairs = list(itertools.product(ctx.elements(), repeat=2))
+    else:
+        pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(100)]
+    for x, y in pairs:
+        a, b = ctx.coefficients(x), ctx.coefficients(y)
+        assert list(ctx.coefficients(ctx.add(x, y))) == [(u + v) % q for u, v in zip(a, b)]
+        assert list(ctx.coefficients(ctx.sub(x, y))) == [(u - v) % q for u, v in zip(a, b)]
+        assert list(ctx.coefficients(ctx.mul(x, y))) == _school_mul(a, b, mod, q)
+        e = y % 50
+        assert list(ctx.coefficients(ctx.pow(x, e))) == _school_pow(a, e, mod, q)
+        if x:
+            assert list(ctx.coefficients(ctx.inv(x))) == _school_pow(a, ctx.order - 2, mod, q)
+        i = y % (n + 1)
+        assert list(ctx.coefficients(ctx.frobenius(x, i))) == _school_pow(a, q ** i, mod, q)

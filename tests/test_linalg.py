@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
-from fqcodes.gf import FieldCtx
+from fqcodes.gf import FieldCtx, pack, prime_field
 from fqcodes.linalg import (
     FqMatrix,
     Subspace,
     enumerate_subspaces,
     ext_kernel_basis,
     ext_rank,
-    field_elements_as_vectors,
-    gf2_pack,
+    ext_rref,
     gf2_rank,
     kernel,
     rref,
@@ -159,10 +158,10 @@ def test_zero_dim_enumeration():
 
 def test_field_elements_as_vectors():
     f8 = FieldCtx(2, 3, [1, 1, 0, 1])
-    assert field_elements_as_vectors(f8, [f8.zero]) == [(0, 0, 0)]
-    assert field_elements_as_vectors(f8, [(0, 1, 0)]) == [(0, 1, 0)]
-    a3 = f8.pow((0, 1, 0), 3)
-    assert field_elements_as_vectors(f8, [a3]) == [(1, 1, 0)]
+    assert f8.coefficients(f8.zero) == (0, 0, 0)
+    assert f8.coefficients(f8.element((0, 1, 0))) == (0, 1, 0)
+    a3 = f8.pow(f8.element((0, 1, 0)), 3)
+    assert f8.coefficients(a3) == (1, 1, 0)
 
 
 def test_subspace_validation_rejects_non_rref():
@@ -175,12 +174,12 @@ def test_gf2_fast_rank_matches_generic():
     for _ in range(200):
         rows = [[rng.randrange(2) for _ in range(6)] for _ in range(4)]
         m = FqMatrix.from_rows(2, rows, 6)
-        assert gf2_rank([gf2_pack(r) for r in rows]) == rref(m)[1]
+        assert gf2_rank([pack(r, 2) for r in rows]) == rref(m)[1]
 
 
 def test_ext_rank_and_kernel_over_extension_field():
     f4 = FieldCtx(2, 2)
-    one, alpha = f4.one, (0, 1)
+    one, alpha = f4.one, f4.element((0, 1))
     rows = [(one, alpha, f4.zero), (alpha, f4.mul(alpha, alpha), f4.zero)]
     # second row = alpha * first row, so rank 1 and kernel dim 2
     assert ext_rank(rows, 3, f4) == 1
@@ -207,5 +206,49 @@ def test_span_distance_is_the_subspace_distance(data):
     a, b = data.draw(rows), data.draw(rows)
     u, v = span(a, ambient, q), span(b, ambient, q)
     expected = 2 * subspace_sum(u, v).dim - u.dim - v.dim
-    assert span_distance(a, b, ambient, q) == expected
+    assert span_distance([pack(r, q) for r in a], [pack(r, q) for r in b], ambient, q) == expected
     assert subspace_pair_distance(u, v) == expected
+
+
+def _rref_rows(rows: list[list[int]], cols: int, q: int):
+    """The former F_q kernel, kept as the oracle: in-place Gauss-Jordan with
+    residue arithmetic; returns (rows, rank, pivot_columns)."""
+    rank = 0
+    pivots = []
+    for col in range(cols):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], q - 2, q)
+        if inv != 1:
+            rows[rank] = [(e * inv) % q for e in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(a - f * b) % q for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows, rank, pivots
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_ext_rref_over_the_prime_field_matches_the_residue_kernel(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    cols = data.draw(st.integers(0, 6))
+    vector = st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols)
+    pool = data.draw(st.lists(vector, min_size=1, max_size=3))
+    # zero rows and rows repeated within the matrix
+    rows = data.draw(st.lists(st.one_of(vector, st.just([0] * cols), st.sampled_from(pool)),
+                              max_size=7))
+    want_rows, want_rank, want_pivots = _rref_rows([list(r) for r in rows], cols, q)
+    got_rows, got_rank, got_pivots = ext_rref(rows, cols, prime_field(q))
+    assert got_rows == [tuple(r) for r in want_rows]
+    assert (got_rank, got_pivots) == (want_rank, want_pivots)

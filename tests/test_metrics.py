@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx
 from fqcodes.metrics import (
+    FoldedWord,
     VectorCode,
     Word,
     code_min_distance,
@@ -105,18 +106,23 @@ def test_subset_distance_examples():
 def test_fold_examples():
     a = word(F2, [(1,), (0,), (1,), (1,)])
     f = fold(a, 2)
-    assert f.blocks == (((1,), (0,)), ((1,), (1,)))
-    assert fold(a, 4).blocks == (((1,), (0,), (1,), (1,)),)
+    assert f.blocks == _blocks(F2, (((1,), (0,)), ((1,), (1,))))
+    assert fold(a, 4).blocks == _blocks(F2, (((1,), (0,), (1,), (1,)),))
     b = word(F2, [(1,), (0,), (1,), (1,), (1,)])
     padded = fold(b, 2)
-    assert padded.blocks[-1] == ((1,), (0,))  # tail zero-padded
+    assert padded.blocks[-1] == _blocks(F2, (((1,), (0,)),))[0]  # tail zero-padded
+
+
+def _blocks(ctx, blocks):
+    """Blocks of coefficient sequences as blocks of elements."""
+    return tuple(tuple(ctx.element(s) for s in blk) for blk in blocks)
 
 
 def test_r_distances_coincide_with_plain_at_r1():
     rng = random.Random(4)
     for _ in range(50):
-        a = word(GF8, [GF8.element_at(rng.randrange(8)) for _ in range(4)])
-        b = word(GF8, [GF8.element_at(rng.randrange(8)) for _ in range(4)])
+        a = word(GF8, [GF8.coefficients(GF8.element_at(rng.randrange(8))) for _ in range(4)])
+        b = word(GF8, [GF8.coefficients(GF8.element_at(rng.randrange(8))) for _ in range(4)])
         assert r_subspace_distance(a, b, 1) == subspace_distance(a, b)
         assert r_subset_distance(a, b, 1) == subset_distance(a, b)
 
@@ -133,8 +139,8 @@ def test_repetition_words_full_fold():
 def test_insdel_even_for_equal_lengths():
     rng = random.Random(9)
     for _ in range(100):
-        a = word(F4, [F4.element_at(rng.randrange(4)) for _ in range(5)])
-        b = word(F4, [F4.element_at(rng.randrange(4)) for _ in range(5)])
+        a = word(F4, [F4.coefficients(F4.element_at(rng.randrange(4))) for _ in range(5)])
+        b = word(F4, [F4.coefficients(F4.element_at(rng.randrange(4))) for _ in range(5)])
         assert insdel_distance(a, b) % 2 == 0
 
 
@@ -266,3 +272,17 @@ def test_ghw_monotone_and_singleton_bound_random():
         supp = sum(1 for j in range(n)
                    if any(cw.symbols[j] != F4.zero for cw in c.codewords))
         assert ghw[-1] == supp
+
+
+@pytest.mark.parametrize("symbols", [((5, 7, 9),), (8,), (-1,), (1.0,), (None,)])
+def test_word_rejects_a_symbol_that_is_not_an_element(symbols):
+    with pytest.raises(InvalidParams, match=r"symbol .* is not an int in \[0, 8\)"):
+        Word(GF8, symbols)
+    with pytest.raises(InvalidParams, match=r"symbol .* is not an int in \[0, 8\)"):
+        FoldedWord(GF8, 1, ((0,), symbols))
+
+
+def test_word_from_coefficients_rejects_non_canonical_coefficients():
+    with pytest.raises(InvalidParams, match=r"coefficient 2 is not in \[0, 2\)"):
+        word(GF8, [(0, 2, 0)])
+    assert word(GF8, [(0, 1, 0)]).symbols == (GF8.element((0, 1, 0)),)

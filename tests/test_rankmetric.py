@@ -33,11 +33,12 @@ def test_eval_identity_and_zero():
 
 def test_eval_squaring_example():
     square = LinearizedPoly(GF8, (GF8.zero, GF8.one))  # x^q
-    assert linearized_eval(square, (1, 1, 0)) == (1, 0, 1)  # (a+1)^2 = a^2+1
+    assert linearized_eval(square, GF8.element((1, 1, 0))) == \
+        GF8.element((1, 0, 1))  # (a+1)^2 = a^2+1
 
 
 def test_eval_is_additive():
-    p = LinearizedPoly(GF8, ((1, 1, 0), (0, 1, 0)))
+    p = LinearizedPoly(GF8, (GF8.element((1, 1, 0)), GF8.element((0, 1, 0))))
     for x in GF8.elements():
         for y in GF8.elements():
             assert linearized_eval(p, GF8.add(x, y)) == \
@@ -174,3 +175,9 @@ def test_rect_member_count_formula():
     rect = gabidulin_rect(f4, f16, 1)
     assert len(rect) == 2 ** (4 * 2)
     assert rank_distance_of_code(rect) == 1
+
+
+@pytest.mark.parametrize("coeffs", [((1, 1, 0),), (8,), (-1,), (0, 2.0)])
+def test_linearized_poly_rejects_a_coefficient_that_is_not_an_element(coeffs):
+    with pytest.raises(InvalidParams, match=r"coefficient .* is not an int in \[0, 8\)"):
+        LinearizedPoly(GF8, coeffs)
