@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .errors import FqcodesError
 from .gf import FieldCtx, embed_linear
 from .linalg import (
-    FqMatrix,
     Subspace,
     enumerate_subspaces,
     kernel,

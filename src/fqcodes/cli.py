@@ -56,6 +56,7 @@ from .serialize import (
     metric_report_to_obj,
     save_file,
     sha256_file,
+    subspace_to_obj,
     trial_summary_to_obj,
 )
 from .suites import SUITES, run_suites
@@ -157,7 +158,7 @@ def _cmd_construct(args) -> int:
         sidon = sidon_search(ctx, args.k)
         sc = orbit_cyclic_code(ctx, sidon)
         sc.declared_distance = 2 * args.k - 2
-        sc.provenance["sidon_basis"] = [list(r) for r in sidon.basis.rows]
+        sc.provenance["sidon_basis"] = subspace_to_obj(sidon)["basis"]
         obj = _verify_subspace_code(sc, args.force, exact=True)
     elif kind == "block-enlarged":
         params.update(q=args.q, n=args.n, t=args.t)

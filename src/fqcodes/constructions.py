@@ -18,10 +18,9 @@ from fractions import Fraction
 from .errors import InvalidParams, NotFound, SearchTooLarge
 from .gf import FieldCtx
 from .linalg import (
-    FqMatrix,
     Subspace,
     enumerate_subspaces,
-    kernel,
+    rref,
     span,
     subspace_pair_distance,  # noqa: F401  (re-exported)
 )
@@ -51,7 +50,7 @@ class SubspaceCode:
             if constant_dim is not None and s.dim != constant_dim:
                 raise InvalidParams(
                     f"member of dimension {s.dim} in a constant-dimension-{constant_dim} code")
-            seen.setdefault(s.flat_key(), s)
+            seen.setdefault(s.rows, s)
         self.members = tuple(seen.values())
         self.constant_dim = constant_dim
         self.declared_distance = declared_distance
@@ -67,19 +66,16 @@ def subspace_code_min_distance(sc: SubspaceCode, force: bool = False) -> MetricR
 
 
 def lift_rank_code(rc: RankCode) -> SubspaceCode:
-    """Row spans of (I | A) for each member matrix A; distance doubles."""
+    """Row spans of (I | A) for each member matrix A; distance doubles.
+
+    (I | A) is already in RREF, so its packed rows, e_i followed by row i
+    of A, are the member as they stand.
+    """
     n = rc.nrows
-    m = rc.ncols
     q = rc.ctx.q
-    ambient = n + m
-    members = []
-    for mat in rc.matrices():
-        rows = []
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            rows.append(tuple(e) + mat.rows[i])
-        members.append(Subspace(q, ambient, FqMatrix(q, tuple(rows), ambient)))
+    ambient = n + rc.ncols
+    members = [Subspace(q, ambient, tuple(q ** (ambient - 1 - i) + a for i, a in enumerate(mat)))
+               for mat in rc.matrices()]
     declared = 2 * rc.declared_rank_distance if rc.declared_rank_distance else None
     return SubspaceCode(q, ambient, members, constant_dim=n,
                         declared_distance=declared,
@@ -88,11 +84,13 @@ def lift_rank_code(rc: RankCode) -> SubspaceCode:
 
 
 def _subfield_basis(ctx: FieldCtx, k: int) -> list[int]:
-    """An F_q-basis of the subfield F_{q^k}: the kernel of x -> x^(q^k) - x,
-    whose matrix has the image of basis_i as column i."""
-    images = [ctx.coefficients(ctx.sub(ctx.frobenius(b, k), b)) for b in ctx.basis()]
-    columns = FqMatrix(ctx.q, tuple(zip(*images)), ctx.n)
-    return [ctx.element(v) for v in kernel(columns).basis.rows]
+    """An F_q-basis of the subfield F_{q^k}: the RREF basis of the kernel of
+    x -> x^(q^k) - x.  Row i of (M | I), M the map's matrix, is the image of
+    basis_i followed by basis_i itself, so (M | I) has full rank; after
+    reduction, the rows with a zero M part are the kernel's RREF basis."""
+    rows, _ = rref([ctx.sub(ctx.frobenius(b, k), b) * ctx.order + b for b in ctx.basis()],
+                   2 * ctx.n, ctx.q)
+    return [r for r in rows if r < ctx.order]
 
 
 def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
@@ -110,10 +108,9 @@ def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
     members = []
     seen = set()
     for c in range(1, ctx.order):
-        member = span([ctx.coefficients(ctx.mul(c, s)) for s in sub], ambient_dim, q)
-        key = member.flat_key()
-        if key not in seen:
-            seen.add(key)
+        member = span([ctx.mul(c, s) for s in sub], ambient_dim, q)
+        if member.rows not in seen:
+            seen.add(member.rows)
             members.append(member)
             if len(members) == expected:
                 break
@@ -142,8 +139,7 @@ def sidon_check(ctx: FieldCtx, v: Subspace) -> bool:
         raise InvalidParams("subspace does not live in the given field")
     if ctx.q ** v.dim > _SIDON_GUARD:
         raise SearchTooLarge("subspace too large for the product scan")
-    lines = {a: _projective_rep(ctx, a)
-             for a in (ctx.element(x) for x in v.vectors()) if a}
+    lines = {a: _projective_rep(ctx, a) for a in v.vectors() if a}
     products = {}
     for a, ra in lines.items():
         for b, rb in lines.items():
@@ -173,14 +169,12 @@ def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
         raise InvalidParams("subspace does not live in the given field")
     if ctx.q ** v.dim > _SIDON_GUARD:
         raise SearchTooLarge("subspace too large to multiply out")
-    basis_elems = [ctx.element(r) for r in v.basis.rows]
     members = []
     seen = set()
     for x in range(1, ctx.order):
-        member = span([ctx.coefficients(ctx.mul(x, b)) for b in basis_elems], ctx.n, ctx.q)
-        key = member.flat_key()
-        if key not in seen:
-            seen.add(key)
+        member = span([ctx.mul(x, b) for b in v.rows], ctx.n, ctx.q)
+        if member.rows not in seen:
+            seen.add(member.rows)
             members.append(member)
     return SubspaceCode(ctx.q, ctx.n, members, constant_dim=v.dim,
                         provenance={"construction": "orbit_cyclic",
@@ -188,14 +182,14 @@ def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
                                     "modulus": list(ctx.modulus)})
 
 
-def _greedy_row_disjoint_multipliers(half: FieldCtx) -> list[FqMatrix]:
+def _greedy_row_disjoint_multipliers(half: FieldCtx) -> list[tuple]:
     """Multiplication matrices of nonzero subfield elements, greedily filtered
     so the chosen matrices pairwise share no row."""
     chosen = []
     used_rows = set()
     for x in range(1, half.order):
         mat = half.multiplication_matrix(x)
-        rows = set(mat.rows)
+        rows = set(mat)
         if rows & used_rows:
             continue
         chosen.append(mat)

@@ -77,9 +77,8 @@ def folded_code_min_distance(fc: FoldedCode, metric: str = "subset",
                                metric, force=force)
 
 
-def _span_symbols(basis_rows, length: int, ctx: FieldCtx):
+def _span_symbols(rows, length: int, ctx: FieldCtx):
     """Basis rows then cyclic pairwise sums b_1 + b_j, all inside the span."""
-    rows = [ctx.element(r) for r in basis_rows]
     k = len(rows)
     symbols = list(rows)
     j = 1
@@ -98,7 +97,7 @@ def span_code(sc: SubspaceCode, l: int) -> VectorCode:
     max_dim = max((s.dim for s in sc.members), default=0)
     if l < max_dim:
         raise InvalidParams(f"length {l} cannot span dimension {max_dim}")
-    words = [Word(ctx, _span_symbols(s.basis.rows, l, ctx)) for s in sc.members]
+    words = [Word(ctx, _span_symbols(s.rows, l, ctx)) for s in sc.members]
     return VectorCode(ctx, l, words,
                       provenance={"construction": "span_code", "length": l,
                                   "padding": "b1+bj cycle",
@@ -122,7 +121,7 @@ def partial_span_code(sc: SubspaceCode, l: int) -> VectorCode:
     if not t + 1 <= l <= k:
         raise InvalidParams(f"need {t + 1} <= l <= {k}, got {l}")
     ctx = FieldCtx(sc.q, sc.ambient)
-    words = [Word(ctx, tuple(ctx.element(r) for r in s.basis.rows[:l])) for s in sc.members]
+    words = [Word(ctx, s.rows[:l]) for s in sc.members]
     return VectorCode(ctx, l, words,
                       provenance={"construction": "partial_span_code", "length": l,
                                   "source": sc.provenance or None,
@@ -142,7 +141,7 @@ def all_vectors_code(sc: SubspaceCode, l: int) -> VectorCode:
     ctx = FieldCtx(sc.q, sc.ambient)
     words = []
     for s in sc.members:
-        ordered = sorted(ctx.element(v) for v in s.vectors())
+        ordered = sorted(s.vectors())
         ordered = ordered[1:] + ordered[:1]  # zero sorts first; move it last
         words.append(Word(ctx, tuple(ordered[:l])))
     return VectorCode(ctx, l, words,

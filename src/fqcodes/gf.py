@@ -331,11 +331,10 @@ class FieldCtx:
             raise InvalidParams(f"k={k} does not divide n={self.n}")
         return self.frobenius(x, k) == x
 
-    def multiplication_matrix(self, x: int):
-        """Matrix of y -> x*y in the power basis; row i is x * basis_i."""
-        from .linalg import FqMatrix  # linalg builds on this module
-        rows = tuple(self.coefficients(self.mul(x, b)) for b in self.basis())
-        return FqMatrix(self.q, rows, self.n)
+    def multiplication_matrix(self, x: int) -> tuple:
+        """Matrix of y -> x*y in the power basis, as packed rows: row i is
+        x * basis_i, whose int is its coefficient vector."""
+        return tuple(self.mul(x, b) for b in self.basis())
 
     # -- internals -----------------------------------------------------------
 

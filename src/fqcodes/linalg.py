@@ -1,20 +1,23 @@
 """Exact linear algebra over a finite field, with one row-reduction kernel.
 
-A row is a tuple of field elements, which are ints (see gf): over the prime
-field F_q = FieldCtx(q, 1) an entry is its residue in [0, q), over F_{q^n}
-it is a symbol.  `ext_rref` is the only Gauss-Jordan loop.  rref, span,
-kernel, rank and membership over F_q call it with the prime field; the
-extension-field functions (generalized Hamming weights, parity checks,
-membership in a linear code) call it with their FieldCtx.  The one
-specialization is `gf2_rank`, the rank over F_2 of bit-packed rows.
+A vector of F_q^m is one int: its m coordinates are base-q digits, the
+first most significant (gf.pack).  A symbol of F_{q^m} is the same int as
+its coefficient vector, and over F_2 the int is the bit-packed row.  Every
+F_q vector this module takes or returns has that form: the inputs of
+`span`, `rref` and `kernel`, the rows of a Subspace and its `vectors()`.
 
-A vector of F_q^m packs into one int (gf.pack, the first coordinate most
-significant); a symbol of F_{q^n} is already the packed form of its
-coefficient vector, and over F_2 the packed form is the bit-packed row.
+`ext_rref` is the only Gauss-Jordan loop.  It works on rows of field
+elements, so `rref` (and through it `span`) unpacks the vectors into their
+digits over the prime field F_q = FieldCtx(q, 1), reduces them and packs
+the result; the extension-field functions (generalized Hamming weights,
+parity checks, membership in a linear code) call it with their FieldCtx.
+The one specialization is `gf2_rank`, the rank over F_2 of packed rows.
 
-A subspace is always stored through its unique reduced-row-echelon basis,
-so subspace equality is plain matrix equality and sets of subspaces
-deduplicate exactly.
+A subspace is stored through its unique reduced-row-echelon basis, packed,
+so subspace equality is plain tuple equality and sets of subspaces
+deduplicate exactly.  `span`, `rref`, `kernel` and `Subspace.contains`
+reject any vector that is not an int in [0, q^m); a Subspace itself is a
+plain record and trusts its rows.
 """
 
 from __future__ import annotations
@@ -23,52 +26,27 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidParams, SearchTooLarge
-from .gf import pack, prime_field, unpack
+from .gf import add_packed, pack, prime_field, unpack
 
 _ENUM_GUARD = 1 << 20       # cap on q^ambient for subspace enumeration
 _ENUM_COUNT_CAP = 1 << 22   # cap on the number of subspaces materialized
 
 
-@dataclass(frozen=True)
-class FqMatrix:
-    """A rows x cols matrix over F_q; entries must already be reduced mod q."""
-
-    q: int
-    rows: tuple[tuple[int, ...], ...]
-    cols: int
-
-    def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.cols:
-                raise InvalidParams(f"row of length {len(r)} in a {self.cols}-column matrix")
-            for e in r:
-                if not 0 <= e < self.q:
-                    raise InvalidParams(f"entry {e} not reduced mod {self.q}")
-
-    @classmethod
-    def from_rows(cls, q: int, rows, cols: int | None = None) -> "FqMatrix":
-        rows = tuple(tuple(int(e) % q for e in r) for r in rows)
-        if cols is None:
-            if not rows:
-                raise InvalidParams("empty matrix needs an explicit column count")
-            cols = len(rows[0])
-        return cls(q, rows, cols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def matmul(self, other: "FqMatrix") -> "FqMatrix":
-        if self.q != other.q or self.cols != other.nrows:
-            raise InvalidParams("incompatible matrix product")
-        rows = ext_matmul(self.rows, other.rows, other.cols, prime_field(self.q))
-        return FqMatrix(self.q, tuple(rows), other.cols)
+def _coordinates(vectors, ambient: int, q: int) -> list[tuple]:
+    """The digit rows of packed vectors, each checked to be an int in [0, q^ambient)."""
+    rows = []
+    for v in vectors:
+        if not (isinstance(v, int) and 0 <= v < q ** ambient):
+            raise InvalidParams(f"vector {v!r} is not an int in [0, {q ** ambient})")
+        rows.append(unpack(v, q, ambient))
+    return rows
 
 
-def rref(m: FqMatrix) -> tuple[FqMatrix, int]:
-    """Unique reduced row echelon form of m and its rank."""
-    rows, rank, _ = ext_rref(m.rows, m.cols, prime_field(m.q))
-    return FqMatrix(m.q, tuple(rows), m.cols), rank
+def rref(vectors, ambient: int, q: int) -> tuple[tuple[int, ...], int]:
+    """Unique reduced row echelon form of the packed vectors, zero rows
+    last, and its rank."""
+    rows, rank, _ = ext_rref(_coordinates(vectors, ambient, q), ambient, prime_field(q))
+    return tuple(pack(r, q) for r in rows), rank
 
 
 def gf2_rank(packed: list[int]) -> int:
@@ -91,57 +69,43 @@ def packed_rank(vectors, ambient: int, q: int) -> int:
     """Rank of vectors of F_q^ambient, each packed into an int (gf.pack)."""
     if q == 2:
         return gf2_rank(vectors)
-    return ext_rank([unpack(v, q, ambient) for v in vectors], ambient, prime_field(q))
+    return ext_rank(_coordinates(vectors, ambient, q), ambient, prime_field(q))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """An F_q-linear subspace of F_q^ambient, canonically an RREF basis."""
+    """An F_q-linear subspace of F_q^ambient: the packed rows of its RREF
+    basis.  Build one with `span`, which checks and reduces its input."""
 
     q: int
     ambient: int
-    basis: FqMatrix
-
-    def __post_init__(self):
-        if self.basis.q != self.q or self.basis.cols != self.ambient:
-            raise InvalidParams("basis does not match declared ambient space")
-        reduced, rk = rref(self.basis)
-        if rk != self.basis.nrows or reduced != self.basis:
-            raise InvalidParams("subspace basis must be a zero-row-free RREF matrix")
+    rows: tuple
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
 
-    def vectors(self) -> list[tuple]:
-        """All q^dim member vectors (coefficients enumerated big-endian)."""
-        return span_vectors(self.basis.rows, self.ambient, prime_field(self.q))
+    def vectors(self) -> list[int]:
+        """All q^dim member vectors, packed: zero, then for each row in turn
+        the sums of the vectors so far with each nonzero multiple of it."""
+        q = self.q
+        vecs = [0]
+        for row in self.rows:
+            multiples = [row]
+            for _ in range(q - 2):
+                multiples.append(add_packed(multiples[-1], row, q))
+            vecs += [add_packed(v, m, q) for v in vecs for m in multiples]
+        return vecs
 
-    def contains(self, vector) -> bool:
-        vector = tuple(int(e) % self.q for e in vector)
-        if len(vector) != self.ambient:
-            raise InvalidParams("vector length does not match ambient dimension")
-        return ext_in_rowspan(vector, self.basis.rows, self.ambient, prime_field(self.q))
-
-    def flat_key(self) -> tuple:
-        return tuple(e for r in self.basis.rows for e in r)
-
-
-def _reduced_rows(vectors, ambient: int, q: int) -> list[list[int]]:
-    """The vectors as rows of entries reduced mod q, each of length ambient."""
-    rows = []
-    for v in vectors:
-        v = [int(e) % q for e in v]
-        if len(v) != ambient:
-            raise InvalidParams(f"vector of length {len(v)} in ambient {ambient}")
-        rows.append(v)
-    return rows
+    def contains(self, vector: int) -> bool:
+        """Is the packed vector, an int in [0, q^ambient), a member?"""
+        return rref(self.rows + (vector,), self.ambient, self.q)[1] == self.dim
 
 
 def span(vectors, ambient: int, q: int) -> Subspace:
-    """Canonical subspace spanned by the given row vectors of length ambient."""
-    rows, rk, _ = ext_rref(_reduced_rows(vectors, ambient, q), ambient, prime_field(q))
-    return Subspace(q, ambient, FqMatrix(q, tuple(rows[:rk]), ambient))
+    """Canonical subspace spanned by the packed vectors of F_q^ambient."""
+    rows, rank = rref(vectors, ambient, q)
+    return Subspace(q, ambient, rows[:rank])
 
 
 def span_distance(a, b, ambient: int, q: int) -> int:
@@ -160,14 +124,12 @@ def _require_common_ambient(u: Subspace, v: Subspace) -> None:
 
 def subspace_pair_distance(u: Subspace, v: Subspace) -> int:
     _require_common_ambient(u, v)
-    q = u.q
-    return span_distance([pack(r, q) for r in u.basis.rows],
-                         [pack(r, q) for r in v.basis.rows], u.ambient, q)
+    return span_distance(u.rows, v.rows, u.ambient, u.q)
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     _require_common_ambient(u, v)
-    return span(u.basis.rows + v.basis.rows, u.ambient, u.q)
+    return span(u.rows + v.rows, u.ambient, u.q)
 
 
 def subspace_intersection_dim(u: Subspace, v: Subspace) -> int:
@@ -175,9 +137,11 @@ def subspace_intersection_dim(u: Subspace, v: Subspace) -> int:
     return u.dim + v.dim - subspace_sum(u, v).dim
 
 
-def kernel(m: FqMatrix) -> Subspace:
-    """Null space of m as a subspace of F_q^cols."""
-    return span(ext_kernel_basis(m.rows, m.cols, prime_field(m.q)), m.cols, m.q)
+def kernel(rows, ncols: int, q: int) -> Subspace:
+    """Null space {x : rows . x = 0} of the matrix with the given packed rows,
+    as a subspace of F_q^ncols."""
+    basis = ext_kernel_basis(_coordinates(rows, ncols, q), ncols, prime_field(q))
+    return span([pack(v, q) for v in basis], ncols, q)
 
 
 def subspace_count(ambient: int, dim: int, q: int) -> int:
@@ -197,8 +161,9 @@ def subspace_count(ambient: int, dim: int, q: int) -> int:
 def enumerate_subspaces(q: int, ambient: int, dim: int):
     """Yield every dim-dimensional subspace of F_q^ambient exactly once.
 
-    Deterministic order: lexicographic on the flattened RREF basis.  Guarded
-    by q^ambient <= 2^20 and by the total subspace count.
+    Deterministic order: lexicographic on the flattened RREF basis, which
+    for rows of one length is the order of the tuples of packed rows.
+    Guarded by q^ambient <= 2^20 and by the total subspace count.
     """
     if dim < 0 or dim > ambient:
         raise InvalidParams(f"dimension {dim} out of range for ambient {ambient}")
@@ -206,7 +171,7 @@ def enumerate_subspaces(q: int, ambient: int, dim: int):
         raise SearchTooLarge(f"q^ambient = {q ** ambient} exceeds {_ENUM_GUARD}")
     if subspace_count(ambient, dim, q) > _ENUM_COUNT_CAP:
         raise SearchTooLarge("too many subspaces to materialize")
-    return (Subspace(q, ambient, FqMatrix(q, b, ambient))
+    return (Subspace(q, ambient, tuple(pack(r, q) for r in b))
             for b in _rref_bases(q, 1, ambient, dim))
 
 
@@ -246,6 +211,8 @@ def ext_rref(rows, ncols: int, ctx):
     rank_ = 0
     pivots = []
     for col in range(ncols):
+        if rank_ == len(rows):
+            break
         pivot = None
         for r in range(rank_, len(rows)):
             if rows[r][col]:
@@ -267,8 +234,6 @@ def ext_rref(rows, ncols: int, ctx):
                     rows[r] = [sub(a, mul(f, b)) for a, b in zip(rows[r], prow)]
         pivots.append(col)
         rank_ += 1
-        if rank_ == len(rows):
-            break
     return [tuple(r) for r in rows], rank_, pivots
 
 

@@ -17,7 +17,7 @@ pair in codeword order, so reports are reproducible.
 Subspace and subset sweeps prepare each member once instead of once per
 pair.  A member's subspace (the span of a word's symbols or of a folded
 word's flattened blocks, or a subspace code's member itself) is stored as
-the frozenset of all q^dim of its vectors, packed into ints, so
+the frozenset of its q^dim packed vectors, Subspace.vectors(), so
 dim(U ∩ V) = log_q |U ∩ V| is one set intersection; a subset sweep keeps
 each word's symbol or block set the same way.  When the members hold more
 than 2^20 vectors in total the subspace sweep scores each pair of the
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParams, SearchTooLarge
-from .gf import FieldCtx, add_packed, pack, prime_field, unpack
+from .gf import FieldCtx, pack
 from .linalg import (
     enumerate_ext_rref_bases,
     ext_matmul,
@@ -119,7 +119,7 @@ def insdel_distance(a: Word, b: Word) -> int:
 
 def word_span(a: Word):
     """F_q-span of the word's symbols inside F_q^n."""
-    return span([a.ctx.coefficients(s) for s in a.symbols], a.ctx.n, a.ctx.q)
+    return span(a.symbols, a.ctx.n, a.ctx.q)
 
 
 def subspace_distance(a: Word, b: Word) -> int:
@@ -236,19 +236,7 @@ def pairwise_min_report(items, dist, metric: str,
 
 def folded_span(a: FoldedWord):
     """F_q-span of the blocks, each flattened to a vector in F_q^(n*r)."""
-    q, ambient = a.ctx.q, a.ctx.n * a.block_len
-    return span([unpack(x, q, ambient) for x in _flat_blocks(a)], ambient, q)
-
-
-def _vector_set(s) -> frozenset:
-    """All q^dim vectors of a subspace, packed into ints: the sums of
-    multiples of the packed basis rows."""
-    q, field = s.q, prime_field(s.q)
-    vecs = [0]
-    for row in s.basis.rows:
-        multiples = [pack([field.mul(c, e) for e in row], q) for c in range(1, q)]
-        vecs += [add_packed(v, m, q) for v in vecs for m in multiples]
-    return frozenset(vecs)
+    return span(_flat_blocks(a), a.ctx.n * a.block_len, a.ctx.q)
 
 
 def _index_sweep(items, dist, metric, force, notes) -> MetricReport:
@@ -280,7 +268,7 @@ def subspace_min_report(items, subspace_of, metric: str,
         def dist(i, j):
             return subspace_pair_distance(subspaces[i], subspaces[j])
     else:
-        sets = [_vector_set(s) for s in subspaces]
+        sets = [frozenset(s.vectors()) for s in subspaces]
         dims = [s.dim for s in subspaces]
         log_q = {q ** k: k for k in range(max(dims) + 1)}
 

@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
-from .gf import FieldCtx, LinearEmbedding, embed_linear
-from .linalg import FqMatrix, packed_rank, subspace_count
+from .gf import FieldCtx, LinearEmbedding, add_packed, embed_linear, pack
+from .linalg import packed_rank, subspace_count
 from .metrics import PAIR_GUARD, pairwise_min_report
 
 _GABIDULIN_GUARD = 1 << 22
@@ -85,24 +85,22 @@ def linearized_eval(p: LinearizedPoly, x: int) -> int:
     return acc
 
 
-def poly_to_matrix(p: LinearizedPoly) -> FqMatrix:
-    """Matrix of the map in the power bases: row i is the image of basis_i."""
-    ctx = p.ctx
-    rows = tuple(ctx.coefficients(linearized_eval(p, b)) for b in p.domain.basis())
-    return FqMatrix(ctx.q, rows, ctx.n)
+def poly_to_matrix(p: LinearizedPoly) -> tuple:
+    """Matrix of the map in the power bases, as packed rows: row i is the
+    image of basis_i, whose int is its coefficient vector."""
+    return tuple(linearized_eval(p, b) for b in p.domain.basis())
 
 
 def poly_rank(p: LinearizedPoly) -> int:
-    """Rank of the map: the images of the basis are its packed matrix rows."""
-    images = [linearized_eval(p, b) for b in p.domain.basis()]
-    return packed_rank(images, p.ctx.n, p.ctx.q)
+    """Rank of the map, the rank of its packed matrix rows."""
+    return packed_rank(poly_to_matrix(p), p.ctx.n, p.ctx.q)
 
 
 class RankCode:
     """A set of linearized polynomials read as n_rows x n_cols matrices over F_q."""
 
     def __init__(self, ctx: FieldCtx, members, t: int, src: FieldCtx | None = None,
-                 declared_rank_distance: int | None = None, linear: bool = True,
+                 declared_rank_distance: int | None = None,
                  provenance: dict | None = None):
         self.ctx = ctx
         self.src = src
@@ -111,7 +109,6 @@ class RankCode:
         if len(set(self.members)) != len(self.members):
             raise InvalidParams("rank code members must be distinct")
         self.declared_rank_distance = declared_rank_distance
-        self.linear = linear
         self.provenance = dict(provenance) if provenance else {}
 
     @property
@@ -170,22 +167,26 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
 
 def rank_distance_of_code(c: RankCode, force: bool = False,
                           guard: int = PAIR_GUARD) -> int:
-    """Exact minimum rank distance; linear codes scan nonzero members only."""
+    """Exact minimum rank distance.
+
+    When the member matrices are distinct and form an F_q-linear space,
+    checked as q^rank == |C| for the matrices flattened to vectors of
+    F_q^(nrows*ncols), the minimum distance is the minimum rank of a
+    nonzero member, and only members are scanned.  Otherwise every pair
+    is, by the rank of the difference of its matrices.
+    """
     if len(c.members) < 2:
         raise InvalidParams("rank distance needs at least two members")
-    if c.linear:
-        best = None
-        for p in c.members:
-            if p.is_zero():
-                continue
-            r = poly_rank(p)
-            if best is None or r < best:
-                best = r
-        if best is None:
-            raise InvalidParams("linear rank code has no nonzero member")
-        return best
-    return pairwise_min_report(c.members, lambda a, b: poly_rank(a.sub(b)), "rank",
-                               guard=guard, force=force).minimum
+    q, ncols = c.ctx.q, c.ncols
+    matrices = list(c.matrices())
+    flat = [pack(m, q ** ncols) for m in matrices]
+    if (len(set(flat)) == len(flat)
+            and q ** packed_rank(flat, c.nrows * ncols, q) == len(flat)):
+        return min(packed_rank(m, ncols, q) for m, f in zip(matrices, flat) if f)
+
+    def dist(a, b):
+        return packed_rank([add_packed(x, y, q, -1) for x, y in zip(a, b)], ncols, q)
+    return pairwise_min_report(matrices, dist, "rank", guard=guard, force=force).minimum
 
 
 def mrd_check(c: RankCode, m_cols: int, n_rows: int, d: int) -> bool:

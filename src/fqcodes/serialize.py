@@ -5,10 +5,11 @@ tabular reports.  Writing is canonical (sorted keys, two-space indent,
 trailing newline) and atomic (temp file + rename), so identical runs
 produce byte-identical files.  Integers beyond the 53-bit float-safe range
 are emitted as decimal strings; readers accept either form.  A field
-element is written as its coefficient list (c_0 first), the one place
-outside gf where elements take that form.  Subspace bases are
-re-validated as RREF on read, and any structural problem surfaces as
-ParseError.
+element is written as its coefficient list (c_0 first), and so is a
+subspace basis row, which the library holds as a packed int: this module
+is the one place outside gf where either takes that form.  Subspace bases
+are checked entry by entry and re-validated as RREF on read, and any
+structural problem surfaces as ParseError.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .bounds import BoundReport
 from .channel import TrialSummary
 from .constructions import SubspaceCode
 from .derived import DifferenceSet, FoldedCode
-from .errors import FqcodesError, ParseError
-from .gf import FieldCtx, check_characteristic
-from .linalg import FqMatrix, Subspace
+from .errors import FqcodesError, InvalidParams, ParseError
+from .gf import FieldCtx, check_characteristic, pack, unpack
+from .linalg import Subspace, span
 from .metrics import FoldedWord, MetricReport, VectorCode, Word
 from .rankmetric import LinearizedPoly, RankCode, RankDistribution
 
@@ -131,17 +132,37 @@ def field_from_obj(d) -> FieldCtx:
 
 # -- subspaces -------------------------------------------------------------
 
+def _basis_to_lists(s: Subspace) -> list:
+    return [list(unpack(r, s.q, s.ambient)) for r in s.rows]
+
+
+def _subspace_from_lists(q: int, ambient: int, basis) -> Subspace:
+    """A subspace read from its basis: rows of `ambient` entries in [0, q)
+    that already form a zero-row-free RREF matrix."""
+    rows = []
+    for r in basis:
+        r = [as_int(e) for e in r]
+        if len(r) != ambient:
+            raise InvalidParams(f"basis row of length {len(r)} in ambient {ambient}")
+        for e in r:
+            if not 0 <= e < q:
+                raise InvalidParams(f"basis entry {e} is not in [0, {q})")
+        rows.append(pack(r, q))
+    s = span(rows, ambient, q)
+    if s.rows != tuple(rows):
+        raise InvalidParams("subspace basis must be a zero-row-free RREF matrix")
+    return s
+
+
 def subspace_to_obj(s: Subspace) -> dict:
-    return {"ambient": s.ambient, "q": s.q, "basis": [list(r) for r in s.basis.rows]}
+    return {"ambient": s.ambient, "q": s.q, "basis": _basis_to_lists(s)}
 
 
 @_parses("subspace object")
 def subspace_from_obj(d) -> Subspace:
     q = as_int(d["q"])
     check_characteristic(q)
-    ambient = as_int(d["ambient"])
-    rows = tuple(tuple(as_int(e) for e in r) for r in d["basis"])
-    return Subspace(q, ambient, FqMatrix(q, rows, ambient))
+    return _subspace_from_lists(q, as_int(d["ambient"]), d["basis"])
 
 
 # -- vector codes ----------------------------------------------------------
@@ -213,7 +234,7 @@ def subspace_code_to_obj(sc: SubspaceCode) -> dict:
         "ambient": sc.ambient,
         "constant_dim": sc.constant_dim,
         "declared_distance": sc.declared_distance,
-        "subspaces": [{"basis": [list(r) for r in s.basis.rows]} for s in sc.members],
+        "subspaces": [{"basis": _basis_to_lists(s)} for s in sc.members],
         "provenance": sc.provenance or None,
     }
 
@@ -223,10 +244,7 @@ def subspace_code_from_obj(d) -> SubspaceCode:
     q = as_int(d["q"])
     check_characteristic(q)
     ambient = as_int(d["ambient"])
-    members = []
-    for entry in d["subspaces"]:
-        rows = tuple(tuple(as_int(e) for e in r) for r in entry["basis"])
-        members.append(Subspace(q, ambient, FqMatrix(q, rows, ambient)))
+    members = [_subspace_from_lists(q, ambient, entry["basis"]) for entry in d["subspaces"]]
     cdim = d.get("constant_dim")
     dist = d.get("declared_distance")
     return SubspaceCode(q, ambient, members,
@@ -291,7 +309,7 @@ def _witness_to_obj(item):
     if isinstance(item, FoldedWord):
         return {"blocks": _blocks_to_lists(item)}
     if isinstance(item, Subspace):
-        return {"basis": [list(r) for r in item.basis.rows]}
+        return {"basis": _basis_to_lists(item)}
     return {"value": repr(item)}
 
 

@@ -139,7 +139,7 @@ def suite_spread() -> SuiteResult:
     cover = {}
     for s in sc.members:
         for v in s.vectors():
-            if any(v):
+            if v:
                 cover[v] = cover.get(v, 0) + 1
     res.check("partition", len(cover) == 15 and set(cover.values()) == {1},
               f"covered {len(cover)} vectors")

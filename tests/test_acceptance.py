@@ -150,7 +150,7 @@ def test_criterion_05_spread():
     cover = {}
     for s in sc.members:
         for v in s.vectors():
-            if any(v):
+            if v != 0:
                 cover[v] = cover.get(v, 0) + 1
     if len(cover) != 15 or set(cover.values()) != {1}:
         failures.append("spread(2,2,4) is not a partition of the nonzero vectors")

@@ -1,12 +1,13 @@
 """Subspace code constructions: lifting, spreads, Sidon orbits, enlargement."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from fqcodes.errors import InvalidParams
-from fqcodes.gf import FieldCtx
-from fqcodes.linalg import FqMatrix, enumerate_subspaces, span
+from fqcodes.gf import FieldCtx, pack, prime_field, unpack
+from fqcodes.linalg import enumerate_subspaces, ext_matmul, kernel, span
 from fqcodes.constructions import (
     SubspaceCode,
     _greedy_row_disjoint_multipliers,
@@ -29,13 +30,19 @@ from fqcodes.rankmetric import (
     gabidulin_code,
     poly_to_matrix,
 )
+from fqcodes.serialize import (
+    subspace_code_from_obj,
+    subspace_code_to_obj,
+    subspace_from_obj,
+    subspace_to_obj,
+)
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 
 
 def test_min_distance_disjoint_planes():
-    u = span([(1, 0, 0, 0), (0, 1, 0, 0)], 4, 2)
-    v = span([(0, 0, 1, 0), (0, 0, 0, 1)], 4, 2)
+    u = span([0b1000, 0b0100], 4, 2)
+    v = span([0b0010, 0b0001], 4, 2)
     sc = SubspaceCode(2, 4, [u, v], constant_dim=2)
     assert subspace_code_min_distance(sc).minimum == 4
 
@@ -48,11 +55,11 @@ def test_fast_path_matches_generic_sweep():
 
 
 def test_lift_zero_code():
-    zero = RankCode(GF8, [LinearizedPoly(GF8, (GF8.zero,))], 0, linear=False)
+    zero = RankCode(GF8, [LinearizedPoly(GF8, (GF8.zero,))], 0)
     sc = lift_rank_code(zero)
     assert len(sc) == 1
-    basis = sc.members[0].basis.rows
-    assert basis == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0))
+    basis = sc.members[0].rows
+    assert basis == (0b100000, 0b010000, 0b001000)
 
 
 def test_lift_gabidulin_231():
@@ -68,7 +75,7 @@ def test_lift_gabidulin_231():
 def test_lift_injective():
     code = gabidulin_code(GF8, 1)
     sc = lift_rank_code(code)
-    assert len({s.flat_key() for s in sc.members}) == len(code)
+    assert len({s.rows for s in sc.members}) == len(code)
 
 
 def test_lift_min_distance_at_least_twice_rank_distance():
@@ -85,7 +92,7 @@ def test_spread_224():
     cover = {}
     for s in sc.members:
         for v in s.vectors():
-            if any(v):
+            if v != 0:
                 cover[v] = cover.get(v, 0) + 1
     assert len(cover) == 15
     assert set(cover.values()) == {1}
@@ -118,7 +125,7 @@ def test_sidon_dim_one_always():
 def test_subfield_is_not_sidon():
     f16 = FieldCtx(2, 4)
     subfield_vecs = [x for x in f16.elements() if f16.subfield_member(x, 2)]
-    v = span([f16.coefficients(x) for x in subfield_vecs if x], 4, 2)
+    v = span([x for x in subfield_vecs if x], 4, 2)
     assert v.dim == 2
     assert not sidon_check(f16, v)
 
@@ -129,7 +136,7 @@ def test_sidon_search_finds_witness():
     assert v.dim == 2
     assert sidon_check(ctx, v)
     # quadruple-level oracle on the found space
-    nonzero = [ctx.element(x) for x in v.vectors() if any(x)]
+    nonzero = [x for x in v.vectors() if x != 0]
     for a in nonzero:
         for b in nonzero:
             for c in nonzero:
@@ -175,7 +182,7 @@ def test_orbit_of_sidon_space():
 def test_orbit_of_subfield_collapses():
     f16 = FieldCtx(2, 4)
     subfield_vecs = [x for x in f16.elements() if f16.subfield_member(x, 2)]
-    v = span([f16.coefficients(x) for x in subfield_vecs if x], 4, 2)
+    v = span([x for x in subfield_vecs if x], 4, 2)
     orbit = orbit_cyclic_code(f16, v)
     assert len(orbit) == 5  # (2^4 - 1) / (2^2 - 1)
 
@@ -184,13 +191,12 @@ def test_orbit_closed_under_multiplication():
     ctx = FieldCtx(2, 5)
     v = sidon_search(ctx, 2)
     orbit = orbit_cyclic_code(ctx, v)
-    keys = {s.flat_key() for s in orbit.members}
+    keys = {s.rows for s in orbit.members}
     prim = next(x for x in ctx.elements()
                 if x not in (ctx.zero, ctx.one))
     for s in orbit.members:
-        image = span([ctx.coefficients(ctx.mul(prim, ctx.element(r))) for r in s.basis.rows],
-                     5, 2)
-        assert image.flat_key() in keys
+        image = span([ctx.mul(prim, r) for r in s.rows], 5, 2)
+        assert image.rows in keys
 
 
 def test_block_enlarged_small_instance():
@@ -205,11 +211,18 @@ def test_block_enlarged_collapses_to_lifted_code():
     ctx = FieldCtx(2, 4)
     fam = block_enlarged_family(ctx, 2)
     lifted = lift_rank_code(gabidulin_code(ctx, 2))
-    assert {s.flat_key() for s in fam.members} == {s.flat_key() for s in lifted.members}
+    assert {s.rows for s in fam.members} == {s.rows for s in lifted.members}
     assert fam.provenance["h1_count"] == 4
     assert fam.provenance["h2_count"] == 1  # all other multipliers share a row
     assert fam.provenance["raw_pairs"] == 4096 * 4
     assert fam.provenance["formula_value"] == "12288"
+
+
+def _matmul(a, b, cols, q):
+    """Product over F_q of matrices given as packed rows; b has cols columns."""
+    rows = ext_matmul([unpack(r, q, len(b)) for r in a], [unpack(r, q, cols) for r in b],
+                      cols, prime_field(q))
+    return [pack(r, q) for r in rows]
 
 
 def _raw_block_enlarged(ctx, t):
@@ -222,10 +235,9 @@ def _raw_block_enlarged(ctx, t):
     gs = []
     for h1 in h1s:
         for h2 in h2s:
-            rows = [tuple(int(i == j) for j in range(h)) + h1.rows[i] for i in range(h)]
-            rows += [(0,) * h + h2.rows[i] for i in range(h)]
-            gs.append(FqMatrix(q, tuple(rows), n))
-    members = [span([gr + ar for gr, ar in zip(g.rows, g.matmul(a).rows)], 2 * n, q)
+            # rows (e_i | H1_i), then (0 | H2_i)
+            gs.append([q ** (n - 1 - i) + h1[i] for i in range(h)] + list(h2))
+    members = [span([gr * q ** n + ar for gr, ar in zip(g, _matmul(g, a, n, q))], 2 * n, q)
                for a in gabidulin_code(ctx, t).matrices() for g in gs]
     return SubspaceCode(q, 2 * n, members, constant_dim=n), len(members), len(h1s), len(h2s)
 
@@ -235,7 +247,7 @@ def test_block_enlarged_matches_raw_build(q, n, t):
     ctx = FieldCtx(q, n)
     fam = block_enlarged_family(ctx, t)
     raw, raw_pairs, h1_count, h2_count = _raw_block_enlarged(ctx, t)
-    assert [s.flat_key() for s in fam.members] == [s.flat_key() for s in raw.members]
+    assert [s.rows for s in fam.members] == [s.rows for s in raw.members]
     prov = fam.provenance
     assert (prov["raw_pairs"], prov["h1_count"], prov["h2_count"]) == \
         (raw_pairs, h1_count, h2_count)
@@ -281,9 +293,9 @@ def _spread_by_all_multiples(q, k, n):
     expected = (q ** n - 1) // (q ** k - 1)
     members, seen = [], set()
     for c in range(1, ctx.order):
-        member = span([ctx.coefficients(ctx.mul(c, s)) for s in sub], n, q)
-        if member.flat_key() not in seen:
-            seen.add(member.flat_key())
+        member = span([ctx.mul(c, s) for s in sub], n, q)
+        if member.rows not in seen:
+            seen.add(member.rows)
             members.append(member)
             if len(members) == expected:
                 break
@@ -300,6 +312,42 @@ def test_subfield_basis_spans_the_subfield(q, k, n):
     ctx = FieldCtx(q, n)
     basis = _subfield_basis(ctx, k)
     assert len(basis) == k
-    vectors = span([ctx.coefficients(b) for b in basis], n, q).vectors()
-    assert sorted(ctx.element(v) for v in vectors) == \
+    vectors = span(basis, n, q).vectors()
+    assert sorted(vectors) == \
         [x for x in ctx.elements() if ctx.subfield_member(x, k)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_every_subspace_is_its_canonical_span(q):
+    """A Subspace is not re-reduced when it is built, so every producer must
+    hand over packed rows that are already the RREF basis of their span."""
+    rng = random.Random(q)
+    subspaces = []
+    for _ in range(30):
+        vectors = [rng.randrange(q ** 4) for _ in range(rng.randrange(5))]
+        subspaces += [span(vectors, 4, q), kernel(vectors, 4, q)]
+    for dim in range(4):
+        subspaces += enumerate_subspaces(q, 3, dim)
+    f2, f3 = FieldCtx(q, 2), FieldCtx(q, 3)
+    subspaces += lift_rank_code(gabidulin_code(f2, 1)).members
+    subspaces += lift_rank_code(gabidulin_code(f3, 0)).members
+    subspaces += spread(q, 1, 3).members + spread(q, 2, 4).members
+    sidon = sidon_search(f3, 1)
+    subspaces += [sidon, *orbit_cyclic_code(f3, sidon).members]
+    if q == 2:
+        f5 = FieldCtx(2, 5)
+        sidon = sidon_search(f5, 2)
+        subspaces += [sidon, *orbit_cyclic_code(f5, sidon).members]
+    subspaces += block_enlarged_family(f2, 1).members
+    for s in subspaces:
+        assert all(isinstance(r, int) for r in s.rows)
+        assert s == span(s.rows, s.ambient, s.q)
+        assert subspace_from_obj(subspace_to_obj(s)) == s
+    by_ambient = {}
+    for s in subspaces:
+        by_ambient.setdefault(s.ambient, []).append(s)
+    for ambient, members in by_ambient.items():
+        code = SubspaceCode(q, ambient, members)
+        loaded = subspace_code_from_obj(subspace_code_to_obj(code))
+        assert loaded.members == code.members
+        assert all(s == span(s.rows, s.ambient, s.q) for s in loaded.members)

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
-from fqcodes.gf import FieldCtx, pack, prime_field
+from fqcodes.gf import FieldCtx, pack, prime_field, unpack
 from fqcodes.linalg import (
-    FqMatrix,
-    Subspace,
     enumerate_subspaces,
     ext_kernel_basis,
     ext_rank,
@@ -29,15 +27,14 @@ from fqcodes.rankmetric import gaussian_binomial
 
 
 def test_rref_identity_and_zero():
-    ident = FqMatrix.from_rows(2, [[1, 0], [0, 1]])
-    assert rref(ident) == (ident, 2)
-    zero = FqMatrix.from_rows(3, [[0, 0, 0], [0, 0, 0]])
-    assert rref(zero) == (zero, 0)
+    ident = (0b10, 0b01)
+    assert rref(ident, 2, 2) == (ident, 2)
+    zero = (0, 0)
+    assert rref(zero, 3, 3) == (zero, 0)
 
 
 def test_rref_row_sum_dependency():
-    m = FqMatrix.from_rows(2, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    _, rank = rref(m)
+    _, rank = rref([0b110, 0b011, 0b101], 3, 2)
     assert rank == 2
 
 
@@ -46,44 +43,45 @@ def test_rref_idempotent_on_random_matrices():
     for q in (2, 3, 5):
         for _ in range(25):
             rows = [[rng.randrange(q) for _ in range(4)] for _ in range(3)]
-            first, rank1 = rref(FqMatrix.from_rows(q, rows, 4))
-            second, rank2 = rref(first)
+            first, rank1 = rref([pack(r, q) for r in rows], 4, q)
+            second, rank2 = rref(first, 4, q)
             assert first == second and rank1 == rank2
 
 
 def test_span_examples():
     assert span([], 3, 2).dim == 0
-    full = span([(1, 0), (0, 1), (1, 1)], 2, 2)
+    full = span([0b10, 0b01, 0b11], 2, 2)
     assert full.dim == 2
-    s = span([(1, 1, 0), (0, 0, 1)], 3, 2)
-    assert s.basis.rows == ((1, 1, 0), (0, 0, 1))
+    s = span([0b110, 0b001], 3, 2)
+    assert s.rows == (0b110, 0b001)
 
 
 def test_span_order_and_duplicate_independent():
     rng = random.Random(7)
     for _ in range(30):
-        vecs = [tuple(rng.randrange(2) for _ in range(4)) for _ in range(3)]
+        vecs = [pack([rng.randrange(2) for _ in range(4)], 2) for _ in range(3)]
         a = span(vecs, 4, 2)
         b = span(list(reversed(vecs)) + vecs, 4, 2)
         assert a == b
 
 
 def test_span_length_mismatch():
-    with pytest.raises(InvalidParams, match="vector of length 3 in ambient 2"):
-        span([(1, 0), (1, 0, 0)], 2, 2)
+    # a packed vector with more coordinates than the ambient space is out of range
+    with pytest.raises(InvalidParams, match=r"vector 4 is not an int in \[0, 4\)"):
+        span([0b10, 0b100], 2, 2)
 
 
 def test_sum_intersection_examples():
-    u = span([(1, 0, 0), (0, 1, 0)], 3, 2)
-    v = span([(0, 1, 0), (0, 0, 1)], 3, 2)
+    u = span([0b100, 0b010], 3, 2)
+    v = span([0b010, 0b001], 3, 2)
     assert subspace_sum(u, v).dim == 3
     assert subspace_intersection_dim(u, v) == 1
     # oracle: count common vectors by enumeration
     common = set(u.vectors()) & set(v.vectors())
     assert len(common) == 2  # q^1
     assert subspace_intersection_dim(u, u) == u.dim
-    l1 = span([(1, 0)], 2, 2)
-    l2 = span([(0, 1)], 2, 2)
+    l1 = span([0b10], 2, 2)
+    l2 = span([0b01], 2, 2)
     assert subspace_sum(l1, l2).dim == 2
     assert subspace_intersection_dim(l1, l2) == 0
 
@@ -106,13 +104,11 @@ def test_dimension_formula_exhaustive_f2_4():
 
 
 def test_kernel_examples():
-    ident = FqMatrix.from_rows(2, [[1, 0], [0, 1]])
-    assert kernel(ident).dim == 0
-    zero = FqMatrix.from_rows(2, [[0, 0, 0], [0, 0, 0]], 3)
-    assert kernel(zero).dim == 3
-    k = kernel(FqMatrix.from_rows(2, [[1, 1, 1]]))
+    assert kernel([0b10, 0b01], 2, 2).dim == 0
+    assert kernel([0, 0], 3, 2).dim == 3
+    k = kernel([0b111], 3, 2)
     assert k.dim == 2
-    assert k.contains((1, 1, 0))
+    assert k.contains(0b110)
 
 
 def test_kernel_annihilation_and_rank_nullity():
@@ -120,11 +116,11 @@ def test_kernel_annihilation_and_rank_nullity():
     for q in (2, 3):
         for _ in range(20):
             rows = [[rng.randrange(q) for _ in range(5)] for _ in range(3)]
-            m = FqMatrix.from_rows(q, rows, 5)
-            ker = kernel(m)
-            _, rk = rref(m)
+            m = [pack(r, q) for r in rows]
+            ker = kernel(m, 5, q)
+            _, rk = rref(m, 5, q)
             assert ker.dim == 5 - rk
-            for v in ker.basis.rows:
+            for v in (unpack(x, q, 5) for x in ker.rows):
                 prod = [sum(r[i] * v[i] for i in range(5)) % q for r in rows]
                 assert not any(prod)
 
@@ -136,13 +132,13 @@ def test_enumeration_count_matches_gaussian_binomial(q, ambient):
         subs = list(enumerate_subspaces(q, ambient, dim))
         assert len(subs) == gaussian_binomial(ambient, dim, q)
         assert len(subs) == subspace_count(ambient, dim, q)
-        assert len({s.flat_key() for s in subs}) == len(subs)
+        assert len({s.rows for s in subs}) == len(subs)
         assert all(s.dim == dim for s in subs)
 
 
 def test_enumeration_sorted_and_restartable():
-    first = [s.flat_key() for s in enumerate_subspaces(2, 4, 2)]
-    second = [s.flat_key() for s in enumerate_subspaces(2, 4, 2)]
+    first = [s.rows for s in enumerate_subspaces(2, 4, 2)]
+    second = [s.rows for s in enumerate_subspaces(2, 4, 2)]
     assert first == second == sorted(first)
 
 
@@ -164,17 +160,42 @@ def test_field_elements_as_vectors():
     assert f8.coefficients(a3) == (1, 1, 0)
 
 
-def test_subspace_validation_rejects_non_rref():
-    with pytest.raises(Exception):
-        Subspace(2, 3, FqMatrix.from_rows(2, [[1, 1, 0], [1, 0, 0]], 3))
+@pytest.mark.parametrize("vector", [(3, 0, -1), (1, 0, 1), -1, 8, 2 ** 70, 1.0, "5", None])
+def test_span_rejects_a_vector_that_is_not_a_packed_int_in_range(vector):
+    # (3, 0, -1) used to be reduced mod 2 to the line through (1, 0, 1)
+    with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
+        span([0b100, vector], 3, 2)
+    with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
+        rref([vector], 3, 2)
+    with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
+        kernel([vector], 3, 2)
+
+
+@pytest.mark.parametrize("vector", [(3, 0, 2), (1, 0, 0), -4, 8, 12])
+def test_contains_rejects_a_vector_that_is_not_a_packed_int_in_range(vector):
+    # (3, 0, 2) used to be reduced mod 2 to (1, 0, 0), a member
+    line = span([0b100], 3, 2)
+    with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
+        line.contains(vector)
+    assert line.contains(0b100) and line.contains(0) and not line.contains(0b101)
+
+
+def test_vectors_are_the_packed_linear_combinations():
+    for q in (2, 3, 5):
+        s = span([pack((1, 0, 2 % q), q), pack((0, 1, 1), q)], 3, q)
+        vectors = s.vectors()
+        assert len(vectors) == len(set(vectors)) == q ** 2 and vectors[0] == 0
+        combos = {tuple((a * x + b * y) % q for x, y in zip((1, 0, 2 % q), (0, 1, 1)))
+                  for a in range(q) for b in range(q)}
+        assert {unpack(v, q, 3) for v in vectors} == combos
 
 
 def test_gf2_fast_rank_matches_generic():
     rng = random.Random(5)
     for _ in range(200):
         rows = [[rng.randrange(2) for _ in range(6)] for _ in range(4)]
-        m = FqMatrix.from_rows(2, rows, 6)
-        assert gf2_rank([pack(r, 2) for r in rows]) == rref(m)[1]
+        packed = [pack(r, 2) for r in rows]
+        assert gf2_rank(packed) == rref(packed, 6, 2)[1]
 
 
 def test_ext_rank_and_kernel_over_extension_field():
@@ -204,9 +225,10 @@ def test_span_distance_is_the_subspace_distance(data):
     rows = st.lists(st.one_of(vector, st.just([0] * ambient), st.sampled_from(pool)),
                     max_size=5)
     a, b = data.draw(rows), data.draw(rows)
+    a, b = [pack(r, q) for r in a], [pack(r, q) for r in b]
     u, v = span(a, ambient, q), span(b, ambient, q)
     expected = 2 * subspace_sum(u, v).dim - u.dim - v.dim
-    assert span_distance([pack(r, q) for r in a], [pack(r, q) for r in b], ambient, q) == expected
+    assert span_distance(a, b, ambient, q) == expected
     assert subspace_pair_distance(u, v) == expected
 
 

@@ -1,10 +1,14 @@
 """Gabidulin codes, rank census versus the closed-form distribution."""
 
+import itertools
+
 import pytest
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx
+from fqcodes import rankmetric
 from fqcodes.linalg import rref
+from fqcodes.metrics import pairwise_min_report
 from fqcodes.rankmetric import (
     LinearizedPoly,
     RankCode,
@@ -19,6 +23,7 @@ from fqcodes.rankmetric import (
     poly_to_matrix,
     rank_distance_of_code,
 )
+from fqcodes.serialize import load_file, save_file
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 
@@ -47,24 +52,24 @@ def test_eval_is_additive():
 
 def test_poly_to_matrix_examples():
     ident = LinearizedPoly(GF8, (GF8.one,))
-    assert poly_to_matrix(ident).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert poly_to_matrix(ident) == (0b100, 0b010, 0b001)
     zero = LinearizedPoly(GF8, (GF8.zero,))
-    assert poly_to_matrix(zero).rows == ((0, 0, 0),) * 3
+    assert poly_to_matrix(zero) == (0,) * 3
     square = LinearizedPoly(GF8, (GF8.zero, GF8.one))
-    assert rref(poly_to_matrix(square))[1] == 3  # Frobenius is a bijection
+    assert rref(poly_to_matrix(square), 3, 2)[1] == 3  # Frobenius is a bijection
 
 
 def test_poly_to_matrix_additive_and_injective():
     code = gabidulin_code(GF8, 1)
     seen = set()
     for p in code.members:
-        seen.add(poly_to_matrix(p).rows)
+        seen.add(poly_to_matrix(p))
     assert len(seen) == len(code)
     a, b = code.members[5], code.members[9]
     summed = LinearizedPoly(GF8, tuple(GF8.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
-    lhs = poly_to_matrix(summed).rows
-    rhs = tuple(tuple((x + y) % 2 for x, y in zip(r1, r2))
-                for r1, r2 in zip(poly_to_matrix(a).rows, poly_to_matrix(b).rows))
+    lhs = poly_to_matrix(summed)
+    # over F_2, adding packed rows coordinate by coordinate is XOR
+    rhs = tuple(r1 ^ r2 for r1, r2 in zip(poly_to_matrix(a), poly_to_matrix(b)))
     assert lhs == rhs
 
 
@@ -101,14 +106,70 @@ def test_rank_distance_requires_members():
 
 def test_rank_distance_pairwise_matches_linear_scan():
     code = gabidulin_code(GF8, 1)
-    nonlinear = RankCode(GF8, code.members, 1, linear=False)
-    assert rank_distance_of_code(nonlinear) == rank_distance_of_code(code)
+    pairwise = pairwise_min_report(code.members, lambda a, b: poly_rank(a.sub(b)), "rank")
+    assert rank_distance_of_code(code) == pairwise.minimum
+
+
+def _full_rank_pair_at_rank_distance_2():
+    """Two rank-3 members of Gabidulin (2, 3, 1) whose difference has rank 2."""
+    code = gabidulin_code(FieldCtx(2, 3), 1)
+    full = [p for p in code.members if poly_rank(p) == 3]
+    return next((a, b) for a, b in itertools.combinations(full, 2)
+                if poly_rank(a.sub(b)) == 2)
+
+
+def test_rank_distance_of_a_non_linear_code_is_pairwise(tmp_path):
+    a, b = _full_rank_pair_at_rank_distance_2()
+    pair = RankCode(a.ctx, [a, b], 1)
+    assert rank_distance_of_code(pair) == 2  # not the minimum rank weight, 3
+    path = str(tmp_path / "pair.json")
+    save_file(path, pair)
+    assert rank_distance_of_code(load_file(path)) == 2
+
+
+def test_pairwise_rank_distance_over_f3_subtracts_matrices():
+    code = gabidulin_code(FieldCtx(3, 2), 1)
+    sub = RankCode(code.ctx, code.members[1:40], 1)  # 39 members: not a power of 3
+    expected = pairwise_min_report(sub.members, lambda a, b: poly_rank(a.sub(b)), "rank")
+    assert rank_distance_of_code(sub) == expected.minimum
+
+
+def test_members_with_one_matrix_are_at_distance_zero():
+    # x and x + 0 x^q are distinct polynomials with one matrix; the four
+    # matrices span a 2-dimensional space, but they are not a linear code
+    one, zero = GF8.one, GF8.zero
+    members = [LinearizedPoly(GF8, c) for c in ((zero,), (one,), (one, zero), (zero, one))]
+    assert rank_distance_of_code(RankCode(GF8, members, 1)) == 0
+
+
+@pytest.mark.parametrize("members, linear", [
+    (lambda code: code.members, True),
+    (lambda code: code.members[:32], True),   # a0 in a 2-dim F_2-subspace
+    (lambda code: code.members[1:], False),   # zero removed
+    (lambda code: code.members[:48], False),  # 48 is not a power of 2
+    (lambda code: code.members[1:33], False),  # 32 members spanning more than 2^5
+])
+def test_member_scan_runs_only_on_linear_codes(monkeypatch, members, linear):
+    code = gabidulin_code(GF8, 1)
+    sub = RankCode(GF8, members(code), 1)
+    expected = pairwise_min_report(sub.members, lambda a, b: poly_rank(a.sub(b)), "rank")
+    assert rank_distance_of_code(sub) == expected.minimum
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("pairwise sweep")
+
+    monkeypatch.setattr(rankmetric, "pairwise_min_report", no_sweep)
+    if linear:
+        assert rank_distance_of_code(sub) == expected.minimum
+    else:
+        with pytest.raises(AssertionError, match="pairwise sweep"):
+            rank_distance_of_code(sub)
 
 
 def test_mrd_examples():
     code = gabidulin_code(GF8, 1)
     assert mrd_check(code, 3, 3, 2)
-    subcode = RankCode(GF8, code.members[:32], 1, linear=False)
+    subcode = RankCode(GF8, code.members[:32], 1)
     assert not mrd_check(subcode, 3, 3, 2)
     big = gabidulin_code(FieldCtx(2, 4), 2)
     assert mrd_check(big, 4, 4, 2)
@@ -143,7 +204,7 @@ def test_delsarte_matches_census(q, n, t):
 
 
 def test_empirical_distribution_examples():
-    zero_code = RankCode(GF8, [LinearizedPoly(GF8, (GF8.zero,))], 0, linear=False)
+    zero_code = RankCode(GF8, [LinearizedPoly(GF8, (GF8.zero,))], 0)
     assert empirical_rank_distribution(zero_code).counts == (1, 0, 0, 0)
     census = empirical_rank_distribution(gabidulin_code(FieldCtx(2, 4), 2))
     assert census.total() == 4096

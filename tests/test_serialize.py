@@ -2,10 +2,13 @@
 
 import json
 import os
+import re
 import stat
+import time
 
 import pytest
 
+from fqcodes.cli import main
 from fqcodes.errors import ParseError
 from fqcodes.gf import FieldCtx
 from fqcodes.bounds import BoundReport
@@ -69,6 +72,58 @@ def test_subspace_round_trip_and_validation():
     bad["basis"] = [[1, 1, 0, 0], [1, 0, 0, 0]]  # not RREF
     with pytest.raises(ParseError):
         subspace_from_obj(bad)
+
+
+def _spread_file_with_basis(tmp_path, basis):
+    """spread(2, 2, 4) on disk, its second member's basis replaced."""
+    path = tmp_path / "spread.json"
+    save_file(str(path), spread(2, 2, 4))
+    obj = json.loads(path.read_text())
+    obj["subspaces"][1]["basis"] = basis
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _metric_exit_2(capsys, path):
+    code = main(["metric", path, "--metric", "subspace"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid subspace code: ") and err.count("\n") == 1
+    return err
+
+
+def test_subspace_validation_rejects_non_rref(tmp_path, capsys):
+    path = _spread_file_with_basis(tmp_path, [[1, 1, 0, 0], [1, 0, 0, 0]])
+    message = "subspace basis must be a zero-row-free RREF matrix"
+    with pytest.raises(ParseError, match=f"^invalid subspace code: {message}$"):
+        load_file(path)
+    assert message in _metric_exit_2(capsys, path)
+
+
+@pytest.mark.parametrize("basis, message", [
+    # 3 and -1 reduce mod 2 to the valid RREF basis [[1, 0, 1, 0], [0, 1, 0, 0]]
+    ([[1, 0, 3, 0], [0, 1, 0, 0]], r"basis entry 3 is not in \[0, 2\)"),
+    ([[1, 0, -1, 0], [0, 1, 0, 0]], r"basis entry -1 is not in \[0, 2\)"),
+    ([[1, 0, 1], [0, 1, 0]], "basis row of length 3 in ambient 4"),
+])
+def test_subspace_basis_entries_must_be_canonical(tmp_path, capsys, basis, message):
+    path = _spread_file_with_basis(tmp_path, basis)
+    with pytest.raises(ParseError, match=f"^invalid subspace code: {message}$"):
+        load_file(path)
+    assert re.search(message, _metric_exit_2(capsys, path))
+    obj = dict(subspace_to_obj(spread(2, 2, 4).members[1]), basis=basis)
+    with pytest.raises(ParseError, match=f"^invalid subspace object: {message}$"):
+        subspace_from_obj(obj)
+
+
+def test_empty_bases_in_a_huge_ambient_space_load_at_once():
+    # row reduction of no rows used to walk all 10^18 columns
+    obj = {"kind": "subspace_code", "q": 2, "ambient": 10 ** 18,
+           "subspaces": [{"basis": []}, {"basis": []}]}
+    start = time.monotonic()
+    sc = load_obj(obj)
+    assert len(sc) == 1 and sc.members[0].dim == 0
+    assert time.monotonic() - start < 5
 
 
 @pytest.mark.parametrize("q, message", [(4, "is not prime"),

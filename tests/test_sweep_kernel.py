@@ -16,8 +16,8 @@ from fqcodes.derived import (
     folded_code_min_distance,
 )
 from fqcodes.errors import InvalidParams, SearchTooLarge
-from fqcodes.gf import FieldCtx
-from fqcodes.linalg import span
+from fqcodes.gf import FieldCtx, pack
+from fqcodes.linalg import Subspace, span
 from fqcodes.metrics import (
     FoldedWord,
     VectorCode,
@@ -64,12 +64,14 @@ def subspace_codes(draw):
     q = draw(st.sampled_from(sorted(AMBIENT)))
     ambient = AMBIENT[q]
     vector = st.tuples(*[st.integers(0, q - 1)] * ambient)
-    spans = st.lists(vector, max_size=3).map(lambda vs: span(vs, ambient, q))
+    spans = st.lists(vector, max_size=3).map(lambda vs: span([pack(v, q) for v in vs],
+                                                             ambient, q))
     members = draw(st.lists(spans, min_size=2, max_size=10))
     sc = SubspaceCode(q, ambient, members)
     if len(sc) < 2:
         sc = SubspaceCode(q, ambient, list(sc.members) + [span([], ambient, q),
-                                                         span([(1,) * ambient], ambient, q)])
+                                                         span([pack((1,) * ambient, q)],
+                                                              ambient, q)])
     return sc
 
 
@@ -128,7 +130,7 @@ def test_budget_fallback_agrees(data):
             subspace_code_min_distance(sc))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_MATERIALIZE_GUARD", 0)
-        mp.setattr(metrics, "_vector_set", None)  # any use of the fast path fails
+        mp.setattr(Subspace, "vectors", None)  # any use of the fast path fails
         slow = (code_min_distance(c, "subspace"), code_min_distance(c, "r_subspace", r=2),
                 subspace_code_min_distance(sc))
     for a, b in zip(fast, slow):
