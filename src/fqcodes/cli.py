@@ -287,7 +287,7 @@ def _cmd_bounds(args) -> int:
                                        levenshtein_bound(args.n, args.q)))
         if args.n == 4 and args.q % 2 == 0:
             reports.append(BoundReport("klo", {"q": args.q}, klo_bound(args.q)))
-        ks = [args.k] if args.k else range(1, args.n + 1)
+        ks = [args.k] if args.k is not None else range(1, args.n + 1)
         for k in ks:
             reports.append(BoundReport("half_singleton", {"n": args.n, "k": k},
                                        half_singleton(args.n, k)))

@@ -78,8 +78,11 @@ def folded_code_min_distance(fc: FoldedCode, metric: str = "subset",
 
 
 def _span_symbols(rows, length: int, ctx: FieldCtx):
-    """Basis rows then cyclic pairwise sums b_1 + b_j, all inside the span."""
+    """Basis rows then cyclic pairwise sums b_1 + b_j, all inside the span;
+    the zero subspace is spanned by 0 alone."""
     k = len(rows)
+    if k == 0:
+        return (ctx.zero,) * length
     symbols = list(rows)
     j = 1
     while len(symbols) < length:

@@ -23,7 +23,10 @@ with c_0 most significant: zero is 0 and one is q^(n-1).
 
 Fields with at most 2^16 elements precompute discrete log/exp tables, which
 multiplication, inversion, powers and Frobenius index directly; larger
-fields fall back to polynomial reduction.
+fields fall back to polynomial reduction.  The tables are built from the
+first int g of full multiplicative order, found by the prime-factor test
+(g^((q^n-1)/p) != 1 for every prime p dividing q^n - 1, computed without
+tables), and then one walk through the powers of g fills exp and log.
 A FieldCtx is immutable after construction and every operation is a pure
 function of its inputs.
 """
@@ -41,15 +44,27 @@ _MAX_CHARACTERISTIC = _TABLE_LIMIT  # keeps is_prime's trial division short
 _IRREDUCIBILITY_GUARD = 1 << 20  # cap on the trial divisors of one modulus
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, in increasing order (trial division)."""
+    primes = []
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
         d += 1
-    return True
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def is_prime(p: int) -> bool:
+    return p >= 2 and _prime_factors(p) == [p]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def pack(digits, q: int) -> int:
@@ -86,31 +101,22 @@ def add_packed(a: int, b: int, q: int, sign: int = 1) -> int:
 
 # -- polynomials over F_q as degree-indexed int lists (constant term first) --
 
-def _poly_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list[int], den: list[int], q: int) -> tuple[list[int], list[int]]:
+def _poly_rem(num: list[int], monic: list[int], q: int) -> list[int]:
+    """num mod a monic polynomial, as deg(monic) coefficients (zeros kept)."""
     num = list(num)
-    dlead = den[-1]
-    dinv = pow(dlead, q - 2, q)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 0)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] % q
-        if c == 0:
-            continue
-        f = (c * dinv) % q
-        quot[i - deg_d] = f
-        for j, dj in enumerate(den):
-            num[i - deg_d + j] = (num[i - deg_d + j] - f * dj) % q
-    return _poly_trim(quot), _poly_trim(num)
+    deg = len(monic) - 1
+    for i in range(len(num) - 1, deg - 1, -1):
+        c = num[i]
+        if c:
+            for j, mj in enumerate(monic):
+                num[i - deg + j] = (num[i - deg + j] - c * mj) % q
+    return num[:deg]
 
 
 def check_characteristic(q: int) -> None:
-    """Raise InvalidParams unless q is a prime of at most _MAX_CHARACTERISTIC."""
+    """Raise InvalidParams unless q is an int prime of at most _MAX_CHARACTERISTIC."""
+    if not _is_int(q):
+        raise InvalidParams(f"q={q!r} is not an int")
     if q > _MAX_CHARACTERISTIC:
         raise InvalidParams(f"q={q} exceeds supported maximum {_MAX_CHARACTERISTIC}")
     if not is_prime(q):
@@ -126,13 +132,9 @@ def _is_irreducible(poly: list[int], q: int) -> bool:
     if divisors > _IRREDUCIBILITY_GUARD:
         raise SearchTooLarge(f"irreducibility test of degree {deg} over F_{q} needs "
                              f"{divisors} trial divisions (guard {_IRREDUCIBILITY_GUARD})")
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(q), repeat=d):
-            div = list(tail) + [1]
-            _, rem = _poly_divmod(poly, div, q)
-            if not rem:
-                return False
-    return True
+    return all(any(_poly_rem(poly, list(tail) + [1], q))
+               for d in range(1, deg // 2 + 1)
+               for tail in itertools.product(range(q), repeat=d))
 
 
 def _smallest_irreducible(q: int, n: int) -> tuple[int, ...]:
@@ -153,6 +155,8 @@ class FieldCtx:
 
     def __init__(self, q: int, n: int, modulus=None):
         check_characteristic(q)
+        if not _is_int(n):
+            raise InvalidParams(f"extension degree n={n!r} is not an int")
         if n < 1:
             raise InvalidParams(f"extension degree n={n} must be >= 1")
         if n > _MAX_DEGREE:
@@ -160,8 +164,8 @@ class FieldCtx:
         if modulus is None:
             modulus = _smallest_irreducible(q, n)
         else:
-            modulus = tuple(int(c) for c in modulus)
-            if not all(0 <= c < q for c in modulus):
+            modulus = tuple(modulus)
+            if not all(_is_int(c) and 0 <= c < q for c in modulus):
                 raise InvalidParams(f"modulus coefficient not in [0, {q}): {list(modulus)}")
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise InvalidParams(f"modulus must be monic of degree {n}")
@@ -309,8 +313,6 @@ class FieldCtx:
             raise InvalidParams("frobenius exponent must be >= 0")
         if not x:
             return 0
-        if self._unit_order <= 1:
-            return x
         return self.pow(x, pow(self.q, i, self._unit_order))
 
     def trace(self, x: int) -> int:
@@ -339,34 +341,21 @@ class FieldCtx:
     # -- internals -----------------------------------------------------------
 
     def _build_tables(self):
+        # the generator is the first int of full order: g^(unit/p) != 1 for
+        # every prime p dividing unit; pow runs without tables until they exist
         unit = self._unit_order
-        if unit <= 1:
-            # F_2: the unit group is trivial
-            self._exp = [self.one]
-            self._log = [0] * self.order
-            return
-        one = self.coefficients(self.one)
-        gen = None
-        for i in range(1, self.order):
-            cand = self.coefficients(i)
-            cur = cand
-            count = 1
-            while cur != one and count <= unit:
-                cur = self._mul_raw(cur, cand)
-                count += 1
-            if count == unit:
-                gen = cand
-                break
-        if gen is None:
-            raise InvalidParams("no primitive element found (internal error)")
+        primes = _prime_factors(unit)
+        gen = next(g for g in range(1, self.order)
+                   if all(self.pow(g, unit // p) != self.one for p in primes))
+        gc = self.coefficients(gen)
         exp = [0] * unit
         log = [0] * self.order
-        cur = one
+        cur = self.coefficients(self.one)
         for k in range(unit):
             x = pack(cur, self.q)
             exp[k] = x
             log[x] = k
-            cur = self._mul_raw(cur, gen)
+            cur = self._mul_raw(cur, gc)
         self._exp = exp
         self._log = log
 

@@ -27,7 +27,7 @@ from .derived import (
     singer_difference_set,
     span_code,
 )
-from .errors import FqcodesError
+from .errors import FqcodesError, InvalidParams
 from .gf import FieldCtx
 from .linalg import ext_rank
 from .metrics import (
@@ -237,6 +237,8 @@ SUITES = {
 
 
 def run_suites(names, seed: int = 0, samples: int = 10000) -> list[SuiteResult]:
+    if samples < 1:
+        raise InvalidParams(f"samples={samples} must be >= 1")
     if names == ["all"] or names == "all":
         names = list(SUITES)
     out = []

@@ -366,3 +366,37 @@ def test_construct_lifted_mrd_from_a_file_needs_no_field_flags(tmp_path, capsys)
     code, _, _ = run(capsys, "construct", "--kind", "lifted-mrd", "--from", gab,
                      "--out", str(tmp_path / "lifted.json"))
     assert code == 0
+
+
+def test_construct_span_of_a_zero_subspace_is_the_zero_word(tmp_path, capsys):
+    src = tmp_path / "zero.json"
+    src.write_text(json.dumps({
+        "kind": "subspace_code", "q": 2, "ambient": 3, "constant_dim": None,
+        "declared_distance": None, "provenance": None,
+        "subspaces": [{"basis": []}, {"basis": [[1, 0, 0], [0, 1, 0]]}]}))
+    out = str(tmp_path / "span.json")
+    code, _, err = run(capsys, "construct", "--kind", "span", "--from", str(src),
+                       "--length", "2", "--out", out)
+    assert (code, err) == (0, "")
+    vc = load_file(out)
+    assert vc.codewords[0].symbols == (0, 0)
+    assert vc.codewords[1].symbols == (0b100, 0b010)
+
+
+def _assert_one_line_exit_2(capsys, *argv):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert stdout == ""
+    return err
+
+
+def test_bounds_with_k_zero_exits_2(capsys):
+    err = _assert_one_line_exit_2(capsys, "bounds", "--n", "4", "--q", "2", "--k", "0")
+    assert err == "error: k=0 out of range [1, 4]\n"
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_verify_with_too_few_samples_exits_2(capsys, samples):
+    err = _assert_one_line_exit_2(capsys, "verify", "--suite", "chain", "--samples", samples)
+    assert err == f"error: samples={samples} must be >= 1\n"

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
-from fqcodes.gf import FieldCtx, embed_linear, pack, prime_field, unpack
+from fqcodes.gf import FieldCtx, _prime_factors, embed_linear, pack, prime_field, unpack
 from fqcodes.linalg import ext_matmul, rref
 
 # the GF(8) used in the worked examples: x^3 + x + 1
@@ -35,6 +35,16 @@ def test_default_gf8_modulus_is_lex_smallest():
         if tail < (1, 0, 1):
             assert _cubic_has_gf2_root(tail)
     assert not _cubic_has_gf2_root((1, 0, 1))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_default_odd_moduli_are_the_first_without_a_root(q):
+    # below degree 4 a polynomial is irreducible iff it has no root
+    def has_root(coeffs):
+        return any(sum(c * x ** i for i, c in enumerate(coeffs)) % q == 0 for x in range(q))
+    for n in (2, 3):
+        first = next(t for t in itertools.product(range(q), repeat=n) if not has_root(t + (1,)))
+        assert FieldCtx(q, n).modulus == first + (1,)
 
 
 def test_explicit_moduli_accepted():
@@ -72,6 +82,20 @@ def test_irreducibility_test_too_large_is_refused():
 def test_non_canonical_modulus_rejected():
     with pytest.raises(InvalidParams, match=r"modulus coefficient not in \[0, 2\)"):
         FieldCtx(2, 3, [1, 1, 0, 3])
+
+
+@pytest.mark.parametrize("q, n, modulus, message", [
+    (2, 3, [1, 1.9, 0, True], r"modulus coefficient not in \[0, 2\)"),
+    (2, 3, [1, 1, 0, True], r"modulus coefficient not in \[0, 2\)"),
+    (2, 3, [1.0, 1, 0, 1], r"modulus coefficient not in \[0, 2\)"),
+    (2.0, 3, None, r"q=2.0 is not an int"),
+    (True, 1, None, r"q=True is not an int"),
+    (2, 3.0, None, r"extension degree n=3.0 is not an int"),
+    (3, True, None, r"extension degree n=True is not an int"),
+])
+def test_non_int_field_parameters_rejected(q, n, modulus, message):
+    with pytest.raises(InvalidParams, match=message):
+        FieldCtx(q, n, modulus)
 
 
 def test_mul_example():
@@ -333,3 +357,49 @@ def test_int_arithmetic_matches_schoolbook_polynomials(ctx):
             assert list(ctx.coefficients(ctx.inv(x))) == _school_pow(a, ctx.order - 2, mod, q)
         i = y % (n + 1)
         assert list(ctx.coefficients(ctx.frobenius(x, i))) == _school_pow(a, q ** i, mod, q)
+
+
+# -- the table build against the order walk it replaced ----------------------
+
+def _order_walk_tables(ctx):
+    """exp/log tables from the first element whose powers reach one only after
+    q^n - 1 steps, found by walking the powers of every candidate."""
+    one, unit = ctx.coefficients(ctx.one), ctx.order - 1
+    for g in range(1, ctx.order):
+        gc = ctx.coefficients(g)
+        cur, count = gc, 1
+        while cur != one:
+            cur = ctx._mul_raw(cur, gc)
+            count += 1
+        if count == unit:
+            break
+    exp, log, cur = [], [0] * ctx.order, one
+    for k in range(unit):
+        x = pack(cur, ctx.q)
+        exp.append(x)
+        log[x] = k
+        cur = ctx._mul_raw(cur, gc)
+    return g, exp, log
+
+
+ORACLE_FIELDS = sorted({(q, n) for q in (2, 3, 5, 7) for n in range(1, 13) if q ** n <= 2 ** 12}
+                       | {(p, 1) for p in range(2, 258) if _prime_factors(p) == [p]})
+
+
+def test_tables_match_the_order_walk():
+    for q, n in ORACLE_FIELDS:
+        ctx = FieldCtx(q, n)
+        gen, exp, log = _order_walk_tables(ctx)
+        assert ctx._exp[1 % len(exp)] == gen, (q, n)  # F_2's generator is 1 = exp[0]
+        assert (ctx._exp, ctx._log) == (exp, log), (q, n)
+
+
+def test_prime_factors_match_a_sieve():
+    limit = 5000
+    factors = [[] for _ in range(limit)]
+    for p in range(2, limit):
+        if not factors[p]:  # no smaller prime divides p
+            for m in range(p, limit, p):
+                factors[m].append(p)
+    for m in range(1, limit):
+        assert _prime_factors(m) == factors[m], m

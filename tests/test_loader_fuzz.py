@@ -1,19 +1,24 @@
-"""Fuzzed loader input: a mutated artifact loads or raises ParseError, nothing else.
+"""Fuzzed file input: a mutated artifact loads or raises ParseError, and
+every command that reads it exits 0, 1 or 2, with one stderr line unless 0.
 
 Each example takes a valid artifact written by save_file and replaces or
 deletes one node of its JSON tree."""
 
+import contextlib
 import copy
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqcodes.constructions import spread
+from fqcodes.cli import main
+from fqcodes.constructions import SubspaceCode, spread
 from fqcodes.derived import folded_code_from_vector_code, singer_difference_set
 from fqcodes.errors import ParseError
 from fqcodes.gf import FieldCtx
+from fqcodes.linalg import span
 from fqcodes.metrics import VectorCode, word
 from fqcodes.rankmetric import gabidulin_code
 from fqcodes.serialize import load_file, save_file
@@ -31,6 +36,8 @@ FACTORIES = {
     "vector_code": _vector_code,
     "rank_code": lambda: gabidulin_code(F4, 1),
     "subspace_code": lambda: spread(2, 2, 4),
+    # no constant dimension, and the zero subspace first
+    "mixed_subspace_code": lambda: SubspaceCode(2, 3, [span([], 3, 2), span([0b100, 0b010], 3, 2)]),
     "folded_code": lambda: folded_code_from_vector_code(_vector_code(), 2),
     "difference_set": lambda: singer_difference_set(GF8),
 }
@@ -85,15 +92,61 @@ def artifacts(tmp_path_factory):
     return root / "mutated.json", objs
 
 
+def _draw_mutated(data, objs):
+    """A mutated artifact and the kind of the artifact it came from."""
+    kind = data.draw(st.sampled_from(sorted(objs)), label="kind")
+    obj = objs[kind]
+    where = data.draw(st.sampled_from(list(_paths(obj))), label="path")
+    return kind, _mutate(obj, where, data.draw(st.just(_DELETE) | _VALUES, label="value"))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_mutated_artifact_loads_or_raises_parse_error(artifacts, data):
     path, objs = artifacts
-    obj = objs[data.draw(st.sampled_from(sorted(objs)), label="kind")]
-    where = data.draw(st.sampled_from(list(_paths(obj))), label="path")
-    mutated = _mutate(obj, where, data.draw(st.just(_DELETE) | _VALUES, label="value"))
-    path.write_text(json.dumps(mutated))
+    path.write_text(json.dumps(_draw_mutated(data, objs)[1]))
     try:
         load_file(str(path))
     except ParseError as exc:
         assert "\n" not in str(exc)
+
+
+# the --metric values that apply to each kind of file; the other kinds get
+# one, which they refuse
+METRICS = {
+    "vector_code": ("hamming", "insdel", "subspace", "subset", "r_subspace", "r_subset"),
+    "subspace_code": ("subspace",),
+    "mixed_subspace_code": ("subspace",),
+    "folded_code": ("subset", "subspace"),
+}
+
+
+def _file_commands(kind, code, out):
+    """Every CLI command that reads the file `code`."""
+    for metric in METRICS.get(kind, ("subset",)):
+        yield ["metric", code, "--metric", metric] + (
+            ["--block-len", "2"] if metric.startswith("r_") else [])
+    yield ["bounds", "--code", code]
+    yield ["simulate", "--code", code, "--trials", "3"]
+    yield ["fold", "--code", code, "--block-len", "2", "--out", out]
+    for construct in ("span", "all-vectors"):
+        yield ["construct", "--kind", construct, "--from", code, "--length", "2", "--out", out]
+    yield ["construct", "--kind", "lifted-mrd", "--from", code, "--out", out]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_file_command_exits_without_a_traceback(artifacts, data):
+    path, objs = artifacts
+    kind, mutated = _draw_mutated(data, objs)
+    path.write_text(json.dumps(mutated))
+    for argv in _file_commands(kind, str(path), str(path.with_name("out.json"))):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        # exit 1 is a verification failure, such as a lifted rank code that
+        # misses the rank distance its file declares
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if code:
+            prefix = "error: " if code == 2 else "verification failure: "
+            assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1, argv
