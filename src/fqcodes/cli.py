@@ -1,8 +1,11 @@
 """Command-line surface: construct, metric, verify, bounds, simulate, fold.
 
-Every command that writes an artifact also writes a `<out>.manifest.json`
-recording the exact argv, parameters, modulus, seed and SHA-256 hashes of
-all inputs and outputs.  Nothing in an output depends on wall-clock state,
+Every command has one shape: load its input files, compute, write its
+artifact, record a manifest, print.  An input file is loaded in `_load`,
+which checks that it holds the expected kind of object; a command that
+writes a file records `<out>.manifest.json` through `_write_manifest`,
+with the exact argv, parameters, modulus, seed and SHA-256 hashes of all
+inputs and the output.  Nothing in an output depends on wall-clock state,
 so re-running a manifest's argv reproduces the files byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
@@ -77,34 +80,50 @@ REQUIRED_FLAGS = {
 CONSTRUCT_KINDS = tuple(REQUIRED_FLAGS)
 
 
-def _write_manifest(out_path: str, command: str, argv, params: dict,
-                    seed=None, field=None, inputs=None, outputs=None):
+def _load(path: str, cls, what: str):
+    """The object stored in `path`, which must be a `what` (an instance of cls)."""
+    obj = load_file(path)
+    if not isinstance(obj, cls):
+        raise InvalidParams(f"{path} is not a {what} file")
+    return obj
+
+
+def _write_manifest(args, params: dict, inputs=(), field=None) -> None:
+    """Record how `args.out` was made: the command, its argv, parameters,
+    seed and field, and the SHA-256 of every input and of the output."""
     manifest = {
         "kind": "run_manifest",
         "tool": "fqcodes",
         "version": __version__,
-        "command": command,
-        "argv": list(argv),
+        "command": args.command,
+        "argv": args._argv,
         "params": params,
-        "seed": seed,
+        "seed": args.seed,
         "field": field,
-        "inputs": {p: sha256_file(p) for p in (inputs or [])},
-        "outputs": {p: sha256_file(p) for p in (outputs or [])},
+        "inputs": {p: sha256_file(p) for p in inputs},
+        "outputs": {args.out: sha256_file(args.out)},
     }
-    atomic_write_text(out_path + ".manifest.json", dumps_canonical(manifest))
+    atomic_write_text(args.out + ".manifest.json", dumps_canonical(manifest))
 
 
-def _emit(obj: dict, fmt: str, csv_text: str | None = None,
-          out: str | None = None, manifest: dict | None = None):
-    text = csv_text if (fmt == "csv" and csv_text is not None) else dumps_canonical(obj)
+def _render(args, obj: dict, csv_text: str) -> str:
+    return csv_text if args.format == "csv" else dumps_canonical(obj)
+
+
+def _emit(args, obj: dict, csv_text: str) -> int:
+    """Print the command's result in its --format."""
+    sys.stdout.write(_render(args, obj, csv_text))
+    return 0
+
+
+def _report(args, obj: dict, csv_text: str, params: dict, inputs) -> int:
+    """Print a report; with --out, first write the same text and its manifest."""
+    text = _render(args, obj, csv_text)
+    if args.out:
+        atomic_write_text(args.out, text)
+        _write_manifest(args, params, inputs)
     sys.stdout.write(text)
-    if out:
-        atomic_write_text(out, text)
-        if manifest is not None:
-            _write_manifest(out, manifest["command"], manifest["argv"],
-                            manifest.get("params", {}),
-                            seed=manifest.get("seed"),
-                            inputs=manifest.get("inputs"), outputs=[out])
+    return 0
 
 
 def _require_flags(args) -> None:
@@ -121,40 +140,35 @@ def _cmd_construct(args) -> int:
     kind = args.kind
     params = {"kind": kind}
     inputs = []
-    field_obj = None
-    if kind == "gabidulin":
+    if kind in ("folded-eval", "singer-ds"):
+        ctx = FieldCtx(2, args.n, args.modulus)
+    elif kind in ("gabidulin", "sidon-orbit", "block-enlarged") or (
+            kind == "lifted-mrd" and not args.from_path):
         ctx = FieldCtx(args.q, args.n, args.modulus)
+    else:  # spread and lifted-mrd --from record no field; span codes record theirs
+        ctx = None
+    if kind == "gabidulin":
         params.update(q=args.q, n=args.n, t=args.t)
-        rc = gabidulin_code(ctx, args.t)
-        measured = rank_distance_of_code(rc)
-        if measured != rc.declared_rank_distance:
+        obj = gabidulin_code(ctx, args.t)
+        measured = rank_distance_of_code(obj)
+        if measured != obj.declared_rank_distance:
             raise PropertyViolation(
-                f"rank distance {measured} != declared {rc.declared_rank_distance}")
-        rc.provenance["verified_rank_distance"] = measured
-        obj = rc
-        field_obj = field_to_obj(ctx)
+                f"rank distance {measured} != declared {obj.declared_rank_distance}")
+        obj.provenance["verified_rank_distance"] = measured
     elif kind == "lifted-mrd":
         if args.from_path:
-            rc = load_file(args.from_path)
-            if not isinstance(rc, RankCode):
-                raise InvalidParams("--from must point at a rank code file")
+            rc = _load(args.from_path, RankCode, "rank code")
             inputs.append(args.from_path)
             params.update(source=args.from_path)
         else:
-            ctx = FieldCtx(args.q, args.n, args.modulus)
             rc = gabidulin_code(ctx, args.t)
             params.update(q=args.q, n=args.n, t=args.t)
-            field_obj = field_to_obj(ctx)
-        sc = lift_rank_code(rc)
-        obj = _verify_subspace_code(sc, args.force)
+        obj = _verify_subspace_code(lift_rank_code(rc), args.force)
     elif kind == "spread":
         params.update(q=args.q, k=args.k, n=args.n)
-        sc = spread(args.q, args.k, args.n)
-        obj = _verify_subspace_code(sc, args.force)
+        obj = _verify_subspace_code(spread(args.q, args.k, args.n), args.force)
     elif kind == "sidon-orbit":
         params.update(q=args.q, n=args.n, k=args.k)
-        ctx = FieldCtx(args.q, args.n, args.modulus)
-        field_obj = field_to_obj(ctx)
         sidon = sidon_search(ctx, args.k)
         sc = orbit_cyclic_code(ctx, sidon)
         sc.declared_distance = 2 * args.k - 2
@@ -162,60 +176,42 @@ def _cmd_construct(args) -> int:
         obj = _verify_subspace_code(sc, args.force, exact=True)
     elif kind == "block-enlarged":
         params.update(q=args.q, n=args.n, t=args.t)
-        ctx = FieldCtx(args.q, args.n, args.modulus)
-        field_obj = field_to_obj(ctx)
-        sc = block_enlarged_family(ctx, args.t)
-        obj = _verify_subspace_code(sc, args.force)
+        obj = _verify_subspace_code(block_enlarged_family(ctx, args.t), args.force)
     elif kind in ("span", "all-vectors"):
-        sc = load_file(args.from_path)
-        if not isinstance(sc, SubspaceCode):
-            raise InvalidParams("--from must point at a subspace code file")
+        sc = _load(args.from_path, SubspaceCode, "subspace code")
         inputs.append(args.from_path)
         params.update(source=args.from_path, length=args.length)
         builder = span_code if kind == "span" else all_vectors_code
-        vc = builder(sc, args.length)
-        if len(vc) >= 2:
-            rep = code_min_distance(vc, "insdel", force=args.force)
-            vc.provenance["verified_insdel_distance"] = rep.minimum
+        obj = builder(sc, args.length)
+        if len(obj) >= 2:
+            rep = code_min_distance(obj, "insdel", force=args.force)
+            obj.provenance["verified_insdel_distance"] = rep.minimum
         else:
-            vc.provenance["verified_insdel_distance"] = None
-        field_obj = field_to_obj(vc.ctx)
-        obj = vc
+            obj.provenance["verified_insdel_distance"] = None
+        ctx = obj.ctx
     elif kind == "folded-eval":
-        ctx = FieldCtx(2, args.n, args.modulus)
-        field_obj = field_to_obj(ctx)
         params.update(n=args.n)
         if args.ds_path:
-            ds = load_file(args.ds_path)
-            if not isinstance(ds, DifferenceSet):
-                raise InvalidParams("--ds must point at a difference set file")
+            ds = _load(args.ds_path, DifferenceSet, "difference set")
             if ds.ctx != ctx:
                 raise InvalidParams("difference set lives in a different field")
             inputs.append(args.ds_path)
             params.update(ds=args.ds_path)
         else:
             ds = singer_difference_set(ctx)
-        fc = evaluation_folded_code(ctx, ds.members)
-        rep = folded_code_min_distance(fc, "subset", force=args.force)
-        fc.provenance["verified_subset_distance"] = rep.minimum
-        fc.provenance["difference_set"] = {"v": ds.v, "k": ds.k, "lambda": ds.lam}
-        obj = fc
-    elif kind == "singer-ds":
-        ctx = FieldCtx(2, args.n, args.modulus)
-        field_obj = field_to_obj(ctx)
+        obj = evaluation_folded_code(ctx, ds.members)
+        rep = folded_code_min_distance(obj, "subset", force=args.force)
+        obj.provenance["verified_subset_distance"] = rep.minimum
+        obj.provenance["difference_set"] = {"v": ds.v, "k": ds.k, "lambda": ds.lam}
+    else:  # singer-ds
         params.update(n=args.n)
         obj = singer_difference_set(ctx)
-    else:
-        raise InvalidParams(f"unknown construction kind {kind!r}")
     save_file(args.out, obj)
-    _write_manifest(args.out, "construct", args._argv, params,
-                    seed=args.seed, field=field_obj,
-                    inputs=inputs, outputs=[args.out])
+    _write_manifest(args, params, inputs, field_to_obj(ctx) if ctx is not None else None)
     summary = {"kind": kind, "out": args.out}
-    if isinstance(obj, (RankCode, SubspaceCode, VectorCode, FoldedCode)):
+    if kind != "singer-ds":
         summary["members"] = len(obj)
-    _emit(summary, args.format, csv_text=f"{kind},{args.out}\n")
-    return 0
+    return _emit(args, summary, f"{kind},{args.out}\n")
 
 
 def _verify_subspace_code(sc: SubspaceCode, force: bool, exact: bool = False) -> SubspaceCode:
@@ -242,17 +238,11 @@ def _cmd_metric(args) -> int:
             raise InvalidParams("subspace code files only support --metric subspace")
         rep = subspace_code_min_distance(obj, force=args.force)
     elif isinstance(obj, FoldedCode):
-        if args.metric not in ("subset", "subspace"):
-            raise InvalidParams("folded code files support subset/subspace metrics")
         rep = folded_code_min_distance(obj, args.metric, force=args.force)
     else:
         raise InvalidParams(f"no metrics defined for {type(obj).__name__} files")
-    _emit(metric_report_to_obj(rep), args.format, csv_text=rep.csv_line() + "\n",
-          out=args.out,
-          manifest={"command": "metric", "argv": args._argv, "seed": args.seed,
-                    "params": {"metric": args.metric, "block_len": args.block_len},
-                    "inputs": [args.code]})
-    return 0
+    return _report(args, metric_report_to_obj(rep), rep.csv_line() + "\n",
+                   {"metric": args.metric, "block_len": args.block_len}, [args.code])
 
 
 def _cmd_verify(args) -> int:
@@ -274,71 +264,59 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.code:
-        obj = load_file(args.code)
-        if not isinstance(obj, VectorCode):
-            raise InvalidParams("bounds on a file need a vector code")
-        reports = verify_bounds(obj, force=args.force)
+        reports = verify_bounds(_load(args.code, VectorCode, "vector code"), force=args.force)
     else:
-        if args.n is None or args.q is None:
+        n, q = args.n, args.q
+        if n is None or q is None:
             raise InvalidParams("bounds need --code or both --n and --q")
+        if n < 1 or q < 2:
+            raise InvalidParams(f"bounds need n >= 1 and q >= 2, got n={n}, q={q}")
         reports = []
-        if args.n >= 2:
-            reports.append(BoundReport("levenshtein", {"n": args.n, "q": args.q},
-                                       levenshtein_bound(args.n, args.q)))
-        if args.n == 4 and args.q % 2 == 0:
-            reports.append(BoundReport("klo", {"q": args.q}, klo_bound(args.q)))
-        ks = [args.k] if args.k is not None else range(1, args.n + 1)
-        for k in ks:
-            reports.append(BoundReport("half_singleton", {"n": args.n, "k": k},
-                                       half_singleton(args.n, k)))
-        if args.d:
+        if n >= 2:
+            reports.append(BoundReport("levenshtein", {"n": n, "q": q}, levenshtein_bound(n, q)))
+        if n == 4 and q % 2 == 0:
+            reports.append(BoundReport("klo", {"q": q}, klo_bound(q)))
+        for k in [args.k] if args.k is not None else range(1, n + 1):
+            reports.append(BoundReport("half_singleton", {"n": n, "k": k}, half_singleton(n, k)))
+        if args.d is not None:  # a row for every metric whose bound takes d
+            rejected = []
             for metric in ("hamming", "insdel", "subspace", "subset"):
                 try:
-                    reports.append(singleton_bound(args.n, args.d, args.q, metric))
-                except FqcodesError:
-                    pass
-    obj_out = {"kind": "bounds_table",
-               "bounds": [bound_report_to_obj(r) for r in reports]}
-    _emit(obj_out, args.format, csv_text=bounds_csv(reports),
-          out=args.out,
-          manifest={"command": "bounds", "argv": args._argv, "seed": args.seed,
-                    "params": {"n": args.n, "q": args.q, "k": args.k, "d": args.d},
-                    "inputs": [args.code] if args.code else []})
-    return 0
+                    reports.append(singleton_bound(n, args.d, q, metric))
+                except InvalidParams as exc:
+                    rejected.append(str(exc))
+            if len(rejected) == 4:
+                raise InvalidParams(
+                    f"no singleton bound takes d={args.d}: {'; '.join(rejected)}")
+    return _report(args, {"kind": "bounds_table",
+                          "bounds": [bound_report_to_obj(r) for r in reports]},
+                   bounds_csv(reports), {"n": args.n, "q": args.q, "k": args.k, "d": args.d},
+                   [args.code] if args.code else [])
 
 
 def _cmd_simulate(args) -> int:
-    obj = load_file(args.code)
-    if not isinstance(obj, VectorCode):
-        raise InvalidParams("simulate needs a vector code file")
-    spec = ChannelSpec(args.ins, args.dels, args.seed)
-    summary = run_trials(obj, spec, args.trials, force=args.force)
+    code = _load(args.code, VectorCode, "vector code")
+    summary = run_trials(code, ChannelSpec(args.ins, args.dels, args.seed), args.trials,
+                         force=args.force)
     if args.out:
         atomic_write_text(args.out, summary.transcript_csv())
-        _write_manifest(args.out, "simulate", args._argv,
-                        {"ins": args.ins, "del": args.dels,
-                         "trials": args.trials}, seed=args.seed,
-                        inputs=[args.code], outputs=[args.out])
-    _emit(trial_summary_to_obj(summary), args.format,
-          csv_text=summary.transcript_csv())
-    return 0
+        _write_manifest(args, {"ins": args.ins, "del": args.dels, "trials": args.trials},
+                        [args.code])
+    return _emit(args, trial_summary_to_obj(summary), summary.transcript_csv())
 
 
 def _cmd_fold(args) -> int:
-    obj = load_file(args.code)
-    if not isinstance(obj, VectorCode):
-        raise InvalidParams("fold needs a vector code file")
-    fc = folded_code_from_vector_code(obj, args.block_len)
+    fc = folded_code_from_vector_code(_load(args.code, VectorCode, "vector code"),
+                                      args.block_len)
     save_file(args.out, fc)
-    _write_manifest(args.out, "fold", args._argv,
-                    {"block_len": args.block_len}, seed=args.seed,
-                    inputs=[args.code], outputs=[args.out])
-    _emit({"kind": "folded_code", "out": args.out, "members": len(fc)},
-          args.format, csv_text=f"folded_code,{args.out}\n")
-    return 0
+    _write_manifest(args, {"block_len": args.block_len}, [args.code])
+    return _emit(args, {"kind": "folded_code", "out": args.out, "members": len(fc)},
+                 f"folded_code,{args.out}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, func):
+    """The options every command takes, and the function that runs it."""
+    p.set_defaults(func=func)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
@@ -363,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--from", dest="from_path")
     c.add_argument("--ds", dest="ds_path")
     c.add_argument("--out", required=True)
-    _add_common(c)
-    c.set_defaults(func=_cmd_construct)
+    _add_common(c, _cmd_construct)
 
     m = sub.add_parser("metric", help="exhaustive minimum distance of a code file")
     m.add_argument("code")
@@ -373,14 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "r_subspace", "r_subset"))
     m.add_argument("--block-len", type=int, dest="block_len")
     m.add_argument("--out")
-    _add_common(m)
-    m.set_defaults(func=_cmd_metric)
+    _add_common(m, _cmd_metric)
 
     v = sub.add_parser("verify", help="run a property suite")
     v.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     v.add_argument("--samples", type=int, default=10000)
-    _add_common(v)
-    v.set_defaults(func=_cmd_verify)
+    _add_common(v, _cmd_verify)
 
     b = sub.add_parser("bounds", help="evaluate closed-form bounds")
     b.add_argument("--code")
@@ -389,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--k", type=int)
     b.add_argument("--d", type=int)
     b.add_argument("--out")
-    _add_common(b)
-    b.set_defaults(func=_cmd_bounds)
+    _add_common(b, _cmd_bounds)
 
     s = sub.add_parser("simulate", help="seeded insdel channel trials")
     s.add_argument("--code", required=True)
@@ -398,15 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--del", type=int, default=0, dest="dels")
     s.add_argument("--trials", type=int, default=1000)
     s.add_argument("--out")
-    _add_common(s)
-    s.set_defaults(func=_cmd_simulate)
+    _add_common(s, _cmd_simulate)
 
     f = sub.add_parser("fold", help="fold a vector code into blocks")
     f.add_argument("--code", required=True)
     f.add_argument("--block-len", type=int, required=True, dest="block_len")
     f.add_argument("--out", required=True)
-    _add_common(f)
-    f.set_defaults(func=_cmd_fold)
+    _add_common(f, _cmd_fold)
     return parser
 
 

@@ -23,7 +23,6 @@ from .metrics import (
     FoldedWord,
     MetricReport,
     Word,
-    _require_same_fold,
     fold,
     folded_span,
     subset_min_report,
@@ -48,12 +47,17 @@ class DifferenceSet:
 
 @dataclass(frozen=True)
 class FoldedCode:
-    """A set of folded words with a uniform block structure."""
+    """A set of folded words with a uniform block structure, checked here
+    once so that the sweeps need not check each pair."""
 
     ctx: FieldCtx
     block_len: int
     codewords: tuple
     provenance: dict | None = None
+
+    def __post_init__(self):
+        if any((w.ctx, w.block_len) != (self.ctx, self.block_len) for w in self.codewords):
+            raise InvalidParams("folded words must share the code's field and block lengths")
 
     def __len__(self):
         return len(self.codewords)
@@ -63,18 +67,10 @@ def folded_code_min_distance(fc: FoldedCode, metric: str = "subset",
                              force: bool = False) -> MetricReport:
     if metric not in ("subset", "subspace"):
         raise InvalidParams(f"folded codes support subset/subspace, not {metric!r}")
-    words = fc.codewords
-
-    def same_fold(w):
-        # the per-pair distances raise on the first pair of unlike folds
-        _require_same_fold(words[0], w)
-        return w
-
     if metric == "subset":
-        return subset_min_report(words, lambda w: frozenset(same_fold(w).blocks),
-                                 metric, force=force)
-    return subspace_min_report(words, lambda w: folded_span(same_fold(w)),
-                               metric, force=force)
+        return subset_min_report(fc.codewords, lambda w: frozenset(w.blocks), metric,
+                                 force=force)
+    return subspace_min_report(fc.codewords, folded_span, metric, force=force)
 
 
 def _span_symbols(rows, length: int, ctx: FieldCtx):

@@ -64,7 +64,8 @@ def is_prime(p: int) -> bool:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """Exactly an int: a bool (or any other subclass of int) is not one."""
+    return type(x) is int
 
 
 def pack(digits, q: int) -> int:
@@ -216,7 +217,7 @@ class FieldCtx:
         if len(coeffs) != self.n:
             raise InvalidParams(f"element needs {self.n} coefficients, got {len(coeffs)}")
         for c in coeffs:
-            if not (isinstance(c, int) and 0 <= c < self.q):
+            if not (_is_int(c) and 0 <= c < self.q):
                 raise InvalidParams(f"coefficient {c!r} is not in [0, {self.q})")
         return pack(coeffs, self.q)
 
@@ -227,13 +228,13 @@ class FieldCtx:
     def check_elements(self, xs, what: str = "symbol") -> None:
         """Raise InvalidParams unless every x in xs is an element, an int in [0, q^n)."""
         for x in xs:
-            if not (isinstance(x, int) and 0 <= x < self.order):
+            if not (type(x) is int and 0 <= x < self.order):  # _is_int, inlined: per symbol
                 raise InvalidParams(f"{what} {x!r} is not an int in [0, {self.order})")
 
     def element_at(self, index: int) -> int:
         """The index-th element in lexicographic order (c_0 most significant)."""
-        if not 0 <= index < self.order:
-            raise InvalidParams(f"element index {index} out of range [0, {self.order})")
+        if not (_is_int(index) and 0 <= index < self.order):
+            raise InvalidParams(f"element index {index!r} out of range [0, {self.order})")
         return index
 
     def elements(self) -> range:

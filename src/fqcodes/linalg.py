@@ -36,7 +36,7 @@ def _coordinates(vectors, ambient: int, q: int) -> list[tuple]:
     """The digit rows of packed vectors, each checked to be an int in [0, q^ambient)."""
     rows = []
     for v in vectors:
-        if not (isinstance(v, int) and 0 <= v < q ** ambient):
+        if not (type(v) is int and 0 <= v < q ** ambient):  # gf._is_int, inlined: per vector
             raise InvalidParams(f"vector {v!r} is not an int in [0, {q ** ambient})")
         rows.append(unpack(v, q, ambient))
     return rows

@@ -10,10 +10,17 @@ subspace basis row, which the library holds as a packed int: this module
 is the one place outside gf where either takes that form.  Subspace bases
 are checked entry by entry and re-validated as RREF on read, and any
 structural problem surfaces as ParseError.
+
+Every file of a code object carries a "kind" discriminator.  `_KINDS` is
+the one table of them: it maps each kind to its class and to the pair of
+functions that write and read the rest of the object.  `object_to_obj`
+looks the class up there and adds the kind; `load_obj` looks the kind up
+and calls its reader.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -171,9 +178,12 @@ def _word_to_lists(w: Word):
     return [list(w.ctx.coefficients(s)) for s in w.symbols]
 
 
+def _word_from_lists(ctx: FieldCtx, w) -> Word:
+    return Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
+
+
 def vector_code_to_obj(c: VectorCode) -> dict:
-    obj = {
-        "kind": "vector_code",
+    return {
         "field": field_to_obj(c.ctx),
         "length": c.length,
         "codewords": [_word_to_lists(w) for w in c.codewords],
@@ -181,29 +191,23 @@ def vector_code_to_obj(c: VectorCode) -> dict:
                       if c.generator is not None else None),
         "provenance": c.provenance or None,
     }
-    return obj
 
 
 @_parses("vector code")
 def vector_code_from_obj(d) -> VectorCode:
     ctx = field_from_obj(d["field"])
     length = as_int(d["length"])
-    codewords = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
-                 for w in d["codewords"]]
+    codewords = [_word_from_lists(ctx, w) for w in d["codewords"]]
     generator = d.get("generator")
-    gen_words = None
     if generator is not None:
-        gen_words = [Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
-                     for w in generator]
-    return VectorCode(ctx, length, codewords, generator=gen_words,
-                      provenance=_provenance(d))
+        generator = [_word_from_lists(ctx, w) for w in generator]
+    return VectorCode(ctx, length, codewords, generator=generator, provenance=_provenance(d))
 
 
 # -- rank codes --------------------------------------------------------------
 
 def rank_code_to_obj(c: RankCode) -> dict:
     return {
-        "kind": "rank_code",
         "field": field_to_obj(c.ctx),
         "src_field": field_to_obj(c.src) if c.src is not None else None,
         "t": c.t,
@@ -229,7 +233,6 @@ def rank_code_from_obj(d) -> RankCode:
 
 def subspace_code_to_obj(sc: SubspaceCode) -> dict:
     return {
-        "kind": "subspace_code",
         "q": sc.q,
         "ambient": sc.ambient,
         "constant_dim": sc.constant_dim,
@@ -261,7 +264,6 @@ def _blocks_to_lists(w: FoldedWord):
 
 def folded_code_to_obj(fc: FoldedCode) -> dict:
     return {
-        "kind": "folded_code",
         "field": field_to_obj(fc.ctx),
         "block_len": fc.block_len,
         "codewords": [_blocks_to_lists(w) for w in fc.codewords],
@@ -284,7 +286,6 @@ def folded_code_from_obj(d) -> FoldedCode:
 
 def difference_set_to_obj(ds: DifferenceSet) -> dict:
     return {
-        "kind": "difference_set",
         "field": field_to_obj(ds.ctx),
         "members": [list(ds.ctx.coefficients(m)) for m in ds.members],
         "v": ds.v,
@@ -326,13 +327,7 @@ def metric_report_to_obj(r: MetricReport) -> dict:
 
 
 def bound_report_to_obj(r: BoundReport) -> dict:
-    return {
-        "kind": "bound_report",
-        "bound": r.bound,
-        "parameters": r.parameters,
-        "value": r.value,
-        "satisfied": r.satisfied,
-    }
+    return {"kind": "bound_report", **dataclasses.asdict(r)}
 
 
 def bounds_csv(reports) -> str:
@@ -364,26 +359,20 @@ def trial_summary_to_obj(s: TrialSummary) -> dict:
     }
 
 
-_LOADERS = {
-    "vector_code": vector_code_from_obj,
-    "rank_code": rank_code_from_obj,
-    "subspace_code": subspace_code_from_obj,
-    "folded_code": folded_code_from_obj,
-    "difference_set": difference_set_from_obj,
+# kind on disk -> (class, writer of the rest of the object, reader)
+_KINDS = {
+    "vector_code": (VectorCode, vector_code_to_obj, vector_code_from_obj),
+    "rank_code": (RankCode, rank_code_to_obj, rank_code_from_obj),
+    "subspace_code": (SubspaceCode, subspace_code_to_obj, subspace_code_from_obj),
+    "folded_code": (FoldedCode, folded_code_to_obj, folded_code_from_obj),
+    "difference_set": (DifferenceSet, difference_set_to_obj, difference_set_from_obj),
 }
 
 
 def object_to_obj(obj) -> dict:
-    if isinstance(obj, VectorCode):
-        return vector_code_to_obj(obj)
-    if isinstance(obj, RankCode):
-        return rank_code_to_obj(obj)
-    if isinstance(obj, SubspaceCode):
-        return subspace_code_to_obj(obj)
-    if isinstance(obj, FoldedCode):
-        return folded_code_to_obj(obj)
-    if isinstance(obj, DifferenceSet):
-        return difference_set_to_obj(obj)
+    for kind, (cls, to_obj, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            return {"kind": kind, **to_obj(obj)}
     raise ParseError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -392,10 +381,9 @@ def load_obj(d):
         kind = d["kind"]
     except (KeyError, TypeError) as exc:
         raise ParseError("file has no 'kind' discriminator") from exc
-    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
-    if loader is None:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}")
-    return loader(d)
+    return _KINDS[kind][2](d)
 
 
 def load_file(path: str):

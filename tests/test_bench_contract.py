@@ -54,11 +54,14 @@ def test_traced_run_leaves_no_binding_unpatched(tmp_path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    argv = ["construct", "--kind", "spread", "--q", "2", "--k", "2", "--n", "4",
-            "--out", "spread.json"]
-    subprocess.run([sys.executable, str(BENCH / "traced_cli.py"), "trace.json", "job", "0",
-                    "--", *argv], cwd=tmp_path, env=env, check=True, capture_output=True)
-    trace = json.loads((tmp_path / "trace.json").read_text())
-    assert trace["rc"] == 0
-    assert trace["unpatched"] == []
-    assert trace["calls"]["constructions.subspace_code_min_distance"] == 1
+    # a command that builds an artifact, then one that loads it and writes a report
+    for argv in (["construct", "--kind", "spread", "--q", "2", "--k", "2", "--n", "4",
+                  "--out", "spread.json"],
+                 ["metric", "spread.json", "--metric", "subspace", "--out", "r.json"]):
+        subprocess.run([sys.executable, str(BENCH / "traced_cli.py"), "trace.json", "job",
+                        "0", "--", *argv], cwd=tmp_path, env=env, check=True,
+                       capture_output=True)
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert trace["rc"] == 0
+        assert trace["unpatched"] == []
+        assert trace["calls"]["constructions.subspace_code_min_distance"] == 1

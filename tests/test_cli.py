@@ -5,11 +5,14 @@ import time
 
 import pytest
 
+from fqcodes import __version__
 from fqcodes.cli import CONSTRUCT_KINDS, REQUIRED_FLAGS, main
 from fqcodes.constructions import spread
+from fqcodes.derived import all_vectors_code
 from fqcodes.gf import FieldCtx
 from fqcodes.metrics import VectorCode, word
-from fqcodes.serialize import load_file, save_file, sha256_file
+from fqcodes.rankmetric import gabidulin_code
+from fqcodes.serialize import field_to_obj, load_file, save_file, sha256_file
 
 
 def run(capsys, *argv):
@@ -400,3 +403,135 @@ def test_bounds_with_k_zero_exits_2(capsys):
 def test_verify_with_too_few_samples_exits_2(capsys, samples):
     err = _assert_one_line_exit_2(capsys, "verify", "--suite", "chain", "--samples", samples)
     assert err == f"error: samples={samples} must be >= 1\n"
+
+
+# -- the one command shape: typed load, compute, artifact, manifest, print -----
+
+MANIFEST_KEYS = {"kind", "tool", "version", "command", "argv", "params", "seed",
+                 "field", "inputs", "outputs"}
+
+
+def _input_files(tmp_path):
+    """A subspace code, a rank code and a vector code, saved through the library."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("spread", "gab", "av")}
+    save_file(paths["spread"], spread(2, 2, 4))
+    save_file(paths["gab"], gabidulin_code(FieldCtx(2, 3), 1))
+    save_file(paths["av"], all_vectors_code(spread(2, 2, 4), 4))
+    return paths
+
+
+# argv (with {name} for the input files and {out} for the output), the inputs
+# the manifest lists, and its field: None, or the (q, n) of the default modulus
+WRITING_COMMANDS = {
+    "construct-spread": ("construct --kind spread --q 2 --k 2 --n 4 --seed 5 --out {out}",
+                         (), None),
+    "construct-lifted-from": ("construct --kind lifted-mrd --from {gab} --out {out}",
+                              ("gab",), None),
+    "construct-gabidulin": ("construct --kind gabidulin --n 3 --t 1 --out {out}", (), (2, 3)),
+    "construct-span": ("construct --kind span --from {spread} --length 3 --out {out}",
+                       ("spread",), (2, 4)),
+    "construct-folded-eval": ("construct --kind folded-eval --n 3 --format csv --out {out}",
+                              (), (2, 3)),
+    "metric": ("metric {spread} --metric subspace --out {out}", ("spread",), None),
+    "metric-csv": ("metric {av} --metric insdel --format csv --seed 3 --out {out}",
+                   ("av",), None),
+    "bounds-code": ("bounds --code {av} --out {out}", ("av",), None),
+    "bounds-table": ("bounds --n 4 --q 2 --d 2 --out {out}", (), None),
+    "simulate": ("simulate --code {av} --del 1 --trials 10 --seed 7 --out {out}",
+                 ("av",), None),
+    "fold": ("fold --code {av} --block-len 2 --out {out}", ("av",), None),
+}
+
+
+@pytest.mark.parametrize("case", WRITING_COMMANDS)
+def test_every_writing_command_records_one_manifest_shape(tmp_path, capsys, case):
+    template, inputs, field = WRITING_COMMANDS[case]
+    paths = _input_files(tmp_path)
+    out = str(tmp_path / "out")
+    argv = template.format(out=out, **paths).split()
+    code, stdout, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert (manifest["kind"], manifest["tool"], manifest["version"]) == \
+        ("run_manifest", "fqcodes", __version__)
+    assert manifest["command"] == argv[0]
+    assert manifest["argv"] == argv
+    assert manifest["seed"] == (int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0)
+    assert manifest["outputs"] == {out: sha256_file(out)}
+    assert manifest["inputs"] == {paths[name]: sha256_file(paths[name]) for name in inputs}
+    assert manifest["field"] == (field_to_obj(FieldCtx(*field)) if field else None)
+    written = {p: (tmp_path / p).read_bytes() for p in ("out", "out.manifest.json")}
+    for p in written:
+        (tmp_path / p).unlink()
+    assert run(capsys, *manifest["argv"]) == (0, stdout, "")
+    assert {p: (tmp_path / p).read_bytes() for p in written} == written
+
+
+def test_construct_gabidulin_ignores_from(tmp_path, capsys):
+    plain, with_from = str(tmp_path / "plain.json"), str(tmp_path / "from.json")
+    assert run(capsys, "construct", "--kind", "gabidulin", "--n", "3", "--t", "1",
+               "--out", plain)[0] == 0
+    code, _, err = run(capsys, "construct", "--kind", "gabidulin", "--n", "3", "--t", "1",
+                       "--from", str(tmp_path / "nowhere.json"), "--out", with_from)
+    assert (code, err) == (0, "")
+    assert open(with_from).read() == open(plain).read()
+
+
+# each typed load, given a file of another kind
+WRONG_KIND = {
+    "lifted-mrd --from": ("construct --kind lifted-mrd --from {spread} --out {out}",
+                          "spread", "rank code"),
+    "span --from": ("construct --kind span --from {gab} --length 3 --out {out}",
+                    "gab", "subspace code"),
+    "all-vectors --from": ("construct --kind all-vectors --from {av} --length 3 --out {out}",
+                           "av", "subspace code"),
+    "folded-eval --ds": ("construct --kind folded-eval --n 3 --ds {spread} --out {out}",
+                         "spread", "difference set"),
+    "bounds --code": ("bounds --code {gab} --out {out}", "gab", "vector code"),
+    "simulate --code": ("simulate --code {spread} --out {out}", "spread", "vector code"),
+    "fold --code": ("fold --code {gab} --block-len 2 --out {out}", "gab", "vector code"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_KIND)
+def test_a_file_of_the_wrong_kind_exits_2_naming_it(tmp_path, capsys, case):
+    template, name, what = WRONG_KIND[case]
+    paths = _input_files(tmp_path)
+    out = tmp_path / "out"
+    err = _assert_one_line_exit_2(capsys, *template.format(out=out, **paths).split())
+    assert err == f"error: {paths[name]} is not a {what} file\n"
+    assert not out.exists()
+
+
+def test_metric_on_a_folded_code_rejects_a_vector_metric(tmp_path, capsys):
+    paths = _input_files(tmp_path)
+    folded = str(tmp_path / "folded.json")
+    assert run(capsys, "fold", "--code", paths["av"], "--block-len", "2", "--out", folded)[0] == 0
+    err = _assert_one_line_exit_2(capsys, "metric", folded, "--metric", "hamming")
+    assert err == "error: folded codes support subset/subspace, not 'hamming'\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--n 0 --q 2", "bounds need n >= 1 and q >= 2, got n=0, q=2"),
+    ("--n 1 --q 1", "bounds need n >= 1 and q >= 2, got n=1, q=1"),
+    ("--n 4 --q 2 --d 0", "no singleton bound takes d=0: hamming distance 0 out of range"),
+    ("--n 4 --q 2 --d 9", "no singleton bound takes d=9: hamming distance 9 out of range"),
+    ("--n 4 --q 2 --d 5", "no singleton bound takes d=5: hamming distance 5 out of range"),
+])
+def test_bounds_table_with_bad_integers_exits_2(capsys, argv, message):
+    err = _assert_one_line_exit_2(capsys, "bounds", *argv.split())
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("d, metrics", [
+    (1, {"hamming"}),
+    (3, {"hamming"}),
+    (4, {"hamming", "insdel", "subspace", "subset"}),
+    (8, {"insdel", "subspace", "subset"}),
+])
+def test_bounds_table_lists_every_singleton_bound_that_takes_d(capsys, d, metrics):
+    code, stdout, err = run(capsys, "bounds", "--n", "4", "--q", "2", "--d", str(d))
+    assert (code, err) == (0, "")
+    rows = [r["bound"] for r in json.loads(stdout)["bounds"]]
+    assert {r for r in rows if r.startswith("singleton_")} == {f"singleton_{m}" for m in metrics}

@@ -12,6 +12,7 @@ from fqcodes.constructions import (
     SubspaceCode,
 )
 from fqcodes.derived import (
+    FoldedCode,
     all_vectors_code,
     evaluation_folded_code,
     folded_code_from_vector_code,
@@ -21,7 +22,7 @@ from fqcodes.derived import (
     singer_difference_set,
     span_code,
 )
-from fqcodes.metrics import code_min_distance, fold, r_subset_distance
+from fqcodes.metrics import FoldedWord, code_min_distance, fold, r_subset_distance
 from fqcodes.rankmetric import gabidulin_code
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
@@ -235,3 +236,13 @@ def test_fold_blocks_agree_with_metric_fold():
     fc = folded_code_from_vector_code(vc, 2)
     for w, fw in zip(vc.codewords, fc.codewords):
         assert fold(w, 2).blocks == fw.blocks
+
+
+def test_folded_code_checks_the_field_and_block_length_of_every_word():
+    a = FoldedWord(GF8, 1, ((GF8.one,),))
+    assert len(FoldedCode(GF8, 1, (a, a))) == 2
+    with pytest.raises(InvalidParams, match="the code's field and block lengths"):
+        FoldedCode(GF8, 2, (a,))
+    other = FieldCtx(2, 2)
+    with pytest.raises(InvalidParams, match="the code's field and block lengths"):
+        FoldedCode(GF8, 1, (a, FoldedWord(other, 1, ((other.one,),))))

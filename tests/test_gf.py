@@ -307,6 +307,16 @@ def test_element_rejects_non_canonical_coefficients():
         assert GF8.element(GF8.coefficients(x)) == x
 
 
+@pytest.mark.parametrize("reject, message", [
+    (lambda: GF8.element((True, 0, False)), r"coefficient True is not in \[0, 2\)"),
+    (lambda: GF8.element_at(True), r"element index True out of range \[0, 8\)"),
+])
+def test_bools_are_not_elements(reject, message):
+    # True == 1, so an isinstance(x, int) test alone would accept bools
+    with pytest.raises(InvalidParams, match=message):
+        reject()
+
+
 # -- the int arithmetic against schoolbook polynomial arithmetic --------------
 
 def _school_mul(a, b, modulus, q):

@@ -160,7 +160,7 @@ def test_field_elements_as_vectors():
     assert f8.coefficients(a3) == (1, 1, 0)
 
 
-@pytest.mark.parametrize("vector", [(3, 0, -1), (1, 0, 1), -1, 8, 2 ** 70, 1.0, "5", None])
+@pytest.mark.parametrize("vector", [(3, 0, -1), (1, 0, 1), -1, 8, 2 ** 70, 1.0, "5", None, True])
 def test_span_rejects_a_vector_that_is_not_a_packed_int_in_range(vector):
     # (3, 0, -1) used to be reduced mod 2 to the line through (1, 0, 1)
     with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
@@ -171,7 +171,7 @@ def test_span_rejects_a_vector_that_is_not_a_packed_int_in_range(vector):
         kernel([vector], 3, 2)
 
 
-@pytest.mark.parametrize("vector", [(3, 0, 2), (1, 0, 0), -4, 8, 12])
+@pytest.mark.parametrize("vector", [(3, 0, 2), (1, 0, 0), -4, 8, 12, True])
 def test_contains_rejects_a_vector_that_is_not_a_packed_int_in_range(vector):
     # (3, 0, 2) used to be reduced mod 2 to (1, 0, 0), a member
     line = span([0b100], 3, 2)

@@ -274,7 +274,7 @@ def test_ghw_monotone_and_singleton_bound_random():
         assert ghw[-1] == supp
 
 
-@pytest.mark.parametrize("symbols", [((5, 7, 9),), (8,), (-1,), (1.0,), (None,)])
+@pytest.mark.parametrize("symbols", [((5, 7, 9),), (8,), (-1,), (1.0,), (None,), (True,)])
 def test_word_rejects_a_symbol_that_is_not_an_element(symbols):
     with pytest.raises(InvalidParams, match=r"symbol .* is not an int in \[0, 8\)"):
         Word(GF8, symbols)

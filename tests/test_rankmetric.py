@@ -238,7 +238,7 @@ def test_rect_member_count_formula():
     assert rank_distance_of_code(rect) == 1
 
 
-@pytest.mark.parametrize("coeffs", [((1, 1, 0),), (8,), (-1,), (0, 2.0)])
+@pytest.mark.parametrize("coeffs", [((1, 1, 0),), (8,), (-1,), (0, 2.0), (True,)])
 def test_linearized_poly_rejects_a_coefficient_that_is_not_an_element(coeffs):
     with pytest.raises(InvalidParams, match=r"coefficient .* is not an int in \[0, 8\)"):
         LinearizedPoly(GF8, coeffs)

@@ -153,10 +153,9 @@ def test_guards_fire_before_members_are_prepared():
 def test_folded_code_of_unlike_folds_raises_like_per_pair():
     a = FoldedWord(GF8, 1, ((GF8.one,),))
     b = FoldedWord(GF8, 2, ((GF8.one, GF8.zero),))
-    fc = FoldedCode(GF8, 1, (a, b))
+    with pytest.raises(InvalidParams, match="block lengths"):
+        FoldedCode(GF8, 1, (a, b))
     oracles = {"subset": folded_subset_distance, "subspace": folded_subspace_distance}
     for metric, dist in oracles.items():
         with pytest.raises(InvalidParams, match="block lengths"):
-            pairwise_min_report(fc.codewords, dist, metric)
-        with pytest.raises(InvalidParams, match="block lengths"):
-            folded_code_min_distance(fc, metric)
+            pairwise_min_report((a, b), dist, metric)
