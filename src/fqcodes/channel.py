@@ -4,9 +4,10 @@ The channel applies the requested number of symbol deletions, then
 insertions of uniformly random symbols, at uniformly random positions,
 all driven by Python's Mersenne Twister seeded from the spec, so every
 transcript is reproducible from (seed, trial index).  Decoding is a full
-scan for the insdel-nearest codeword; a tied minimum decodes to AMBIGUOUS
-on purpose, because inside the correction radius ties are impossible and
-therefore diagnostic.
+scan for the insdel-nearest codeword; the received word's LCS match masks
+(metrics.lcs_masks) are built once per decode and every codeword is scored
+against them.  A tied minimum decodes to AMBIGUOUS on purpose, because
+inside the correction radius ties are impossible and therefore diagnostic.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidParams
-from .metrics import VectorCode, Word, code_min_distance, insdel_distance
+from .metrics import VectorCode, Word, code_min_distance, lcs_masks, masked_lcs
 
 PRNG_NAME = "mt19937"
 
@@ -63,17 +64,25 @@ def apply_channel(w: Word, spec: ChannelSpec) -> Word:
 
 
 def decode_nearest(c: VectorCode, received: Word):
-    """The unique insdel-nearest codeword, or AMBIGUOUS on a tie."""
-    best = None
+    """The unique insdel-nearest codeword, or AMBIGUOUS on a tie.
+
+    Every codeword has length c.length, so the insdel-nearest codewords
+    are those with the longest common subsequence with the received word.
+    """
+    if received.ctx != c.ctx:
+        raise InvalidParams("words live in different fields")
+    m = len(received.symbols)
+    masks = lcs_masks(received.symbols)
+    best = -1
     best_word = None
     tied = False
     for cw in c.codewords:
-        d = insdel_distance(cw, received)
-        if best is None or d < best:
-            best = d
+        lcs = masked_lcs(masks, m, cw.symbols)
+        if lcs > best:
+            best = lcs
             best_word = cw
             tied = False
-        elif d == best:
+        elif lcs == best:
             tied = True
     return AMBIGUOUS if tied else best_word
 

@@ -10,6 +10,14 @@ compares the deduplicated symbol sets.  Both ignore coordinate
 positions entirely, which is what makes them lower bounds for the
 insdel distance.
 
+Every insdel distance goes through one bit-parallel LCS kernel:
+lcs_masks builds a word's match masks (symbol -> bitmask of its
+positions) once, and masked_lcs scores any other sequence against them
+with at most four big-int operations per symbol.  insdel_distance builds
+the masks per call, the insdel sweep once per codeword, and
+channel.decode_nearest once per received word.  The O(|a||b|) DP
+lcs_length is kept as the oracle the kernel is tested against.
+
 Code-level sweeps are exhaustive over unordered pairs with a pair-count
 guard; the witness reported for a minimum is always the first attaining
 pair in codeword order, so reports are reproducible.
@@ -96,7 +104,11 @@ def hamming_distance(a: Word, b: Word) -> int:
 
 
 def lcs_length(a, b) -> int:
-    """Longest common subsequence length by the standard O(|a||b|) DP."""
+    """Longest common subsequence length by the standard O(|a||b|) DP.
+
+    The reference the bit-parallel kernel (lcs_masks, masked_lcs) is
+    tested against; the library itself scores pairs with the kernel.
+    """
     m, n = len(a), len(b)
     prev = [0] * (n + 1)
     for i in range(1, m + 1):
@@ -111,10 +123,41 @@ def lcs_length(a, b) -> int:
     return prev[n]
 
 
+def lcs_masks(symbols) -> dict:
+    """Match masks of a sequence: symbol -> bitmask of the positions where it occurs."""
+    masks = {}
+    bit = 1
+    for s in symbols:
+        masks[s] = masks.get(s, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def masked_lcs(masks: dict, n: int, symbols) -> int:
+    """LCS length of symbols and the length-n sequence whose lcs_masks are given.
+
+    Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004).  After a prefix
+    of symbols, bit i of v is 0 exactly when that prefix has a longer
+    common subsequence with the first i + 1 masked symbols than with the
+    first i, so the LCS is the number of zero bits among the low n bits.
+    Carries above bit n never reach back down, so v is masked only at the
+    end.  A symbol absent from the masks leaves v unchanged and is skipped.
+    """
+    v = full = (1 << n) - 1
+    get = masks.get
+    for x in symbols:
+        match = get(x, 0)
+        if match:
+            u = v & match
+            v = (v + u) | (v - u)
+    return n - (v & full).bit_count()
+
+
 def insdel_distance(a: Word, b: Word) -> int:
     """|a| + |b| - 2 LCS(a, b); the number of insertions plus deletions."""
     _require_same_ctx(a, b)
-    return len(a) + len(b) - 2 * lcs_length(a.symbols, b.symbols)
+    n = len(a.symbols)
+    return n + len(b.symbols) - 2 * masked_lcs(lcs_masks(a.symbols), n, b.symbols)
 
 
 def word_span(a: Word):
@@ -355,18 +398,19 @@ class VectorCode:
         return cls(ctx, length, codewords, generator=rows, provenance=provenance)
 
 
-_METRICS = {
-    "hamming": hamming_distance,
-    "insdel": insdel_distance,
-}
-
-
 def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
                       force: bool = False) -> MetricReport:
     """Exhaustive minimum distance of a vector code under the named metric."""
     words = c.codewords
-    if metric in _METRICS:
-        return pairwise_min_report(words, _METRICS[metric], metric, force=force)
+    if metric == "hamming":
+        return pairwise_min_report(words, hamming_distance, metric, force=force)
+    if metric == "insdel":
+        _pair_count(len(words), PAIR_GUARD, force)
+        n = c.length  # every codeword has length n, so d_insdel = 2 (n - LCS)
+        symbols = [w.symbols for w in words]
+        masks = [lcs_masks(s) for s in symbols]
+        return _index_sweep(words, lambda i, j: 2 * (n - masked_lcs(masks[i], n, symbols[j])),
+                            metric, force, None)
     if metric == "subspace":
         return subspace_min_report(words, word_span, metric, force=force)
     if metric == "subset":

@@ -99,18 +99,25 @@ def _umask() -> int:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename.
+
+    An output path that cannot be written (a missing directory, a
+    directory in the way, no permission) raises InvalidParams naming it.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-fqcodes-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-fqcodes-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise InvalidParams(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def sha256_file(path: str) -> str:

@@ -54,14 +54,23 @@ def test_traced_run_leaves_no_binding_unpatched(tmp_path):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
-    # a command that builds an artifact, then one that loads it and writes a report
-    for argv in (["construct", "--kind", "spread", "--q", "2", "--k", "2", "--n", "4",
-                  "--out", "spread.json"],
-                 ["metric", "spread.json", "--metric", "subspace", "--out", "r.json"]):
+    # commands that build artifacts, then ones that load them and write reports;
+    # the last two score insdel pairs (a sweep, then nearest-codeword decoding)
+    for argv, counted, calls in (
+            (["construct", "--kind", "spread", "--q", "2", "--k", "2", "--n", "4",
+              "--out", "spread.json"], "constructions.subspace_code_min_distance", 1),
+            (["metric", "spread.json", "--metric", "subspace", "--out", "r.json"],
+             "constructions.subspace_code_min_distance", 1),
+            (["construct", "--kind", "all-vectors", "--from", "spread.json", "--length", "3",
+              "--out", "av.json"], "derived.all_vectors_code", 1),
+            (["metric", "av.json", "--metric", "insdel", "--out", "i.json"],
+             "metrics.pairwise_min_report", 1),
+            (["simulate", "--code", "av.json", "--del", "1", "--trials", "5",
+              "--out", "s.csv"], "channel.decode_nearest", 5)):
         subprocess.run([sys.executable, str(BENCH / "traced_cli.py"), "trace.json", "job",
                         "0", "--", *argv], cwd=tmp_path, env=env, check=True,
                        capture_output=True)
         trace = json.loads((tmp_path / "trace.json").read_text())
         assert trace["rc"] == 0
         assert trace["unpatched"] == []
-        assert trace["calls"]["constructions.subspace_code_min_distance"] == 1
+        assert trace["calls"][counted] == calls

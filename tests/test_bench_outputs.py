@@ -4,9 +4,10 @@ bench/run.py checks the sha256 of every artifact, manifest and stdout of
 its jobs against bench/expected_sha256.json, but only when the benchmark
 runs.  This test runs most of those jobs through `fqcodes.cli.main` in a
 temporary directory, with the same argv and the same seeded inputs
-(seed 0), and compares every hash with the recorded table.  The largest
-construction (spread.2.8.16) and the sampling suites are left to the
-benchmark itself.  bench/ is read, never written (no bytecode caches).
+(seed 0), and compares every hash with the recorded table; that includes
+the three `simulate` jobs of the channel workload, whose transcripts pin
+every decoding decision, ties included.  The largest construction
+(spread.2.8.16) and the sampling suites are left to the benchmark itself.  bench/ is read, never written (no bytecode caches).
 """
 
 import hashlib
@@ -47,7 +48,7 @@ TABLE = json.loads((BENCH / "expected_sha256.json").read_text())
 CASES = {
     "sweep": WORKLOADS["sweep"].setup + WORKLOADS["sweep"].jobs,
     "construct": tuple(j for j in WORKLOADS["construct"].jobs if j.id != "spread.2.8.16"),
-    "channel": WORKLOADS["channel"].setup,
+    "channel": WORKLOADS["channel"].setup + WORKLOADS["channel"].jobs,
     "verify": WORKLOADS["verify"].setup + tuple(
         j for j in WORKLOADS["verify"].jobs
         if j.id in ("verify.delsarte", "verify.spread", "verify.orbit",

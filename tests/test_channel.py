@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fqcodes.errors import InvalidParams
 from fqcodes.gf import FieldCtx
@@ -16,7 +18,7 @@ from fqcodes.channel import (
 )
 from fqcodes.constructions import spread
 from fqcodes.derived import all_vectors_code
-from fqcodes.metrics import VectorCode, insdel_distance, word
+from fqcodes.metrics import VectorCode, Word, insdel_distance, lcs_length, word
 
 F2 = FieldCtx(2, 1)
 
@@ -77,19 +79,53 @@ def test_decode_hand_checked_tie():
     assert decode_nearest(vc, received) is AMBIGUOUS
 
 
+def _full_scan(vc, received):
+    """Oracle decoder: every codeword scored with the DP lcs_length."""
+    dists = [len(cw) + len(received) - 2 * lcs_length(cw.symbols, received.symbols)
+             for cw in vc.codewords]
+    best = min(dists)
+    return AMBIGUOUS if dists.count(best) > 1 else vc.codewords[dists.index(best)]
+
+
 def test_decoder_matches_reversed_scan():
     vc = _spread_code()
     rng = random.Random(5)
     for _ in range(100):
         w = vc.codewords[rng.randrange(len(vc.codewords))]
         received = apply_channel(w, ChannelSpec(1, 2, rng.randrange(10 ** 6)))
-        forward = decode_nearest(vc, received)
-        dists = [insdel_distance(cw, received) for cw in vc.codewords]
-        best = min(dists)
-        if dists.count(best) > 1:
-            assert forward is AMBIGUOUS
-        else:
-            assert forward is vc.codewords[dists.index(best)]
+        assert decode_nearest(vc, received) is _full_scan(vc, received)
+
+
+F3 = FieldCtx(3, 1)
+
+
+@st.composite
+def _code_and_received(draw):
+    """A small code over F_2 or F_3 and a received word of any length: short
+    words over a small alphabet, so tied nearest codewords are common."""
+    ctx = draw(st.sampled_from([F2, F3]))
+    symbol = st.integers(0, ctx.q - 1)
+    length = draw(st.integers(1, 6))
+    words = draw(st.lists(st.tuples(*[symbol] * length), min_size=1, max_size=8))
+    received = draw(st.lists(symbol, max_size=length + 3))
+    return (VectorCode(ctx, length, [Word(ctx, w) for w in words]),
+            Word(ctx, tuple(received)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_code_and_received())
+@example((VectorCode(F2, 2, [word(F2, [(0,), (1,)]), word(F2, [(1,), (0,)])]),
+          word(F2, [(0,)])))
+def test_decoder_matches_the_lcs_dp_full_scan(case):
+    vc, received = case
+    assert decode_nearest(vc, received) is _full_scan(vc, received)
+
+
+def test_decoding_a_word_from_another_field_raises():
+    vc = _spread_code()
+    received = word(FieldCtx(2, 2), [(0, 1), (1, 1), (1, 0)])
+    with pytest.raises(InvalidParams, match="different fields"):
+        decode_nearest(vc, received)
 
 
 def test_capability_values():

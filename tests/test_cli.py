@@ -468,6 +468,17 @@ def test_every_writing_command_records_one_manifest_shape(tmp_path, capsys, case
     assert {p: (tmp_path / p).read_bytes() for p in written} == written
 
 
+@pytest.mark.parametrize("case", WRITING_COMMANDS)
+def test_an_out_path_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys, case):
+    template, _inputs, _field = WRITING_COMMANDS[case]
+    paths = _input_files(tmp_path)
+    before = set(tmp_path.iterdir())
+    out = tmp_path / "nodir" / "out"
+    err = _assert_one_line_exit_2(capsys, *template.format(out=out, **paths).split())
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_construct_gabidulin_ignores_from(tmp_path, capsys):
     plain, with_from = str(tmp_path / "plain.json"), str(tmp_path / "from.json")
     assert run(capsys, "construct", "--kind", "gabidulin", "--n", "3", "--t", "1",

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
@@ -19,6 +19,8 @@ from fqcodes.metrics import (
     hamming_distance,
     insdel_distance,
     lcs_length,
+    lcs_masks,
+    masked_lcs,
     pairwise_min_report,
     r_subset_distance,
     r_subspace_distance,
@@ -81,6 +83,56 @@ def test_lcs_dp_matches_brute_force():
         a = [rng.randrange(2) for _ in range(rng.randrange(5))]
         b = [rng.randrange(2) for _ in range(rng.randrange(5))]
         assert lcs_length(a, b) == _lcs_brute(a, b)
+
+
+@st.composite
+def _symbol_pair(draw, alphabets=(1, 2, 3, 256)):
+    """Two sequences over an alphabet of one of the given sizes, each of its
+    own length up to 150, so the masks can span several 64-bit words."""
+    q = draw(st.sampled_from(alphabets))
+    seq = st.lists(st.integers(0, q - 1), max_size=150)
+    return draw(seq), draw(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symbol_pair())
+@example(([], []))
+@example(([], [0, 1]))
+@example(([2] * 70, [2] * 65 + [0, 1]))
+@example(([0, 1, 2] * 30, [2, 1, 0] * 25))
+def test_bit_parallel_lcs_matches_the_dp(pair):
+    a, b = pair
+    assert masked_lcs(lcs_masks(a), len(a), b) == lcs_length(a, b)
+    assert masked_lcs(lcs_masks(b), len(b), a) == lcs_length(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symbol_pair(alphabets=(3,)))
+def test_insdel_distance_over_f3_matches_the_dp(pair):
+    a, b = (Word(FieldCtx(3, 1), tuple(s)) for s in pair)
+    assert insdel_distance(a, b) == len(a) + len(b) - 2 * lcs_length(a.symbols, b.symbols)
+
+
+@st.composite
+def _small_code(draw):
+    """2 to 12 distinct words of one length over F_2, F_4 or F_3."""
+    ctx = draw(st.sampled_from([F2, F4, FieldCtx(3, 1)]))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, ctx.order - 1)] * n),
+                         min_size=2, max_size=12, unique=True))
+    return VectorCode(ctx, n, [Word(ctx, r) for r in rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_code())
+def test_insdel_sweep_matches_the_lcs_dp_pairwise_sweep(c):
+    rep = code_min_distance(c, "insdel")
+    oracle = pairwise_min_report(
+        c.codewords, lambda x, y: len(x) + len(y) - 2 * lcs_length(x.symbols, y.symbols),
+        "insdel")
+    assert (rep.minimum, rep.witness_indices, rep.pairs) == \
+        (oracle.minimum, oracle.witness_indices, oracle.pairs)
+    assert rep.witness == oracle.witness
 
 
 def test_subspace_distance_examples():
