@@ -1,12 +1,12 @@
 """Command-line surface: construct, metric, verify, bounds, simulate, fold.
 
-Every command has one shape: load its input files, compute, write its
-artifact, record a manifest, print.  An input file is loaded in `_load`,
-which checks that it holds the expected kind of object; a command that
-writes a file records `<out>.manifest.json` through `_write_manifest`,
+Every command has one shape: check its options, load its input files, compute,
+write its artifact, record a manifest, print.  An input file is loaded in
+`_load`, which checks that it holds the expected kind of object; a command
+that writes a file records `<out>.manifest.json` through `_write_manifest`,
 with the exact argv, parameters, modulus, seed and SHA-256 hashes of all
-inputs and the output.  Nothing in an output depends on wall-clock state,
-so re-running a manifest's argv reproduces the files byte for byte.
+inputs and the output.  Nothing in an output depends on wall-clock state, so
+re-running a manifest's argv reproduces the files byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 """
@@ -64,20 +64,23 @@ from .serialize import (
 )
 from .suites import SUITES, run_suites
 
-# The options each construction kind needs, by argparse dest; lifted-mrd
-# needs none of them when it reads its rank code with --from.
-REQUIRED_FLAGS = {
-    "gabidulin": ("n", "t"),
-    "lifted-mrd": ("n", "t"),
-    "spread": ("k", "n"),
-    "sidon-orbit": ("n", "k"),
-    "block-enlarged": ("n", "t"),
-    "span": ("from_path", "length"),
-    "all-vectors": ("from_path", "length"),
-    "folded-eval": ("n",),
-    "singer-ds": ("n",),
+# The options each construction kind needs, then the ones it may also take,
+# by argparse dest: all that it reads, so any other exits 2.  --q is 2 where
+# it is not given.  lifted-mrd given --from reads that file and nothing else.
+CONSTRUCT_KINDS = {
+    "gabidulin": (("n", "t"), ("q", "modulus")),
+    "lifted-mrd": (("n", "t"), ("q", "modulus", "from_path")),
+    "spread": (("k", "n"), ("q",)),
+    "sidon-orbit": (("n", "k"), ("q", "modulus")),
+    "block-enlarged": (("n", "t"), ("q", "modulus")),
+    "span": (("from_path", "length"), ()),
+    "all-vectors": (("from_path", "length"), ()),
+    "folded-eval": (("n",), ("modulus", "ds_path")),
+    "singer-ds": (("n",), ("modulus",)),
 }
-CONSTRUCT_KINDS = tuple(REQUIRED_FLAGS)
+_KIND_OPTIONS = tuple(dict.fromkeys(d for needs, may in CONSTRUCT_KINDS.values()
+                                    for d in needs + may))
+_INPUT_PARAMS = {"from_path": "source", "ds_path": "ds"}  # manifest names of input files
 
 
 def _load(path: str, cls, what: str):
@@ -118,37 +121,49 @@ def _emit(args, obj: dict, csv_text: str) -> int:
 
 def _report(args, obj: dict, csv_text: str, params: dict, inputs) -> int:
     """Print a report; with --out, first write the same text and its manifest."""
-    text = _render(args, obj, csv_text)
     if args.out:
-        atomic_write_text(args.out, text)
+        atomic_write_text(args.out, _render(args, obj, csv_text))
         _write_manifest(args, params, inputs)
-    sys.stdout.write(text)
-    return 0
+    return _emit(args, obj, csv_text)
 
 
-def _require_flags(args) -> None:
-    needed = REQUIRED_FLAGS[args.kind]
-    if args.kind == "lifted-mrd" and args.from_path:
-        needed = ()
-    missing = ["--" + d.removesuffix("_path") for d in needed if getattr(args, d) is None]
-    if missing:
-        raise InvalidParams(f"--kind {args.kind} needs {' and '.join(missing)}")
+def _flag(dest: str) -> str:
+    return "--" + dest.removesuffix("_path").replace("_", "-")
+
+
+def _kind_reads(args) -> tuple:
+    """The options --kind needs and the ones it may also take."""
+    if args.kind == "lifted-mrd" and args.from_path is not None:
+        return ("from_path",), ()
+    return CONSTRUCT_KINDS[args.kind]
+
+
+def check_options(args) -> None:
+    """Exit 2 on a missing option, or on a given one that the command does not read."""
+    unread = ()
+    if args.command == "construct":
+        needs, may = _kind_reads(args)
+        missing = [_flag(d) for d in needs if getattr(args, d) is None]
+        if missing:
+            raise InvalidParams(f"--kind {args.kind} needs {' and '.join(missing)}")
+        owner, unread = f"--kind {args.kind}", [d for d in _KIND_OPTIONS if d not in needs + may]
+    elif args.command == "metric" and not args.metric.startswith("r_"):
+        owner, unread = f"--metric {args.metric}", ("block_len",)
+    elif args.command == "bounds" and args.code is not None:
+        owner, unread = "--code", ("n", "q", "k", "d")
+    elif args.command == "bounds" and None in (args.n, args.q):
+        raise InvalidParams("bounds need --code or both --n and --q")
+    given = [_flag(d) for d in unread if getattr(args, d) is not None]
+    if given:
+        raise InvalidParams(f"{owner} does not take {' or '.join(given)}")
 
 
 def _cmd_construct(args) -> int:
-    _require_flags(args)
     kind = args.kind
-    params = {"kind": kind}
-    inputs = []
-    if kind in ("folded-eval", "singer-ds"):
-        ctx = FieldCtx(2, args.n, args.modulus)
-    elif kind in ("gabidulin", "sidon-orbit", "block-enlarged") or (
-            kind == "lifted-mrd" and not args.from_path):
-        ctx = FieldCtx(args.q, args.n, args.modulus)
-    else:  # spread and lifted-mrd --from record no field; span codes record theirs
-        ctx = None
+    needs, may = _kind_reads(args)
+    q = 2 if args.q is None else args.q
+    ctx = FieldCtx(q, args.n, args.modulus) if "modulus" in may else None
     if kind == "gabidulin":
-        params.update(q=args.q, n=args.n, t=args.t)
         obj = gabidulin_code(ctx, args.t)
         measured = rank_distance_of_code(obj)
         if measured != obj.declared_rank_distance:
@@ -158,45 +173,32 @@ def _cmd_construct(args) -> int:
     elif kind == "lifted-mrd":
         if args.from_path:
             rc = _load(args.from_path, RankCode, "rank code")
-            inputs.append(args.from_path)
-            params.update(source=args.from_path)
         else:
             rc = gabidulin_code(ctx, args.t)
-            params.update(q=args.q, n=args.n, t=args.t)
-        obj = _verify_subspace_code(lift_rank_code(rc), args.force)
+        obj = lift_rank_code(rc)
     elif kind == "spread":
-        params.update(q=args.q, k=args.k, n=args.n)
-        obj = _verify_subspace_code(spread(args.q, args.k, args.n), args.force)
+        obj = spread(q, args.k, args.n)
     elif kind == "sidon-orbit":
-        params.update(q=args.q, n=args.n, k=args.k)
         sidon = sidon_search(ctx, args.k)
-        sc = orbit_cyclic_code(ctx, sidon)
-        sc.declared_distance = 2 * args.k - 2
-        sc.provenance["sidon_basis"] = subspace_to_obj(sidon)["basis"]
-        obj = _verify_subspace_code(sc, args.force, exact=True)
+        obj = orbit_cyclic_code(ctx, sidon)
+        obj.declared_distance = 2 * args.k - 2
+        obj.provenance["sidon_basis"] = subspace_to_obj(sidon)["basis"]
     elif kind == "block-enlarged":
-        params.update(q=args.q, n=args.n, t=args.t)
-        obj = _verify_subspace_code(block_enlarged_family(ctx, args.t), args.force)
+        obj = block_enlarged_family(ctx, args.t)
     elif kind in ("span", "all-vectors"):
-        sc = _load(args.from_path, SubspaceCode, "subspace code")
-        inputs.append(args.from_path)
-        params.update(source=args.from_path, length=args.length)
         builder = span_code if kind == "span" else all_vectors_code
-        obj = builder(sc, args.length)
+        obj = builder(_load(args.from_path, SubspaceCode, "subspace code"), args.length)
         if len(obj) >= 2:
             rep = code_min_distance(obj, "insdel", force=args.force)
             obj.provenance["verified_insdel_distance"] = rep.minimum
         else:
             obj.provenance["verified_insdel_distance"] = None
-        ctx = obj.ctx
+        ctx = obj.ctx  # span codes record the field of their symbols
     elif kind == "folded-eval":
-        params.update(n=args.n)
         if args.ds_path:
             ds = _load(args.ds_path, DifferenceSet, "difference set")
             if ds.ctx != ctx:
                 raise InvalidParams("difference set lives in a different field")
-            inputs.append(args.ds_path)
-            params.update(ds=args.ds_path)
         else:
             ds = singer_difference_set(ctx)
         obj = evaluation_folded_code(ctx, ds.members)
@@ -204,10 +206,15 @@ def _cmd_construct(args) -> int:
         obj.provenance["verified_subset_distance"] = rep.minimum
         obj.provenance["difference_set"] = {"v": ds.v, "k": ds.k, "lambda": ds.lam}
     else:  # singer-ds
-        params.update(n=args.n)
         obj = singer_difference_set(ctx)
+    if isinstance(obj, SubspaceCode):
+        obj = _verify_subspace_code(obj, args.force, exact=kind == "sidon-orbit")
     save_file(args.out, obj)
-    _write_manifest(args, params, inputs, field_to_obj(ctx) if ctx is not None else None)
+    given = dict(vars(args), q=q)
+    read = [d for d in needs + may if d != "modulus" and given[d] is not None]
+    _write_manifest(args, {"kind": kind} | {_INPUT_PARAMS.get(d, d): given[d] for d in read},
+                    [given[d] for d in read if d in _INPUT_PARAMS],
+                    field_to_obj(ctx) if ctx is not None else None)
     summary = {"kind": kind, "out": args.out}
     if kind != "singer-ds":
         summary["members"] = len(obj)
@@ -230,17 +237,16 @@ def _verify_subspace_code(sc: SubspaceCode, force: bool, exact: bool = False) ->
 
 
 def _cmd_metric(args) -> int:
-    obj = load_file(args.code)
+    obj = _load(args.code, (VectorCode, SubspaceCode, FoldedCode),
+                "vector, subspace or folded code")
     if isinstance(obj, VectorCode):
         rep = code_min_distance(obj, args.metric, r=args.block_len, force=args.force)
     elif isinstance(obj, SubspaceCode):
         if args.metric != "subspace":
             raise InvalidParams("subspace code files only support --metric subspace")
         rep = subspace_code_min_distance(obj, force=args.force)
-    elif isinstance(obj, FoldedCode):
-        rep = folded_code_min_distance(obj, args.metric, force=args.force)
     else:
-        raise InvalidParams(f"no metrics defined for {type(obj).__name__} files")
+        rep = folded_code_min_distance(obj, args.metric, force=args.force)
     return _report(args, metric_report_to_obj(rep), rep.csv_line() + "\n",
                    {"metric": args.metric, "block_len": args.block_len}, [args.code])
 
@@ -267,8 +273,6 @@ def _cmd_bounds(args) -> int:
         reports = verify_bounds(_load(args.code, VectorCode, "vector code"), force=args.force)
     else:
         n, q = args.n, args.q
-        if n is None or q is None:
-            raise InvalidParams("bounds need --code or both --n and --q")
         if n < 1 or q < 2:
             raise InvalidParams(f"bounds need n >= 1 and q >= 2, got n={n}, q={q}")
         reports = []
@@ -314,13 +318,14 @@ def _cmd_fold(args) -> int:
                  f"folded_code,{args.out}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, func):
-    """The options every command takes, and the function that runs it."""
+def _add_common(p: argparse.ArgumentParser, func, sweeps: bool = True):
+    """The options every command takes, --force if it sweeps, and its function."""
     p.set_defaults(func=func)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--force", action="store_true",
-                   help="override pair-count guards on exhaustive sweeps")
+    if sweeps:
+        p.add_argument("--force", action="store_true",
+                       help="override pair-count guards on exhaustive sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,12 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a code and write it to a file")
-    c.add_argument("--kind", choices=CONSTRUCT_KINDS, required=True)
-    c.add_argument("--q", type=int, default=2)
-    c.add_argument("--n", type=int)
-    c.add_argument("--t", type=int)
-    c.add_argument("--k", type=int)
-    c.add_argument("--length", type=int)
+    c.add_argument("--kind", choices=tuple(CONSTRUCT_KINDS), required=True)
+    for dest in ("q", "n", "t", "k", "length"):
+        c.add_argument("--" + dest, type=int)
     c.add_argument("--modulus", type=int, nargs="+")
     c.add_argument("--from", dest="from_path")
     c.add_argument("--ds", dest="ds_path")
@@ -355,14 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a property suite")
     v.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     v.add_argument("--samples", type=int, default=10000)
-    _add_common(v, _cmd_verify)
+    _add_common(v, _cmd_verify, sweeps=False)
 
     b = sub.add_parser("bounds", help="evaluate closed-form bounds")
     b.add_argument("--code")
-    b.add_argument("--n", type=int)
-    b.add_argument("--q", type=int)
-    b.add_argument("--k", type=int)
-    b.add_argument("--d", type=int)
+    for dest in ("n", "q", "k", "d"):
+        b.add_argument("--" + dest, type=int)
     b.add_argument("--out")
     _add_common(b, _cmd_bounds)
 
@@ -378,20 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--code", required=True)
     f.add_argument("--block-len", type=int, required=True, dest="block_len")
     f.add_argument("--out", required=True)
-    _add_common(f, _cmd_fold)
+    _add_common(f, _cmd_fold, sweeps=False)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     args._argv = list(argv)
     try:
+        check_options(args)
         return args.func(args)
     except PropertyViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ from .linalg import (
     enumerate_subspaces,
     rref,
     span,
-    subspace_pair_distance,  # noqa: F401  (re-exported)
 )
 from .metrics import MetricReport, subspace_min_report
 from .rankmetric import (

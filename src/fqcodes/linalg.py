@@ -30,6 +30,7 @@ from .gf import add_packed, pack, prime_field, unpack
 
 _ENUM_GUARD = 1 << 20       # cap on q^ambient for subspace enumeration
 _ENUM_COUNT_CAP = 1 << 22   # cap on the number of subspaces materialized
+EXT_BASES_GUARD = 10 ** 6   # cap on the bases enumerate_ext_rref_bases lists
 
 
 def _coordinates(vectors, ambient: int, q: int) -> list[tuple]:
@@ -286,13 +287,13 @@ def span_vectors(rows, ncols: int, ctx) -> list[tuple]:
     return out
 
 
-def enumerate_ext_rref_bases(ctx, ambient: int, dim: int, count_guard: int = 10 ** 6):
+def enumerate_ext_rref_bases(ctx, ambient: int, dim: int):
     """All RREF bases of dim-dimensional subspaces of ctx^ambient, sorted.
 
     Entries are ctx elements; ordering is lexicographic on the elements.
     """
     if dim < 0 or dim > ambient:
         raise InvalidParams(f"dimension {dim} out of range for ambient {ambient}")
-    if subspace_count(ambient, dim, ctx.order) > count_guard:
+    if subspace_count(ambient, dim, ctx.order) > EXT_BASES_GUARD:
         raise SearchTooLarge("too many extension-field subspaces to enumerate")
     return _rref_bases(ctx.order, ctx.one, ambient, dim)

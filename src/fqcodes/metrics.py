@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from .errors import InvalidParams, SearchTooLarge
 from .gf import FieldCtx, pack
 from .linalg import (
+    EXT_BASES_GUARD,
     enumerate_ext_rref_bases,
     ext_matmul,
     ext_rank,
@@ -247,23 +248,23 @@ class MetricReport:
         return f"{self.metric},{self.minimum},{i},{j},{self.pairs}"
 
 
-def _pair_count(m: int, guard: int, force: bool) -> int:
-    """Number of unordered pairs of m members, after the sweep guards."""
+def _pair_count(m: int, force: bool) -> int:
+    """Number of unordered pairs of m members, after the PAIR_GUARD check."""
     if m < 2:
         raise InvalidParams("a minimum distance needs at least two members")
     pairs = m * (m - 1) // 2
-    if pairs > guard and not force:
-        raise SearchTooLarge(f"{pairs} pairs exceed the guard ({guard}); pass force to override")
+    if pairs > PAIR_GUARD and not force:
+        raise SearchTooLarge(
+            f"{pairs} pairs exceed the guard ({PAIR_GUARD}); pass force to override")
     return pairs
 
 
-def pairwise_min_report(items, dist, metric: str,
-                        guard: int = PAIR_GUARD, force: bool = False,
+def pairwise_min_report(items, dist, metric: str, force: bool = False,
                         notes: dict | None = None) -> MetricReport:
     """Exact minimum of dist over unordered pairs; witness is the first attaining pair."""
     items = list(items)
     m = len(items)
-    pairs = _pair_count(m, guard, force)
+    pairs = _pair_count(m, force)
     best = None
     best_pair = None
     idx = None
@@ -304,7 +305,7 @@ def subspace_min_report(items, subspace_of, metric: str,
     subspace_pair_distance instead.
     """
     items = list(items)
-    _pair_count(len(items), PAIR_GUARD, force)
+    _pair_count(len(items), force)
     subspaces = [subspace_of(x) for x in items]
     q = subspaces[0].q
     if sum(q ** s.dim for s in subspaces) > _MATERIALIZE_GUARD:
@@ -324,7 +325,7 @@ def subset_min_report(items, set_of, metric: str, force: bool = False,
                       notes: dict | None = None) -> MetricReport:
     """Exact minimum subset distance with each member's set built once."""
     items = list(items)
-    _pair_count(len(items), PAIR_GUARD, force)
+    _pair_count(len(items), force)
     sets = [set_of(x) for x in items]
     return _index_sweep(items, lambda i, j: symmetric_difference(sets[i], sets[j]),
                         metric, force, notes)
@@ -405,7 +406,7 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
     if metric == "hamming":
         return pairwise_min_report(words, hamming_distance, metric, force=force)
     if metric == "insdel":
-        _pair_count(len(words), PAIR_GUARD, force)
+        _pair_count(len(words), force)
         n = c.length  # every codeword has length n, so d_insdel = 2 (n - LCS)
         symbols = [w.symbols for w in words]
         masks = [lcs_masks(s) for s in symbols]
@@ -429,7 +430,7 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
                              metric, force=force, notes=notes)
 
 
-def generalized_hamming_weights(c: VectorCode, count_guard: int = 10 ** 6) -> list[int]:
+def generalized_hamming_weights(c: VectorCode) -> list[int]:
     """d_r = minimum support size over r-dimensional subcodes, r = 1..k."""
     if not c.linear:
         raise InvalidParams("generalized Hamming weights need a generator")
@@ -437,12 +438,12 @@ def generalized_hamming_weights(c: VectorCode, count_guard: int = 10 ** 6) -> li
     rows = [g.symbols for g in c.generator]
     k = len(rows)
     for r in range(1, k + 1):
-        if subspace_count(k, r, ctx.order) > count_guard:
+        if subspace_count(k, r, ctx.order) > EXT_BASES_GUARD:
             raise SearchTooLarge("too many subcodes to enumerate")
     weights = []
     for r in range(1, k + 1):
         best = None
-        for basis in enumerate_ext_rref_bases(ctx, k, r, count_guard):
+        for basis in enumerate_ext_rref_bases(ctx, k, r):
             sub = ext_matmul(basis, rows, c.length, ctx)
             supp = sum(1 for j in range(c.length) if any(row[j] for row in sub))
             if best is None or supp < best:

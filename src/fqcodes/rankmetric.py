@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx, LinearEmbedding, add_packed, embed_linear, pack
 from .linalg import packed_rank, subspace_count
-from .metrics import PAIR_GUARD, pairwise_min_report
+from .metrics import pairwise_min_report
 
 _GABIDULIN_GUARD = 1 << 22
 
@@ -165,8 +165,7 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
                                 "k": src.n, "h": dst.n - src.n, "t": t})
 
 
-def rank_distance_of_code(c: RankCode, force: bool = False,
-                          guard: int = PAIR_GUARD) -> int:
+def rank_distance_of_code(c: RankCode, force: bool = False) -> int:
     """Exact minimum rank distance.
 
     When the member matrices are distinct and form an F_q-linear space,
@@ -186,7 +185,7 @@ def rank_distance_of_code(c: RankCode, force: bool = False,
 
     def dist(a, b):
         return packed_rank([add_packed(x, y, q, -1) for x, y in zip(a, b)], ncols, q)
-    return pairwise_min_report(matrices, dist, "rank", guard=guard, force=force).minimum
+    return pairwise_min_report(matrices, dist, "rank", force=force).minimum
 
 
 def mrd_check(c: RankCode, m_cols: int, n_rows: int, d: int) -> bool:

@@ -20,15 +20,30 @@ BENCH = ROOT / "bench"
 
 
 def _load_bench_module(name: str):
+    """Import bench/<name>.py; run.py imports traced_cli from its own directory."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    saved = sys.dont_write_bytecode, list(sys.path)
     sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
     try:
         spec.loader.exec_module(module)
     finally:
-        sys.dont_write_bytecode = saved
+        sys.dont_write_bytecode, sys.path[:] = saved
     return module
+
+
+def test_every_benchmark_argv_passes_the_option_checks():
+    """No benchmark job, set-up step included, gives an option its command does not read."""
+    from fqcodes.cli import build_parser, check_options
+    run = _load_bench_module("run")
+    parser = build_parser()
+    argvs = {step.argv for seed in (0, 1) for w in run.workloads(seed).values()
+             for step in w.setup + w.jobs if isinstance(step, run.Job)}
+    assert {argv[0] for argv in argvs} == {"construct", "metric", "simulate", "verify", "bounds"}
+    for argv in sorted(argvs):
+        check_options(parser.parse_args(argv))
 
 
 def test_gen_inputs_builds_every_input():

@@ -6,9 +6,9 @@ import time
 import pytest
 
 from fqcodes import __version__
-from fqcodes.cli import CONSTRUCT_KINDS, REQUIRED_FLAGS, main
+from fqcodes.cli import CONSTRUCT_KINDS, build_parser, main
 from fqcodes.constructions import spread
-from fqcodes.derived import all_vectors_code
+from fqcodes.derived import all_vectors_code, singer_difference_set
 from fqcodes.gf import FieldCtx
 from fqcodes.metrics import VectorCode, word
 from fqcodes.rankmetric import gabidulin_code
@@ -326,7 +326,8 @@ def test_construct_invalid_params_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-# the flags each construction kind needs, written out independently of the CLI
+# the flags each construction kind needs, and the ones it may also take,
+# written out independently of the CLI
 NEEDED = {
     "gabidulin": ("--n", "--t"),
     "lifted-mrd": ("--n", "--t"),
@@ -338,12 +339,35 @@ NEEDED = {
     "folded-eval": ("--n",),
     "singer-ds": ("--n",),
 }
+MAY_TAKE = {
+    "gabidulin": ("--q", "--modulus"),
+    "lifted-mrd": ("--q", "--modulus", "--from"),
+    "spread": ("--q",),
+    "sidon-orbit": ("--q", "--modulus"),
+    "block-enlarged": ("--q", "--modulus"),
+    "span": (),
+    "all-vectors": (),
+    "folded-eval": ("--modulus", "--ds"),
+    "singer-ds": ("--modulus",),
+}
+KIND_FLAGS = ("--q", "--n", "--t", "--k", "--length", "--modulus", "--from", "--ds")
+
+
+def _flag(dest):
+    return "--" + dest.removesuffix("_path")
 
 
 def test_every_construct_kind_lists_its_flags():
-    assert set(NEEDED) == set(CONSTRUCT_KINDS)
-    assert {k: tuple("--" + d.removesuffix("_path") for d in v)
-            for k, v in REQUIRED_FLAGS.items()} == NEEDED
+    assert set(NEEDED) == set(MAY_TAKE) == set(CONSTRUCT_KINDS)
+    assert {k: tuple(map(_flag, needs)) for k, (needs, _) in CONSTRUCT_KINDS.items()} == NEEDED
+    assert {k: tuple(map(_flag, may)) for k, (_, may) in CONSTRUCT_KINDS.items()} == MAY_TAKE
+
+
+def test_every_option_the_kind_table_names_is_a_construct_option():
+    args = build_parser().parse_args(["construct", "--kind", "span", "--out", "x"])
+    dests = {d for needs, may in CONSTRUCT_KINDS.values() for d in needs + may}
+    assert {d for d in dests if not hasattr(args, d)} == set()
+    assert {_flag(d) for d in dests} == set(KIND_FLAGS)
 
 
 @pytest.mark.parametrize("kind,flag", [(k, f) for k, flags in NEEDED.items() for f in flags])
@@ -360,6 +384,69 @@ def test_construct_without_a_required_flag_exits_2(tmp_path, capsys, kind, flag)
     assert err == f"error: --kind {kind} needs {flag}\n"
     assert stdout == ""
     assert not (tmp_path / "out.json").exists()
+
+
+# every (kind, construct option it does not read); lifted-mrd given --from
+# reads that file and nothing else
+UNREAD = [(kind, flag) for kind in NEEDED for flag in KIND_FLAGS
+          if flag not in NEEDED[kind] + MAY_TAKE[kind]]
+UNREAD += [("lifted-mrd --from", flag) for flag in KIND_FLAGS if flag != "--from"]
+
+
+def _assert_rejected(capsys, tmp_path, argv, message):
+    """argv exits 2 with the one-line message, prints nothing and writes no file."""
+    before = set(tmp_path.iterdir())
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case,flag", UNREAD)
+def test_construct_with_an_option_the_kind_does_not_read_exits_2(tmp_path, capsys, case, flag):
+    paths = _input_files(tmp_path)
+    values = {"--q": ["2"], "--n": ["4"], "--t": ["1"], "--k": ["2"], "--length": ["3"],
+              "--modulus": ["1", "1", "0", "0", "1"], "--from": [paths["spread"]],
+              "--ds": [paths["ds"]]}
+    kind, *given = case.split()
+    argv = ["construct", "--kind", kind, "--out", str(tmp_path / "out.json")]
+    for other in given or NEEDED[kind]:
+        argv += [other, *values[other]]
+    _assert_rejected(capsys, tmp_path, argv + [flag, *values[flag]],
+                     f"--kind {kind} does not take {flag}")
+
+
+def test_construct_names_every_option_the_kind_does_not_read(tmp_path, capsys):
+    _assert_rejected(capsys, tmp_path, ["construct", "--kind", "spread", "--k", "2", "--n", "4",
+                                        "--t", "1", "--modulus", "1", "1", "0", "0", "1",
+                                        "--out", str(tmp_path / "out.json")],
+                     "--kind spread does not take --t or --modulus")
+
+
+@pytest.mark.parametrize("metric", ["hamming", "insdel", "subspace", "subset"])
+def test_metric_block_len_with_a_metric_that_does_not_fold_exits_2(tmp_path, capsys, metric):
+    paths = _input_files(tmp_path)
+    _assert_rejected(capsys, tmp_path, ["metric", paths["av"], "--metric", metric,
+                                        "--block-len", "2", "--out", str(tmp_path / "out")],
+                     f"--metric {metric} does not take --block-len")
+
+
+@pytest.mark.parametrize("flag", ["--n", "--q", "--k", "--d"])
+def test_bounds_on_a_code_file_with_a_table_option_exits_2(tmp_path, capsys, flag):
+    paths = _input_files(tmp_path)
+    _assert_rejected(capsys, tmp_path, ["bounds", "--code", paths["av"], flag, "5",
+                                        "--out", str(tmp_path / "out")],
+                     f"--code does not take {flag}")
+
+
+@pytest.mark.parametrize("argv", ["verify --suite spread --force",
+                                  "fold --code {av} --block-len 2 --force --out {out}"])
+def test_force_on_a_command_that_does_not_sweep_is_a_usage_error(tmp_path, capsys, argv):
+    paths = _input_files(tmp_path)
+    before = set(tmp_path.iterdir())
+    code, stdout, err = run(capsys, *argv.format(out=tmp_path / "out", **paths).split())
+    assert (code, stdout) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --force\n")
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_construct_lifted_mrd_from_a_file_needs_no_field_flags(tmp_path, capsys):
@@ -412,40 +499,65 @@ MANIFEST_KEYS = {"kind", "tool", "version", "command", "argv", "params", "seed",
 
 
 def _input_files(tmp_path):
-    """A subspace code, a rank code and a vector code, saved through the library."""
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("spread", "gab", "av")}
+    """A subspace code, a rank code, a vector code and a difference set, saved
+    through the library."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("spread", "gab", "av", "ds")}
     save_file(paths["spread"], spread(2, 2, 4))
     save_file(paths["gab"], gabidulin_code(FieldCtx(2, 3), 1))
     save_file(paths["av"], all_vectors_code(spread(2, 2, 4), 4))
+    save_file(paths["ds"], singer_difference_set(FieldCtx(2, 3)))
     return paths
 
 
 # argv (with {name} for the input files and {out} for the output), the inputs
-# the manifest lists, and its field: None, or the (q, n) of the default modulus
+# the manifest lists, its field (None, or the arguments of its FieldCtx) and
+# its params (with {name} for the input files)
 WRITING_COMMANDS = {
     "construct-spread": ("construct --kind spread --q 2 --k 2 --n 4 --seed 5 --out {out}",
-                         (), None),
+                         (), None, {"kind": "spread", "q": 2, "k": 2, "n": 4}),
+    "construct-lifted": ("construct --kind lifted-mrd --n 3 --t 1 --out {out}", (), (2, 3),
+                         {"kind": "lifted-mrd", "q": 2, "n": 3, "t": 1}),
     "construct-lifted-from": ("construct --kind lifted-mrd --from {gab} --out {out}",
-                              ("gab",), None),
-    "construct-gabidulin": ("construct --kind gabidulin --n 3 --t 1 --out {out}", (), (2, 3)),
+                              ("gab",), None, {"kind": "lifted-mrd", "source": "{gab}"}),
+    "construct-gabidulin": ("construct --kind gabidulin --n 3 --t 1 --out {out}", (), (2, 3),
+                            {"kind": "gabidulin", "q": 2, "n": 3, "t": 1}),
+    "construct-gabidulin-modulus": (
+        "construct --kind gabidulin --q 2 --n 3 --t 1 --modulus 1 1 0 1 --out {out}", (),
+        (2, 3, [1, 1, 0, 1]), {"kind": "gabidulin", "q": 2, "n": 3, "t": 1}),
+    "construct-sidon-orbit": ("construct --kind sidon-orbit --n 5 --k 2 --out {out}", (),
+                              (2, 5), {"kind": "sidon-orbit", "q": 2, "n": 5, "k": 2}),
+    "construct-block-enlarged": ("construct --kind block-enlarged --n 2 --t 1 --out {out}", (),
+                                 (2, 2), {"kind": "block-enlarged", "q": 2, "n": 2, "t": 1}),
     "construct-span": ("construct --kind span --from {spread} --length 3 --out {out}",
-                       ("spread",), (2, 4)),
+                       ("spread",), (2, 4), {"kind": "span", "source": "{spread}", "length": 3}),
+    "construct-all-vectors": ("construct --kind all-vectors --from {spread} --length 3"
+                              " --out {out}", ("spread",), (2, 4),
+                              {"kind": "all-vectors", "source": "{spread}", "length": 3}),
     "construct-folded-eval": ("construct --kind folded-eval --n 3 --format csv --out {out}",
-                              (), (2, 3)),
-    "metric": ("metric {spread} --metric subspace --out {out}", ("spread",), None),
+                              (), (2, 3), {"kind": "folded-eval", "n": 3}),
+    "construct-folded-eval-ds": ("construct --kind folded-eval --n 3 --ds {ds} --out {out}",
+                                 ("ds",), (2, 3), {"kind": "folded-eval", "n": 3, "ds": "{ds}"}),
+    "construct-singer-ds": ("construct --kind singer-ds --n 3 --out {out}", (), (2, 3),
+                            {"kind": "singer-ds", "n": 3}),
+    "metric": ("metric {spread} --metric subspace --out {out}", ("spread",), None,
+               {"metric": "subspace", "block_len": None}),
     "metric-csv": ("metric {av} --metric insdel --format csv --seed 3 --out {out}",
-                   ("av",), None),
-    "bounds-code": ("bounds --code {av} --out {out}", ("av",), None),
-    "bounds-table": ("bounds --n 4 --q 2 --d 2 --out {out}", (), None),
+                   ("av",), None, {"metric": "insdel", "block_len": None}),
+    "metric-r-subset": ("metric {av} --metric r_subset --block-len 2 --out {out}",
+                        ("av",), None, {"metric": "r_subset", "block_len": 2}),
+    "bounds-code": ("bounds --code {av} --out {out}", ("av",), None,
+                    {"n": None, "q": None, "k": None, "d": None}),
+    "bounds-table": ("bounds --n 4 --q 2 --d 2 --out {out}", (), None,
+                     {"n": 4, "q": 2, "k": None, "d": 2}),
     "simulate": ("simulate --code {av} --del 1 --trials 10 --seed 7 --out {out}",
-                 ("av",), None),
-    "fold": ("fold --code {av} --block-len 2 --out {out}", ("av",), None),
+                 ("av",), None, {"ins": 0, "del": 1, "trials": 10}),
+    "fold": ("fold --code {av} --block-len 2 --out {out}", ("av",), None, {"block_len": 2}),
 }
 
 
 @pytest.mark.parametrize("case", WRITING_COMMANDS)
 def test_every_writing_command_records_one_manifest_shape(tmp_path, capsys, case):
-    template, inputs, field = WRITING_COMMANDS[case]
+    template, inputs, field, params = WRITING_COMMANDS[case]
     paths = _input_files(tmp_path)
     out = str(tmp_path / "out")
     argv = template.format(out=out, **paths).split()
@@ -461,6 +573,8 @@ def test_every_writing_command_records_one_manifest_shape(tmp_path, capsys, case
     assert manifest["outputs"] == {out: sha256_file(out)}
     assert manifest["inputs"] == {paths[name]: sha256_file(paths[name]) for name in inputs}
     assert manifest["field"] == (field_to_obj(FieldCtx(*field)) if field else None)
+    assert manifest["params"] == {k: v.format(**paths) if isinstance(v, str) else v
+                                  for k, v in params.items()}
     written = {p: (tmp_path / p).read_bytes() for p in ("out", "out.manifest.json")}
     for p in written:
         (tmp_path / p).unlink()
@@ -470,7 +584,7 @@ def test_every_writing_command_records_one_manifest_shape(tmp_path, capsys, case
 
 @pytest.mark.parametrize("case", WRITING_COMMANDS)
 def test_an_out_path_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys, case):
-    template, _inputs, _field = WRITING_COMMANDS[case]
+    template, _inputs, _field, _params = WRITING_COMMANDS[case]
     paths = _input_files(tmp_path)
     before = set(tmp_path.iterdir())
     out = tmp_path / "nodir" / "out"
@@ -479,14 +593,11 @@ def test_an_out_path_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys, 
     assert set(tmp_path.iterdir()) == before
 
 
-def test_construct_gabidulin_ignores_from(tmp_path, capsys):
-    plain, with_from = str(tmp_path / "plain.json"), str(tmp_path / "from.json")
-    assert run(capsys, "construct", "--kind", "gabidulin", "--n", "3", "--t", "1",
-               "--out", plain)[0] == 0
-    code, _, err = run(capsys, "construct", "--kind", "gabidulin", "--n", "3", "--t", "1",
-                       "--from", str(tmp_path / "nowhere.json"), "--out", with_from)
-    assert (code, err) == (0, "")
-    assert open(with_from).read() == open(plain).read()
+def test_construct_gabidulin_rejects_from(tmp_path, capsys):
+    _assert_rejected(capsys, tmp_path, ["construct", "--kind", "gabidulin", "--n", "3", "--t", "1",
+                                        "--from", str(tmp_path / "nowhere.json"),
+                                        "--out", str(tmp_path / "from.json")],
+                     "--kind gabidulin does not take --from")
 
 
 # each typed load, given a file of another kind
@@ -502,6 +613,8 @@ WRONG_KIND = {
     "bounds --code": ("bounds --code {gab} --out {out}", "gab", "vector code"),
     "simulate --code": ("simulate --code {spread} --out {out}", "spread", "vector code"),
     "fold --code": ("fold --code {gab} --block-len 2 --out {out}", "gab", "vector code"),
+    "metric": ("metric {gab} --metric subset --out {out}", "gab",
+               "vector, subspace or folded code"),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from fqcodes.errors import InvalidParams
 from fqcodes.gf import FieldCtx, pack, prime_field, unpack
-from fqcodes.linalg import enumerate_subspaces, ext_matmul, kernel, span
+from fqcodes.linalg import enumerate_subspaces, ext_matmul, kernel, span, subspace_pair_distance
 from fqcodes.constructions import (
     SubspaceCode,
     _greedy_row_disjoint_multipliers,
@@ -20,7 +20,6 @@ from fqcodes.constructions import (
     sidon_search,
     spread,
     subspace_code_min_distance,
-    subspace_pair_distance,
 )
 from fqcodes.metrics import pairwise_min_report
 from fqcodes.rankmetric import (

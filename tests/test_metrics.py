@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
+from fqcodes import metrics
 from fqcodes.gf import FieldCtx
 from fqcodes.metrics import (
     FoldedWord,
@@ -259,14 +260,15 @@ def test_code_min_distance_two_words():
     assert rep.pairs == 1
 
 
-def test_code_min_distance_guards():
+def test_code_min_distance_guards(monkeypatch):
     a = w2([0, 1])
     with pytest.raises(InvalidParams, match="needs at least two members"):
         code_min_distance(VectorCode(F2, 2, [a]), "hamming")
     words = [w2([x, y, z]) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    monkeypatch.setattr(metrics, "PAIR_GUARD", 3)
     with pytest.raises(SearchTooLarge):
-        pairwise_min_report(words, hamming_distance, "hamming", guard=3)
-    rep = pairwise_min_report(words, hamming_distance, "hamming", guard=3, force=True)
+        pairwise_min_report(words, hamming_distance, "hamming")
+    rep = pairwise_min_report(words, hamming_distance, "hamming", force=True)
     assert rep.minimum == 1
     with pytest.raises(InvalidParams):
         code_min_distance(VectorCode(F2, 2, [a, w2([1, 0])]), "r_subset")

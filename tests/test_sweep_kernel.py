@@ -5,11 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqcodes.metrics as metrics
-from fqcodes.constructions import (
-    SubspaceCode,
-    subspace_code_min_distance,
-    subspace_pair_distance,
-)
+from fqcodes.constructions import SubspaceCode, subspace_code_min_distance
 from fqcodes.derived import (
     FoldedCode,
     folded_code_from_vector_code,
@@ -17,7 +13,7 @@ from fqcodes.derived import (
 )
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx, pack
-from fqcodes.linalg import Subspace, span
+from fqcodes.linalg import Subspace, span, subspace_pair_distance
 from fqcodes.metrics import (
     FoldedWord,
     VectorCode,
