@@ -12,15 +12,13 @@ exhaustive nearest-codeword decoder.
 __version__ = "0.1.0"
 
 from .errors import FqcodesError
-from .gf import FieldCtx, embed_linear
+from .gf import FieldCtx
 from .linalg import (
     Subspace,
     enumerate_subspaces,
     kernel,
     rref,
     span,
-    subspace_intersection_dim,
-    subspace_sum,
 )
 from .metrics import (
     FoldedWord,
@@ -46,9 +44,7 @@ from .rankmetric import (
     empirical_rank_distribution,
     gabidulin_code,
     gabidulin_rect,
-    gaussian_binomial,
     linearized_eval,
-    mrd_check,
     poly_to_matrix,
     rank_distance_of_code,
 )
@@ -88,7 +84,6 @@ from .bounds import (
 from .channel import (
     AMBIGUOUS,
     ChannelSpec,
-    apply_channel,
     correction_capability,
     decode_nearest,
     run_trials,

@@ -153,15 +153,12 @@ def verify_bounds(c: VectorCode, force: bool = False) -> list[BoundReport]:
     big_q = c.ctx.order
     m = len(c)
     for metric, d in measured.items():
-        if metric == "hamming":
-            if 1 <= d <= c.length:
-                rep = singleton_bound(c.length, d, big_q, metric)
-                reports.append(BoundReport(rep.bound, rep.parameters, rep.value,
-                                           satisfied=m <= rep.value))
-        elif d and d % 2 == 0:
+        try:
             rep = singleton_bound(c.length, d, big_q, metric)
-            reports.append(BoundReport(rep.bound, rep.parameters, rep.value,
-                                       satisfied=m <= rep.value))
+        except InvalidParams:  # no Singleton bound takes this d
+            continue
+        reports.append(BoundReport(rep.bound, rep.parameters, rep.value,
+                                   satisfied=m <= rep.value))
     if c.linear:
         n, k = c.length, c.dimension
         hs = half_singleton(n, k)

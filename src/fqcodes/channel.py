@@ -56,13 +56,6 @@ def _apply_with_rng(w: Word, insertions: int, deletions: int,
     return Word(ctx, tuple(symbols))
 
 
-def apply_channel(w: Word, spec: ChannelSpec) -> Word:
-    """Deterministic channel pass; output differs from w by at most
-    spec.insertions + spec.deletions elementary edits."""
-    rng = random.Random(spec.seed)
-    return _apply_with_rng(w, spec.insertions, spec.deletions, rng)
-
-
 def decode_nearest(c: VectorCode, received: Word):
     """The unique insdel-nearest codeword, or AMBIGUOUS on a tie.
 

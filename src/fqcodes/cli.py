@@ -121,7 +121,7 @@ def _emit(args, obj: dict, csv_text: str) -> int:
 
 def _report(args, obj: dict, csv_text: str, params: dict, inputs) -> int:
     """Print a report; with --out, first write the same text and its manifest."""
-    if args.out:
+    if args.out is not None:
         atomic_write_text(args.out, _render(args, obj, csv_text))
         _write_manifest(args, params, inputs)
     return _emit(args, obj, csv_text)
@@ -171,7 +171,7 @@ def _cmd_construct(args) -> int:
                 f"rank distance {measured} != declared {obj.declared_rank_distance}")
         obj.provenance["verified_rank_distance"] = measured
     elif kind == "lifted-mrd":
-        if args.from_path:
+        if args.from_path is not None:
             rc = _load(args.from_path, RankCode, "rank code")
         else:
             rc = gabidulin_code(ctx, args.t)
@@ -195,7 +195,7 @@ def _cmd_construct(args) -> int:
             obj.provenance["verified_insdel_distance"] = None
         ctx = obj.ctx  # span codes record the field of their symbols
     elif kind == "folded-eval":
-        if args.ds_path:
+        if args.ds_path is not None:
             ds = _load(args.ds_path, DifferenceSet, "difference set")
             if ds.ctx != ctx:
                 raise InvalidParams("difference set lives in a different field")
@@ -269,7 +269,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.code:
+    if args.code is not None:
         reports = verify_bounds(_load(args.code, VectorCode, "vector code"), force=args.force)
     else:
         n, q = args.n, args.q
@@ -295,14 +295,14 @@ def _cmd_bounds(args) -> int:
     return _report(args, {"kind": "bounds_table",
                           "bounds": [bound_report_to_obj(r) for r in reports]},
                    bounds_csv(reports), {"n": args.n, "q": args.q, "k": args.k, "d": args.d},
-                   [args.code] if args.code else [])
+                   [args.code] if args.code is not None else [])
 
 
 def _cmd_simulate(args) -> int:
     code = _load(args.code, VectorCode, "vector code")
     summary = run_trials(code, ChannelSpec(args.ins, args.dels, args.seed), args.trials,
                          force=args.force)
-    if args.out:
+    if args.out is not None:
         atomic_write_text(args.out, summary.transcript_csv())
         _write_manifest(args, {"ins": args.ins, "del": args.dels, "trials": args.trials},
                         [args.code])

@@ -328,12 +328,6 @@ class FieldCtx:
             raise InvalidParams(f"trace of {x} left the prime field: {acc}")
         return c0
 
-    def subfield_member(self, x: int, k: int) -> bool:
-        """True iff x lies in the subfield F_{q^k} (requires k | n)."""
-        if k < 1 or self.n % k != 0:
-            raise InvalidParams(f"k={k} does not divide n={self.n}")
-        return self.frobenius(x, k) == x
-
     def multiplication_matrix(self, x: int) -> tuple:
         """Matrix of y -> x*y in the power basis, as packed rows: row i is
         x * basis_i, whose int is its coefficient vector."""
@@ -366,30 +360,3 @@ def prime_field(q: int) -> FieldCtx:
     """F_q as FieldCtx(q, 1), built once per q (the last 16 kept); its elements
     are the residues."""
     return FieldCtx(q, 1)
-
-
-class LinearEmbedding:
-    """The F_q-linear injection F_{q^k} -> F_{q^(k+h)} sending basis_i to basis_i.
-
-    This is coefficient padding: it is injective and F_q-linear but not a ring
-    homomorphism, which is all the rectangular code construction needs.  With
-    c_0 most significant, padding h zero coefficients multiplies by q^h.
-    """
-
-    __slots__ = ("src", "dst", "_shift")
-
-    def __init__(self, src: FieldCtx, dst: FieldCtx):
-        if src.q != dst.q:
-            raise InvalidParams("embedding requires matching base characteristic")
-        if dst.n < src.n:
-            raise InvalidParams(f"cannot embed degree {src.n} into degree {dst.n}")
-        self.src = src
-        self.dst = dst
-        self._shift = dst.q ** (dst.n - src.n)
-
-    def __call__(self, x: int) -> int:
-        return x * self._shift
-
-
-def embed_linear(src_ctx: FieldCtx, dst_ctx: FieldCtx) -> LinearEmbedding:
-    return LinearEmbedding(src_ctx, dst_ctx)

@@ -118,24 +118,10 @@ def span_distance(a, b, ambient: int, q: int) -> int:
             - packed_rank(a, ambient, q) - packed_rank(b, ambient, q))
 
 
-def _require_common_ambient(u: Subspace, v: Subspace) -> None:
-    if u.q != v.q or u.ambient != v.ambient:
-        raise InvalidParams("subspace sum needs a common ambient space")
-
-
 def subspace_pair_distance(u: Subspace, v: Subspace) -> int:
-    _require_common_ambient(u, v)
+    if u.q != v.q or u.ambient != v.ambient:
+        raise InvalidParams("subspace distance needs a common ambient space")
     return span_distance(u.rows, v.rows, u.ambient, u.q)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    _require_common_ambient(u, v)
-    return span(u.rows + v.rows, u.ambient, u.q)
-
-
-def subspace_intersection_dim(u: Subspace, v: Subspace) -> int:
-    """dim(U ∩ V) via dim U + dim V - dim(U + V)."""
-    return u.dim + v.dim - subspace_sum(u, v).dim
 
 
 def kernel(rows, ncols: int, q: int) -> Subspace:

@@ -19,18 +19,11 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
-from .gf import FieldCtx, LinearEmbedding, add_packed, embed_linear, pack
+from .gf import FieldCtx, add_packed, pack
 from .linalg import packed_rank, subspace_count
 from .metrics import pairwise_min_report
 
 _GABIDULIN_GUARD = 1 << 22
-
-
-def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Gaussian binomial [n choose k]_q, the number of k-dim subspaces of F_q^n."""
-    if k < 0 or k > n:
-        raise InvalidParams(f"k={k} out of range for n={n}")
-    return subspace_count(n, k, q)
 
 
 @dataclass(frozen=True)
@@ -43,6 +36,10 @@ class LinearizedPoly:
 
     def __post_init__(self):
         domain = self.src if self.src is not None else self.ctx
+        if domain.q != self.ctx.q:
+            raise InvalidParams("embedding requires matching base characteristic")
+        if domain.n > self.ctx.n:
+            raise InvalidParams(f"cannot embed degree {domain.n} into degree {self.ctx.n}")
         if not self.coeffs:
             raise InvalidParams("a linearized polynomial needs at least one coefficient")
         if len(self.coeffs) - 1 >= domain.n:
@@ -60,28 +57,24 @@ class LinearizedPoly:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def sub(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        if (self.ctx, self.src) != (other.ctx, other.src) or self.t != other.t:
-            raise InvalidParams("mismatched linearized polynomials")
-        coeffs = tuple(self.ctx.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        return LinearizedPoly(self.ctx, coeffs, self.src)
-
 
 def linearized_eval(p: LinearizedPoly, x: int) -> int:
-    """Evaluate p at x; F_q-linear in x."""
+    """Evaluate p at x; F_q-linear in x.
+
+    A domain F_{q^k} smaller than ctx = F_{q^(k+h)} is embedded by padding
+    h zero coefficients, which with c_0 most significant multiplies by q^h:
+    injective and F_q-linear, though not a ring homomorphism.
+    """
     dom = p.domain
     ctx = p.ctx
-    phi: LinearEmbedding | None = None
-    if p.src is not None and p.src != ctx:
-        phi = embed_linear(p.src, ctx)
+    shift = ctx.order // dom.order
     acc = ctx.zero
     fx = x
     for i, a in enumerate(p.coeffs):
         if i:
             fx = dom.frobenius(x, i)
-        arg = phi(fx) if phi is not None else fx
         if a:
-            acc = ctx.add(acc, ctx.mul(a, arg))
+            acc = ctx.add(acc, ctx.mul(a, fx * shift))
     return acc
 
 
@@ -150,7 +143,6 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
     Coefficients range over the codomain, so there are q^((k+h)(t+1)) members;
     each kernel has dimension at most t, hence rank distance k - t.
     """
-    embed_linear(src, dst)  # validates the context pair
     if not 0 <= t < src.n:
         raise InvalidParams(f"t={t} out of range for domain degree {src.n}")
     size = dst.order ** (t + 1)
@@ -188,13 +180,6 @@ def rank_distance_of_code(c: RankCode, force: bool = False) -> int:
     return pairwise_min_report(matrices, dist, "rank", force=force).minimum
 
 
-def mrd_check(c: RankCode, m_cols: int, n_rows: int, d: int) -> bool:
-    """Does |c| meet the maximum-rank-distance cardinality bound?"""
-    q = c.ctx.q
-    bound = q ** (max(m_cols, n_rows) * (min(m_cols, n_rows) - d + 1))
-    return len(c.members) == bound
-
-
 @dataclass(frozen=True)
 class RankDistribution:
     """counts[i] = number of members of rank i."""
@@ -203,9 +188,6 @@ class RankDistribution:
 
     def total(self) -> int:
         return sum(self.counts)
-
-    def csv_rows(self) -> list[str]:
-        return [f"{i},{c}" for i, c in enumerate(self.counts)]
 
 
 def empirical_rank_distribution(c: RankCode) -> RankDistribution:
@@ -232,13 +214,13 @@ def delsarte_rank_distribution(n: int, d: int, q: int) -> RankDistribution:
         total = 0
         for i in range(r - d + 1):
             exp = n * (r - i - d + 1)
-            term = gaussian_binomial(r, i, q) * (q ** exp - 1)
+            term = subspace_count(r, i, q) * (q ** exp - 1)
             term *= q ** (i * (i - 1) // 2)
             if i % 2:
                 total -= term
             else:
                 total += term
-        value = gaussian_binomial(n, r, q) * total
+        value = subspace_count(n, r, q) * total
         if value < 0:
             raise PropertyViolation("negative rank-distribution entry")
         counts[r] = value

@@ -36,7 +36,7 @@ from .errors import FqcodesError, InvalidParams, ParseError
 from .gf import FieldCtx, check_characteristic, pack, unpack
 from .linalg import Subspace, span
 from .metrics import FoldedWord, MetricReport, VectorCode, Word
-from .rankmetric import LinearizedPoly, RankCode, RankDistribution
+from .rankmetric import LinearizedPoly, RankCode
 
 _SAFE_INT = 1 << 53
 
@@ -172,13 +172,6 @@ def subspace_to_obj(s: Subspace) -> dict:
     return {"ambient": s.ambient, "q": s.q, "basis": _basis_to_lists(s)}
 
 
-@_parses("subspace object")
-def subspace_from_obj(d) -> Subspace:
-    q = as_int(d["q"])
-    check_characteristic(q)
-    return _subspace_from_lists(q, as_int(d["ambient"]), d["basis"])
-
-
 # -- vector codes ----------------------------------------------------------
 
 def _word_to_lists(w: Word):
@@ -227,7 +220,8 @@ def rank_code_to_obj(c: RankCode) -> dict:
 @_parses("rank code")
 def rank_code_from_obj(d) -> RankCode:
     ctx = field_from_obj(d["field"])
-    src = field_from_obj(d["src_field"]) if d.get("src_field") else None
+    src = d.get("src_field")
+    src = field_from_obj(src) if src is not None else None
     members = [LinearizedPoly(ctx, tuple(_symbol_from_obj(ctx, a) for a in coeffs), src)
                for coeffs in d["members"]]
     declared = d.get("declared_rank_distance")
@@ -343,10 +337,6 @@ def bounds_csv(reports) -> str:
         sat = "" if r.satisfied is None else str(r.satisfied).lower()
         lines.append(f"{r.bound},{r.value},{sat}")
     return "\n".join(lines) + "\n"
-
-
-def rank_distribution_csv(dist: RankDistribution) -> str:
-    return "rank,count\n" + "\n".join(dist.csv_rows()) + "\n"
 
 
 def trial_summary_to_obj(s: TrialSummary) -> dict:

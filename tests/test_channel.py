@@ -11,7 +11,7 @@ from fqcodes.gf import FieldCtx
 from fqcodes.channel import (
     AMBIGUOUS,
     ChannelSpec,
-    apply_channel,
+    _apply_with_rng,
     correction_capability,
     decode_nearest,
     run_trials,
@@ -29,12 +29,12 @@ def _spread_code():
 
 def test_identity_channel():
     w = word(F2, [(1,), (0,), (1,)])
-    assert apply_channel(w, ChannelSpec(0, 0, 1)).symbols == w.symbols
+    assert _apply_with_rng(w, 0, 0, random.Random(1)).symbols == w.symbols
 
 
 def test_single_deletion():
     w = word(F2, [(1,), (0,), (1,), (1,)])
-    out = apply_channel(w, ChannelSpec(0, 1, 3))
+    out = _apply_with_rng(w, 0, 1, random.Random(3))
     assert len(out) == 3
     assert insdel_distance(w, out) <= 1
 
@@ -42,16 +42,15 @@ def test_single_deletion():
 def test_channel_deterministic():
     vc = _spread_code()
     w = vc.codewords[2]
-    spec = ChannelSpec(2, 1, 42)
-    a = apply_channel(w, spec)
-    b = apply_channel(w, spec)
+    a = _apply_with_rng(w, 2, 1, random.Random(42))
+    b = _apply_with_rng(w, 2, 1, random.Random(42))
     assert a.symbols == b.symbols
 
 
 def test_too_many_deletions():
     w = word(F2, [(1,), (0,)])
     with pytest.raises(InvalidParams, match="cannot delete 3 symbols"):
-        apply_channel(w, ChannelSpec(0, 3, 0))
+        _apply_with_rng(w, 0, 3, random.Random(0))
 
 
 def test_edit_count_bounds_distance():
@@ -60,7 +59,7 @@ def test_edit_count_bounds_distance():
     for _ in range(200):
         w = word(ctx, [ctx.coefficients(ctx.element_at(rng.randrange(4))) for _ in range(5)])
         ins, dels = rng.randrange(3), rng.randrange(3)
-        out = apply_channel(w, ChannelSpec(ins, dels, rng.randrange(10 ** 6)))
+        out = _apply_with_rng(w, ins, dels, random.Random(rng.randrange(10 ** 6)))
         assert len(out) == 5 - dels + ins
         assert insdel_distance(w, out) <= ins + dels
 
@@ -92,7 +91,7 @@ def test_decoder_matches_reversed_scan():
     rng = random.Random(5)
     for _ in range(100):
         w = vc.codewords[rng.randrange(len(vc.codewords))]
-        received = apply_channel(w, ChannelSpec(1, 2, rng.randrange(10 ** 6)))
+        received = _apply_with_rng(w, 1, 2, random.Random(rng.randrange(10 ** 6)))
         assert decode_nearest(vc, received) is _full_scan(vc, received)
 
 

@@ -7,11 +7,12 @@ import pytest
 
 from fqcodes import __version__
 from fqcodes.cli import CONSTRUCT_KINDS, build_parser, main
-from fqcodes.constructions import spread
+from fqcodes.constructions import lift_rank_code, spread
 from fqcodes.derived import all_vectors_code, singer_difference_set
 from fqcodes.gf import FieldCtx
+from fqcodes.errors import ParseError
 from fqcodes.metrics import VectorCode, word
-from fqcodes.rankmetric import gabidulin_code
+from fqcodes.rankmetric import gabidulin_code, gabidulin_rect
 from fqcodes.serialize import field_to_obj, load_file, save_file, sha256_file
 
 
@@ -659,3 +660,76 @@ def test_bounds_table_lists_every_singleton_bound_that_takes_d(capsys, d, metric
     assert (code, err) == (0, "")
     rows = [r["bound"] for r in json.loads(stdout)["bounds"]]
     assert {r for r in rows if r.startswith("singleton_")} == {f"singleton_{m}" for m in metrics}
+
+
+# an empty path is a path: it is read or written, and fails as any bad path does
+EMPTY_PATHS = {
+    "bounds --code": (["bounds", "--code", ""], "cannot read "),
+    "lifted-mrd --from": (["construct", "--kind", "lifted-mrd", "--from", "", "--out", "out"],
+                          "cannot read "),
+    "folded-eval --ds": (["construct", "--kind", "folded-eval", "--n", "3", "--ds", "",
+                          "--out", "out"], "cannot read "),
+    "metric --out": (["metric", "{av}", "--metric", "insdel", "--out", ""], "cannot write "),
+    "bounds --out": (["bounds", "--n", "4", "--q", "2", "--out", ""], "cannot write "),
+    "simulate --out": (["simulate", "--code", "{av}", "--trials", "3", "--out", ""],
+                       "cannot write "),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_PATHS)
+def test_an_empty_path_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, case):
+    argv, message = EMPTY_PATHS[case]
+    paths = _input_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = set(tmp_path.iterdir())
+    err = _assert_one_line_exit_2(capsys, *(a.format(**paths) for a in argv))
+    assert err.startswith(f"error: {message}")
+    assert set(tmp_path.iterdir()) == before
+
+
+def _rank_code_file(tmp_path, **changes):
+    """gabidulin_rect from F_4 into F_8 on disk, with top-level keys replaced."""
+    path = tmp_path / "rect.json"
+    save_file(str(path), gabidulin_rect(FieldCtx(2, 2), FieldCtx(2, 3), 0))
+    obj = json.loads(path.read_text())
+    obj.update(changes)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_a_rectangular_rank_code_round_trips_and_lifts(tmp_path, capsys):
+    rect = gabidulin_rect(FieldCtx(2, 2), FieldCtx(2, 3), 0)
+    path = _rank_code_file(tmp_path)
+    loaded = load_file(path)
+    assert (loaded.src, loaded.nrows, loaded.ncols) == (FieldCtx(2, 2), 2, 3)
+    assert [p.coeffs for p in loaded.members] == [p.coeffs for p in rect.members]
+    assert list(loaded.matrices()) == list(rect.matrices())
+    out = str(tmp_path / "lifted.json")
+    code, _, err = run(capsys, "construct", "--kind", "lifted-mrd", "--from", path, "--out", out)
+    assert (code, err) == (0, "")
+    lifted = load_file(out)
+    assert lifted.members == lift_rank_code(rect).members
+    assert lifted.provenance["verified_distance"] == 4  # twice the rank distance k - t = 2
+
+
+@pytest.mark.parametrize("src_field", [False, 0, {}, [], ""], ids=json.dumps)
+def test_a_rank_code_with_a_falsy_src_field_exits_2(tmp_path, capsys, src_field):
+    path = _rank_code_file(tmp_path, src_field=src_field)
+    err = _assert_one_line_exit_2(capsys, "construct", "--kind", "lifted-mrd", "--from", path,
+                                  "--out", str(tmp_path / "lifted.json"))
+    assert err.startswith("error: invalid rank code: malformed field object: ")
+    assert not (tmp_path / "lifted.json").exists()
+
+
+@pytest.mark.parametrize("src_field, message", [
+    (FieldCtx(3, 1), "embedding requires matching base characteristic"),
+    (FieldCtx(2, 4), "cannot embed degree 4 into degree 3"),
+], ids=["another q", "a higher degree"])
+def test_a_rank_code_whose_src_field_cannot_embed_exits_2_at_load(tmp_path, capsys,
+                                                                 src_field, message):
+    path = _rank_code_file(tmp_path, src_field=field_to_obj(src_field))
+    with pytest.raises(ParseError, match=f"^invalid rank code: {message}$"):
+        load_file(path)
+    err = _assert_one_line_exit_2(capsys, "construct", "--kind", "lifted-mrd", "--from", path,
+                                  "--out", str(tmp_path / "lifted.json"))
+    assert err == f"error: invalid rank code: {message}\n"

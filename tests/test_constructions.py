@@ -29,14 +29,46 @@ from fqcodes.rankmetric import (
     gabidulin_code,
     poly_to_matrix,
 )
-from fqcodes.serialize import (
-    subspace_code_from_obj,
-    subspace_code_to_obj,
-    subspace_from_obj,
-    subspace_to_obj,
-)
+from fqcodes.serialize import subspace_code_from_obj, subspace_code_to_obj
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
+
+
+def _subfield_member(ctx, x, k):
+    """Oracle: x lies in the subfield F_{q^k} of ctx = F_{q^n} (k | n)
+    iff it is fixed by the k-fold Frobenius."""
+    if k < 1 or ctx.n % k != 0:
+        raise InvalidParams(f"k={k} does not divide n={ctx.n}")
+    return ctx.frobenius(x, k) == x
+
+
+def _mult_order(ctx, x):
+    cur = x
+    k = 1
+    while cur != ctx.one:
+        cur = ctx.mul(cur, x)
+        k += 1
+    return k
+
+
+def test_subfield_member_gf16():
+    f16 = FieldCtx(2, 4)
+    assert _subfield_member(f16, f16.zero, 2)
+    beta = next(x for x in f16.elements()
+                if x != f16.zero and _mult_order(f16, x) == 15)
+    assert not _subfield_member(f16, beta, 2)
+    assert _subfield_member(f16, f16.pow(beta, 5), 2)  # order 3 = 2^2 - 1
+    members = sum(1 for x in f16.elements() if _subfield_member(f16, x, 2))
+    assert members == 4
+    with pytest.raises(InvalidParams, match="k=3 does not divide n=4"):
+        _subfield_member(f16, beta, 3)
+
+
+def test_subfield_member_counts():
+    f26 = FieldCtx(2, 6)
+    for k in (1, 2, 3, 6):
+        count = sum(1 for x in f26.elements() if _subfield_member(f26, x, k))
+        assert count == 2 ** k
 
 
 def test_min_distance_disjoint_planes():
@@ -123,7 +155,7 @@ def test_sidon_dim_one_always():
 
 def test_subfield_is_not_sidon():
     f16 = FieldCtx(2, 4)
-    subfield_vecs = [x for x in f16.elements() if f16.subfield_member(x, 2)]
+    subfield_vecs = [x for x in f16.elements() if _subfield_member(f16, x, 2)]
     v = span([x for x in subfield_vecs if x], 4, 2)
     assert v.dim == 2
     assert not sidon_check(f16, v)
@@ -180,7 +212,7 @@ def test_orbit_of_sidon_space():
 
 def test_orbit_of_subfield_collapses():
     f16 = FieldCtx(2, 4)
-    subfield_vecs = [x for x in f16.elements() if f16.subfield_member(x, 2)]
+    subfield_vecs = [x for x in f16.elements() if _subfield_member(f16, x, 2)]
     v = span([x for x in subfield_vecs if x], 4, 2)
     orbit = orbit_cyclic_code(f16, v)
     assert len(orbit) == 5  # (2^4 - 1) / (2^2 - 1)
@@ -288,7 +320,7 @@ def _spread_by_all_multiples(q, k, n):
     """The former construction, kept as the oracle: find the subfield by a
     scan of the field and span c times every nonzero subfield element."""
     ctx = FieldCtx(q, n)
-    sub = [x for x in ctx.elements() if x and ctx.subfield_member(x, k)]
+    sub = [x for x in ctx.elements() if x and _subfield_member(ctx, x, k)]
     expected = (q ** n - 1) // (q ** k - 1)
     members, seen = [], set()
     for c in range(1, ctx.order):
@@ -313,7 +345,7 @@ def test_subfield_basis_spans_the_subfield(q, k, n):
     assert len(basis) == k
     vectors = span(basis, n, q).vectors()
     assert sorted(vectors) == \
-        [x for x in ctx.elements() if ctx.subfield_member(x, k)]
+        [x for x in ctx.elements() if _subfield_member(ctx, x, k)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -341,7 +373,8 @@ def test_every_subspace_is_its_canonical_span(q):
     for s in subspaces:
         assert all(isinstance(r, int) for r in s.rows)
         assert s == span(s.rows, s.ambient, s.q)
-        assert subspace_from_obj(subspace_to_obj(s)) == s
+        alone = subspace_code_to_obj(SubspaceCode(s.q, s.ambient, [s]))
+        assert subspace_code_from_obj(alone).members == (s,)
     by_ambient = {}
     for s in subspaces:
         by_ambient.setdefault(s.ambient, []).append(s)

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
-from fqcodes.gf import FieldCtx, _prime_factors, embed_linear, pack, prime_field, unpack
+from fqcodes.gf import FieldCtx, _prime_factors, pack, prime_field, unpack
 from fqcodes.linalg import ext_matmul, rref
+from fqcodes.rankmetric import LinearizedPoly
 
 # the GF(8) used in the worked examples: x^3 + x + 1
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
@@ -169,35 +170,6 @@ def test_trace_linear_surjective_frobenius_invariant(ctx):
             assert ctx.trace(ctx.add(x, y)) == (ctx.trace(x) + ctx.trace(y)) % ctx.q
 
 
-def test_subfield_member_gf16():
-    f16 = FieldCtx(2, 4)
-    assert f16.subfield_member(f16.zero, 2)
-    beta = next(x for x in f16.elements()
-                if x != f16.zero and _mult_order(f16, x) == 15)
-    assert not f16.subfield_member(beta, 2)
-    assert f16.subfield_member(f16.pow(beta, 5), 2)  # order 3 = 2^2 - 1
-    members = sum(1 for x in f16.elements() if f16.subfield_member(x, 2))
-    assert members == 4
-    with pytest.raises(InvalidParams, match="k=3 does not divide n=4"):
-        f16.subfield_member(beta, 3)
-
-
-def _mult_order(ctx, x):
-    cur = x
-    k = 1
-    while cur != ctx.one:
-        cur = ctx.mul(cur, x)
-        k += 1
-    return k
-
-
-def test_subfield_member_counts():
-    f26 = FieldCtx(2, 6)
-    for k in (1, 2, 3, 6):
-        count = sum(1 for x in f26.elements() if f26.subfield_member(x, k))
-        assert count == 2 ** k
-
-
 def test_multiplication_matrix_examples():
     ident = GF8.multiplication_matrix(GF8.one)
     assert ident == (0b100, 0b010, 0b001)
@@ -223,28 +195,13 @@ def test_multiplication_matrix_invertible_iff_nonzero():
         assert (rk == 3) == (x != GF8.zero)
 
 
-def test_embed_trivial_and_injective():
-    f2 = FieldCtx(2, 1)
-    f4 = FieldCtx(2, 2)
-    phi = embed_linear(f2, f4)
-    assert f4.coefficients(phi(f2.one)) == (1, 0)
-    f16 = FieldCtx(2, 4)
-    psi = embed_linear(f4, f16)
-    images = {psi(x) for x in f4.elements()}
-    assert len(images) == 4
-
-
-def test_embed_compose_frobenius_rank():
-    f4 = FieldCtx(2, 2)
-    f16 = FieldCtx(2, 4)
-    psi = embed_linear(f4, f16)
-    rows = [psi(f4.frobenius(b, 1)) for b in f4.basis()]
-    assert rref(rows, 4, 2)[1] == 2
-
-
 def test_embed_dimension_guard():
+    # a map on F_{q^k} with coefficients in F_{q^n} embeds its argument by
+    # coefficient padding, which needs the same q and k <= n
     with pytest.raises(InvalidParams, match="cannot embed degree 3 into degree 2"):
-        embed_linear(FieldCtx(2, 3), FieldCtx(2, 2))
+        LinearizedPoly(FieldCtx(2, 2), (0,), FieldCtx(2, 3))
+    with pytest.raises(InvalidParams, match="embedding requires matching base characteristic"):
+        LinearizedPoly(FieldCtx(2, 2), (0,), FieldCtx(3, 1))
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2)])

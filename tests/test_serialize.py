@@ -33,7 +33,6 @@ from fqcodes.serialize import (
     metric_report_to_obj,
     object_to_obj,
     save_file,
-    subspace_from_obj,
     subspace_to_obj,
 )
 
@@ -64,14 +63,21 @@ def test_field_caps_the_characteristic_before_the_primality_test():
         field_from_obj({"q": 2 ** 61 - 1, "n": 1, "modulus": [0, 1]})
 
 
+def _load_subspace(obj):
+    """A subspace object, read as the one member of a subspace code file."""
+    sc = load_obj({"kind": "subspace_code", "q": obj["q"], "ambient": obj["ambient"],
+                   "subspaces": [{"basis": obj["basis"]}]})
+    return sc.members[0]
+
+
 def test_subspace_round_trip_and_validation():
     sc = spread(2, 2, 4)
     s = sc.members[0]
-    assert subspace_from_obj(subspace_to_obj(s)) == s
+    assert _load_subspace(subspace_to_obj(s)) == s
     bad = subspace_to_obj(s)
     bad["basis"] = [[1, 1, 0, 0], [1, 0, 0, 0]]  # not RREF
     with pytest.raises(ParseError):
-        subspace_from_obj(bad)
+        _load_subspace(bad)
 
 
 def _spread_file_with_basis(tmp_path, basis):
@@ -112,8 +118,8 @@ def test_subspace_basis_entries_must_be_canonical(tmp_path, capsys, basis, messa
         load_file(path)
     assert re.search(message, _metric_exit_2(capsys, path))
     obj = dict(subspace_to_obj(spread(2, 2, 4).members[1]), basis=basis)
-    with pytest.raises(ParseError, match=f"^invalid subspace object: {message}$"):
-        subspace_from_obj(obj)
+    with pytest.raises(ParseError, match=f"^invalid subspace code: {message}$"):
+        _load_subspace(obj)
 
 
 def test_empty_bases_in_a_huge_ambient_space_load_at_once():
@@ -130,8 +136,8 @@ def test_empty_bases_in_a_huge_ambient_space_load_at_once():
                                         (2 ** 61 - 1, "exceeds supported maximum")])
 def test_subspace_loader_checks_the_characteristic(q, message):
     obj = dict(subspace_to_obj(spread(2, 2, 4).members[0]), q=q)
-    with pytest.raises(ParseError, match=f"invalid subspace object: q={q} {message}"):
-        subspace_from_obj(obj)
+    with pytest.raises(ParseError, match=f"invalid subspace code: q={q} {message}"):
+        _load_subspace(obj)
 
 
 @pytest.mark.parametrize("factory", [
@@ -292,13 +298,6 @@ def test_metric_report_serialization():
     assert obj["minimum"] == 4
     assert len(obj["witness"]) == 2
     assert rep.csv_line() == f"insdel,4,{rep.witness_indices[0]},{rep.witness_indices[1]},10"
-
-
-def test_rank_distribution_csv():
-    from fqcodes.rankmetric import delsarte_rank_distribution
-    from fqcodes.serialize import rank_distribution_csv
-    dist = delsarte_rank_distribution(3, 2, 2)
-    assert rank_distribution_csv(dist) == "rank,count\n0,1\n1,0\n2,49\n3,14\n"
 
 
 def test_bounds_csv_projection():
