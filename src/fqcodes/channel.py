@@ -80,12 +80,9 @@ def decode_nearest(c: VectorCode, received: Word):
     return AMBIGUOUS if tied else best_word
 
 
-def correction_capability(c: VectorCode, min_insdel: int | None = None,
-                          force: bool = False) -> int:
+def correction_capability(c: VectorCode, force: bool = False) -> int:
     """Largest e with 2e < d_insdel(C)."""
-    if min_insdel is None:
-        min_insdel = code_min_distance(c, "insdel", force=force).minimum
-    return (min_insdel - 1) // 2
+    return (code_min_distance(c, "insdel", force=force).minimum - 1) // 2
 
 
 @dataclass(frozen=True)

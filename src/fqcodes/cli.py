@@ -5,8 +5,10 @@ write its artifact, record a manifest, print.  An input file is loaded in
 `_load`, which checks that it holds the expected kind of object; a command
 that writes a file records `<out>.manifest.json` through `_write_manifest`,
 with the exact argv, parameters, modulus, seed and SHA-256 hashes of all
-inputs and the output.  Nothing in an output depends on wall-clock state, so
-re-running a manifest's argv reproduces the files byte for byte.
+inputs and the output.  Only `simulate` and `verify` draw random numbers,
+so only they take `--seed`; every other manifest records seed 0.  Nothing
+in an output depends on wall-clock state, so re-running a manifest's argv
+reproduces the files byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 """
@@ -91,7 +93,7 @@ def _load(path: str, cls, what: str):
     return obj
 
 
-def _write_manifest(args, params: dict, inputs=(), field=None) -> None:
+def _write_manifest(args, params: dict, inputs, field=None) -> None:
     """Record how `args.out` was made: the command, its argv, parameters,
     seed and field, and the SHA-256 of every input and of the output."""
     manifest = {
@@ -101,7 +103,7 @@ def _write_manifest(args, params: dict, inputs=(), field=None) -> None:
         "command": args.command,
         "argv": args._argv,
         "params": params,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", 0),
         "field": field,
         "inputs": {p: sha256_file(p) for p in inputs},
         "outputs": {args.out: sha256_file(args.out)},
@@ -203,6 +205,9 @@ def _cmd_construct(args) -> int:
             ds = singer_difference_set(ctx)
         obj = evaluation_folded_code(ctx, ds.members)
         rep = folded_code_min_distance(obj, "subset", force=args.force)
+        if rep.minimum != 2 * (ds.k - ds.lam):
+            raise PropertyViolation(f"measured subset distance {rep.minimum} != "
+                                    f"2(k - lambda) = {2 * (ds.k - ds.lam)}")
         obj.provenance["verified_subset_distance"] = rep.minimum
         obj.provenance["difference_set"] = {"v": ds.v, "k": ds.k, "lambda": ds.lam}
     else:  # singer-ds
@@ -252,7 +257,7 @@ def _cmd_metric(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suites([args.suite], seed=args.seed, samples=args.samples)
+    results = run_suites(args.suite, args.seed, args.samples)
     failed = 0
     for res in results:
         for check in res.checks:
@@ -322,7 +327,6 @@ def _add_common(p: argparse.ArgumentParser, func, sweeps: bool = True):
     """The options every command takes, --force if it sweeps, and its function."""
     p.set_defaults(func=func)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0)
     if sweeps:
         p.add_argument("--force", action="store_true",
                        help="override pair-count guards on exhaustive sweeps")
@@ -357,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a property suite")
     v.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     v.add_argument("--samples", type=int, default=10000)
+    v.add_argument("--seed", type=int, default=0)
     _add_common(v, _cmd_verify, sweeps=False)
 
     b = sub.add_parser("bounds", help="evaluate closed-form bounds")
@@ -371,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ins", type=int, default=0)
     s.add_argument("--del", type=int, default=0, dest="dels")
     s.add_argument("--trials", type=int, default=1000)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
     _add_common(s, _cmd_simulate)
 

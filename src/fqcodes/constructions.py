@@ -122,9 +122,7 @@ def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
 
 def _projective_rep(ctx: FieldCtx, x: int) -> int:
     """Canonical representative of the line x F_q: its least nonzero element,
-    the one whose first nonzero coefficient is 1."""
-    if not x:
-        raise InvalidParams("zero has no projective representative")
+    the one whose first nonzero coefficient is 1; x is nonzero."""
     return min(ctx.mul(c * ctx.one, x) for c in range(1, ctx.q))
 
 
@@ -183,7 +181,7 @@ def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
 
 def _greedy_row_disjoint_multipliers(half: FieldCtx) -> list[tuple]:
     """Multiplication matrices of nonzero subfield elements, greedily filtered
-    so the chosen matrices pairwise share no row."""
+    so the chosen matrices pairwise share no row; x = 1 is always chosen."""
     chosen = []
     used_rows = set()
     for x in range(1, half.order):
@@ -215,8 +213,6 @@ def block_enlarged_family(ctx: FieldCtx, t: int) -> SubspaceCode:
         raise InvalidParams(f"need n/2 <= t < n, got t={t}, n={n}")
     half = FieldCtx(ctx.q, n // 2)
     h2_count = len(_greedy_row_disjoint_multipliers(half))
-    if not h2_count:
-        raise InvalidParams("no admissible lower-block multipliers")
     h1_count = half.order ** (t - n // 2 + 1)  # the Gabidulin code on the half field
     members = lift_rank_code(gabidulin_code(ctx, t)).members
     q = ctx.q

@@ -36,13 +36,25 @@ _VECTOR_GUARD = 1 << 16
 
 @dataclass(frozen=True)
 class DifferenceSet:
-    """(v, k, lambda) difference set in the multiplicative group of F_{q^n}."""
+    """(v, k, lambda) difference set in the multiplicative group of F_{q^n}.
+
+    v and k are checked against the field and the members, which must be
+    distinct and nonzero; lambda would take an O(v k) scan, so it is not."""
 
     ctx: FieldCtx
     members: tuple
     v: int
     k: int
     lam: int
+
+    def __post_init__(self):
+        if self.v != self.ctx.order - 1:
+            raise InvalidParams(f"v={self.v} but the multiplicative group has "
+                                f"{self.ctx.order - 1} elements")
+        if self.k != len(self.members):
+            raise InvalidParams(f"k={self.k} but there are {len(self.members)} members")
+        if self.ctx.zero in self.members or len(set(self.members)) != self.k:
+            raise InvalidParams("members must be distinct and nonzero")
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,7 @@ class FoldedCode:
         return len(self.codewords)
 
 
-def folded_code_min_distance(fc: FoldedCode, metric: str = "subset",
+def folded_code_min_distance(fc: FoldedCode, metric: str,
                              force: bool = False) -> MetricReport:
     if metric not in ("subset", "subspace"):
         raise InvalidParams(f"folded codes support subset/subspace, not {metric!r}")
@@ -165,16 +177,12 @@ def singer_difference_set(ctx: FieldCtx) -> DifferenceSet:
         raise InvalidParams("the Singer construction here is binary")
     if ctx.n < 3:
         raise InvalidParams("need n >= 3")
-    members = [x for x in ctx.elements() if x and ctx.trace(x) == 0]
-    v = ctx.order - 1
-    k = 2 ** (ctx.n - 1) - 1
-    lam = 2 ** (ctx.n - 2) - 1
-    if len(members) != k:
-        raise PropertyViolation(f"trace-zero set has size {len(members)}, expected {k}")
+    members = tuple(x for x in ctx.elements() if x and ctx.trace(x) == 0)
+    ds = DifferenceSet(ctx, members, ctx.order - 1, 2 ** (ctx.n - 1) - 1, 2 ** (ctx.n - 2) - 1)
     for y, hits in _translation_overlaps(ctx, members):
-        if hits != lam:
-            raise PropertyViolation(f"|yD ∩ D| = {hits} != {lam} for y = {y}")
-    return DifferenceSet(ctx, tuple(members), v, k, lam)
+        if hits != ds.lam:
+            raise PropertyViolation(f"|yD ∩ D| = {hits} != {ds.lam} for y = {y}")
+    return ds
 
 
 def m_of_d(ctx: FieldCtx, members) -> int:

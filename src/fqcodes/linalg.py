@@ -10,14 +10,14 @@ F_q vector this module takes or returns has that form: the inputs of
 elements, so `rref` (and through it `span`) unpacks the vectors into their
 digits over the prime field F_q = FieldCtx(q, 1), reduces them and packs
 the result; the extension-field functions (generalized Hamming weights,
-parity checks, membership in a linear code) call it with their FieldCtx.
+parity checks, generator ranks) call it with their FieldCtx.
 The one specialization is `gf2_rank`, the rank over F_2 of packed rows.
 
 A subspace is stored through its unique reduced-row-echelon basis, packed,
 so subspace equality is plain tuple equality and sets of subspaces
-deduplicate exactly.  `span`, `rref`, `kernel` and `Subspace.contains`
-reject any vector that is not an int in [0, q^m); a Subspace itself is a
-plain record and trusts its rows.
+deduplicate exactly.  `span`, `rref` and `kernel` reject any vector that
+is not an int in [0, q^m); a Subspace itself is a plain record and trusts
+its rows.
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ class Subspace:
             vecs += [add_packed(v, m, q) for v in vecs for m in multiples]
         return vecs
 
-    def contains(self, vector: int) -> bool:
-        """Is the packed vector, an int in [0, q^ambient), a member?"""
-        return rref(self.rows + (vector,), self.ambient, self.q)[1] == self.dim
-
 
 def span(vectors, ambient: int, q: int) -> Subspace:
     """Canonical subspace spanned by the packed vectors of F_q^ambient."""
@@ -132,17 +128,15 @@ def kernel(rows, ncols: int, q: int) -> Subspace:
 
 
 def subspace_count(ambient: int, dim: int, q: int) -> int:
-    """Number of dim-dimensional subspaces of F_q^ambient (exact)."""
+    """Number of dim-dimensional subspaces of F_q^ambient: the Gaussian
+    binomial, an exact quotient."""
     if dim < 0 or dim > ambient:
         return 0
     num = den = 1
     for i in range(dim):
         num *= q ** (ambient - i) - 1
         den *= q ** (dim - i) - 1
-    quot, rem = divmod(num, den)
-    if rem:
-        raise InvalidParams("subspace count was not integral (internal error)")
-    return quot
+    return num // den
 
 
 def enumerate_subspaces(q: int, ambient: int, dim: int):
@@ -241,11 +235,6 @@ def ext_kernel_basis(rows, ncols: int, ctx) -> list[tuple]:
             v[p] = ctx.sub(ctx.zero, reduced[r][f])
         out.append(tuple(v))
     return out
-
-
-def ext_in_rowspan(vector, rows, ncols: int, ctx) -> bool:
-    base_rank = ext_rank(rows, ncols, ctx)
-    return ext_rank(list(rows) + [vector], ncols, ctx) == base_rank
 
 
 def ext_matmul(a_rows, b_rows, ncols: int, ctx) -> list[tuple]:

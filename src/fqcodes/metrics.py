@@ -46,7 +46,6 @@ from .linalg import (
     enumerate_ext_rref_bases,
     ext_matmul,
     ext_rank,
-    ext_in_rowspan,
     span,
     span_distance,
     span_vectors,
@@ -331,13 +330,20 @@ def subset_min_report(items, set_of, metric: str, force: bool = False,
                         metric, force, notes)
 
 
+def _row_span(rows, length: int, ctx: FieldCtx) -> list[tuple]:
+    """Every linear combination of the rows, refused beyond _MATERIALIZE_GUARD words."""
+    if ctx.order ** len(rows) > _MATERIALIZE_GUARD:
+        raise SearchTooLarge("row span too large to materialize")
+    return span_vectors(rows, length, ctx)
+
+
 class VectorCode:
     """A set of equal-length words over F_{q^n}, optionally with a generator.
 
     When a generator is given the code is linear over the alphabet field:
     the codewords are exactly the F_{q^n}-linear combinations of the
-    generator rows, and this is re-verified exhaustively at construction
-    whenever the row span is small enough to materialize.
+    generator rows.  This is re-verified exhaustively at construction, and
+    a row span of more than _MATERIALIZE_GUARD words is refused.
     """
 
     def __init__(self, ctx: FieldCtx, length: int, codewords,
@@ -355,13 +361,10 @@ class VectorCode:
             for g in self.generator:
                 self._check_word(g, "generator row")
             rows = [g.symbols for g in self.generator]
-            k = len(rows)
-            if ext_rank(rows, length, ctx) != k:
+            if ext_rank(rows, length, ctx) != len(rows):
                 raise InvalidParams("generator rows are not linearly independent")
-            if ctx.order ** k <= _MATERIALIZE_GUARD:
-                expected = set(span_vectors(rows, length, ctx))
-                if expected != set(seen):
-                    raise InvalidParams("codeword set does not equal the generator row span")
+            if set(_row_span(rows, length, ctx)) != set(seen):
+                raise InvalidParams("codeword set does not equal the generator row span")
 
     def _check_word(self, w: Word, what: str) -> None:
         if w.ctx != self.ctx:
@@ -381,9 +384,6 @@ class VectorCode:
         return len(self.codewords)
 
     def contains(self, w: Word) -> bool:
-        if self.generator is not None:
-            rows = [g.symbols for g in self.generator]
-            return ext_in_rowspan(w.symbols, rows, self.length, self.ctx)
         return any(w.symbols == c.symbols for c in self.codewords)
 
     @classmethod
@@ -392,10 +392,7 @@ class VectorCode:
         if not rows:
             raise InvalidParams("a linear code needs at least one generator row")
         length = len(rows[0])
-        k = len(rows)
-        if ctx.order ** k > _MATERIALIZE_GUARD:
-            raise SearchTooLarge("row span too large to materialize")
-        codewords = [Word(ctx, v) for v in span_vectors([r.symbols for r in rows], length, ctx)]
+        codewords = [Word(ctx, v) for v in _row_span([r.symbols for r in rows], length, ctx)]
         return cls(ctx, length, codewords, generator=rows, provenance=provenance)
 
 

@@ -28,14 +28,18 @@ _GABIDULIN_GUARD = 1 << 22
 
 @dataclass(frozen=True)
 class LinearizedPoly:
-    """Sum of a_i x^(q^i); coefficients in ctx, argument in src (default ctx)."""
+    """Sum of a_i x^(q^i); coefficients in ctx, argument in src (default ctx).
+
+    A src equal to ctx is stored as None, so each map has one form."""
 
     ctx: FieldCtx
     coeffs: tuple
     src: FieldCtx | None = None
 
     def __post_init__(self):
-        domain = self.src if self.src is not None else self.ctx
+        if self.src == self.ctx:
+            object.__setattr__(self, "src", None)
+        domain = self.domain
         if domain.q != self.ctx.q:
             raise InvalidParams("embedding requires matching base characteristic")
         if domain.n > self.ctx.n:
@@ -45,10 +49,6 @@ class LinearizedPoly:
         if len(self.coeffs) - 1 >= domain.n:
             raise InvalidParams("degree parameter must be below the domain degree")
         self.ctx.check_elements(self.coeffs, "coefficient")
-
-    @property
-    def t(self) -> int:
-        return len(self.coeffs) - 1
 
     @property
     def domain(self) -> FieldCtx:
@@ -90,13 +90,15 @@ def poly_rank(p: LinearizedPoly) -> int:
 
 
 class RankCode:
-    """A set of linearized polynomials read as n_rows x n_cols matrices over F_q."""
+    """A set of linearized polynomials read as n_rows x n_cols matrices over F_q.
+
+    A src equal to ctx is stored as None, so a square code has one form."""
 
     def __init__(self, ctx: FieldCtx, members, t: int, src: FieldCtx | None = None,
                  declared_rank_distance: int | None = None,
                  provenance: dict | None = None):
         self.ctx = ctx
-        self.src = src
+        self.src = None if src == ctx else src
         self.t = t
         self.members = tuple(members)
         if len(set(self.members)) != len(self.members):
@@ -126,15 +128,9 @@ def _coefficient_tuples(ctx: FieldCtx, t: int):
 
 def gabidulin_code(ctx: FieldCtx, t: int) -> RankCode:
     """All q-polynomials of degree parameter t on F_{q^n}; rank distance n - t."""
-    if not 0 <= t < ctx.n:
-        raise InvalidParams(f"t={t} out of range for degree {ctx.n}")
-    size = ctx.order ** (t + 1)
-    if size > _GABIDULIN_GUARD:
-        raise SearchTooLarge(f"{size} members exceed the materialization guard")
-    members = [LinearizedPoly(ctx, coeffs) for coeffs in _coefficient_tuples(ctx, t)]
-    return RankCode(ctx, members, t,
-                    declared_rank_distance=ctx.n - t,
-                    provenance={"construction": "gabidulin", "q": ctx.q, "n": ctx.n, "t": t})
+    code = gabidulin_rect(ctx, ctx, t)
+    code.provenance = {"construction": "gabidulin", "q": ctx.q, "n": ctx.n, "t": t}
+    return code
 
 
 def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
@@ -148,16 +144,14 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
     size = dst.order ** (t + 1)
     if size > _GABIDULIN_GUARD:
         raise SearchTooLarge(f"{size} members exceed the materialization guard")
-    src_arg = None if dst == src else src
-    members = [LinearizedPoly(dst, coeffs, src_arg)
-               for coeffs in _coefficient_tuples(dst, t)]
-    return RankCode(dst, members, t, src=src_arg,
+    members = [LinearizedPoly(dst, coeffs, src) for coeffs in _coefficient_tuples(dst, t)]
+    return RankCode(dst, members, t, src=src,
                     declared_rank_distance=src.n - t,
                     provenance={"construction": "gabidulin_rect", "q": src.q,
                                 "k": src.n, "h": dst.n - src.n, "t": t})
 
 
-def rank_distance_of_code(c: RankCode, force: bool = False) -> int:
+def rank_distance_of_code(c: RankCode) -> int:
     """Exact minimum rank distance.
 
     When the member matrices are distinct and form an F_q-linear space,
@@ -177,7 +171,7 @@ def rank_distance_of_code(c: RankCode, force: bool = False) -> int:
 
     def dist(a, b):
         return packed_rank([add_packed(x, y, q, -1) for x, y in zip(a, b)], ncols, q)
-    return pairwise_min_report(matrices, dist, "rank", force=force).minimum
+    return pairwise_min_report(matrices, dist, "rank").minimum
 
 
 @dataclass(frozen=True)

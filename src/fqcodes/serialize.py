@@ -104,7 +104,7 @@ def atomic_write_text(path: str, text: str) -> None:
     An output path that cannot be written (a missing directory, a
     directory in the way, no permission) raises InvalidParams naming it.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(path) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-fqcodes-")
@@ -306,13 +306,12 @@ def difference_set_from_obj(d) -> DifferenceSet:
 # -- reports ---------------------------------------------------------------------
 
 def _witness_to_obj(item):
+    """A sweep's witness: a Word, a FoldedWord or a Subspace."""
     if isinstance(item, Word):
         return {"word": _word_to_lists(item)}
     if isinstance(item, FoldedWord):
         return {"blocks": _blocks_to_lists(item)}
-    if isinstance(item, Subspace):
-        return {"basis": _basis_to_lists(item)}
-    return {"value": repr(item)}
+    return {"basis": _basis_to_lists(item)}
 
 
 def metric_report_to_obj(r: MetricReport) -> dict:

@@ -74,7 +74,7 @@ def _random_word(ctx: FieldCtx, length: int, rng: random.Random) -> Word:
                            for _ in range(length)))
 
 
-def suite_pseudometric(seed: int = 0, samples: int = 10000) -> SuiteResult:
+def suite_pseudometric(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("pseudometric")
     ctx = FieldCtx(2, 3)
     rng = random.Random(seed)
@@ -105,7 +105,7 @@ def _chain_ok(x: Word, y: Word) -> bool:
     return ds <= dsub <= dins <= 2 * dh
 
 
-def suite_chain(seed: int = 0, samples: int = 10000) -> SuiteResult:
+def suite_chain(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("chain")
     ctx = FieldCtx(2, 3)
     rng = random.Random(seed)
@@ -179,11 +179,11 @@ def _random_linear_code(rng: random.Random) -> VectorCode:
             return VectorCode.from_generator(ctx, [Word(ctx, r) for r in rows])
 
 
-def suite_shift_witness(seed: int = 0, trials: int = 100) -> SuiteResult:
+def suite_shift_witness(seed: int) -> SuiteResult:
     res = SuiteResult("shift-witness")
     rng = random.Random(seed)
     failures = 0
-    for _ in range(trials):
+    for _ in range(100):
         c = _random_linear_code(rng)
         try:
             w = cyclic_shift_witness(c)
@@ -196,7 +196,7 @@ def suite_shift_witness(seed: int = 0, trials: int = 100) -> SuiteResult:
                 and insdel_distance(w, shifted) <= 2):
             failures += 1
     res.check("witness on random high-rate codes", failures == 0,
-              f"{failures} failures in {trials} codes")
+              f"{failures} failures in 100 codes")
     return res
 
 
@@ -236,18 +236,18 @@ SUITES = {
 }
 
 
-def run_suites(names, seed: int = 0, samples: int = 10000) -> list[SuiteResult]:
+def run_suites(name: str, seed: int, samples: int) -> list[SuiteResult]:
+    """Run the named suite, or every suite for "all"; only pseudometric and
+    chain read samples, and only they and shift-witness read seed."""
     if samples < 1:
         raise InvalidParams(f"samples={samples} must be >= 1")
-    if names == ["all"] or names == "all":
-        names = list(SUITES)
     out = []
-    for name in names:
-        fn = SUITES[name]
-        if name in ("pseudometric", "chain"):
-            out.append(fn(seed=seed, samples=samples))
-        elif name == "shift-witness":
-            out.append(fn(seed=seed))
+    for key in SUITES if name == "all" else [name]:
+        fn = SUITES[key]
+        if key in ("pseudometric", "chain"):
+            out.append(fn(seed, samples))
+        elif key == "shift-witness":
+            out.append(fn(seed))
         else:
             out.append(fn())
     return out

@@ -130,8 +130,6 @@ def test_decoding_a_word_from_another_field_raises():
 def test_capability_values():
     vc = _spread_code()
     assert correction_capability(vc) == 2  # d_insdel = 6
-    assert correction_capability(vc, min_insdel=4) == 1
-    assert correction_capability(vc, min_insdel=2) == 0
 
 
 def test_trials_identity_channel():

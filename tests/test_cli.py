@@ -514,7 +514,7 @@ def _input_files(tmp_path):
 # the manifest lists, its field (None, or the arguments of its FieldCtx) and
 # its params (with {name} for the input files)
 WRITING_COMMANDS = {
-    "construct-spread": ("construct --kind spread --q 2 --k 2 --n 4 --seed 5 --out {out}",
+    "construct-spread": ("construct --kind spread --q 2 --k 2 --n 4 --out {out}",
                          (), None, {"kind": "spread", "q": 2, "k": 2, "n": 4}),
     "construct-lifted": ("construct --kind lifted-mrd --n 3 --t 1 --out {out}", (), (2, 3),
                          {"kind": "lifted-mrd", "q": 2, "n": 3, "t": 1}),
@@ -542,7 +542,7 @@ WRITING_COMMANDS = {
                             {"kind": "singer-ds", "n": 3}),
     "metric": ("metric {spread} --metric subspace --out {out}", ("spread",), None,
                {"metric": "subspace", "block_len": None}),
-    "metric-csv": ("metric {av} --metric insdel --format csv --seed 3 --out {out}",
+    "metric-csv": ("metric {av} --metric insdel --format csv --out {out}",
                    ("av",), None, {"metric": "insdel", "block_len": None}),
     "metric-r-subset": ("metric {av} --metric r_subset --block-len 2 --out {out}",
                         ("av",), None, {"metric": "r_subset", "block_len": 2}),
@@ -733,3 +733,82 @@ def test_a_rank_code_whose_src_field_cannot_embed_exits_2_at_load(tmp_path, caps
     err = _assert_one_line_exit_2(capsys, "construct", "--kind", "lifted-mrd", "--from", path,
                                   "--out", str(tmp_path / "lifted.json"))
     assert err == f"error: invalid rank code: {message}\n"
+
+
+# -- options nothing reads, claims nothing checked ------------------------------
+
+@pytest.mark.parametrize("case", ["construct-spread", "metric", "bounds-table", "fold"])
+def test_seed_on_a_command_that_draws_no_random_numbers_is_a_usage_error(tmp_path, capsys, case):
+    paths = _input_files(tmp_path)
+    before = set(tmp_path.iterdir())
+    argv = WRITING_COMMANDS[case][0].format(out=tmp_path / "out", **paths).split()
+    code, stdout, err = run(capsys, *argv, "--seed", "5")
+    assert (code, stdout) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --seed 5\n")
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_a_generator_whose_row_span_is_too_large_to_check_exits_2(tmp_path, capsys):
+    # two codewords and three independent generator rows over F_256: 2^24 words
+    ctx = FieldCtx(2, 8)
+    zero, one = [0] * 8, [1] + [0] * 7
+    path = tmp_path / "big.json"
+    save_file(str(path), VectorCode(ctx, 3, [word(ctx, [zero] * 3), word(ctx, [one] * 3)]))
+    obj = json.loads(path.read_text())
+    obj["generator"] = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps(obj))
+    err = _assert_one_line_exit_2(capsys, "bounds", "--code", str(path))
+    assert err == "error: invalid vector code: row span too large to materialize\n"
+
+
+def _singer4_file(tmp_path, members, v=15, k=7, lam=3):
+    """A difference set file over F_16 claiming (v, k, lam): the Singer
+    members at the given indices, None for zero, "other" for a non-member."""
+    ctx = FieldCtx(2, 4)
+    singer = singer_difference_set(ctx).members
+    other = next(x for x in range(1, ctx.order) if x not in singer)
+    points = [0 if i is None else other if i == "other" else singer[i] for i in members]
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps({
+        "kind": "difference_set", "field": field_to_obj(ctx), "v": v, "k": k, "lambda": lam,
+        "members": [list(ctx.coefficients(x)) for x in points]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("members, claim, message", [
+    (range(5), (15, 7, 1), "k=7 but there are 5 members"),
+    (range(7), (14, 7, 3), "v=14 but the multiplicative group has 15 elements"),
+    ([0, 1, 2, 3, 4, 5, 0], (15, 7, 3), "members must be distinct and nonzero"),
+    ([0, 1, 2, 3, 4, 5, None], (15, 7, 3), "members must be distinct and nonzero"),
+], ids=["five members claim seven", "wrong v", "a repeated member", "a zero member"])
+def test_a_difference_set_whose_claim_its_members_refute_exits_2(tmp_path, capsys,
+                                                                 members, claim, message):
+    path = _singer4_file(tmp_path, members, *claim)
+    out = str(tmp_path / "fev.json")
+    err = _assert_one_line_exit_2(capsys, "construct", "--kind", "folded-eval", "--n", "4",
+                                  "--ds", path, "--out", out)
+    assert err == f"error: invalid difference set: {message}\n"
+    assert not (tmp_path / "fev.json").exists()
+
+
+def test_folded_eval_checks_the_claimed_lambda_before_writing(tmp_path, capsys):
+    # seven distinct nonzero members, but not a difference set
+    path = _singer4_file(tmp_path, [0, 1, 2, 3, 4, 5, "other"])
+    code, stdout, err = run(capsys, "construct", "--kind", "folded-eval", "--n", "4",
+                            "--ds", path, "--out", str(tmp_path / "fev.json"))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("verification failure: measured subset distance ")
+    assert err.endswith(" != 2(k - lambda) = 8\n")
+    assert not (tmp_path / "fev.json").exists()
+
+
+def test_a_square_rank_code_has_one_file_form(tmp_path):
+    ctx = FieldCtx(2, 3)
+    canonical, edited = tmp_path / "canonical.json", tmp_path / "edited.json"
+    save_file(str(canonical), gabidulin_code(ctx, 1))
+    obj = json.loads(canonical.read_text())
+    obj["src_field"] = obj["field"]
+    edited.write_text(json.dumps(obj))
+    save_file(str(edited), load_file(str(edited)))
+    assert edited.read_bytes() == canonical.read_bytes()
+    assert gabidulin_rect(ctx, ctx, 1).src is None

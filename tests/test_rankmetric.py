@@ -29,7 +29,7 @@ GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 def _sub(a, b):
     """a - b, coefficient by coefficient: the polynomial whose matrix is the
     difference of theirs, so its rank is their rank distance."""
-    if (a.ctx, a.src) != (b.ctx, b.src) or a.t != b.t:
+    if (a.ctx, a.src) != (b.ctx, b.src) or len(a.coeffs) != len(b.coeffs):
         raise InvalidParams("mismatched linearized polynomials")
     return LinearizedPoly(a.ctx, tuple(a.ctx.sub(x, y) for x, y in zip(a.coeffs, b.coeffs)),
                           a.src)

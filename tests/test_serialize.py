@@ -4,12 +4,13 @@ import json
 import os
 import re
 import stat
+import tempfile
 import time
 
 import pytest
 
 from fqcodes.cli import main
-from fqcodes.errors import ParseError
+from fqcodes.errors import InvalidParams, ParseError
 from fqcodes.gf import FieldCtx
 from fqcodes.bounds import BoundReport
 from fqcodes.constructions import lift_rank_code, spread
@@ -277,6 +278,21 @@ def test_atomic_write(tmp_path):
     assert open(path).read() == "world\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert not leftovers
+
+
+def test_atomic_write_keeps_its_temp_file_beside_the_target(tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    (work / "sub").mkdir(parents=True)
+    monkeypatch.chdir(work)
+    dirs = []
+    mkstemp = tempfile.mkstemp
+    monkeypatch.setattr(tempfile, "mkstemp", lambda **kw: dirs.append(kw["dir"]) or mkstemp(**kw))
+    atomic_write_text("x.txt", "x\n")
+    atomic_write_text(os.path.join("sub", "x.txt"), "x\n")
+    with pytest.raises(InvalidParams, match="^cannot write : "):
+        atomic_write_text("", "x\n")
+    assert [os.path.abspath(d) for d in dirs] == [str(work), str(work / "sub"), str(work)]
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
