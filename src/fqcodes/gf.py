@@ -23,12 +23,14 @@ with c_0 most significant: zero is 0 and one is q^(n-1).
 
 Fields with at most 2^16 elements precompute discrete log/exp tables, which
 multiplication, inversion, powers and Frobenius index directly; larger
-fields fall back to polynomial reduction.  The tables are built from the
-first int g of full multiplicative order, found by the prime-factor test
-(g^((q^n-1)/p) != 1 for every prime p dividing q^n - 1, computed without
-tables), and then one walk through the powers of g fills exp and log.
-A FieldCtx is immutable after construction and every operation is a pure
-function of its inputs.
+fields fall back to polynomial reduction.  The tables come from the first
+int g of full multiplicative order (g^((q^n-1)/p) != 1 for every prime p
+dividing q^n - 1, computed without tables) and one walk through its powers,
+whose F_q-linear step y -> g*y sums precomputed images of chunks of digits.
+A modulus is checked with Rabin's test: f of degree n is irreducible iff f
+divides x^(q^n) - x and x^(q^(n/p)) - x is coprime to f for every prime p
+dividing n.  A FieldCtx is immutable after construction and every operation
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import InvalidParams, SearchTooLarge
+from .errors import InvalidParams
 
 _TABLE_LIMIT = 1 << 16
 _MAX_DEGREE = 24
 _MAX_CHARACTERISTIC = _TABLE_LIMIT  # keeps is_prime's trial division short
-_IRREDUCIBILITY_GUARD = 1 << 20  # cap on the trial divisors of one modulus
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -114,6 +115,57 @@ def _poly_rem(num: list[int], monic: list[int], q: int) -> list[int]:
     return num[:deg]
 
 
+def _reduction_rows(modulus, q: int) -> tuple:
+    """Rows x^(n+j) mod the monic modulus of degree n, as coefficient vectors,
+    for j = 0 .. n-2: the degrees a raw product can reach."""
+    n = len(modulus) - 1
+    rows, cur = [], [0] * (n - 1) + [1]  # x^(n-1)
+    for _ in range(n - 1):
+        cur = _poly_rem([0] + cur, modulus, q)  # x * cur mod modulus
+        rows.append(tuple(cur))
+    return tuple(rows)
+
+
+def _mul_mod(a: tuple, b: tuple, red: tuple, q: int) -> tuple:
+    """Product of coefficient vectors of length n, reduced by the rows `red`."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    res = [c % q for c in prod[:n]]
+    for j in range(n, 2 * n - 1):
+        c = prod[j] % q
+        if c:
+            row = red[j - n]
+            for i in range(n):
+                res[i] = (res[i] + c * row[i]) % q
+    return tuple(res)
+
+
+def _pow_mod(a: tuple, e: int, red: tuple, q: int) -> tuple:
+    """a^e for e >= 0 by square-and-multiply with _mul_mod."""
+    result = (1,) + (0,) * (len(a) - 1)
+    while e:
+        if e & 1:
+            result = _mul_mod(result, a, red, q)
+        e >>= 1
+        if e:
+            a = _mul_mod(a, a, red, q)
+    return result
+
+
+def _coprime(a: list[int], b: list[int], q: int) -> bool:
+    """Whether two polynomials over F_q share no factor of positive degree (Euclid)."""
+    while any(b):
+        b = b[:max(i for i, c in enumerate(b) if c) + 1]
+        inv = pow(b[-1], q - 2, q)
+        a, b = b, _poly_rem(a, [c * inv % q for c in b], q)
+    return not any(a[1:])  # a nonzero constant
+
+
 def check_characteristic(q: int) -> None:
     """Raise InvalidParams unless q is an int prime of at most _MAX_CHARACTERISTIC."""
     if not _is_int(q):
@@ -124,28 +176,27 @@ def check_characteristic(q: int) -> None:
         raise InvalidParams(f"q={q} is not prime")
 
 
-def _is_irreducible(poly: list[int], q: int) -> bool:
-    """Trial division by every monic polynomial of degree 1 .. deg/2."""
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    divisors = sum(q ** d for d in range(1, deg // 2 + 1))
-    if divisors > _IRREDUCIBILITY_GUARD:
-        raise SearchTooLarge(f"irreducibility test of degree {deg} over F_{q} needs "
-                             f"{divisors} trial divisions (guard {_IRREDUCIBILITY_GUARD})")
-    return all(any(_poly_rem(poly, list(tail) + [1], q))
-               for d in range(1, deg // 2 + 1)
-               for tail in itertools.product(range(q), repeat=d))
+def _is_irreducible(f: list[int], q: int) -> bool:
+    """Rabin's test for a monic f of degree n >= 1: f divides x^(q^n) - x, and
+    gcd(x^(q^(n/p)) - x, f) = 1 for every prime p dividing n."""
+    n = len(f) - 1
+    red = _reduction_rows(f, q)
+    x = tuple(_poly_rem([0, 1] + [0] * (n - 1), f, q))  # x mod f: a constant when n = 1
+    h = x
+    for k in range(1, n + 1):
+        h = _pow_mod(h, q, red, q)  # x^(q^k) mod f
+        if n % k == 0 and is_prime(n // k) and not _coprime(f, [a - b for a, b in zip(h, x)], q):
+            return False
+    return h == x
 
 
 def _smallest_irreducible(q: int, n: int) -> tuple[int, ...]:
-    for tail in itertools.product(range(q), repeat=n):
+    # for n > 1 every candidate with c_0 = 0 is divisible by x, so the scan starts at c_0 = 1
+    for tail in itertools.product(range(1 if n > 1 else 0, q), *[range(q)] * (n - 1)):
         cand = list(tail) + [1]
         if _is_irreducible(cand, q):
             return tuple(cand)
     raise InvalidParams(f"no irreducible of degree {n} over F_{q}")  # unreachable
-
-
 
 
 class FieldCtx:
@@ -179,21 +230,7 @@ class FieldCtx:
         self.zero = 0
         self.one = q ** (n - 1)
         self._unit_order = self.order - 1
-        # reduction rows: _red[j] = coefficient vector of x^(n+j) mod modulus,
-        # for j = 0 .. n-2 (the degrees a raw product can reach)
-        if n > 1:
-            red = [tuple((-m) % q for m in self.modulus[:n])]  # x^n
-            for _ in range(n - 2):
-                prev = red[-1]
-                shifted = [0] + list(prev[:-1])
-                if prev[-1]:
-                    top = prev[-1]
-                    for i, b in enumerate(red[0]):
-                        shifted[i] = (shifted[i] + top * b) % q
-                red.append(tuple(shifted))
-            self._red = tuple(red)
-        else:
-            self._red = ()
+        self._red = _reduction_rows(self.modulus, q)
         self._exp = None
         self._log = None
         if self.order <= _TABLE_LIMIT:
@@ -259,21 +296,7 @@ class FieldCtx:
 
     def _mul_raw(self, a: tuple, b: tuple) -> tuple:
         """Product of coefficient vectors by polynomial reduction."""
-        q, n = self.q, self.n
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        res = [c % q for c in prod[:n]]
-        for j in range(n, 2 * n - 1):
-            c = prod[j] % q
-            if c:
-                row = self._red[j - n]
-                for i in range(n):
-                    res[i] = (res[i] + c * row[i]) % q
-        return tuple(res)
+        return _mul_mod(a, b, self._red, self.q)
 
     def mul(self, a: int, b: int) -> int:
         if not a or not b:
@@ -299,14 +322,7 @@ class FieldCtx:
         e %= self._unit_order
         if self._log is not None:
             return self._exp[self._log[a] * e % self._unit_order]
-        result = self.coefficients(self.one)
-        base = self.coefficients(a)
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, base)
-            base = self._mul_raw(base, base)
-            e >>= 1
-        return pack(result, self.q)
+        return pack(_pow_mod(self.coefficients(a), e, self._red, self.q), self.q)
 
     def frobenius(self, x: int, i: int) -> int:
         """x^(q^i); the i-fold Frobenius automorphism."""
@@ -338,19 +354,39 @@ class FieldCtx:
     def _build_tables(self):
         # the generator is the first int of full order: g^(unit/p) != 1 for
         # every prime p dividing unit; pow runs without tables until they exist
-        unit = self._unit_order
+        q, unit = self.q, self._unit_order
         primes = _prime_factors(unit)
         gen = next(g for g in range(1, self.order)
                    if all(self.pow(g, unit // p) != self.one for p in primes))
-        gc = self.coefficients(gen)
+        # y -> gen*y is F_q-linear, so it is a sum over chunks of w digits (the
+        # largest w >= 1 with q^w <= 256) of images[j][v] = gen * (v * size^j)
+        w = max([1] + [k for k in range(1, 9) if q ** k <= 256])
+        size = q ** w
+        basis = [self.mul(gen, q ** i) for i in range(self.n)]  # no tables yet
+        images = []
+        for k in range(0, self.n, w):
+            table = [0]
+            for b in basis[k:k + w]:  # the digit of b is the most significant so far
+                multiples = itertools.accumulate([b] * (q - 1), lambda u, v: add_packed(u, v, q),
+                                                 initial=0)
+                table = [add_packed(m, x, q) for m in multiples for x in table]
+            images.append(table)
         exp = [0] * unit
         log = [0] * self.order
-        cur = self.coefficients(self.one)
+        cur = self.one
+        t0, t1 = (images + [[0]])[:2]
         for k in range(unit):
-            x = pack(cur, self.q)
-            exp[k] = x
-            log[x] = k
-            cur = self._mul_raw(cur, gc)
+            exp[k] = cur
+            log[cur] = k
+            if q == 2:  # w = 8 and n <= 16: at most two byte tables
+                cur = t0[cur & 255] ^ t1[cur >> 8]
+            else:
+                cur, low = divmod(cur, size)
+                nxt = t0[low]
+                for t in images[1:]:
+                    cur, low = divmod(cur, size)
+                    nxt = add_packed(nxt, t[low], q)
+                cur = nxt
         self._exp = exp
         self._log = log
 

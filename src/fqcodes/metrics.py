@@ -343,28 +343,31 @@ class VectorCode:
     When a generator is given the code is linear over the alphabet field:
     the codewords are exactly the F_{q^n}-linear combinations of the
     generator rows.  This is re-verified exhaustively at construction, and
-    a row span of more than _MATERIALIZE_GUARD words is refused.
+    a row span of more than _MATERIALIZE_GUARD words is refused.  With
+    codewords None the codewords are that row span, built once.
     """
 
     def __init__(self, ctx: FieldCtx, length: int, codewords,
                  generator=None, provenance: dict | None = None):
         self.ctx = ctx
         self.length = length
-        seen = {}
-        for w in codewords:
-            self._check_word(w, "codeword")
-            seen.setdefault(w.symbols, w)
-        self.codewords = tuple(seen.values())
         self.generator = tuple(generator) if generator is not None else None
         self.provenance = dict(provenance) if provenance else {}
+        span = None
         if self.generator is not None:
             for g in self.generator:
                 self._check_word(g, "generator row")
             rows = [g.symbols for g in self.generator]
             if ext_rank(rows, length, ctx) != len(rows):
                 raise InvalidParams("generator rows are not linearly independent")
-            if set(_row_span(rows, length, ctx)) != set(seen):
-                raise InvalidParams("codeword set does not equal the generator row span")
+            span = _row_span(rows, length, ctx)
+        seen = {}
+        for w in codewords if codewords is not None else [Word(ctx, v) for v in span]:
+            self._check_word(w, "codeword")
+            seen.setdefault(w.symbols, w)
+        self.codewords = tuple(seen.values())
+        if codewords is not None and span is not None and set(span) != set(seen):
+            raise InvalidParams("codeword set does not equal the generator row span")
 
     def _check_word(self, w: Word, what: str) -> None:
         if w.ctx != self.ctx:
@@ -391,9 +394,7 @@ class VectorCode:
         rows = [w if isinstance(w, Word) else word(ctx, w) for w in rows]
         if not rows:
             raise InvalidParams("a linear code needs at least one generator row")
-        length = len(rows[0])
-        codewords = [Word(ctx, v) for v in _row_span([r.symbols for r in rows], length, ctx)]
-        return cls(ctx, length, codewords, generator=rows, provenance=provenance)
+        return cls(ctx, len(rows[0]), None, generator=rows, provenance=provenance)
 
 
 def code_min_distance(c: VectorCode, metric: str, r: int | None = None,

@@ -194,13 +194,15 @@ def test_metric_on_subspace_code_over_a_bad_q_exits_2(tmp_path, capsys, q, messa
     assert message in err
 
 
-def test_metric_on_field_too_large_to_test_for_irreducibility_exits_2(tmp_path, capsys):
+def test_metric_on_difference_set_over_a_large_characteristic_field_exits_2(tmp_path, capsys):
+    # the field loads quickly (Rabin's test), so the loader reaches the claim check
     path = tmp_path / "ds.json"
     path.write_text(json.dumps({
         "kind": "difference_set", "field": {"q": 65521, "n": 4, "modulus": [3, 1, 0, 0, 1]},
         "members": [[1, 0, 0, 0]], "v": 1, "k": 1, "lambda": 0}))
     start = time.monotonic()
-    assert "trial divisions" in _assert_exit_2(capsys, path)
+    err = _assert_exit_2(capsys, path)
+    assert "invalid difference set: v=1 but the multiplicative group has" in err
     assert time.monotonic() - start < 5
 
 

@@ -1,12 +1,15 @@
 """Field arithmetic: worked examples plus exhaustive axiom checks."""
 
+import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
-from fqcodes.errors import InvalidParams, SearchTooLarge
-from fqcodes.gf import FieldCtx, _prime_factors, pack, prime_field, unpack
+from fqcodes.errors import InvalidParams
+from fqcodes.gf import (FieldCtx, _is_irreducible, _poly_rem, _prime_factors, pack,
+                        prime_field, unpack)
 from fqcodes.linalg import ext_matmul, rref
 from fqcodes.rankmetric import LinearizedPoly
 
@@ -72,12 +75,15 @@ def test_characteristic_capped():
         FieldCtx(2 ** 16 + 1, 1)  # prime, one past the cap
 
 
-def test_irreducibility_test_too_large_is_refused():
-    # trial division would need 65521 + 65521^2 divisors; refused before the loop
-    with pytest.raises(SearchTooLarge, match="irreducibility test of degree 4 over F_65521"):
-        FieldCtx(65521, 4, [3, 1, 0, 0, 1])
-    with pytest.raises(SearchTooLarge, match="trial divisions"):
-        FieldCtx(65521, 4)
+def test_fields_of_a_large_characteristic_build_quickly():
+    # trial division would need 65521 + 65521^2 divisors per candidate modulus;
+    # Rabin's test needs four Frobenius powers
+    for modulus in ([3, 1, 0, 0, 1], None):
+        start = time.perf_counter()
+        ctx = FieldCtx(65521, 4, modulus)
+        assert time.perf_counter() - start < 1
+        assert ctx._log is None
+    assert ctx.modulus == (1, 0, 0, 3, 1)
 
 
 def test_non_canonical_modulus_rejected():
@@ -370,3 +376,61 @@ def test_prime_factors_match_a_sieve():
                 factors[m].append(p)
     for m in range(1, limit):
         assert _prime_factors(m) == factors[m], m
+
+
+# -- Rabin's irreducibility test against the trial division it replaced -------
+
+def _trial_division_irreducible(poly, q):
+    """Whether no monic polynomial of degree 1 .. deg/2 divides poly."""
+    deg = len(poly) - 1
+    return all(any(_poly_rem(poly, list(tail) + [1], q))
+               for d in range(1, deg // 2 + 1)
+               for tail in itertools.product(range(q), repeat=d))
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 8), (3, 5), (5, 3), (7, 3)])
+def test_rabin_agrees_with_trial_division(q, max_degree):
+    for deg in range(1, max_degree + 1):
+        for tail in itertools.product(range(q), repeat=deg):
+            poly = list(tail) + [1]
+            assert _is_irreducible(poly, q) == _trial_division_irreducible(poly, q), poly
+
+
+def _trial_division_default_modulus(q, n):
+    """The first monic irreducible of degree n, scanning every candidate."""
+    return next(tail + (1,) for tail in itertools.product(range(q), repeat=n)
+                if _trial_division_irreducible(list(tail) + [1], q))
+
+
+# recorded from the trial-division scan, which takes seconds on these degrees
+LARGE_DEFAULT_MODULI = {
+    (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+    (2, 17): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 20): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+}
+
+
+def test_default_moduli_are_unchanged():
+    for q, n in ORACLE_FIELDS:
+        assert FieldCtx(q, n).modulus == _trial_division_default_modulus(q, n), (q, n)
+    for (q, n), modulus in LARGE_DEFAULT_MODULI.items():
+        assert FieldCtx(q, n).modulus == modulus, (q, n)
+
+
+# the field list of the one-walk table build: every modulus, exp and log table
+PINNED_FIELDS = sorted(
+    {(2, n) for n in range(1, 13)} | {(3, n) for n in range(1, 8)}
+    | {(5, n) for n in range(1, 6)} | {(7, n) for n in range(1, 5)}
+    | {(p, 1) for p in range(2, 258) if _prime_factors(p) == [p]}
+    | {(2, 16), (3, 10), (257, 2), (2, 17), (2, 20)})
+PINNED_TABLES_SHA256 = "2f86791220add062db094425ba9ebc46b328a1c7db08f6fcff6ef2ca4ef5c19e"
+
+
+def test_moduli_and_tables_match_the_pinned_dump():
+    digest = hashlib.sha256()
+    for q, n in PINNED_FIELDS:
+        ctx = FieldCtx(q, n)
+        digest.update(repr((q, n, ctx.modulus, ctx._exp, ctx._log)).encode() + b"\n")
+    assert len(PINNED_FIELDS) == 84
+    assert digest.hexdigest() == PINNED_TABLES_SHA256

@@ -294,6 +294,27 @@ def test_vector_code_linearity_check():
         VectorCode.from_generator(F2, [rows[0], rows[0]])
 
 
+def test_from_generator_builds_the_row_span_once(monkeypatch):
+    rows = [(1, 0, 0, 2, 3), (0, 1, 0, 3, 1), (0, 0, 1, 1, 1)]  # a [5,3] code over F_4
+    spans = []
+    real_span = metrics.span_vectors
+    monkeypatch.setattr(metrics, "span_vectors",
+                        lambda *args: spans.append(args) or real_span(*args))
+    c = VectorCode.from_generator(F4, [Word(F4, r) for r in rows])
+    assert len(spans) == 1
+    # the same codeword tuple, in message order, as the span handed in explicitly
+    span = real_span(rows, 5, F4)
+    assert [w.symbols for w in c.codewords] == span and len(span) == 4 ** 3
+    explicit = VectorCode(F4, 5, [Word(F4, v) for v in span], generator=c.generator)
+    assert c.codewords == explicit.codewords
+    dependent = tuple(F4.add(a, b) for a, b in zip(rows[0], rows[1]))
+    with pytest.raises(InvalidParams, match="generator rows are not linearly independent"):
+        VectorCode.from_generator(F4, [Word(F4, r) for r in rows + [dependent]])
+    monkeypatch.setattr(metrics, "_MATERIALIZE_GUARD", 4 ** 3 - 1)
+    with pytest.raises(SearchTooLarge, match="row span too large to materialize"):
+        VectorCode.from_generator(F4, [Word(F4, r) for r in rows])
+
+
 def test_ghw_pair_repetition_code():
     rows = [word(F2, [(1,), (0,), (1,), (0,)]), word(F2, [(0,), (1,), (0,), (1,)])]
     c = VectorCode.from_generator(F2, rows)
