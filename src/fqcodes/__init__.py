@@ -51,7 +51,6 @@ from .rankmetric import (
 from .constructions import (
     SubspaceCode,
     block_enlarged_family,
-    cardinality_calculator,
     lift_rank_code,
     orbit_cyclic_code,
     sidon_check,

@@ -14,7 +14,6 @@ returned table, never raised: the measurement is the product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidParams, PropertyViolation
 from .linalg import ext_kernel_basis
@@ -23,7 +22,6 @@ from .metrics import (
     Word,
     code_min_distance,
     generalized_hamming_weights,
-    subset_distance,
 )
 
 _HALVED_METRICS = ("insdel", "subspace", "subset")
@@ -35,7 +33,7 @@ class BoundReport:
 
     bound: str
     parameters: dict
-    value: int | Fraction
+    value: int
     satisfied: bool | None = None
 
 
@@ -169,9 +167,8 @@ def verify_bounds(c: VectorCode, force: bool = False) -> list[BoundReport]:
                                        satisfied=measured["subset"] <= hs))
         else:
             try:
-                w = cyclic_shift_witness(c)
-                shifted = Word(c.ctx, w.symbols[1:] + (w.symbols[0],))
-                ok = subset_distance(w, shifted) == 0
+                cyclic_shift_witness(c)
+                ok = True
             except PropertyViolation:
                 ok = False
             reports.append(BoundReport("zero_distance_witness", {"n": n, "k": k}, 0,

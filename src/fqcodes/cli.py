@@ -123,10 +123,12 @@ def _emit(args, obj: dict, csv_text: str) -> int:
 
 def _report(args, obj: dict, csv_text: str, params: dict, inputs) -> int:
     """Print a report; with --out, first write the same text and its manifest."""
+    text = _render(args, obj, csv_text)
     if args.out is not None:
-        atomic_write_text(args.out, _render(args, obj, csv_text))
+        atomic_write_text(args.out, text)
         _write_manifest(args, params, inputs)
-    return _emit(args, obj, csv_text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _flag(dest: str) -> str:

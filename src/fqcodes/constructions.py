@@ -5,6 +5,9 @@ subspaces, deduplicated exactly.  Declared distances are whatever the
 construction guarantees; the CLI re-verifies them with an exhaustive sweep
 before anything is written to disk.
 
+A spread is the cyclic orbit of its subfield, so `orbit_cyclic_code` is the
+one multiplicative-orbit loop; it stops at the orbit-stabilizer count.
+
 Sidon spaces are found by brute force over the subspace enumeration rather
 than by a closed-form family: at desk scale (q = 2, n <= 8) the search is
 instant and the checker doubles as the independent oracle for the orbit
@@ -13,6 +16,7 @@ code's distance claim.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InvalidParams, NotFound, SearchTooLarge
@@ -20,15 +24,12 @@ from .gf import FieldCtx
 from .linalg import (
     Subspace,
     enumerate_subspaces,
+    packed_rank,
     rref,
     span,
 )
 from .metrics import MetricReport, subspace_min_report
-from .rankmetric import (
-    RankCode,
-    delsarte_rank_distribution,
-    gabidulin_code,
-)
+from .rankmetric import RankCode, gabidulin_code
 
 _SIDON_GUARD = 1 << 16
 
@@ -95,25 +96,15 @@ def _subfield_basis(ctx: FieldCtx, k: int) -> list[int]:
 def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
     """Partition of the nonzero vectors of F_q^ambient into block_dim subspaces.
 
-    Built as the multiplicative cosets c F_{q^block_dim} of the subfield
-    inside F_{q^ambient}, for c in element order, each spanned by c times a
-    basis of the subfield; exists exactly when block_dim divides ambient_dim.
+    The cyclic orbit of the subfield F_{q^block_dim} inside F_{q^ambient}:
+    its multiplicative cosets c F_{q^block_dim}, each at its first c in
+    element order; exists exactly when block_dim divides ambient_dim.
     """
     if block_dim < 1 or ambient_dim % block_dim != 0:
         raise InvalidParams(f"spread needs {block_dim} | {ambient_dim}")
     ctx = FieldCtx(q, ambient_dim)
-    sub = _subfield_basis(ctx, block_dim)
-    expected = (q ** ambient_dim - 1) // (q ** block_dim - 1)
-    members = []
-    seen = set()
-    for c in range(1, ctx.order):
-        member = span([ctx.mul(c, s) for s in sub], ambient_dim, q)
-        if member.rows not in seen:
-            seen.add(member.rows)
-            members.append(member)
-            if len(members) == expected:
-                break
-    return SubspaceCode(q, ambient_dim, members, constant_dim=block_dim,
+    orbit = orbit_cyclic_code(ctx, span(_subfield_basis(ctx, block_dim), ambient_dim, q))
+    return SubspaceCode(q, ambient_dim, orbit.members, constant_dim=block_dim,
                         declared_distance=2 * block_dim,
                         provenance={"construction": "spread", "q": q,
                                     "block_dim": block_dim, "ambient": ambient_dim,
@@ -160,12 +151,29 @@ def sidon_search(ctx: FieldCtx, k: int) -> Subspace:
     raise NotFound(f"no {k}-dimensional Sidon space in F_{ctx.q}^{ctx.n}")
 
 
+def _stabilizer_degree(ctx: FieldCtx, v: Subspace) -> int:
+    """The s with {x != 0 : xV = V} = F_{q^s}^*.  The stabilizer with 0 is a
+    subfield over which V is a vector space, so s is the largest divisor of
+    gcd(n, dim V) with F_{q^s} V inside V: the rows of V and their products
+    with a basis of F_{q^s} have rank dim V.  V = 0 gives s = n."""
+    g = math.gcd(ctx.n, v.dim)
+    for s in range(g, 1, -1):
+        if g % s == 0 and packed_rank(
+                [*v.rows, *(ctx.mul(b, r) for b in _subfield_basis(ctx, s) for r in v.rows)],
+                ctx.n, ctx.q) == v.dim:
+            return s
+    return 1
+
+
 def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
-    """The multiplicative orbit {x V : x != 0}, deduplicated canonically."""
+    """The multiplicative orbit {x V : x != 0}, each member at its first x.
+
+    The scan stops once it holds all (q^n - 1) / (q^s - 1) members, the
+    orbit-stabilizer count, F_{q^s}^* the stabilizer of V.
+    """
     if v.ambient != ctx.n or v.q != ctx.q:
         raise InvalidParams("subspace does not live in the given field")
-    if ctx.q ** v.dim > _SIDON_GUARD:
-        raise SearchTooLarge("subspace too large to multiply out")
+    size = (ctx.order - 1) // (ctx.q ** _stabilizer_degree(ctx, v) - 1)
     members = []
     seen = set()
     for x in range(1, ctx.order):
@@ -173,6 +181,8 @@ def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
         if member.rows not in seen:
             seen.add(member.rows)
             members.append(member)
+            if len(members) == size:
+                break
     return SubspaceCode(ctx.q, ctx.n, members, constant_dim=v.dim,
                         provenance={"construction": "orbit_cyclic",
                                     "q": ctx.q, "n": ctx.n, "dim": v.dim,
@@ -216,7 +226,8 @@ def block_enlarged_family(ctx: FieldCtx, t: int) -> SubspaceCode:
     h1_count = half.order ** (t - n // 2 + 1)  # the Gabidulin code on the half field
     members = lift_rank_code(gabidulin_code(ctx, t)).members
     q = ctx.q
-    formula = cardinality_calculator("block_enlarged", {"q": q, "n": n, "t": t})
+    exp = (3 * n // 2) * (t + 1) - n * n // 4
+    formula = Fraction(4 * (q ** (n // 2) - 1) * q ** exp, n * n)  # may be non-integral
     return SubspaceCode(q, 2 * n, members, constant_dim=n,
                         declared_distance=2 * (n - t),
                         provenance={"construction": "block_enlarged",
@@ -224,40 +235,3 @@ def block_enlarged_family(ctx: FieldCtx, t: int) -> SubspaceCode:
                                     "raw_pairs": len(members) * h1_count * h2_count,
                                     "h1_count": h1_count, "h2_count": h2_count,
                                     "formula_value": str(formula)})
-
-
-def _rank_sum(q: int, n: int, t: int) -> int:
-    """Sum of rank-distribution entries of the (n, n-t) MRD code over the
-    index range between n - t and t."""
-    dist = delsarte_rank_distribution(n, n - t, q)
-    lo, hi = min(n - t, t), max(n - t, t)
-    return sum(dist.counts[lo:hi + 1])
-
-
-def cardinality_calculator(construction: str, params: dict):
-    """Exact closed-form cardinalities of the span-code enlargement family.
-
-    Constructions: "lifted_mrd" (q^(n(t+1))), "lifted_mrd_plus_rank" (adds
-    the central rank-distribution sum), "multilevel" (the s-level tower; the
-    empty tower s=0 degenerates to 1 by the empty-product convention) and
-    "block_enlarged" (may be non-integral; returned as an exact Fraction).
-    """
-    q, n, t = params["q"], params["n"], params["t"]
-    if construction == "lifted_mrd":
-        return q ** (n * (t + 1))
-    if construction == "lifted_mrd_plus_rank":
-        if 2 * t < n:
-            raise InvalidParams("rank-enlarged form needs t >= n/2")
-        return q ** (n * (t + 1)) + _rank_sum(q, n, t)
-    if construction == "multilevel":
-        s = params["s"]
-        if s < 0:
-            raise InvalidParams("tower height must be >= 0")
-        rs = _rank_sum(q, n, t) if s > 0 else 0
-        return sum(q ** ((s - j) * n * (t + 1)) * rs ** j for j in range(s + 1))
-    if construction == "block_enlarged":
-        if n % 2:
-            raise InvalidParams("block-enlarged form needs even n")
-        exp = (3 * n // 2) * (t + 1) - n * n // 4
-        return Fraction(4 * (q ** (n // 2) - 1) * q ** exp, n * n)
-    raise InvalidParams(f"unknown construction {construction!r}")

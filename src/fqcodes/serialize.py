@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 
 from .bounds import BoundReport
 from .channel import TrialSummary
@@ -46,8 +45,6 @@ def _encode_ints(obj):
         return obj
     if isinstance(obj, int):
         return str(obj) if abs(obj) > _SAFE_INT else obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {k: _encode_ints(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -6,8 +6,9 @@ runs.  This test runs most of those jobs through `fqcodes.cli.main` in a
 temporary directory, with the same argv and the same seeded inputs
 (seed 0), and compares every hash with the recorded table; that includes
 the three `simulate` jobs of the channel workload, whose transcripts pin
-every decoding decision, ties included.  The largest construction
-(spread.2.8.16) and the sampling suites are left to the benchmark itself.  bench/ is read, never written (no bytecode caches).
+every decoding decision, ties included.  Every construct job runs here,
+spread.2.8.16 included; the sampling suites are left to the benchmark
+itself.  bench/ is read, never written (no bytecode caches).
 """
 
 import hashlib
@@ -47,7 +48,7 @@ TABLE = json.loads((BENCH / "expected_sha256.json").read_text())
 # (workload, steps): set-up steps and jobs, in the benchmark's order
 CASES = {
     "sweep": WORKLOADS["sweep"].setup + WORKLOADS["sweep"].jobs,
-    "construct": tuple(j for j in WORKLOADS["construct"].jobs if j.id != "spread.2.8.16"),
+    "construct": WORKLOADS["construct"].jobs,
     "channel": WORKLOADS["channel"].setup + WORKLOADS["channel"].jobs,
     "verify": WORKLOADS["verify"].setup + tuple(
         j for j in WORKLOADS["verify"].jobs

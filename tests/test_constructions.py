@@ -1,19 +1,18 @@
 """Subspace code constructions: lifting, spreads, Sidon orbits, enlargement."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from fqcodes.errors import InvalidParams
-from fqcodes.gf import FieldCtx, pack, prime_field, unpack
+from fqcodes.gf import FieldCtx, is_prime, pack, prime_field, unpack
 from fqcodes.linalg import enumerate_subspaces, ext_matmul, kernel, span, subspace_pair_distance
 from fqcodes.constructions import (
     SubspaceCode,
     _greedy_row_disjoint_multipliers,
+    _stabilizer_degree,
     _subfield_basis,
     block_enlarged_family,
-    cardinality_calculator,
     lift_rank_code,
     orbit_cyclic_code,
     sidon_check,
@@ -25,7 +24,6 @@ from fqcodes.metrics import pairwise_min_report
 from fqcodes.rankmetric import (
     LinearizedPoly,
     RankCode,
-    empirical_rank_distribution,
     gabidulin_code,
     poly_to_matrix,
 )
@@ -230,6 +228,58 @@ def test_orbit_closed_under_multiplication():
         assert image.rows in keys
 
 
+def _orbit_by_full_scan(ctx, v):
+    """The former orbit loop, kept as the oracle: every nonzero x, no stop."""
+    members, seen = [], set()
+    for x in range(1, ctx.order):
+        member = span([ctx.mul(x, b) for b in v.rows], ctx.n, ctx.q)
+        if member.rows not in seen:
+            seen.add(member.rows)
+            members.append(member)
+    return members
+
+
+ORBIT_CASES = {
+    "zero space": (2, 4, lambda ctx: [span([], 4, 2)]),
+    "lines of F_8": (2, 3, lambda ctx: list(enumerate_subspaces(2, 3, 1))),
+    "F_4 in F_16": (2, 4, lambda ctx: [span(_subfield_basis(ctx, 2), 4, 2)]),
+    "F_8 in F_64": (2, 6, lambda ctx: [span(_subfield_basis(ctx, 3), 6, 2)]),
+    "F_9 in F_81": (3, 4, lambda ctx: [span(_subfield_basis(ctx, 2), 4, 3)]),
+    "Sidon in F_32": (2, 5, lambda ctx: [sidon_search(ctx, 2)]),
+    "Sidon in F_243": (3, 5, lambda ctx: [sidon_search(ctx, 2)]),
+    "whole space": (3, 3, lambda ctx: [span(ctx.basis(), 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORBIT_CASES))
+def test_orbit_stops_with_the_full_scan_members_in_order(case):
+    q, n, subspaces = ORBIT_CASES[case]
+    ctx = FieldCtx(q, n)
+    for v in subspaces(ctx):
+        assert list(orbit_cyclic_code(ctx, v).members) == _orbit_by_full_scan(ctx, v)
+
+
+def _stabilizer_by_brute_force(ctx, v):
+    """|{x != 0 : xV = V}|, by testing every x against V's vectors."""
+    vectors = set(v.vectors())
+    return sum(all(ctx.mul(x, r) in vectors for r in v.rows) for x in range(1, ctx.order))
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in range(2, 65) if is_prime(q)
+                                 for n in range(1, 7) if q ** n <= 64])
+def test_stabilizer_order_matches_a_brute_force_count(q, n):
+    ctx = FieldCtx(q, n)
+    for dim in range(n + 1):
+        for v in enumerate_subspaces(q, n, dim):
+            assert q ** _stabilizer_degree(ctx, v) - 1 == _stabilizer_by_brute_force(ctx, v)
+
+
+def test_whole_space_spread_builds_its_one_member():
+    sc = spread(2, 17, 17)
+    assert len(sc) == 1
+    assert sc.members[0].dim == 17
+
+
 def test_block_enlarged_small_instance():
     ctx = FieldCtx(2, 2)
     fam = block_enlarged_family(ctx, 1)
@@ -296,18 +346,9 @@ def test_block_enlarged_sampled_distance():
             assert subspace_pair_distance(members[i], members[j]) >= 4
 
 
-def test_cardinality_calculator():
-    assert cardinality_calculator("lifted_mrd", {"q": 2, "n": 3, "t": 1}) == 64
-    val = cardinality_calculator("lifted_mrd_plus_rank", {"q": 2, "n": 3, "t": 2})
-    census = empirical_rank_distribution(gabidulin_code(GF8, 2))
-    assert val == 2 ** 9 + census.counts[1] + census.counts[2]
-    assert cardinality_calculator("multilevel", {"q": 2, "n": 3, "t": 2, "s": 0}) == 1
-    assert cardinality_calculator("multilevel", {"q": 2, "n": 3, "t": 2, "s": 1}) == \
-        2 ** 9 + (census.counts[1] + census.counts[2])
-    block = cardinality_calculator("block_enlarged", {"q": 2, "n": 4, "t": 2})
-    assert block == Fraction(12288)
-    odd = cardinality_calculator("block_enlarged", {"q": 2, "n": 2, "t": 1})
-    assert odd == Fraction(2 ** 5 * 4, 4)
+def test_block_enlarged_formula_value():
+    assert block_enlarged_family(FieldCtx(2, 4), 2).provenance["formula_value"] == "12288"
+    assert block_enlarged_family(FieldCtx(2, 2), 1).provenance["formula_value"] == "32"
 
 
 def test_declared_distances_reverified():
