@@ -93,9 +93,9 @@ def _load(path: str, cls, what: str):
     return obj
 
 
-def _write_manifest(args, params: dict, inputs, field=None) -> None:
-    """Record how `args.out` was made: the command, its argv, parameters,
-    seed and field, and the SHA-256 of every input and of the output."""
+def _write_manifest(args, params: dict, inputs, digest: str, field=None) -> None:
+    """Record how `args.out` was made: the command, its argv, parameters, seed
+    and field, the SHA-256 of every input, and `digest`, that of the output."""
     manifest = {
         "kind": "run_manifest",
         "tool": "fqcodes",
@@ -106,7 +106,7 @@ def _write_manifest(args, params: dict, inputs, field=None) -> None:
         "seed": getattr(args, "seed", 0),
         "field": field,
         "inputs": {p: sha256_file(p) for p in inputs},
-        "outputs": {args.out: sha256_file(args.out)},
+        "outputs": {args.out: digest},
     }
     atomic_write_text(args.out + ".manifest.json", dumps_canonical(manifest))
 
@@ -125,8 +125,7 @@ def _report(args, obj: dict, csv_text: str, params: dict, inputs) -> int:
     """Print a report; with --out, first write the same text and its manifest."""
     text = _render(args, obj, csv_text)
     if args.out is not None:
-        atomic_write_text(args.out, text)
-        _write_manifest(args, params, inputs)
+        _write_manifest(args, params, inputs, atomic_write_text(args.out, text))
     sys.stdout.write(text)
     return 0
 
@@ -216,11 +215,11 @@ def _cmd_construct(args) -> int:
         obj = singer_difference_set(ctx)
     if isinstance(obj, SubspaceCode):
         obj = _verify_subspace_code(obj, args.force, exact=kind == "sidon-orbit")
-    save_file(args.out, obj)
+    digest = save_file(args.out, obj)
     given = dict(vars(args), q=q)
     read = [d for d in needs + may if d != "modulus" and given[d] is not None]
     _write_manifest(args, {"kind": kind} | {_INPUT_PARAMS.get(d, d): given[d] for d in read},
-                    [given[d] for d in read if d in _INPUT_PARAMS],
+                    [given[d] for d in read if d in _INPUT_PARAMS], digest,
                     field_to_obj(ctx) if ctx is not None else None)
     summary = {"kind": kind, "out": args.out}
     if kind != "singer-ds":
@@ -309,18 +308,17 @@ def _cmd_simulate(args) -> int:
     code = _load(args.code, VectorCode, "vector code")
     summary = run_trials(code, ChannelSpec(args.ins, args.dels, args.seed), args.trials,
                          force=args.force)
+    csv_text = summary.transcript_csv()
     if args.out is not None:
-        atomic_write_text(args.out, summary.transcript_csv())
         _write_manifest(args, {"ins": args.ins, "del": args.dels, "trials": args.trials},
-                        [args.code])
-    return _emit(args, trial_summary_to_obj(summary), summary.transcript_csv())
+                        [args.code], atomic_write_text(args.out, csv_text))
+    return _emit(args, trial_summary_to_obj(summary), csv_text)
 
 
 def _cmd_fold(args) -> int:
     fc = folded_code_from_vector_code(_load(args.code, VectorCode, "vector code"),
                                       args.block_len)
-    save_file(args.out, fc)
-    _write_manifest(args, {"block_len": args.block_len}, [args.code])
+    _write_manifest(args, {"block_len": args.block_len}, [args.code], save_file(args.out, fc))
     return _emit(args, {"kind": "folded_code", "out": args.out, "members": len(fc)},
                  f"folded_code,{args.out}\n")
 

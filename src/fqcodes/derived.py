@@ -208,11 +208,10 @@ def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
         raise InvalidParams("the evaluation point set is empty")
     if ctx.zero in points or len(set(points)) != len(points):
         raise InvalidParams("points must be distinct and nonzero")
-    seen = {}
-    for w in range(1, ctx.order):
-        blocks = tuple((ctx.mul(w, x),) for x in points)
-        seen.setdefault(blocks, FoldedWord(ctx, 1, blocks))
-    return FoldedCode(ctx, 1, tuple(seen.values()),
+    # w -> w x_1 is injective, so the codewords are distinct
+    words = tuple(FoldedWord(ctx, 1, tuple((ctx.mul(w, x),) for x in points))
+                  for w in range(1, ctx.order))
+    return FoldedCode(ctx, 1, words,
                       provenance={"construction": "evaluation_folded",
                                   "points": len(points),
                                   "modulus": list(ctx.modulus)})

@@ -2,14 +2,15 @@
 
 JSON is the single source of truth on disk; CSV is only a projection for
 tabular reports.  Writing is canonical (sorted keys, two-space indent,
-trailing newline) and atomic (temp file + rename), so identical runs
-produce byte-identical files.  Integers beyond the 53-bit float-safe range
-are emitted as decimal strings; readers accept either form.  A field
-element is written as its coefficient list (c_0 first), and so is a
-subspace basis row, which the library holds as a packed int: this module
-is the one place outside gf where either takes that form.  Subspace bases
-are checked entry by entry and re-validated as RREF on read, and any
-structural problem surfaces as ParseError.
+trailing newline) and atomic (temp file + rename), so identical runs produce
+byte-identical files.  One emitter yields that text in bounded chunks, which
+a writer hashes as it writes them and `dumps_canonical` joins.  Integers
+beyond the 53-bit float-safe range are emitted as decimal strings; readers
+accept either form.  A field element is written as its coefficient list (c_0
+first), and so is a subspace basis row, which the library holds as a packed
+int: this module is the one place outside gf where either takes that form.
+Subspace bases are checked entry by entry and re-validated as RREF on read,
+and any structural problem surfaces as ParseError.
 
 Every file of a code object carries a "kind" discriminator.  `_KINDS` is
 the one table of them: it maps each kind to its class and to the pair of
@@ -26,6 +27,7 @@ import hashlib
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bounds import BoundReport
 from .channel import TrialSummary
@@ -38,22 +40,41 @@ from .metrics import FoldedWord, MetricReport, VectorCode, Word
 from .rankmetric import LinearizedPoly, RankCode
 
 _SAFE_INT = 1 << 53
+_CHUNK = 8192  # pieces of JSON text joined into one chunk
 
 
-def _encode_ints(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _SAFE_INT else obj
-    if isinstance(obj, dict):
-        return {k: _encode_ints(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_ints(v) for v in obj]
-    return obj
+def _canonical_chunks(x, out: list, pad: str = ""):
+    """Yield json.dumps(x, sort_keys=True, indent=2) + "\\n", with every int beyond
+    +-2^53 as a decimal string, in chunks of about _CHUNK pieces gathered in out,
+    a new list.  A nested call (at indent `pad`) adds its pieces to the caller's."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif isinstance(x, dict) and x:
+        out.append("{")
+        for i, k in enumerate(sorted(x)):  # _quote raises TypeError on a non-str key
+            out.append(f"{',' if i else ''}\n{pad}  {_quote(k)}: ")
+            yield from _canonical_chunks(x[k], out, pad + "  ")
+        out.append(f"\n{pad}}}")
+    elif isinstance(x, (list, tuple)) and x:
+        if all(type(v) is int for v in x) and -_SAFE_INT <= min(x) and max(x) <= _SAFE_INT:
+            out.append(f"[\n{pad}  " + f",\n{pad}  ".join(map(str, x)) + f"\n{pad}]")
+        else:
+            out.append("[")
+            for i, v in enumerate(x):
+                out.append(f"{',' if i else ''}\n{pad}  ")
+                yield from _canonical_chunks(v, out, pad + "  ")
+            out.append(f"\n{pad}]")
+    elif isinstance(x, int) and abs(x) > _SAFE_INT:
+        out.append(_quote(str(x)))
+    else:  # an empty list or dict, None, a bool, an int or a float; TypeError on others
+        out.append(json.dumps(x))
+    if len(out) > _CHUNK or not pad:  # only the top-level call has pad "": the end
+        yield "".join(out) + ("" if pad else "\n")
+        out.clear()
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(_encode_ints(obj), sort_keys=True, indent=2) + "\n"
+    return "".join(_canonical_chunks(obj, []))
 
 
 def as_int(v) -> int:
@@ -95,18 +116,18 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path through a temp file and a rename.
-
-    An output path that cannot be written (a missing directory, a
-    directory in the way, no permission) raises InvalidParams naming it.
-    """
-    directory = os.path.dirname(path) or "."
+def atomic_write_text(path: str, text) -> str:
+    """Write text (a str or an iterable of str chunks) to path as UTF-8 through a
+    temp file and a rename; return the SHA-256 of the bytes, hashed as written.
+    A path that cannot be written raises InvalidParams naming it."""
     tmp = None
+    h = hashlib.sha256()
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-fqcodes-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-fqcodes-")
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in [text] if isinstance(text, str) else text:
+                h.update(data := chunk.encode("utf-8"))
+                fh.write(data)
         # mkstemp creates the file 0600; give it the mode open() would
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
@@ -115,6 +136,7 @@ def atomic_write_text(path: str, text: str) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+    return h.hexdigest()
 
 
 def sha256_file(path: str) -> str:
@@ -390,5 +412,6 @@ def load_file(path: str):
     return load_obj(d)
 
 
-def save_file(path: str, obj) -> None:
-    atomic_write_text(path, dumps_canonical(object_to_obj(obj)))
+def save_file(path: str, obj) -> str:
+    """Write obj's canonical JSON to path atomically; return its SHA-256."""
+    return atomic_write_text(path, _canonical_chunks(object_to_obj(obj), []))

@@ -586,6 +586,34 @@ def test_every_writing_command_records_one_manifest_shape(tmp_path, capsys, case
 
 
 @pytest.mark.parametrize("case", WRITING_COMMANDS)
+def test_a_manifest_hashes_each_input_once_and_never_reads_the_output_back(
+        tmp_path, capsys, monkeypatch, case):
+    template, inputs, _field, _params = WRITING_COMMANDS[case]
+    paths = _input_files(tmp_path)
+    out = str(tmp_path / "out")
+    hashed = []
+    monkeypatch.setattr("fqcodes.cli.sha256_file", lambda p: hashed.append(p) or sha256_file(p))
+    code, _, err = run(capsys, *template.format(out=out, **paths).split())
+    assert (code, err) == (0, "")
+    assert sorted(hashed) == sorted(paths[name] for name in inputs)
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["outputs"] == {out: sha256_file(out)}
+
+
+@pytest.mark.parametrize("case", WRITING_COMMANDS)
+def test_an_out_path_that_is_a_directory_exits_2_and_leaves_no_temp_file(
+        tmp_path, capsys, case):
+    template, _inputs, _field, _params = WRITING_COMMANDS[case]
+    paths = _input_files(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    err = _assert_one_line_exit_2(capsys, *template.format(out=out, **paths).split())
+    assert err == f"error: cannot write {out}: Is a directory\n"
+    assert list(tmp_path.rglob(".tmp-fqcodes-*")) == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", WRITING_COMMANDS)
 def test_an_out_path_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys, case):
     template, _inputs, _field, _params = WRITING_COMMANDS[case]
     paths = _input_files(tmp_path)

@@ -1,6 +1,9 @@
-"""JSON round trips, big-integer encoding, read-time re-validation."""
+"""JSON round trips, big-integer encoding, read-time re-validation, and the
+canonical writer against json.dumps."""
 
+import hashlib
 import json
+import math
 import os
 import re
 import stat
@@ -8,7 +11,10 @@ import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fqcodes import serialize
 from fqcodes.cli import main
 from fqcodes.errors import InvalidParams, ParseError
 from fqcodes.gf import FieldCtx
@@ -34,6 +40,7 @@ from fqcodes.serialize import (
     metric_report_to_obj,
     object_to_obj,
     save_file,
+    sha256_file,
     subspace_to_obj,
 )
 
@@ -152,7 +159,8 @@ def test_subspace_loader_checks_the_characteristic(q, message):
 def test_file_round_trip(tmp_path, factory):
     obj = factory()
     path = str(tmp_path / "artifact.json")
-    save_file(path, obj)
+    assert save_file(path, obj) == sha256_file(path)
+    assert open(path).read() == _oracle(object_to_obj(obj))
     loaded = load_file(path)
     assert dumps_canonical(object_to_obj(loaded)) == dumps_canonical(object_to_obj(obj))
 
@@ -323,3 +331,87 @@ def test_bounds_csv_projection():
     assert text.splitlines() == ["bound,value,satisfied",
                                  "levenshtein,4,",
                                  "chain,6,true"]
+
+
+# -- the canonical writer against json.dumps -----------------------------------
+
+def _old_encode(obj):
+    """The writer's rules before it streamed: a copy of the tree with every int
+    beyond +-2^53 as a decimal string, handed to json.dumps."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > 2 ** 53 else obj
+    if isinstance(obj, dict):
+        return {k: _old_encode(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_encode(v) for v in obj]
+    return obj
+
+
+def _oracle(obj) -> str:
+    return json.dumps(_old_encode(obj), sort_keys=True, indent=2) + "\n"
+
+
+_EDGE_INTS = [2 ** 53, -2 ** 53, 2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 200, -(2 ** 200), 0]
+_INTS = st.one_of(st.integers(), st.integers(-3, 3), st.sampled_from(_EDGE_INTS))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _INTS, st.text(),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(_INTS, max_size=5),  # the writer's one-piece case
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=5)),
+    max_leaves=30)
+
+
+def _save_tree(path, tree) -> str:
+    """save_file on a tree that object_to_obj hands through unchanged."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "object_to_obj", lambda obj: obj)
+        return save_file(path, tree)
+
+
+def _check_writers(tree):
+    want = _oracle(tree)
+    assert dumps_canonical(tree) == want
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "tree.json")
+        digest = hashlib.sha256(want.encode("ascii")).hexdigest()
+        assert _save_tree(path, tree) == digest
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("ascii")
+        assert atomic_write_text(path, want) == digest
+        assert sha256_file(path) == digest
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_writer_matches_json_dumps(tree):
+    _check_writers(tree)
+
+
+def test_writer_matches_json_dumps_past_a_flush():
+    tree = {"rows": [[i, -i, 2 ** 53 + i, [i % 2 == 0, None, i / 7]] for i in range(3000)],
+            "words": ("\u00e9t\u00e9", "\U0001d4d5", "\"\\\n"), "\u00fcber": {}, "e": []}
+    assert len(list(serialize._canonical_chunks(tree, []))) > 1
+    _check_writers(tree)
+
+
+@pytest.mark.parametrize("bad", [{1: 2}, {"a": {None: 0}}, [object()], {"f": 1j}])
+def test_writer_refuses_what_it_has_no_rule_for(tmp_path, bad):
+    with pytest.raises(TypeError):
+        dumps_canonical(bad)
+    with pytest.raises(TypeError):
+        _save_tree(str(tmp_path / "bad.json"), bad)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_text_writes_utf8_and_returns_its_digest(tmp_path):
+    path = tmp_path / "r.csv"
+    text = "bound,\u00e9t\u00e9\n"
+    assert atomic_write_text(str(path), text) == hashlib.sha256(text.encode()).hexdigest()
+    assert path.read_bytes() == text.encode("utf-8")
