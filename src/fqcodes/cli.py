@@ -35,6 +35,7 @@ from .constructions import (
     orbit_cyclic_code,
     sidon_search,
     spread,
+    structural_min_distance,
     subspace_code_min_distance,
 )
 from .derived import (
@@ -44,6 +45,7 @@ from .derived import (
     evaluation_folded_code,
     folded_code_from_vector_code,
     folded_code_min_distance,
+    scalar_orbit_subset_distance,
     singer_difference_set,
     span_code,
 )
@@ -64,7 +66,7 @@ from .serialize import (
     subspace_to_obj,
     trial_summary_to_obj,
 )
-from .suites import SUITES, run_suites
+from .suites import SUITE_OPTIONS, SUITES, run_suites
 
 # The options each construction kind needs, then the ones it may also take,
 # by argparse dest: all that it reads, so any other exits 2.  --q is 2 where
@@ -150,6 +152,10 @@ def check_options(args) -> None:
         if missing:
             raise InvalidParams(f"--kind {args.kind} needs {' and '.join(missing)}")
         owner, unread = f"--kind {args.kind}", [d for d in _KIND_OPTIONS if d not in needs + may]
+    elif args.command == "verify":
+        keys = SUITES if args.suite == "all" else [args.suite]
+        reads = {d for key in keys for d in SUITE_OPTIONS.get(key, ())}
+        owner, unread = f"--suite {args.suite}", [d for d in ("samples", "seed") if d not in reads]
     elif args.command == "metric" and not args.metric.startswith("r_"):
         owner, unread = f"--metric {args.metric}", ("block_len",)
     elif args.command == "bounds" and args.code is not None:
@@ -205,11 +211,13 @@ def _cmd_construct(args) -> int:
         else:
             ds = singer_difference_set(ctx)
         obj = evaluation_folded_code(ctx, ds.members)
-        rep = folded_code_min_distance(obj, "subset", force=args.force)
-        if rep.minimum != 2 * (ds.k - ds.lam):
-            raise PropertyViolation(f"measured subset distance {rep.minimum} != "
+        measured = scalar_orbit_subset_distance(obj, ds.members)
+        if measured is None:
+            measured = folded_code_min_distance(obj, "subset", force=args.force).minimum
+        if measured != 2 * (ds.k - ds.lam):
+            raise PropertyViolation(f"measured subset distance {measured} != "
                                     f"2(k - lambda) = {2 * (ds.k - ds.lam)}")
-        obj.provenance["verified_subset_distance"] = rep.minimum
+        obj.provenance["verified_subset_distance"] = measured
         obj.provenance["difference_set"] = {"v": ds.v, "k": ds.k, "lambda": ds.lam}
     else:  # singer-ds
         obj = singer_difference_set(ctx)
@@ -231,14 +239,16 @@ def _verify_subspace_code(sc: SubspaceCode, force: bool, exact: bool = False) ->
     if len(sc) < 2:
         sc.provenance["verified_distance"] = None  # vacuous for singletons
         return sc
-    rep = subspace_code_min_distance(sc, force=force)
+    measured = structural_min_distance(sc)
+    if measured is None:
+        measured = subspace_code_min_distance(sc, force=force).minimum
     declared = sc.declared_distance
     if declared is not None:
-        bad = rep.minimum != declared if exact else rep.minimum < declared
+        bad = measured != declared if exact else measured < declared
         if bad:
             raise PropertyViolation(
-                f"measured subspace distance {rep.minimum} violates declared {declared}")
-    sc.provenance["verified_distance"] = rep.minimum
+                f"measured subspace distance {measured} violates declared {declared}")
+    sc.provenance["verified_distance"] = measured
     return sc
 
 
@@ -360,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a property suite")
     v.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
-    v.add_argument("--samples", type=int, default=10000)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--samples", type=int)
+    v.add_argument("--seed", type=int)
     _add_common(v, _cmd_verify, sweeps=False)
 
     b = sub.add_parser("bounds", help="evaluate closed-form bounds")

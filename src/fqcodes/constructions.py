@@ -2,8 +2,11 @@
 
 All constructions return a SubspaceCode whose members are canonical RREF
 subspaces, deduplicated exactly.  Declared distances are whatever the
-construction guarantees; the CLI re-verifies them with an exhaustive sweep
-before anything is written to disk.
+construction guarantees; the CLI re-verifies them before anything is
+written to disk.  `structural_min_distance` gives the exact minimum of a
+lifted linear code or a cyclic orbit code in O(|C|) distances, after
+checking from the members that the code is one; any other code is swept
+over all pairs by `subspace_code_min_distance`, which stays the oracle.
 
 A spread is the cyclic orbit of its subfield, so `orbit_cyclic_code` is the
 one multiplicative-orbit loop; it stops at the orbit-stabilizer count.
@@ -27,22 +30,29 @@ from .linalg import (
     packed_rank,
     rref,
     span,
+    subspace_pair_distance,
 )
 from .metrics import MetricReport, subspace_min_report
-from .rankmetric import RankCode, gabidulin_code
+from .rankmetric import RankCode, gabidulin_code, linear_min_rank
 
 _SIDON_GUARD = 1 << 16
 
 
 class SubspaceCode:
-    """A set of subspaces of F_q^ambient with optional distance metadata."""
+    """A set of subspaces of F_q^ambient with optional distance metadata.
+
+    `field` is the field F_{q^ambient} whose multiplication a cyclic orbit
+    code was built with; files do not record it, so a loaded code has None.
+    """
 
     def __init__(self, q: int, ambient: int, members,
                  constant_dim: int | None = None,
                  declared_distance: int | None = None,
-                 provenance: dict | None = None):
+                 provenance: dict | None = None,
+                 field: FieldCtx | None = None):
         self.q = q
         self.ambient = ambient
+        self.field = field
         seen = {}
         for s in members:
             if s.q != q or s.ambient != ambient:
@@ -63,6 +73,53 @@ class SubspaceCode:
 def subspace_code_min_distance(sc: SubspaceCode, force: bool = False) -> MetricReport:
     """Exhaustive minimum subspace distance over all unordered member pairs."""
     return subspace_min_report(sc.members, lambda s: s, "subspace", force=force)
+
+
+def _lifted_min_distance(sc: SubspaceCode) -> int | None:
+    """2 min rank(A), A != 0, when every member is rowspan(I | A) and the A's
+    form an F_q-linear space; then d(rowspan(I | A), rowspan(I | B)) =
+    2 rank(A - B) and A - B is an A (Silva, Kschischang and Koetter 2008)."""
+    q, k = sc.q, sc.members[0].dim
+    ncols = sc.ambient - k
+    pivots = [q ** (k - 1 - i) for i in range(k)]  # the rows of I, packed
+    matrices = []
+    for s in sc.members:
+        split = [divmod(r, q ** ncols) for r in s.rows]
+        if [p for p, _ in split] != pivots:
+            return None
+        matrices.append(tuple(a for _, a in split))
+    rank = linear_min_rank(matrices, k, ncols, q)
+    return None if rank is None else 2 * rank
+
+
+def _orbit_min_distance(ctx: FieldCtx, sc: SubspaceCode) -> int | None:
+    """min d(V, W) over the members W != V = members[0], when the members
+    are the orbit {xV : x != 0}: they are closed under multiplication by a
+    primitive element and as many as the orbit-stabilizer count.  x is an
+    F_q-linear bijection, so d(xV, yV) = d(V, x^-1 yV) (Trautmann,
+    Manganiello, Braun and Rosenthal 2013)."""
+    v = sc.members[0]
+    if (sc.q, sc.ambient) != (ctx.q, ctx.n):
+        return None
+    if len(sc) != (ctx.order - 1) // (ctx.q ** _stabilizer_degree(ctx, v) - 1):
+        return None
+    g = ctx.primitive_element()
+    rows = {s.rows for s in sc.members}
+    if any(span([ctx.mul(g, r) for r in s.rows], ctx.n, ctx.q).rows not in rows
+           for s in sc.members):
+        return None
+    return min(subspace_pair_distance(v, w) for w in sc.members[1:])
+
+
+def structural_min_distance(sc: SubspaceCode) -> int | None:
+    """The exact minimum subspace distance of a code of at least two members
+    from its group structure: a lifted linear code, or a cyclic orbit code
+    in `sc.field`.  Each premise is checked from the members; None when
+    neither holds, and then only the exhaustive sweep knows the minimum."""
+    lifted = _lifted_min_distance(sc)
+    if lifted is not None or sc.field is None:
+        return lifted
+    return _orbit_min_distance(sc.field, sc)
 
 
 def lift_rank_code(rc: RankCode) -> SubspaceCode:
@@ -108,7 +165,8 @@ def spread(q: int, block_dim: int, ambient_dim: int) -> SubspaceCode:
                         declared_distance=2 * block_dim,
                         provenance={"construction": "spread", "q": q,
                                     "block_dim": block_dim, "ambient": ambient_dim,
-                                    "modulus": list(ctx.modulus)})
+                                    "modulus": list(ctx.modulus)},
+                        field=ctx)
 
 
 def _projective_rep(ctx: FieldCtx, x: int) -> int:
@@ -186,7 +244,8 @@ def orbit_cyclic_code(ctx: FieldCtx, v: Subspace) -> SubspaceCode:
     return SubspaceCode(ctx.q, ctx.n, members, constant_dim=v.dim,
                         provenance={"construction": "orbit_cyclic",
                                     "q": ctx.q, "n": ctx.n, "dim": v.dim,
-                                    "modulus": list(ctx.modulus)})
+                                    "modulus": list(ctx.modulus)},
+                        field=ctx)
 
 
 def _greedy_row_disjoint_multipliers(half: FieldCtx) -> list[tuple]:

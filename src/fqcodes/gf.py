@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .errors import InvalidParams
+from .errors import InvalidParams, SearchTooLarge
 
 _TABLE_LIMIT = 1 << 16
 _MAX_DEGREE = 24
@@ -344,6 +344,23 @@ class FieldCtx:
             raise InvalidParams(f"trace of {x} left the prime field: {acc}")
         return c0
 
+    def primitive_element(self) -> int:
+        """The first int of full multiplicative order: g^((q^n-1)/p) != 1 for
+        every prime p dividing q^n - 1.  The log tables are powers of it."""
+        unit = self._unit_order
+        primes = _prime_factors(unit)
+        return next(g for g in range(1, self.order)
+                    if all(self.pow(g, unit // p) != self.one for p in primes))
+
+    def log(self, a: int) -> int:
+        """The s in [0, q^n - 1) with primitive_element()^s = a, for a nonzero;
+        read from the log table, so only fields with tables have it."""
+        if self._log is None:
+            raise SearchTooLarge(f"no log table for a field of {self.order} elements")
+        if not a:
+            raise InvalidParams("0 has no discrete logarithm")
+        return self._log[a]
+
     def multiplication_matrix(self, x: int) -> tuple:
         """Matrix of y -> x*y in the power basis, as packed rows: row i is
         x * basis_i, whose int is its coefficient vector."""
@@ -352,12 +369,9 @@ class FieldCtx:
     # -- internals -----------------------------------------------------------
 
     def _build_tables(self):
-        # the generator is the first int of full order: g^(unit/p) != 1 for
-        # every prime p dividing unit; pow runs without tables until they exist
+        # pow runs without tables until they exist
         q, unit = self.q, self._unit_order
-        primes = _prime_factors(unit)
-        gen = next(g for g in range(1, self.order)
-                   if all(self.pow(g, unit // p) != self.one for p in primes))
+        gen = self.primitive_element()
         # y -> gen*y is F_q-linear, so it is a sum over chunks of w digits (the
         # largest w >= 1 with q^w <= 256) of images[j][v] = gen * (v * size^j)
         w = max([1] + [k for k in range(1, 9) if q ** k <= 256])

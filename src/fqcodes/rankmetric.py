@@ -151,23 +151,36 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
                                 "k": src.n, "h": dst.n - src.n, "t": t})
 
 
+def linear_min_rank(matrices, nrows: int, ncols: int, q: int) -> int | None:
+    """The minimum rank of a nonzero matrix, when the matrices are distinct
+    and form an F_q-linear space; None when they do not.
+
+    A matrix is a tuple of nrows packed rows of F_q^ncols.  The premise is
+    checked as q^rank == |C| for the matrices flattened to vectors of
+    F_q^(nrows*ncols).  A linear space holds the difference of any two of
+    its members, so the minimum is then its minimum rank distance.
+    """
+    matrices = list(matrices)
+    flat = [pack(m, q ** ncols) for m in matrices]
+    if (len(set(flat)) != len(flat)
+            or q ** packed_rank(flat, nrows * ncols, q) != len(flat)):
+        return None
+    return min((packed_rank(m, ncols, q) for m, f in zip(matrices, flat) if f), default=None)
+
+
 def rank_distance_of_code(c: RankCode) -> int:
     """Exact minimum rank distance.
 
-    When the member matrices are distinct and form an F_q-linear space,
-    checked as q^rank == |C| for the matrices flattened to vectors of
-    F_q^(nrows*ncols), the minimum distance is the minimum rank of a
-    nonzero member, and only members are scanned.  Otherwise every pair
-    is, by the rank of the difference of its matrices.
+    On a linear code (`linear_min_rank`) only members are scanned;
+    otherwise every pair is, by the rank of the difference of its matrices.
     """
     if len(c.members) < 2:
         raise InvalidParams("rank distance needs at least two members")
     q, ncols = c.ctx.q, c.ncols
     matrices = list(c.matrices())
-    flat = [pack(m, q ** ncols) for m in matrices]
-    if (len(set(flat)) == len(flat)
-            and q ** packed_rank(flat, c.nrows * ncols, q) == len(flat)):
-        return min(packed_rank(m, ncols, q) for m, f in zip(matrices, flat) if f)
+    linear = linear_min_rank(matrices, c.nrows, ncols, q)
+    if linear is not None:
+        return linear
 
     def dist(a, b):
         return packed_rank([add_packed(x, y, q, -1) for x, y in zip(a, b)], ncols, q)

@@ -236,18 +236,21 @@ SUITES = {
 }
 
 
-def run_suites(name: str, seed: int, samples: int) -> list[SuiteResult]:
-    """Run the named suite, or every suite for "all"; only pseudometric and
-    chain read samples, and only they and shift-witness read seed."""
-    if samples < 1:
-        raise InvalidParams(f"samples={samples} must be >= 1")
-    out = []
-    for key in SUITES if name == "all" else [name]:
-        fn = SUITES[key]
-        if key in ("pseudometric", "chain"):
-            out.append(fn(seed, samples))
-        elif key == "shift-witness":
-            out.append(fn(seed))
-        else:
-            out.append(fn())
-    return out
+# The options each suite reads, by argparse dest; the others read none.
+SUITE_OPTIONS = {
+    "pseudometric": ("seed", "samples"),
+    "chain": ("seed", "samples"),
+    "shift-witness": ("seed",),
+}
+
+
+def run_suites(name: str, seed: int | None = None,
+               samples: int | None = None) -> list[SuiteResult]:
+    """Run the named suite, or every suite for "all", each with the options
+    it reads (SUITE_OPTIONS); seed defaults to 0 and samples to 10,000."""
+    given = {"seed": 0 if seed is None else seed,
+             "samples": 10000 if samples is None else samples}
+    if given["samples"] < 1:
+        raise InvalidParams(f"samples={given['samples']} must be >= 1")
+    return [SUITES[key](**{d: given[d] for d in SUITE_OPTIONS.get(key, ())})
+            for key in (SUITES if name == "all" else [name])]

@@ -310,3 +310,34 @@ def test_criterion_11_determinism(tmp_path, capsys):
         if sha256_file(p) != hashes[p]:
             failures.append(f"{p} hash changed")
     _report(11, "determinism", failures, time.perf_counter() - t0, 60)
+
+
+def test_criterion_12_block_enlarged_certified(tmp_path, capsys):
+    t0 = time.perf_counter()
+    failures = []
+    out = str(tmp_path / "block242.json")
+    argv = ["construct", "--kind", "block-enlarged", "--q", "2", "--n", "4", "--t", "2",
+            "--out", out]
+    if cli_main(argv) != 0:
+        failures.append(f"command failed: {argv}")
+    capsys.readouterr()
+    elapsed = time.perf_counter() - t0
+    prov = json.load(open(out))["provenance"] if not failures else {}
+    if prov.get("verified_distance") != 4:
+        failures.append(f"verified distance {prov.get('verified_distance')} != 4")
+    _report(12, "block-enlarged (2,4,2) end to end", failures, elapsed, 1.5)
+
+
+def test_criterion_13_singer_ds_n14(tmp_path, capsys):
+    t0 = time.perf_counter()
+    failures = []
+    out = str(tmp_path / "singer14.json")
+    argv = ["construct", "--kind", "singer-ds", "--n", "14", "--out", out]
+    if cli_main(argv) != 0:
+        failures.append(f"command failed: {argv}")
+    capsys.readouterr()
+    elapsed = time.perf_counter() - t0
+    ds = json.load(open(out)) if not failures else {}
+    if (ds.get("v"), ds.get("k"), ds.get("lambda")) != (16383, 8191, 4095):
+        failures.append(f"parameters {(ds.get('v'), ds.get('k'), ds.get('lambda'))}")
+    _report(13, "singer-ds n=14 end to end", failures, elapsed, 2)

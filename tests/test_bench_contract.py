@@ -70,10 +70,11 @@ def test_traced_run_leaves_no_binding_unpatched(tmp_path):
                PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")])))
     # commands that build artifacts, then ones that load them and write reports;
-    # the last two score insdel pairs (a sweep, then nearest-codeword decoding)
+    # construct certifies the spread from its orbit structure, so only metric
+    # sweeps it; the last two score insdel pairs (a sweep, then decoding)
     for argv, counted, calls in (
             (["construct", "--kind", "spread", "--q", "2", "--k", "2", "--n", "4",
-              "--out", "spread.json"], "constructions.subspace_code_min_distance", 1),
+              "--out", "spread.json"], "constructions.spread", 1),
             (["metric", "spread.json", "--metric", "subspace", "--out", "r.json"],
              "constructions.subspace_code_min_distance", 1),
             (["construct", "--kind", "all-vectors", "--from", "spread.json", "--length", "3",

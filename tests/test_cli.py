@@ -5,15 +5,16 @@ import time
 
 import pytest
 
-from fqcodes import __version__
-from fqcodes.cli import CONSTRUCT_KINDS, build_parser, main
+from fqcodes import __version__, cli
+from fqcodes.cli import CONSTRUCT_KINDS, build_parser, check_options, main
 from fqcodes.constructions import lift_rank_code, spread
 from fqcodes.derived import all_vectors_code, singer_difference_set
 from fqcodes.gf import FieldCtx
 from fqcodes.errors import ParseError
 from fqcodes.metrics import VectorCode, word
-from fqcodes.rankmetric import gabidulin_code, gabidulin_rect
+from fqcodes.rankmetric import RankCode, gabidulin_code, gabidulin_rect
 from fqcodes.serialize import field_to_obj, load_file, save_file, sha256_file
+from fqcodes.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -489,6 +490,23 @@ def test_bounds_with_k_zero_exits_2(capsys):
     assert err == "error: k=0 out of range [1, 4]\n"
 
 
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_verify_takes_only_the_options_its_suite_reads(capsys, suite):
+    reads = {"pseudometric": ("--seed", "--samples"), "chain": ("--seed", "--samples"),
+             "shift-witness": ("--seed",), "all": ("--seed", "--samples")}.get(suite, ())
+    for flag in ("--seed", "--samples"):
+        argv = ["verify", "--suite", suite, flag, "3"]
+        if flag in reads:
+            check_options(build_parser().parse_args(argv))
+        else:
+            err = _assert_one_line_exit_2(capsys, *argv)
+            assert err == f"error: --suite {suite} does not take {flag}\n"
+    if not reads:
+        err = _assert_one_line_exit_2(capsys, "verify", "--suite", suite,
+                                      "--seed", "5", "--samples", "3")
+        assert err == f"error: --suite {suite} does not take --samples or --seed\n"
+
+
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_verify_with_too_few_samples_exits_2(capsys, samples):
     err = _assert_one_line_exit_2(capsys, "verify", "--suite", "chain", "--samples", samples)
@@ -842,3 +860,39 @@ def test_a_square_rank_code_has_one_file_form(tmp_path):
     save_file(str(edited), load_file(str(edited)))
     assert edited.read_bytes() == canonical.read_bytes()
     assert gabidulin_rect(ctx, ctx, 1).src is None
+
+
+# -- construct certifies lifted and orbit codes from their structure ----------
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = cli.subspace_code_min_distance
+    monkeypatch.setattr(cli, "subspace_code_min_distance",
+                        lambda *a, **k: calls.append(1) or sweep(*a, **k))
+    return calls
+
+
+def test_construct_lifted_mrd_from_a_non_linear_rank_code_still_sweeps(tmp_path, capsys,
+                                                                       monkeypatch):
+    gab = gabidulin_code(FieldCtx(2, 3), 1)
+    src = str(tmp_path / "rank.json")
+    save_file(src, RankCode(gab.ctx, gab.members[1:40], 1))  # 39 members: not linear
+    out = str(tmp_path / "lifted.json")
+    calls = _count_sweeps(monkeypatch)
+    assert run(capsys, "construct", "--kind", "lifted-mrd", "--from", src, "--out", out)[0] == 0
+    assert calls == [1]
+    code, stdout, _ = run(capsys, "metric", out, "--metric", "subspace", "--format", "csv")
+    assert code == 0
+    assert stdout.startswith(f"subspace,{load_file(out).provenance['verified_distance']},")
+
+
+def test_construct_certifies_a_spread_past_the_pair_guard(tmp_path, capsys, monkeypatch):
+    # 5,461 members, 14.9 M pairs: the sweep would need --force
+    out = str(tmp_path / "spread.json")
+    calls = _count_sweeps(monkeypatch)
+    assert run(capsys, "construct", "--kind", "spread", "--k", "2", "--n", "14",
+               "--out", out)[0] == 0
+    assert calls == []
+    assert load_file(out).provenance["verified_distance"] == 4
+    code, _, err = run(capsys, "metric", out, "--metric", "subspace")
+    assert code == 2 and "exceed the guard" in err

@@ -18,6 +18,7 @@ from fqcodes.constructions import (
     sidon_check,
     sidon_search,
     spread,
+    structural_min_distance,
     subspace_code_min_distance,
 )
 from fqcodes.metrics import pairwise_min_report
@@ -424,3 +425,80 @@ def test_every_subspace_is_its_canonical_span(q):
         loaded = subspace_code_from_obj(subspace_code_to_obj(code))
         assert loaded.members == code.members
         assert all(s == span(s.rows, s.ambient, s.q) for s in loaded.members)
+
+
+# -- certified minimum distances from checked structure ----------------------
+
+def _lifted(q, n, t):
+    return lift_rank_code(gabidulin_code(FieldCtx(q, n), t))
+
+
+def _sidon_orbit(q, n, k):
+    ctx = FieldCtx(q, n)
+    return orbit_cyclic_code(ctx, sidon_search(ctx, k))
+
+
+STRUCTURED_CODES = {
+    "lifted (2,3,2)": lambda: _lifted(2, 3, 2),
+    "lifted (2,4,1)": lambda: _lifted(2, 4, 1),
+    "lifted (3,3,1)": lambda: _lifted(3, 3, 1),
+    "block-enlarged (3,2,1)": lambda: block_enlarged_family(FieldCtx(3, 2), 1),
+    "spread (2,2,4)": lambda: spread(2, 2, 4),
+    "spread (2,2,6)": lambda: spread(2, 2, 6),
+    "spread (3,2,4)": lambda: spread(3, 2, 4),
+    "sidon orbit (2,5,2)": lambda: _sidon_orbit(2, 5, 2),
+    "sidon orbit (2,7,3)": lambda: _sidon_orbit(2, 7, 3),
+}
+
+
+@pytest.mark.parametrize("build", STRUCTURED_CODES.values(), ids=STRUCTURED_CODES)
+def test_structural_distance_equals_the_exhaustive_sweep(build):
+    sc = build()
+    certified = structural_min_distance(sc)
+    assert certified is not None
+    assert certified == subspace_code_min_distance(sc).minimum
+
+
+def _without(sc, index, field):
+    members = sc.members[:index] + sc.members[index + 1:]
+    return SubspaceCode(sc.q, sc.ambient, members, sc.constant_dim, field=field)
+
+
+@pytest.mark.parametrize("build", [lambda: spread(2, 2, 6), lambda: _sidon_orbit(2, 5, 2),
+                                   lambda: _lifted(2, 3, 1), lambda: _lifted(3, 2, 1)],
+                         ids=["spread", "sidon orbit", "lifted", "lifted over F_3"])
+def test_a_code_missing_one_member_is_not_certified(build):
+    sc = build()
+    assert structural_min_distance(_without(sc, 3, sc.field)) is None
+
+
+def test_an_orbit_code_needs_its_field():
+    sc = _sidon_orbit(2, 5, 2)
+    assert structural_min_distance(_without(sc, len(sc), None)) is None  # all members
+    assert structural_min_distance(_without(sc, len(sc), FieldCtx(2, 6))) is None
+
+
+def test_an_orbit_certificate_needs_closure_and_the_orbit_size():
+    ctx = FieldCtx(2, 4)
+    sc = spread(2, 2, 4)
+    # as many members as the orbit of members[0], but one is not in it
+    outsider = next(s for s in enumerate_subspaces(2, 4, 2) if s.rows not in
+                    {m.rows for m in sc.members})
+    swapped = SubspaceCode(2, 4, sc.members[:-1] + (outsider,), 2, field=ctx)
+    assert structural_min_distance(swapped) is None
+    # two whole orbits: closed under multiplication, but twice the orbit size
+    ctx5 = FieldCtx(2, 5)
+    first = orbit_cyclic_code(ctx5, sidon_search(ctx5, 2))
+    seen = {m.rows for m in first.members}
+    second = orbit_cyclic_code(ctx5, next(s for s in enumerate_subspaces(2, 5, 2)
+                                          if s.rows not in seen))
+    both = SubspaceCode(2, 5, first.members + second.members, 2, field=ctx5)
+    assert structural_min_distance(both) is None
+    assert subspace_code_min_distance(both).minimum == 2
+
+
+def test_lifted_certificate_reads_the_identity_block():
+    sc = _lifted(2, 3, 1)
+    # the same linear space of A's, lifted as rowspan(A | I): no identity block
+    flipped = [span([(r % 8) * 8 + r // 8 for r in s.rows], 6, 2) for s in sc.members]
+    assert structural_min_distance(SubspaceCode(2, 6, flipped, 3)) is None

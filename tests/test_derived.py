@@ -1,5 +1,7 @@
 """Span / all-vectors / folded evaluation codes and Singer difference sets."""
 
+import random
+
 import pytest
 
 from fqcodes.errors import InvalidParams
@@ -18,7 +20,9 @@ from fqcodes.derived import (
     folded_code_from_vector_code,
     folded_code_min_distance,
     m_of_d,
+    overlap_spectrum,
     partial_span_code,
+    scalar_orbit_subset_distance,
     singer_difference_set,
     span_code,
 )
@@ -177,8 +181,12 @@ def test_m_of_d_examples():
     assert m_of_d(GF8, everything) == 7
     with pytest.raises(InvalidParams, match=r"m\(D\) of an empty set"):
         m_of_d(GF8, [])
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match="distinct nonzero"):
         m_of_d(GF8, [GF8.zero])
+    with pytest.raises(InvalidParams, match="distinct nonzero"):
+        m_of_d(GF8, single * 2)
+    with pytest.raises(InvalidParams, match="member 8 is not an int"):
+        m_of_d(GF8, [GF8.order])
 
 
 def test_evaluation_folded_single_point():
@@ -245,3 +253,81 @@ def test_folded_code_checks_the_field_and_block_length_of_every_word():
     other = FieldCtx(2, 2)
     with pytest.raises(InvalidParams, match="the code's field and block lengths"):
         FoldedCode(GF8, 1, (a, FoldedWord(other, 1, ((other.one,),))))
+
+
+# -- the translation-overlap spectrum and the evaluation code's distance ------
+
+def _direct_overlaps(ctx, members):
+    """The former loop, kept as the oracle: |g^s D ∩ D| for every s, one
+    product per pair of s and member of D."""
+    g = ctx.primitive_element()
+    dset = set(members)
+    return [sum(1 for d in members if ctx.mul(ctx.pow(g, s), d) in dset)
+            for s in range(ctx.order - 1)]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_overlap_spectrum_of_the_singer_set_matches_the_direct_loop(n):
+    ctx = FieldCtx(2, n)
+    members = tuple(x for x in ctx.elements() if x and ctx.trace(x) == 0)
+    spectrum = overlap_spectrum(ctx, members)
+    assert spectrum == _direct_overlaps(ctx, members)
+    assert spectrum[0] == len(members)
+    assert set(spectrum[1:]) == {2 ** (n - 2) - 1}
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 6), (2, 9), (3, 3), (3, 5), (5, 2), (7, 2),
+                                  (13, 2), (257, 1)])
+def test_overlap_spectrum_of_random_sets_matches_the_direct_loop(q, n):
+    ctx = FieldCtx(q, n)
+    rng = random.Random(q * 100 + n)
+    nonzero = list(range(1, ctx.order))
+    for size in (1, 2, len(nonzero) // 3, len(nonzero) - 1, len(nonzero)):
+        members = rng.sample(nonzero, size)
+        expected = _direct_overlaps(ctx, members)
+        assert overlap_spectrum(ctx, members) == expected
+        assert m_of_d(ctx, members) == max(expected[1:], default=0)
+
+
+def _subset_sweep(fc):
+    return folded_code_min_distance(fc, "subset").minimum
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_evaluation_code_distance_of_the_singer_set_equals_the_sweep(n):
+    ctx = FieldCtx(2, n)
+    ds = singer_difference_set(ctx)
+    fc = evaluation_folded_code(ctx, ds.members)
+    assert scalar_orbit_subset_distance(fc, ds.members) == _subset_sweep(fc) \
+        == 2 * (ds.k - ds.lam)
+
+
+@pytest.mark.parametrize("q, n", [(2, 4), (2, 5), (3, 3), (5, 2)])
+def test_evaluation_code_distance_of_random_sets_equals_the_sweep(q, n):
+    ctx = FieldCtx(q, n)
+    rng = random.Random(n)
+    for size in (1, 2, 5):
+        points = rng.sample(range(1, ctx.order), size)
+        fc = evaluation_folded_code(ctx, points)
+        assert scalar_orbit_subset_distance(fc, points) == _subset_sweep(fc)
+
+
+def test_evaluation_code_distance_checks_every_codeword():
+    ctx = FieldCtx(2, 4)
+    points = singer_difference_set(ctx).members
+    fc = evaluation_folded_code(ctx, points)
+    words = fc.codewords
+
+    def code(ws):
+        return FoldedCode(ctx, 1, tuple(ws))
+    assert scalar_orbit_subset_distance(code(words[1:]), points) is None  # one w missing
+    assert scalar_orbit_subset_distance(code(words[:-1] + words[:1]), points) is None  # w twice
+    zero = FoldedWord(ctx, 1, ((ctx.zero,),) * len(points))
+    assert scalar_orbit_subset_distance(code(words[:-1] + (zero,)), points) is None  # w = 0
+    blocks = list(words[5].blocks)
+    blocks[-1] = (ctx.add(blocks[-1][0], ctx.one),)  # one symbol off w * x_k
+    altered = code(words[:5] + (FoldedWord(ctx, 1, tuple(blocks)),) + words[6:])
+    assert scalar_orbit_subset_distance(altered, points) is None
+    assert scalar_orbit_subset_distance(fc, points[::-1]) is None  # other point order
+    folded2 = folded_code_from_vector_code(all_vectors_code(spread(2, 2, 4), 4), 2)
+    assert scalar_orbit_subset_distance(folded2, points) is None

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from fqcodes.errors import InvalidParams
+from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import (FieldCtx, _is_irreducible, _poly_rem, _prime_factors, pack,
                         prime_field, unpack)
 from fqcodes.linalg import ext_matmul, rref
@@ -248,6 +248,13 @@ def test_arithmetic_without_tables():
     assert big.frobenius(x, 17) == x
     assert big.pow(x, big.order - 1) == big.one
     assert big.trace(x) in (0, 1)
+    with pytest.raises(SearchTooLarge, match="no log table"):
+        big.log(x)
+
+
+def test_log_of_zero_raises():
+    with pytest.raises(InvalidParams, match="0 has no discrete logarithm"):
+        GF8.log(GF8.zero)
 
 
 def test_element_ordering_constant_term_most_significant():
@@ -365,6 +372,8 @@ def test_tables_match_the_order_walk():
         gen, exp, log = _order_walk_tables(ctx)
         assert ctx._exp[1 % len(exp)] == gen, (q, n)  # F_2's generator is 1 = exp[0]
         assert (ctx._exp, ctx._log) == (exp, log), (q, n)
+        assert ctx.primitive_element() == gen, (q, n)
+        assert [ctx.log(x) for x in range(1, ctx.order)] == log[1:], (q, n)
 
 
 def test_prime_factors_match_a_sieve():
