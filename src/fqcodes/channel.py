@@ -4,10 +4,11 @@ The channel applies the requested number of symbol deletions, then
 insertions of uniformly random symbols, at uniformly random positions,
 all driven by Python's Mersenne Twister seeded from the spec, so every
 transcript is reproducible from (seed, trial index).  Decoding is a full
-scan for the insdel-nearest codeword; the received word's LCS match masks
-(metrics.lcs_masks) are built once per decode and every codeword is scored
-against them.  A tied minimum decodes to AMBIGUOUS on purpose, because
-inside the correction radius ties are impossible and therefore diagnostic.
+scan for the insdel-nearest codeword: the code's packed match masks
+(VectorCode.lcs_masks, built once per code) let one pass of
+metrics.packed_lcs over the received word score every codeword.  A tied
+minimum decodes to AMBIGUOUS on purpose, because inside the correction
+radius ties are impossible and therefore diagnostic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidParams
-from .metrics import VectorCode, Word, code_min_distance, lcs_masks, masked_lcs
+from .metrics import VectorCode, Word, code_min_distance, packed_lcs
 
 PRNG_NAME = "mt19937"
 
@@ -64,20 +65,11 @@ def decode_nearest(c: VectorCode, received: Word):
     """
     if received.ctx != c.ctx:
         raise InvalidParams("words live in different fields")
-    m = len(received.symbols)
-    masks = lcs_masks(received.symbols)
-    best = -1
-    best_word = None
-    tied = False
-    for cw in c.codewords:
-        lcs = masked_lcs(masks, m, cw.symbols)
-        if lcs > best:
-            best = lcs
-            best_word = cw
-            tied = False
-        elif lcs == best:
-            tied = True
-    return AMBIGUOUS if tied else best_word
+    if not c.codewords:
+        raise InvalidParams("cannot decode with a code that has no codewords")
+    scores = packed_lcs(c.lcs_masks, received.symbols)
+    best = max(scores)
+    return AMBIGUOUS if scores.count(best) > 1 else c.codewords[scores.index(best)]
 
 
 def correction_capability(c: VectorCode, force: bool = False) -> int:

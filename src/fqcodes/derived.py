@@ -210,7 +210,10 @@ def singer_difference_set(ctx: FieldCtx) -> DifferenceSet:
         raise InvalidParams("the Singer construction here is binary")
     if ctx.n < 3:
         raise InvalidParams("need n >= 3")
-    members = tuple(x for x in ctx.elements() if x and ctx.trace(x) == 0)
+    # The trace is F_2-linear: Tr(x) is the parity of x's bits on the
+    # basis elements of trace 1, whose OR is t.
+    t = sum(b for b in ctx.basis() if ctx.trace(b))
+    members = tuple(x for x in ctx.elements() if x and not (x & t).bit_count() & 1)
     ds = DifferenceSet(ctx, members, ctx.order - 1, 2 ** (ctx.n - 1) - 1, 2 ** (ctx.n - 2) - 1)
     for s, hits in enumerate(overlap_spectrum(ctx, members)):
         if s and hits != ds.lam:

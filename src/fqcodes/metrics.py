@@ -10,13 +10,17 @@ compares the deduplicated symbol sets.  Both ignore coordinate
 positions entirely, which is what makes them lower bounds for the
 insdel distance.
 
-Every insdel distance goes through one bit-parallel LCS kernel:
-lcs_masks builds a word's match masks (symbol -> bitmask of its
-positions) once, and masked_lcs scores any other sequence against them
-with at most four big-int operations per symbol.  insdel_distance builds
-the masks per call, the insdel sweep once per codeword, and
-channel.decode_nearest once per received word.  The O(|a||b|) DP
-lcs_length is kept as the oracle the kernel is tested against.
+Every insdel distance goes through one packed bit-parallel LCS kernel
+(Allison & Dix 1986; Hyyrö 2004; many words per int as in Hyyrö,
+Fredriksson & Navarro 2005).  pack_lcs_masks puts equal-length words side
+by side in one int, one byte-aligned slot of match bits and a guard bit
+per word, and packed_lcs scores a sequence against all of them in one
+scan.  A code's masks are built once (VectorCode.lcs_masks) for
+channel.decode_nearest and the insdel sweep; insdel_distance packs its one
+word per call.  At most LCS_CHUNK words share an int, so m words of length
+n in w-byte slots take at most LCS_CHUNK w m n bytes of masks whatever the
+alphabet.  The O(|a||b|) DP lcs_length is kept as the oracle the kernel is
+tested against.
 
 Code-level sweeps are exhaustive over unordered pairs with a pair-count
 guard; the witness reported for a minimum is always the first attaining
@@ -38,6 +42,7 @@ every subset distance is symmetric_difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import InvalidParams, SearchTooLarge
 from .gf import FieldCtx, pack
@@ -54,6 +59,7 @@ from .linalg import (
 )
 
 PAIR_GUARD = 10 ** 7
+LCS_CHUNK = 256  # words per packed int in pack_lcs_masks
 _MATERIALIZE_GUARD = 1 << 20
 
 
@@ -106,8 +112,8 @@ def hamming_distance(a: Word, b: Word) -> int:
 def lcs_length(a, b) -> int:
     """Longest common subsequence length by the standard O(|a||b|) DP.
 
-    The reference the bit-parallel kernel (lcs_masks, masked_lcs) is
-    tested against; the library itself scores pairs with the kernel.
+    The reference the packed kernel (pack_lcs_masks, packed_lcs) is tested
+    against; the library itself scores pairs with the kernel.
     """
     m, n = len(a), len(b)
     prev = [0] * (n + 1)
@@ -123,41 +129,97 @@ def lcs_length(a, b) -> int:
     return prev[n]
 
 
-def lcs_masks(symbols) -> dict:
-    """Match masks of a sequence: symbol -> bitmask of the positions where it occurs."""
-    masks = {}
-    bit = 1
-    for s in symbols:
-        masks[s] = masks.get(s, 0) | bit
-        bit <<= 1
-    return masks
+_POPCOUNT = bytes(i.bit_count() for i in range(256))
 
 
-def masked_lcs(masks: dict, n: int, symbols) -> int:
-    """LCS length of symbols and the length-n sequence whose lcs_masks are given.
+def _pack_chunk(words, n: int, stride: int) -> tuple:
+    """(size in bytes, full, masks) of length-n words in slots of stride bits.
 
-    Bit-parallel LCS (Allison & Dix 1986; Hyyrö 2004).  After a prefix
-    of symbols, bit i of v is 0 exactly when that prefix has a longer
-    common subsequence with the first i + 1 masked symbols than with the
-    first i, so the LCS is the number of zero bits among the low n bits.
-    Carries above bit n never reach back down, so v is masked only at the
-    end.  A symbol absent from the masks leaves v unchanged and is skipped.
+    Word i's n match bits start at bit stride i; full sets all of them, and
+    masks maps each symbol to the OR of the bits of its positions.
     """
-    v = full = (1 << n) - 1
+    ones = (1 << n) - 1
+    masks = {}
+    full = shift = 0
+    for symbols in words:
+        bit = 1 << shift
+        for s in symbols:
+            masks[s] = masks.get(s, 0) | bit
+            bit <<= 1
+        full |= ones << shift
+        shift += stride
+    return shift // 8, full, masks
+
+
+def _scan(full: int, masks: dict, symbols) -> int:
+    """Bit-parallel LCS of symbols with every slot of (full, masks) at once.
+
+    After a prefix of symbols, match bit i of a slot is 0 exactly when that
+    prefix has a longer common subsequence with the slot's first i + 1
+    symbols than with its first i, so a slot's LCS is its number of zero
+    match bits.  A carry out of a slot's top match bit stops in the guard
+    bit above it, which the mask by full clears at once, so no carry
+    reaches the next slot.  A symbol absent from the masks leaves v as it
+    is and is skipped.
+    """
+    v = full
     get = masks.get
     for x in symbols:
-        match = get(x, 0)
+        match = get(x)
         if match:
             u = v & match
-            v = (v + u) | (v - u)
-    return n - (v & full).bit_count()
+            v = ((v + u) | (v - u)) & full
+    return v
+
+
+def pack_lcs_masks(words, n: int) -> tuple:
+    """Match masks of equal-length-n words, packed for packed_lcs.
+
+    Word i of a chunk owns slot i: width = (n + 8) // 8 bytes, its n match
+    bits and at least one guard bit above them.  Chunks hold LCS_CHUNK
+    words, the last one the rest, so no mask is wider than LCS_CHUNK slots.
+    """
+    width = (n + 8) // 8
+    return width, [_pack_chunk(words[i:i + LCS_CHUNK], n, 8 * width)
+                   for i in range(0, len(words), LCS_CHUNK)]
+
+
+def packed_lcs(packed: tuple, symbols) -> bytes | list[int]:
+    """LCS length of symbols with every word of pack_lcs_masks, in word order.
+
+    One scan per chunk.  The read-out turns each byte of full ^ v into its
+    popcount, then adds the width bytes of each slot onto its first with
+    width - 1 shifts.  Every window of width bytes holds a guard bit, so a
+    sum is at most 8 width - 1, which is at most 255 below n = 256: no byte
+    carries, and the result is bytes, one per word.  From n = 256 on it is
+    a list.
+    """
+    width, chunks = packed
+    wide = width > 32  # n >= 256: a slot's count may not fit in a byte
+    out = [] if wide else b""
+    for size, full, masks in chunks:
+        counts = (full ^ _scan(full, masks, symbols)).to_bytes(size, "little").translate(_POPCOUNT)
+        if wide:
+            out += [sum(counts[i:i + width]) for i in range(0, size, width)]
+        elif width > 1:
+            c = total = int.from_bytes(counts, "little")
+            for k in range(8, 8 * width, 8):
+                total += c >> k
+            out += total.to_bytes(size, "little")[::width]
+        else:
+            out += counts
+    return out
 
 
 def insdel_distance(a: Word, b: Word) -> int:
-    """|a| + |b| - 2 LCS(a, b); the number of insertions plus deletions."""
+    """|a| + |b| - 2 LCS(a, b); the number of insertions plus deletions.
+
+    a is one slot, so its LCS with b is n minus the set match bits of the scan.
+    """
     _require_same_ctx(a, b)
     n = len(a.symbols)
-    return n + len(b.symbols) - 2 * masked_lcs(lcs_masks(a.symbols), n, b.symbols)
+    _, full, masks = _pack_chunk((a.symbols,), n, n + 1)
+    return n + len(b.symbols) - 2 * (n - _scan(full, masks, b.symbols).bit_count())
 
 
 def word_span(a: Word):
@@ -389,6 +451,11 @@ class VectorCode:
     def contains(self, w: Word) -> bool:
         return any(w.symbols == c.symbols for c in self.codewords)
 
+    @cached_property
+    def lcs_masks(self) -> tuple:
+        """The codewords' packed match masks (pack_lcs_masks), built on first use."""
+        return pack_lcs_masks([w.symbols for w in self.codewords], self.length)
+
     @classmethod
     def from_generator(cls, ctx: FieldCtx, rows, provenance: dict | None = None) -> "VectorCode":
         rows = [w if isinstance(w, Word) else word(ctx, w) for w in rows]
@@ -406,10 +473,10 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
     if metric == "insdel":
         _pair_count(len(words), force)
         n = c.length  # every codeword has length n, so d_insdel = 2 (n - LCS)
-        symbols = [w.symbols for w in words]
-        masks = [lcs_masks(s) for s in symbols]
-        return _index_sweep(words, lambda i, j: 2 * (n - masked_lcs(masks[i], n, symbols[j])),
-                            metric, force, None)
+        masks = c.lcs_masks
+        # The sweep takes pairs (i, j) with i in order: one scan per member.
+        row = lru_cache(maxsize=1)(lambda i: packed_lcs(masks, words[i].symbols))
+        return _index_sweep(words, lambda i, j: 2 * (n - row(i)[j]), metric, force, None)
     if metric == "subspace":
         return subspace_min_report(words, word_span, metric, force=force)
     if metric == "subset":

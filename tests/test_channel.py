@@ -120,6 +120,36 @@ def test_decoder_matches_the_lcs_dp_full_scan(case):
     assert decode_nearest(vc, received) is _full_scan(vc, received)
 
 
+@pytest.mark.parametrize("ctx, n, m, seed", [
+    (FieldCtx(2, 2), 5, 300, 0),  # two chunks of one-byte slots
+    (F2, 10, 513, 1),  # three chunks of two-byte slots, the last with one word
+    (FieldCtx(2, 8), 3, 257, 2),  # the nearest word may sit alone in a chunk
+])
+def test_decoder_past_a_chunk_matches_the_lcs_dp_full_scan(ctx, n, m, seed):
+    rng = random.Random(seed)
+    rows = {}
+    while len(rows) < m:
+        rows[tuple(rng.randrange(ctx.order) for _ in range(n))] = None
+    vc = VectorCode(ctx, n, [Word(ctx, r) for r in rows])
+    results = []
+    for _ in range(60):
+        sent = vc.codewords[rng.randrange(m)]
+        received = _apply_with_rng(sent, rng.randrange(3), rng.randrange(3),
+                                   random.Random(rng.randrange(10 ** 6)))
+        decoded = decode_nearest(vc, received)
+        assert decoded is _full_scan(vc, received)
+        results.append(decoded is AMBIGUOUS)
+    for cw in (vc.codewords[255], vc.codewords[256], vc.codewords[-1]):
+        assert decode_nearest(vc, cw) is cw
+    assert any(results) and not all(results)  # both ties and unique decodes
+
+
+def test_decoding_with_an_empty_code_raises():
+    vc = VectorCode(F2, 2, [])
+    with pytest.raises(InvalidParams, match="no codewords"):
+        decode_nearest(vc, word(F2, [(0,)]))
+
+
 def test_decoding_a_word_from_another_field_raises():
     vc = _spread_code()
     received = word(FieldCtx(2, 2), [(0, 1), (1, 1), (1, 0)])

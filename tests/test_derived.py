@@ -156,6 +156,13 @@ def test_singer_n4_parameters():
     assert (ds.v, ds.k, ds.lam) == (15, 7, 3)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_singer_members_are_the_trace_zero_elements_in_order(n):
+    ctx = FieldCtx(2, n)
+    expected = tuple(x for x in ctx.elements() if x and ctx.trace(x) == 0)
+    assert singer_difference_set(ctx).members == expected
+
+
 def test_singer_guards():
     with pytest.raises(InvalidParams, match="need n >= 3"):
         singer_difference_set(FieldCtx(2, 2))

@@ -20,8 +20,8 @@ from fqcodes.metrics import (
     hamming_distance,
     insdel_distance,
     lcs_length,
-    lcs_masks,
-    masked_lcs,
+    pack_lcs_masks,
+    packed_lcs,
     pairwise_min_report,
     r_subset_distance,
     r_subspace_distance,
@@ -103,8 +103,54 @@ def _symbol_pair(draw, alphabets=(1, 2, 3, 256)):
 @example(([0, 1, 2] * 30, [2, 1, 0] * 25))
 def test_bit_parallel_lcs_matches_the_dp(pair):
     a, b = pair
-    assert masked_lcs(lcs_masks(a), len(a), b) == lcs_length(a, b)
-    assert masked_lcs(lcs_masks(b), len(b), a) == lcs_length(a, b)
+    assert packed_lcs(pack_lcs_masks([a], len(a)), b)[0] == lcs_length(a, b)
+    assert packed_lcs(pack_lcs_masks([b], len(b)), a)[0] == lcs_length(a, b)
+
+
+SLOT_BOUNDARIES = (1, 7, 8, 15, 16, 247, 248, 255, 256, 300)
+CHUNK_BOUNDARIES = (1, 255, 256, 257, 513)
+
+
+@st.composite
+def _packed_case(draw):
+    """(words, n, received): either a few words of a length n at a slot
+    boundary (n match bits fill a byte, or the slot gains a byte, or a count
+    stops fitting in one) or a word count at a chunk boundary with short
+    words.  The words are over range(q) and drawn from a seed, so codes past
+    a chunk stay cheap to draw; the received word is empty, shorter or longer
+    than n, and over range(q + 1), so it may hold a symbol no word has."""
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from(SLOT_BOUNDARIES)), draw(st.integers(1, 3))
+    else:
+        n, m = draw(st.integers(1, 17)), draw(st.sampled_from(CHUNK_BOUNDARIES))
+    q = draw(st.sampled_from((1, 2, 3, 256)))
+    length = draw(st.sampled_from((0, n // 2, n - 1, n, n + 1, n + 9)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    words = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(m)]
+    return words, n, [rng.randrange(q + 1) for _ in range(length)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_packed_case())
+@example(([(0,) * 300] * 2, 300, [0] * 309))  # every count past 255
+@example(([(0,) * 255, (1,) * 255], 255, [0] * 264))  # a full slot next to an empty one
+@example(([(0,) * 8] * 257, 8, [0] * 8))  # two-byte slots over two chunks
+@example(([(0, 1) * 128] * 257, 256, [1, 0] * 130))  # wide slots over two chunks
+@example(([(1,) * 16] * 3, 16, [2] * 20))  # no symbol of the received word occurs
+def test_packed_scores_match_the_dp_for_every_word(case):
+    words, n, received = case
+    scores = packed_lcs(pack_lcs_masks(words, n), received)
+    assert isinstance(scores, bytes if n < 256 else list)
+    assert list(scores) == [lcs_length(w, received) for w in words]
+
+
+def test_packed_masks_fill_chunks_of_lcs_chunk_words():
+    words = [(i % 3,) * 9 for i in range(2 * metrics.LCS_CHUNK + 1)]
+    width, chunks = pack_lcs_masks(words, 9)
+    assert width == 2
+    assert [size for size, _, _ in chunks] == [width * metrics.LCS_CHUNK] * 2 + [width]
+    assert all(full.bit_length() <= 8 * size for size, full, _ in chunks)
+    assert packed_lcs((width, []), [0, 1]) == b""
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,6 +180,21 @@ def test_insdel_sweep_matches_the_lcs_dp_pairwise_sweep(c):
     assert (rep.minimum, rep.witness_indices, rep.pairs) == \
         (oracle.minimum, oracle.witness_indices, oracle.pairs)
     assert rep.witness == oracle.witness
+
+
+@pytest.mark.parametrize("ctx, n, m, seed", [
+    (F4, 5, 300, 0),  # two chunks; many pairs at the minimum
+    (FieldCtx(2, 8), 4, 260, 1),  # the second chunk holds four words
+    (FieldCtx(3, 1), 9, 257, 2),  # two-byte slots
+])
+def test_insdel_sweep_past_a_chunk_matches_the_insdel_distance_sweep(ctx, n, m, seed):
+    rng = random.Random(seed)
+    rows = {}
+    while len(rows) < m:
+        rows[tuple(rng.randrange(ctx.order) for _ in range(n))] = None
+    c = VectorCode(ctx, n, [Word(ctx, r) for r in rows])
+    rep = code_min_distance(c, "insdel")
+    assert rep == pairwise_min_report(c.codewords, insdel_distance, "insdel")
 
 
 def test_subspace_distance_examples():
