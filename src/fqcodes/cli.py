@@ -334,7 +334,7 @@ def _cmd_fold(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, func, sweeps: bool = True):
-    """The options every command takes, --force if it sweeps, and its function."""
+    """--format, --force if the command sweeps, and its function."""
     p.set_defaults(func=func)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     if sweeps:
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     v.add_argument("--samples", type=int)
     v.add_argument("--seed", type=int)
-    _add_common(v, _cmd_verify, sweeps=False)
+    v.set_defaults(func=_cmd_verify)  # verify prints text only, so it takes no --format
 
     b = sub.add_parser("bounds", help="evaluate closed-form bounds")
     b.add_argument("--code")

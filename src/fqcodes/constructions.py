@@ -32,7 +32,7 @@ from .linalg import (
     span,
     subspace_pair_distance,
 )
-from .metrics import MetricReport, subspace_min_report
+from .metrics import MetricReport, pairwise_min_report, subspace_rows
 from .rankmetric import RankCode, gabidulin_code, linear_min_rank
 
 _SIDON_GUARD = 1 << 16
@@ -72,7 +72,7 @@ class SubspaceCode:
 
 def subspace_code_min_distance(sc: SubspaceCode, force: bool = False) -> MetricReport:
     """Exhaustive minimum subspace distance over all unordered member pairs."""
-    return subspace_min_report(sc.members, lambda s: s, "subspace", force=force)
+    return pairwise_min_report(sc.members, subspace_rows(sc.members), "subspace", force=force)
 
 
 def _lifted_min_distance(sc: SubspaceCode) -> int | None:

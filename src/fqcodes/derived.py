@@ -31,8 +31,9 @@ from .metrics import (
     Word,
     fold,
     folded_span,
-    subset_min_report,
-    subspace_min_report,
+    pairwise_min_report,
+    subset_rows,
+    subspace_rows,
 )
 from .metrics import VectorCode
 from .constructions import SubspaceCode
@@ -88,10 +89,10 @@ def folded_code_min_distance(fc: FoldedCode, metric: str,
                              force: bool = False) -> MetricReport:
     if metric not in ("subset", "subspace"):
         raise InvalidParams(f"folded codes support subset/subspace, not {metric!r}")
-    if metric == "subset":
-        return subset_min_report(fc.codewords, lambda w: frozenset(w.blocks), metric,
-                                 force=force)
-    return subspace_min_report(fc.codewords, folded_span, metric, force=force)
+    words = fc.codewords
+    rows = (subset_rows(frozenset(w.blocks) for w in words) if metric == "subset"
+            else subspace_rows(folded_span(w) for w in words))
+    return pairwise_min_report(words, rows, metric, force=force)
 
 
 def _span_symbols(rows, length: int, ctx: FieldCtx):

@@ -22,27 +22,27 @@ n in w-byte slots take at most LCS_CHUNK w m n bytes of masks whatever the
 alphabet.  The O(|a||b|) DP lcs_length is kept as the oracle the kernel is
 tested against.
 
-Code-level sweeps are exhaustive over unordered pairs with a pair-count
-guard; the witness reported for a minimum is always the first attaining
-pair in codeword order, so reports are reproducible.
+Every code-level sweep is one pairwise_min_report over rows, row i holding
+member i's distances to members i+1, ..., m-1; the witness is the first
+attaining pair in codeword order, so reports are reproducible.  The rows
+come from generators (pair_rows, subspace_rows, subset_rows, _insdel_rows)
+that prepare the members only once the pair-count guard has passed.
 
-Subspace and subset sweeps prepare each member once instead of once per
-pair.  A member's subspace (the span of a word's symbols or of a folded
-word's flattened blocks, or a subspace code's member itself) is stored as
-the frozenset of its q^dim packed vectors, Subspace.vectors(), so
-dim(U ∩ V) = log_q |U ∩ V| is one set intersection; a subset sweep keeps
-each word's symbol or block set the same way.  When the members hold more
-than 2^20 vectors in total the subspace sweep scores each pair of the
-subspaces it has built with linalg.subspace_pair_distance instead.  The
-per-pair functions remain the reference the precomputed sweeps are tested
-against; every subspace distance among them is linalg.span_distance, and
-every subset distance is symmetric_difference.
+subspace_rows holds each member's subspace (the span of a word's symbols
+or of a folded word's flattened blocks, or a subspace code's member
+itself) as the frozenset of its q^dim packed vectors, Subspace.vectors(),
+so dim(U ∩ V) = log_q |U ∩ V| is one set intersection; past 2^20 vectors
+in total it scores each pair with linalg.subspace_pair_distance instead.
+subset_rows keeps each symbol or block set the same way, and an insdel
+row is one packed scan.  The oracle is a plain double loop in the tests
+over the per-pair functions, which rest on linalg.span_distance and
+symmetric_difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import InvalidParams, SearchTooLarge
 from .gf import FieldCtx, pack
@@ -320,76 +320,65 @@ def _pair_count(m: int, force: bool) -> int:
     return pairs
 
 
-def pairwise_min_report(items, dist, metric: str, force: bool = False,
+def pairwise_min_report(members, rows, metric: str, force: bool = False,
                         notes: dict | None = None) -> MetricReport:
-    """Exact minimum of dist over unordered pairs; witness is the first attaining pair."""
-    items = list(items)
-    m = len(items)
+    """Exact minimum distance over unordered pairs of members.
+
+    rows yields, for i = 0, 1, ..., member i's distances to members
+    i+1, ..., m-1 in order; it is read only after the pair-count guard.
+    The witness is the first attaining pair: a row's first minimum, kept
+    only when it is below every earlier row's.
+    """
+    members = tuple(members)
+    m = len(members)
     pairs = _pair_count(m, force)
     best = None
-    best_pair = None
-    idx = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = dist(items[i], items[j])
-            if best is None or d < best:
-                best = d
-                best_pair = (items[i], items[j])
-                idx = (i, j)
-    return MetricReport(metric, best, best_pair, idx, pairs, notes)
+    for i, row in zip(range(m - 1), rows):
+        d = min(row)
+        if best is None or d < best:
+            best, idx = d, (i, i + 1 + row.index(d))
+    i, j = idx
+    return MetricReport(metric, best, (members[i], members[j]), idx, pairs, notes)
+
+
+def pair_rows(members, dist):
+    """Rows of dist(member i, member j), j > i, one call per pair."""
+    members = tuple(members)
+    for i, a in enumerate(members):
+        yield [dist(a, b) for b in members[i + 1:]]
+
+
+def subspace_rows(subspaces):
+    """Rows of subspace distances, each member's subspace built on first use.
+
+    All subspaces must share q and the ambient space.  The pair distance is
+    dim U + dim V - 2k where q^k = |U ∩ V|.  When the members hold more than
+    _MATERIALIZE_GUARD vectors in total, each pair is scored by
+    subspace_pair_distance instead.
+    """
+    subspaces = list(subspaces)
+    q = subspaces[0].q
+    if sum(q ** s.dim for s in subspaces) > _MATERIALIZE_GUARD:
+        yield from pair_rows(subspaces, subspace_pair_distance)
+        return
+    sets = [frozenset(s.vectors()) for s in subspaces]
+    dims = [s.dim for s in subspaces]
+    log_q = {q ** k: k for k in range(max(dims) + 1)}
+    for i, (a, da) in enumerate(zip(sets, dims)):
+        yield [da + db - 2 * log_q[len(a & b)] for b, db in zip(sets[i + 1:], dims[i + 1:])]
+
+
+def subset_rows(sets):
+    """Rows of symmetric-difference sizes, each set taken on first use."""
+    sets = list(sets)
+    sizes = [len(a) for a in sets]
+    for i, (a, na) in enumerate(zip(sets, sizes)):
+        yield [na + nb - 2 * len(a & b) for b, nb in zip(sets[i + 1:], sizes[i + 1:])]
 
 
 def folded_span(a: FoldedWord):
     """F_q-span of the blocks, each flattened to a vector in F_q^(n*r)."""
     return span(_flat_blocks(a), a.ctx.n * a.block_len, a.ctx.q)
-
-
-def _index_sweep(items, dist, metric, force, notes) -> MetricReport:
-    """pairwise_min_report over member indices, reported on the members.
-
-    dist(i, j) scores members i and j; the pair count and the witness (the
-    first attaining pair) are the same as a per-pair sweep's.
-    """
-    rep = pairwise_min_report(range(len(items)), dist, metric, force=force, notes=notes)
-    i, j = rep.witness_indices
-    return MetricReport(metric, rep.minimum, (items[i], items[j]), (i, j), rep.pairs, notes)
-
-
-def subspace_min_report(items, subspace_of, metric: str,
-                        force: bool = False, notes: dict | None = None) -> MetricReport:
-    """Exact minimum subspace distance with each member's subspace computed once.
-
-    subspace_of(item) gives the member's subspace; all must share q and
-    the ambient space.  The pair distance is dim U + dim V - 2k where
-    q^k = |U ∩ V|.  When the members hold more than _MATERIALIZE_GUARD
-    vectors in total, each pair of the built subspaces is scored by
-    subspace_pair_distance instead.
-    """
-    items = list(items)
-    _pair_count(len(items), force)
-    subspaces = [subspace_of(x) for x in items]
-    q = subspaces[0].q
-    if sum(q ** s.dim for s in subspaces) > _MATERIALIZE_GUARD:
-        def dist(i, j):
-            return subspace_pair_distance(subspaces[i], subspaces[j])
-    else:
-        sets = [frozenset(s.vectors()) for s in subspaces]
-        dims = [s.dim for s in subspaces]
-        log_q = {q ** k: k for k in range(max(dims) + 1)}
-
-        def dist(i, j):
-            return dims[i] + dims[j] - 2 * log_q[len(sets[i] & sets[j])]
-    return _index_sweep(items, dist, metric, force, notes)
-
-
-def subset_min_report(items, set_of, metric: str, force: bool = False,
-                      notes: dict | None = None) -> MetricReport:
-    """Exact minimum subset distance with each member's set built once."""
-    items = list(items)
-    _pair_count(len(items), force)
-    sets = [set_of(x) for x in items]
-    return _index_sweep(items, lambda i, j: symmetric_difference(sets[i], sets[j]),
-                        metric, force, notes)
 
 
 def _row_span(rows, length: int, ctx: FieldCtx) -> list[tuple]:
@@ -464,35 +453,40 @@ class VectorCode:
         return cls(ctx, len(rows[0]), None, generator=rows, provenance=provenance)
 
 
+def _insdel_rows(c: VectorCode):
+    """Insdel distances of each codeword to the later ones, one packed scan
+    per codeword; every codeword has length n, so d_insdel = 2 (n - LCS)."""
+    n, masks = c.length, c.lcs_masks
+    for i, w in enumerate(c.codewords):
+        yield [2 * (n - s) for s in packed_lcs(masks, w.symbols)[i + 1:]]
+
+
 def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
                       force: bool = False) -> MetricReport:
     """Exhaustive minimum distance of a vector code under the named metric."""
     words = c.codewords
+    notes = None
     if metric == "hamming":
-        return pairwise_min_report(words, hamming_distance, metric, force=force)
-    if metric == "insdel":
-        _pair_count(len(words), force)
-        n = c.length  # every codeword has length n, so d_insdel = 2 (n - LCS)
-        masks = c.lcs_masks
-        # The sweep takes pairs (i, j) with i in order: one scan per member.
-        row = lru_cache(maxsize=1)(lambda i: packed_lcs(masks, words[i].symbols))
-        return _index_sweep(words, lambda i, j: 2 * (n - row(i)[j]), metric, force, None)
-    if metric == "subspace":
-        return subspace_min_report(words, word_span, metric, force=force)
-    if metric == "subset":
-        return subset_min_report(words, lambda w: frozenset(w.symbols), metric, force=force)
-    if metric not in ("r_subspace", "r_subset"):
+        rows = pair_rows(words, hamming_distance)
+    elif metric == "insdel":
+        rows = _insdel_rows(c)
+    elif metric == "subspace":
+        rows = subspace_rows(word_span(w) for w in words)
+    elif metric == "subset":
+        rows = subset_rows(frozenset(w.symbols) for w in words)
+    elif metric in ("r_subspace", "r_subset"):
+        if r is None or r < 1:
+            raise InvalidParams("r-th metrics need a block length")
+        notes = {"block_len": r}
+        if c.length % r:
+            notes["padding"] = "zero"
+        if metric == "r_subspace":
+            rows = subspace_rows(folded_span(fold(w, r)) for w in words)
+        else:
+            rows = subset_rows(frozenset(fold(w, r).blocks) for w in words)
+    else:
         raise InvalidParams(f"unknown metric {metric!r}")
-    if r is None or r < 1:
-        raise InvalidParams("r-th metrics need a block length")
-    notes = {"block_len": r}
-    if c.length % r:
-        notes["padding"] = "zero"
-    if metric == "r_subspace":
-        return subspace_min_report(words, lambda w: folded_span(fold(w, r)),
-                                   metric, force=force, notes=notes)
-    return subset_min_report(words, lambda w: frozenset(fold(w, r).blocks),
-                             metric, force=force, notes=notes)
+    return pairwise_min_report(words, rows, metric, force=force, notes=notes)
 
 
 def generalized_hamming_weights(c: VectorCode) -> list[int]:

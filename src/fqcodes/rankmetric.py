@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx, add_packed, pack
 from .linalg import packed_rank, subspace_count
-from .metrics import pairwise_min_report
+from .metrics import pair_rows, pairwise_min_report
 
 _GABIDULIN_GUARD = 1 << 22
 
@@ -184,7 +184,7 @@ def rank_distance_of_code(c: RankCode) -> int:
 
     def dist(a, b):
         return packed_rank([add_packed(x, y, q, -1) for x, y in zip(a, b)], ncols, q)
-    return pairwise_min_report(matrices, dist, "rank").minimum
+    return pairwise_min_report(matrices, pair_rows(matrices, dist), "rank").minimum
 
 
 @dataclass(frozen=True)

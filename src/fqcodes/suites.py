@@ -35,11 +35,12 @@ from .metrics import (
     code_min_distance,
     hamming_distance,
     insdel_distance,
+    pair_rows,
     r_subset_distance,
     r_subspace_distance,
     subset_distance,
+    subset_rows,
     subspace_distance,
-    symmetric_difference,
 )
 from .metrics import VectorCode
 from .rankmetric import (
@@ -114,8 +115,7 @@ def suite_chain(seed: int, samples: int) -> SuiteResult:
     res.check("random pairs", bad == 0, f"{bad} violations in {samples} pairs")
     f4 = FieldCtx(2, 2)
     words = [Word(f4, (a, b)) for a in f4.elements() for b in f4.elements()]
-    bad = sum(1 for i in range(len(words)) for j in range(i + 1, len(words))
-              if not _chain_ok(words[i], words[j]))
+    bad = sum(row.count(False) for row in pair_rows(words, _chain_ok))
     res.check("exhaustive F_4^2", bad == 0, f"{bad} violations in all pairs")
     return res
 
@@ -210,11 +210,8 @@ def suite_folded_eval() -> SuiteResult:
                   f"({ds.v},{ds.k},{ds.lam})")
         res.check(f"m(D)==lambda n={n}", m_of_d(ctx, ds.members) == ds.lam)
         fc = evaluation_folded_code(ctx, ds.members)
-        dists = set()
-        words = fc.codewords
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                dists.add(symmetric_difference(set(words[i].blocks), set(words[j].blocks)))
+        dists = {d for row in subset_rows(frozenset(w.blocks) for w in fc.codewords)
+                 for d in row}
         expected = 2 * (ds.k - ds.lam)
         res.check(f"equidistant n={n}", dists == {expected},
                   f"distances={sorted(dists)} expected {expected}")

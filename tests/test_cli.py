@@ -453,6 +453,20 @@ def test_force_on_a_command_that_does_not_sweep_is_a_usage_error(tmp_path, capsy
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_format_on_verify_is_a_usage_error(capsys, fmt):
+    code, stdout, err = run(capsys, "verify", "--suite", "spread", "--format", fmt)
+    assert (code, stdout) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: --format {fmt}\n")
+
+
+@pytest.mark.parametrize("argv", ["construct --kind spread --k 2 --n 4 --out x",
+                                  "metric x --metric hamming", "bounds --n 4",
+                                  "simulate --code x", "fold --code x --block-len 2 --out x"])
+def test_every_other_command_takes_format(argv):
+    assert build_parser().parse_args([*argv.split(), "--format", "csv"]).format == "csv"
+
+
 def test_construct_lifted_mrd_from_a_file_needs_no_field_flags(tmp_path, capsys):
     gab = str(tmp_path / "gab.json")
     assert run(capsys, "construct", "--kind", "gabidulin", "--n", "3", "--t", "1",

@@ -21,7 +21,6 @@ from fqcodes.constructions import (
     structural_min_distance,
     subspace_code_min_distance,
 )
-from fqcodes.metrics import pairwise_min_report
 from fqcodes.rankmetric import (
     LinearizedPoly,
     RankCode,
@@ -29,6 +28,7 @@ from fqcodes.rankmetric import (
     poly_to_matrix,
 )
 from fqcodes.serialize import subspace_code_from_obj, subspace_code_to_obj
+from sweep_oracle import pairwise_oracle
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 
@@ -80,7 +80,7 @@ def test_min_distance_disjoint_planes():
 def test_fast_path_matches_generic_sweep():
     sc = spread(2, 2, 4)
     fast = subspace_code_min_distance(sc)
-    generic = pairwise_min_report(sc.members, subspace_pair_distance, "subspace")
+    generic = pairwise_oracle(sc.members, subspace_pair_distance, "subspace")
     assert (fast.minimum, fast.witness_indices) == (generic.minimum, generic.witness_indices)
 
 

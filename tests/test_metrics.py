@@ -22,13 +22,13 @@ from fqcodes.metrics import (
     lcs_length,
     pack_lcs_masks,
     packed_lcs,
-    pairwise_min_report,
     r_subset_distance,
     r_subspace_distance,
     subset_distance,
     subspace_distance,
     word,
 )
+from sweep_oracle import pairwise_oracle
 
 F2 = FieldCtx(2, 1)
 F4 = FieldCtx(2, 2)
@@ -174,7 +174,7 @@ def _small_code(draw):
 @given(_small_code())
 def test_insdel_sweep_matches_the_lcs_dp_pairwise_sweep(c):
     rep = code_min_distance(c, "insdel")
-    oracle = pairwise_min_report(
+    oracle = pairwise_oracle(
         c.codewords, lambda x, y: len(x) + len(y) - 2 * lcs_length(x.symbols, y.symbols),
         "insdel")
     assert (rep.minimum, rep.witness_indices, rep.pairs) == \
@@ -194,7 +194,7 @@ def test_insdel_sweep_past_a_chunk_matches_the_insdel_distance_sweep(ctx, n, m, 
         rows[tuple(rng.randrange(ctx.order) for _ in range(n))] = None
     c = VectorCode(ctx, n, [Word(ctx, r) for r in rows])
     rep = code_min_distance(c, "insdel")
-    assert rep == pairwise_min_report(c.codewords, insdel_distance, "insdel")
+    assert rep == pairwise_oracle(c.codewords, insdel_distance, "insdel")
 
 
 def test_subspace_distance_examples():
@@ -327,12 +327,23 @@ def test_code_min_distance_guards(monkeypatch):
         code_min_distance(VectorCode(F2, 2, [a]), "hamming")
     words = [w2([x, y, z]) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
     monkeypatch.setattr(metrics, "PAIR_GUARD", 3)
+    c = VectorCode(F2, 3, words)
     with pytest.raises(SearchTooLarge):
-        pairwise_min_report(words, hamming_distance, "hamming")
-    rep = pairwise_min_report(words, hamming_distance, "hamming", force=True)
+        code_min_distance(c, "hamming")
+    rep = code_min_distance(c, "hamming", force=True)
     assert rep.minimum == 1
     with pytest.raises(InvalidParams):
         code_min_distance(VectorCode(F2, 2, [a, w2([1, 0])]), "r_subset")
+
+
+def test_insdel_sweep_past_the_guard_builds_no_masks(monkeypatch):
+    c = VectorCode(F2, 3, [w2([x, y, z]) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    monkeypatch.setattr(metrics, "PAIR_GUARD", 27)
+    with pytest.raises(SearchTooLarge, match="28 pairs exceed the guard"):
+        code_min_distance(c, "insdel")
+    assert "lcs_masks" not in vars(c)
+    assert code_min_distance(c, "insdel", force=True).minimum == 2
+    assert "lcs_masks" in vars(c)
 
 
 def test_witness_is_first_minimal_pair():

@@ -22,6 +22,7 @@ from fqcodes.rankmetric import (
     rank_distance_of_code,
 )
 from fqcodes.serialize import load_file, save_file
+from sweep_oracle import pairwise_oracle
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 
@@ -113,7 +114,7 @@ def test_rank_distance_requires_members():
 
 def test_rank_distance_pairwise_matches_linear_scan():
     code = gabidulin_code(GF8, 1)
-    pairwise = pairwise_min_report(code.members, lambda a, b: poly_rank(_sub(a, b)), "rank")
+    pairwise = pairwise_oracle(code.members, lambda a, b: poly_rank(_sub(a, b)), "rank")
     assert rank_distance_of_code(code) == pairwise.minimum
 
 
@@ -137,7 +138,7 @@ def test_rank_distance_of_a_non_linear_code_is_pairwise(tmp_path):
 def test_pairwise_rank_distance_over_f3_subtracts_matrices():
     code = gabidulin_code(FieldCtx(3, 2), 1)
     sub = RankCode(code.ctx, code.members[1:40], 1)  # 39 members: not a power of 3
-    expected = pairwise_min_report(sub.members, lambda a, b: poly_rank(_sub(a, b)), "rank")
+    expected = pairwise_oracle(sub.members, lambda a, b: poly_rank(_sub(a, b)), "rank")
     assert rank_distance_of_code(sub) == expected.minimum
 
 
@@ -159,7 +160,7 @@ def test_members_with_one_matrix_are_at_distance_zero():
 def test_member_scan_runs_only_on_linear_codes(monkeypatch, members, linear):
     code = gabidulin_code(GF8, 1)
     sub = RankCode(GF8, members(code), 1)
-    expected = pairwise_min_report(sub.members, lambda a, b: poly_rank(_sub(a, b)), "rank")
+    expected = pairwise_oracle(sub.members, lambda a, b: poly_rank(_sub(a, b)), "rank")
     assert rank_distance_of_code(sub) == expected.minimum
 
     def no_sweep(*args, **kwargs):
@@ -171,6 +172,33 @@ def test_member_scan_runs_only_on_linear_codes(monkeypatch, members, linear):
     else:
         with pytest.raises(AssertionError, match="pairwise sweep"):
             rank_distance_of_code(sub)
+
+
+# Rows of rank distances: [1, 3, 1], [2, 2], [3] (a tie in row 0, the first
+# j wins); [2, 3, 3], [2, 2], [3] (the minimum again in row 1, row 0 keeps
+# it); [3, 2, 2], [3, 2], [1] (only in the last row).  No set holds zero,
+# so none is a linear code and each is swept.
+@pytest.mark.parametrize("coeffs, witness", [
+    ([(0, 7, 4), (4, 6, 1), (2, 0, 0), (3, 3, 1)], (0, 1)),
+    ([(7, 7, 3), (7, 1, 4), (7, 4, 3), (6, 0, 4)], (0, 1)),
+    ([(2, 1, 2), (5, 3, 3), (6, 6, 7), (3, 3, 2)], (2, 3)),
+])
+def test_rank_sweep_reports_the_first_attaining_pair(monkeypatch, coeffs, witness):
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(pairwise_min_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(rankmetric, "pairwise_min_report", recorded)
+    members = [LinearizedPoly(GF8, c) for c in coeffs]
+    for sub, first in ((members, witness), (members[:2], (0, 1))):  # and m = 2
+        oracle = pairwise_oracle(sub, lambda a, b: poly_rank(_sub(a, b)), "rank")
+        assert rank_distance_of_code(RankCode(GF8, sub, 2)) == oracle.minimum
+        rep = reports.pop()
+        assert (rep.minimum, rep.witness_indices, rep.pairs) == \
+            (oracle.minimum, oracle.witness_indices, oracle.pairs)
+        assert rep.witness_indices == first
 
 
 def test_gaussian_binomial_examples():

@@ -1,4 +1,4 @@
-"""Precomputed subspace/subset sweeps against the per-pair distance oracles."""
+"""Row sweeps (subspace, subset, r-th, folded) against the per-pair oracle."""
 
 import pytest
 from hypothesis import given, settings
@@ -21,15 +21,21 @@ from fqcodes.metrics import (
     code_min_distance,
     folded_subset_distance,
     folded_subspace_distance,
+    hamming_distance,
+    insdel_distance,
+    pair_rows,
     pairwise_min_report,
     r_subset_distance,
     r_subspace_distance,
     subset_distance,
-    subset_min_report,
+    subset_rows,
     subspace_distance,
-    subspace_min_report,
+    subspace_rows,
 )
+from sweep_oracle import pairwise_oracle
 
+F2 = FieldCtx(2, 1)
+F4 = FieldCtx(2, 2)
 GF8 = FieldCtx(2, 3)
 GF9 = FieldCtx(3, 2)
 AMBIENT = {2: 5, 3: 3, 5: 3}
@@ -79,16 +85,16 @@ fields = st.sampled_from([GF8, GF9])
 def test_vector_subspace_and_subset_sweeps_match_oracle(data):
     c = data.draw(vector_codes(data.draw(fields)))
     _same(code_min_distance(c, "subspace"),
-          pairwise_min_report(c.codewords, subspace_distance, "subspace"))
+          pairwise_oracle(c.codewords, subspace_distance, "subspace"))
     _same(code_min_distance(c, "subset"),
-          pairwise_min_report(c.codewords, subset_distance, "subset"))
+          pairwise_oracle(c.codewords, subset_distance, "subset"))
 
 
 @settings(max_examples=150, deadline=None)
 @given(subspace_codes())
 def test_subspace_code_sweep_matches_oracle(sc):
     _same(subspace_code_min_distance(sc),
-          pairwise_min_report(sc.members, subspace_pair_distance, "subspace"))
+          pairwise_oracle(sc.members, subspace_pair_distance, "subspace"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -97,13 +103,13 @@ def test_r_th_sweeps_match_oracle(data):
     c = data.draw(vector_codes(data.draw(fields)))
     r = data.draw(st.integers(1, 3))
     fast = code_min_distance(c, "r_subspace", r=r)
-    _same(fast, pairwise_min_report(c.codewords, lambda a, b: r_subspace_distance(a, b, r),
-                                    "r_subspace"))
+    _same(fast, pairwise_oracle(c.codewords, lambda a, b: r_subspace_distance(a, b, r),
+                                "r_subspace"))
     assert fast.notes == ({"block_len": r, "padding": "zero"} if c.length % r
                           else {"block_len": r})
     _same(code_min_distance(c, "r_subset", r=r),
-          pairwise_min_report(c.codewords, lambda a, b: r_subset_distance(a, b, r),
-                              "r_subset"))
+          pairwise_oracle(c.codewords, lambda a, b: r_subset_distance(a, b, r),
+                          "r_subset"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -112,9 +118,9 @@ def test_folded_sweeps_match_oracle(data):
     c = data.draw(vector_codes(data.draw(fields)))
     fc = folded_code_from_vector_code(c, data.draw(st.integers(1, 3)))
     _same(folded_code_min_distance(fc, "subspace"),
-          pairwise_min_report(fc.codewords, folded_subspace_distance, "subspace"))
+          pairwise_oracle(fc.codewords, folded_subspace_distance, "subspace"))
     _same(folded_code_min_distance(fc, "subset"),
-          pairwise_min_report(fc.codewords, folded_subset_distance, "subset"))
+          pairwise_oracle(fc.codewords, folded_subset_distance, "subset"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,15 +141,17 @@ def test_budget_fallback_agrees(data):
 
 
 def test_guards_fire_before_members_are_prepared():
-    def prepare(_):
+    def prepare(*_):
         raise AssertionError("member prepared before the guard")
 
+    one = [span([], 2, 2)]
     with pytest.raises(InvalidParams, match="two members"):
-        subspace_min_report([span([], 2, 2)], prepare, "subspace")
-    with pytest.raises(SearchTooLarge, match="exceed the guard"):
-        subspace_min_report(range(4473), prepare, "subspace")
-    with pytest.raises(SearchTooLarge, match="exceed the guard"):
-        subset_min_report(range(4473), prepare, "subset")
+        pairwise_min_report(one, subspace_rows(map(prepare, one)), "subspace")
+    many = range(4473)
+    for rows in (subspace_rows(map(prepare, many)), subset_rows(map(prepare, many)),
+                 pair_rows(many, prepare)):
+        with pytest.raises(SearchTooLarge, match="exceed the guard"):
+            pairwise_min_report(many, rows, "subspace")
 
 
 def test_folded_code_of_unlike_folds_raises_like_per_pair():
@@ -154,4 +162,42 @@ def test_folded_code_of_unlike_folds_raises_like_per_pair():
     oracles = {"subset": folded_subset_distance, "subspace": folded_subspace_distance}
     for metric, dist in oracles.items():
         with pytest.raises(InvalidParams, match="block lengths"):
-            pairwise_min_report((a, b), dist, metric)
+            pairwise_oracle((a, b), dist, metric)
+
+
+# Four codewords whose rows of distances (in the comments) put the minimum
+# twice in one row, where the first j wins ("tie"); in one row and again in
+# a later one, where the earlier row keeps the witness ("later"); or only
+# in the last row, i = m - 2 ("last").
+WITNESS_CASES = [
+    ("hamming", F2, "tie", [(0, 0, 0, 0), (1, 1, 1, 0), (0, 1, 1, 0), (1, 0, 1, 0)],
+     (1, 2)),  # [3, 2, 2], [1, 1], [2]
+    ("hamming", F2, "later", [(0, 1, 0, 0), (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 0, 0)],
+     (0, 3)),  # [3, 2, 1], [1, 2], [1]
+    ("hamming", F2, "last", [(0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0)],
+     (2, 3)),  # [2, 2, 3], [2, 3], [1]
+    ("insdel", F2, "tie", [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)],
+     (0, 1)),  # [2, 2, 4], [4, 4], [4]
+    ("insdel", F2, "later", [(0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1), (0, 0, 0, 0)],
+     (0, 2)),  # [4, 2, 4], [4, 2], [6]
+    ("insdel", F2, "last", [(1, 1, 1, 1), (0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 0, 1)],
+     (2, 3)),  # [8, 4, 4], [4, 4], [2]
+    ("subset", F4, "tie", [(2, 1, 1), (0, 3, 3), (2, 2, 2), (3, 1, 2)],
+     (0, 2)),  # [4, 1, 1], [3, 3], [2]
+    ("subset", F4, "later", [(3, 0, 1), (3, 1, 3), (0, 0, 0), (3, 2, 1)],
+     (0, 1)),  # [1, 2, 2], [3, 1], [4]
+    ("subset", F4, "last", [(3, 3, 3), (3, 2, 1), (3, 3, 0), (3, 0, 0)],
+     (2, 3)),  # [2, 1, 1], [3, 3], [0]
+]
+DISTANCES = {"hamming": hamming_distance, "insdel": insdel_distance,
+             "subset": subset_distance}
+
+
+@pytest.mark.parametrize("metric, ctx, case, rows, witness", WITNESS_CASES,
+                         ids=[f"{m}-{case}" for m, _, case, _, _ in WITNESS_CASES])
+def test_row_sweep_reports_the_first_attaining_pair(metric, ctx, case, rows, witness):
+    words = [Word(ctx, r) for r in rows]
+    for members, first in ((words, witness), (words[:2], (0, 1))):  # and m = 2
+        rep = code_min_distance(VectorCode(ctx, len(rows[0]), members), metric)
+        assert rep == pairwise_oracle(members, DISTANCES[metric], metric)
+        assert rep.witness_indices == first
