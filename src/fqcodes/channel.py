@@ -78,18 +78,6 @@ def correction_capability(c: VectorCode, force: bool = False) -> int:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    trial: int
-    seed: int
-    insertions: int
-    deletions: int
-    result: str  # ok | wrong | ambiguous
-
-    def csv_line(self) -> str:
-        return f"{self.trial},{self.seed},{self.insertions},{self.deletions},{self.result}"
-
-
-@dataclass(frozen=True)
 class TrialSummary:
     trials: int
     successes: int
@@ -101,16 +89,14 @@ class TrialSummary:
     deletions: int
     seed: int
     prng: str
-    records: tuple
+    records: tuple  # one transcript line per trial: trial,seed,ins,del,result
 
     @property
     def success_rate(self) -> float:
         return self.successes / self.trials if self.trials else 1.0
 
     def transcript_csv(self) -> str:
-        lines = ["trial,seed,ins,del,result"]
-        lines.extend(r.csv_line() for r in self.records)
-        return "\n".join(lines) + "\n"
+        return "\n".join(("trial,seed,ins,del,result", *self.records)) + "\n"
 
 
 def run_trials(c: VectorCode, spec: ChannelSpec, trials: int,
@@ -140,8 +126,7 @@ def run_trials(c: VectorCode, spec: ChannelSpec, trials: int,
         else:
             wrong += 1
             result = "wrong"
-        records.append(TrialRecord(i, trial_seed, spec.insertions,
-                                   spec.deletions, result))
+        records.append(f"{i},{trial_seed},{spec.insertions},{spec.deletions},{result}")
     return TrialSummary(trials, successes, wrong, ambiguous, capability,
                         within, spec.insertions, spec.deletions, spec.seed,
                         PRNG_NAME, tuple(records))

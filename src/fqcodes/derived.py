@@ -235,7 +235,7 @@ def m_of_d(ctx: FieldCtx, members) -> int:
 
 
 def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
-    """One codeword (w x_1, ..., w x_D) per nonzero w; blocks of one symbol.
+    """One codeword (w x_1, ..., w x_D) per nonzero w; each block is one symbol w x_i.
 
     The identification of linear functionals with field elements makes every
     codeword a scalar translate of the point tuple, so pairwise block-set
@@ -248,7 +248,7 @@ def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
     if ctx.zero in points or len(set(points)) != len(points):
         raise InvalidParams("points must be distinct and nonzero")
     # w -> w x_1 is injective, so the codewords are distinct
-    words = tuple(FoldedWord(ctx, 1, tuple((ctx.mul(w, x),) for x in points))
+    words = tuple(FoldedWord(ctx, 1, tuple(ctx.mul(w, x) for x in points))
                   for w in range(1, ctx.order))
     return FoldedCode(ctx, 1, words,
                       provenance={"construction": "evaluation_folded",
@@ -263,7 +263,7 @@ def scalar_orbit_subset_distance(fc: FoldedCode, points) -> int | None:
 
     Codeword w's block set is wD, so |wD Δ w'D| = 2(k - |yD ∩ D|) with
     y = w'/w, and y runs over every nonzero element but 1.  Checked in
-    O(|C| k): w is read off the first symbol, then every symbol is checked.
+    O(|C| k): w is read off the first block, then every block is checked.
     """
     ctx, points = fc.ctx, list(points)
     if not points or fc.block_len != 1 or len(fc) != ctx.order - 1 or len(fc) < 2:
@@ -271,8 +271,8 @@ def scalar_orbit_subset_distance(fc: FoldedCode, points) -> int | None:
     scale = ctx.inv(points[0])
     scalars = set()
     for c in fc.codewords:
-        w = ctx.mul(c.blocks[0][0], scale)
-        if not w or c.blocks != tuple((ctx.mul(w, x),) for x in points):
+        w = ctx.mul(c.blocks[0], scale)
+        if not w or c.blocks != tuple(ctx.mul(w, x) for x in points):
             return None
         scalars.add(w)
     if len(scalars) != len(fc):

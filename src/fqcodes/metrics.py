@@ -25,11 +25,12 @@ tested against.
 Every code-level sweep is one pairwise_min_report over rows, row i holding
 member i's distances to members i+1, ..., m-1; the witness is the first
 attaining pair in codeword order, so reports are reproducible.  The rows
-come from generators (pair_rows, subspace_rows, subset_rows, _insdel_rows)
-that prepare the members only once the pair-count guard has passed.
+come from generators (pair_rows, subspace_rows, subset_rows, _hamming_rows,
+_insdel_rows) that prepare the members only once the pair-count guard has
+passed.
 
 subspace_rows holds each member's subspace (the span of a word's symbols
-or of a folded word's flattened blocks, or a subspace code's member
+or of a folded word's packed blocks, or a subspace code's member
 itself) as the frozenset of its q^dim packed vectors, Subspace.vectors(),
 so dim(U ∩ V) = log_q |U ∩ V| is one set intersection; past 2^20 vectors
 in total it scores each pair with linalg.subspace_pair_distance instead.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ne
 
 from .errors import InvalidParams, SearchTooLarge
 from .gf import FieldCtx, pack
@@ -84,17 +86,18 @@ def word(ctx: FieldCtx, symbols) -> Word:
 
 @dataclass(frozen=True)
 class FoldedWord:
-    """A word whose symbols are grouped into fixed-length blocks."""
+    """A word whose symbols are grouped into blocks of block_len symbols, each
+    block one int, pack(block, q^n): its vector in F_q^(n*block_len)."""
 
     ctx: FieldCtx
     block_len: int
     blocks: tuple
 
     def __post_init__(self):
+        bound = self.ctx.order ** self.block_len if self.blocks else 0  # no power for no blocks
         for b in self.blocks:
-            if len(b) != self.block_len:
-                raise InvalidParams("ragged block in folded word")
-            self.ctx.check_elements(b)
+            if not (type(b) is int and 0 <= b < bound):
+                raise InvalidParams(f"block {b!r} is not an int in [0, {bound})")
 
 
 def _require_same_ctx(a, b):
@@ -245,13 +248,13 @@ def subset_distance(a: Word, b: Word) -> int:
 
 
 def fold(a: Word, r: int) -> FoldedWord:
-    """Group symbols into ceil(m/r) blocks of length r, zero-padding the tail."""
+    """Group symbols into ceil(m/r) packed blocks of length r, zero-padding the tail."""
     if r < 1:
         raise InvalidParams("block length must be >= 1")
     syms = list(a.symbols)
     if len(syms) % r:
         syms.extend([a.ctx.zero] * (r - len(syms) % r))
-    blocks = tuple(tuple(syms[i:i + r]) for i in range(0, len(syms), r))
+    blocks = tuple(pack(syms[i:i + r], a.ctx.order) for i in range(0, len(syms), r))
     return FoldedWord(a.ctx, r, blocks)
 
 
@@ -262,16 +265,10 @@ def _require_same_fold(a: FoldedWord, b: FoldedWord):
         raise InvalidParams("folded words have different block lengths")
 
 
-def _flat_blocks(a: FoldedWord) -> list[int]:
-    """The blocks, each flattened to a vector in F_q^(n*r) and packed: a
-    block's symbols are its base-q^n digits."""
-    return [pack(blk, a.ctx.order) for blk in a.blocks]
-
-
 def folded_subspace_distance(a: FoldedWord, b: FoldedWord) -> int:
-    """Subspace distance with blocks flattened to vectors in F_q^(n*r)."""
+    """Subspace distance of the block spans inside F_q^(n*r)."""
     _require_same_fold(a, b)
-    return span_distance(_flat_blocks(a), _flat_blocks(b), a.ctx.n * a.block_len, a.ctx.q)
+    return span_distance(a.blocks, b.blocks, a.ctx.n * a.block_len, a.ctx.q)
 
 
 def folded_subset_distance(a: FoldedWord, b: FoldedWord) -> int:
@@ -377,8 +374,8 @@ def subset_rows(sets):
 
 
 def folded_span(a: FoldedWord):
-    """F_q-span of the blocks, each flattened to a vector in F_q^(n*r)."""
-    return span(_flat_blocks(a), a.ctx.n * a.block_len, a.ctx.q)
+    """F_q-span of the blocks, vectors in F_q^(n*r)."""
+    return span(a.blocks, a.ctx.n * a.block_len, a.ctx.q)
 
 
 def _row_span(rows, length: int, ctx: FieldCtx) -> list[tuple]:
@@ -453,6 +450,14 @@ class VectorCode:
         return cls(ctx, len(rows[0]), None, generator=rows, provenance=provenance)
 
 
+def _hamming_rows(c: VectorCode):
+    """Hamming distances of each codeword to the later ones; the code has
+    already checked every codeword's field and length."""
+    symbols = [w.symbols for w in c.codewords]
+    for i, a in enumerate(symbols):
+        yield [sum(map(ne, a, b)) for b in symbols[i + 1:]]
+
+
 def _insdel_rows(c: VectorCode):
     """Insdel distances of each codeword to the later ones, one packed scan
     per codeword; every codeword has length n, so d_insdel = 2 (n - LCS)."""
@@ -467,7 +472,7 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
     words = c.codewords
     notes = None
     if metric == "hamming":
-        rows = pair_rows(words, hamming_distance)
+        rows = _hamming_rows(c)
     elif metric == "insdel":
         rows = _insdel_rows(c)
     elif metric == "subspace":

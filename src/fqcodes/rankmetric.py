@@ -101,6 +101,8 @@ class RankCode:
         self.src = None if src == ctx else src
         self.t = t
         self.members = tuple(members)
+        if any((p.ctx, p.src) != (ctx, self.src) for p in self.members):
+            raise InvalidParams("rank code members must share the code's field and domain")
         if len(set(self.members)) != len(self.members):
             raise InvalidParams("rank code members must be distinct")
         self.declared_rank_distance = declared_rank_distance

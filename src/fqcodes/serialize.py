@@ -7,10 +7,11 @@ byte-identical files.  One emitter yields that text in bounded chunks, which
 a writer hashes as it writes them and `dumps_canonical` joins.  Integers
 beyond the 53-bit float-safe range are emitted as decimal strings; readers
 accept either form.  A field element is written as its coefficient list (c_0
-first), and so is a subspace basis row, which the library holds as a packed
-int: this module is the one place outside gf where either takes that form.
-Subspace bases are checked entry by entry and re-validated as RREF on read,
-and any structural problem surfaces as ParseError.
+first), and so is a subspace basis row; a folded word's block is its symbols'
+lists.  The library holds each of the three as a packed int: this module is
+the one place outside gf where any takes the list form.  Subspace bases are
+checked entry by entry and re-validated as RREF on read, a folded word's
+blocks for their length, and any structural problem surfaces as ParseError.
 
 Every file of a code object carries a "kind" discriminator.  `_KINDS` is
 the one table of them: it maps each kind to its class and to the pair of
@@ -279,7 +280,10 @@ def subspace_code_from_obj(d) -> SubspaceCode:
 # -- folded codes -------------------------------------------------------------
 
 def _blocks_to_lists(w: FoldedWord):
-    return [[list(w.ctx.coefficients(s)) for s in blk] for blk in w.blocks]
+    """Each block as its symbols' coefficient lists: its n r base-q digits in runs of n."""
+    n, q, width = w.ctx.n, w.ctx.q, w.ctx.n * w.block_len
+    return [[list(d[i:i + n]) for i in range(0, width, n)]
+            for d in (unpack(b, q, width) for b in w.blocks)]
 
 
 def folded_code_to_obj(fc: FoldedCode) -> dict:
@@ -297,7 +301,9 @@ def folded_code_from_obj(d) -> FoldedCode:
     block_len = as_int(d["block_len"])
     words = []
     for w in d["codewords"]:
-        blocks = tuple(tuple(_symbol_from_obj(ctx, s) for s in blk) for blk in w)
+        if any(len(blk) != block_len for blk in w):
+            raise InvalidParams("ragged block in folded word")
+        blocks = tuple(pack([_symbol_from_obj(ctx, s) for s in blk], ctx.order) for blk in w)
         words.append(FoldedWord(ctx, block_len, blocks))
     return FoldedCode(ctx, block_len, tuple(words), _provenance(d))
 

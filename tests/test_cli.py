@@ -8,7 +8,11 @@ import pytest
 from fqcodes import __version__, cli
 from fqcodes.cli import CONSTRUCT_KINDS, build_parser, check_options, main
 from fqcodes.constructions import lift_rank_code, spread
-from fqcodes.derived import all_vectors_code, singer_difference_set
+from fqcodes.derived import (
+    all_vectors_code,
+    folded_code_from_vector_code,
+    singer_difference_set,
+)
 from fqcodes.gf import FieldCtx
 from fqcodes.errors import ParseError
 from fqcodes.metrics import VectorCode, word
@@ -156,6 +160,18 @@ def _assert_exit_2(capsys, path):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     return err
+
+
+def test_metric_on_a_folded_code_with_a_short_block_exits_2(tmp_path, capsys):
+    ctx = FieldCtx(2, 2)
+    vc = VectorCode(ctx, 4, [word(ctx, [(1, 0), (0, 1), (1, 1), (0, 1)]),
+                             word(ctx, [(1, 1), (0, 0), (0, 1), (1, 0)])])
+    path = tmp_path / "folded.json"
+    save_file(str(path), folded_code_from_vector_code(vc, 2))
+    obj = json.loads(path.read_text())
+    obj["codewords"][1][1] = obj["codewords"][1][1][:1]  # one symbol short
+    path.write_text(json.dumps(obj))
+    assert "ragged block in folded word" in _assert_exit_2(capsys, path)
 
 
 def test_metric_on_non_utf8_file_exits_2(tmp_path, capsys):

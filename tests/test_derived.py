@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fqcodes.errors import InvalidParams
-from fqcodes.gf import FieldCtx
+from fqcodes.gf import FieldCtx, pack
 from fqcodes.constructions import (
     lift_rank_code,
     orbit_cyclic_code,
@@ -224,7 +224,7 @@ def test_evaluation_folded_symbol_sets_are_translates():
     for i in range(1, GF8.order):
         w = GF8.element_at(i)
         translate = {GF8.mul(w, d) for d in dset}
-        expected_blocks = {(s,) for s in translate}
+        expected_blocks = {pack((s,), GF8.order) for s in translate}
         found = [cw for cw in fc.codewords if set(cw.blocks) == expected_blocks]
         assert len(found) >= 1
 
@@ -253,13 +253,13 @@ def test_fold_blocks_agree_with_metric_fold():
 
 
 def test_folded_code_checks_the_field_and_block_length_of_every_word():
-    a = FoldedWord(GF8, 1, ((GF8.one,),))
+    a = FoldedWord(GF8, 1, (pack((GF8.one,), GF8.order),))
     assert len(FoldedCode(GF8, 1, (a, a))) == 2
     with pytest.raises(InvalidParams, match="the code's field and block lengths"):
         FoldedCode(GF8, 2, (a,))
     other = FieldCtx(2, 2)
     with pytest.raises(InvalidParams, match="the code's field and block lengths"):
-        FoldedCode(GF8, 1, (a, FoldedWord(other, 1, ((other.one,),))))
+        FoldedCode(GF8, 1, (a, FoldedWord(other, 1, (pack((other.one,), other.order),))))
 
 
 # -- the translation-overlap spectrum and the evaluation code's distance ------
@@ -329,10 +329,10 @@ def test_evaluation_code_distance_checks_every_codeword():
         return FoldedCode(ctx, 1, tuple(ws))
     assert scalar_orbit_subset_distance(code(words[1:]), points) is None  # one w missing
     assert scalar_orbit_subset_distance(code(words[:-1] + words[:1]), points) is None  # w twice
-    zero = FoldedWord(ctx, 1, ((ctx.zero,),) * len(points))
+    zero = FoldedWord(ctx, 1, (pack((ctx.zero,), ctx.order),) * len(points))
     assert scalar_orbit_subset_distance(code(words[:-1] + (zero,)), points) is None  # w = 0
     blocks = list(words[5].blocks)
-    blocks[-1] = (ctx.add(blocks[-1][0], ctx.one),)  # one symbol off w * x_k
+    blocks[-1] = pack((ctx.add(blocks[-1], ctx.one),), ctx.order)  # one symbol off w * x_k
     altered = code(words[:5] + (FoldedWord(ctx, 1, tuple(blocks)),) + words[6:])
     assert scalar_orbit_subset_distance(altered, points) is None
     assert scalar_orbit_subset_distance(fc, points[::-1]) is None  # other point order

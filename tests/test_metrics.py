@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes import metrics
-from fqcodes.gf import FieldCtx
+from fqcodes.gf import FieldCtx, pack
 from fqcodes.metrics import (
     FoldedWord,
     VectorCode,
@@ -228,8 +228,8 @@ def test_fold_examples():
 
 
 def _blocks(ctx, blocks):
-    """Blocks of coefficient sequences as blocks of elements."""
-    return tuple(tuple(ctx.element(s) for s in blk) for blk in blocks)
+    """Blocks of coefficient sequences as packed blocks of elements."""
+    return tuple(pack([ctx.element(s) for s in blk], ctx.order) for blk in blocks)
 
 
 def test_r_distances_coincide_with_plain_at_r1():
@@ -425,8 +425,16 @@ def test_ghw_monotone_and_singleton_bound_random():
 def test_word_rejects_a_symbol_that_is_not_an_element(symbols):
     with pytest.raises(InvalidParams, match=r"symbol .* is not an int in \[0, 8\)"):
         Word(GF8, symbols)
-    with pytest.raises(InvalidParams, match=r"symbol .* is not an int in \[0, 8\)"):
-        FoldedWord(GF8, 1, ((0,), symbols))
+    with pytest.raises(InvalidParams, match=r"block .* is not an int in \[0, 8\)"):
+        FoldedWord(GF8, 1, (0, *symbols))
+
+
+@pytest.mark.parametrize("block_len, block", [(2, 64), (3, 512), (2, True), (2, (1, 2))])
+def test_folded_word_rejects_a_block_that_is_not_a_packed_int(block_len, block):
+    bound = GF8.order ** block_len
+    with pytest.raises(InvalidParams, match=rf"block .* is not an int in \[0, {bound}\)"):
+        FoldedWord(GF8, block_len, (0, block))
+    assert FoldedWord(GF8, block_len, (0, bound - 1)).blocks == (0, bound - 1)
 
 
 def test_word_from_coefficients_rejects_non_canonical_coefficients():

@@ -264,6 +264,18 @@ def test_rect_member_count_formula():
     assert rank_distance_of_code(rect) == 1
 
 
+def test_rank_code_rejects_members_of_another_field_or_domain():
+    f8, f16 = FieldCtx(2, 3), FieldCtx(2, 4)
+    # F_16 maps read as 3 x 3 matrices: rank 4 would be reported, and a
+    # saved file would drop their top coefficients
+    with pytest.raises(InvalidParams, match="share the code's field and domain"):
+        RankCode(f8, [LinearizedPoly(f16, (a,)) for a in (1, 3, 7, 15)], 0)
+    rect = LinearizedPoly(f16, (1,), FieldCtx(2, 2))
+    with pytest.raises(InvalidParams, match="share the code's field and domain"):
+        RankCode(f16, [LinearizedPoly(f16, (1,)), rect], 0)
+    assert len(RankCode(f16, [LinearizedPoly(f16, (a,)) for a in (1, 3, 7, 15)], 0)) == 4
+
+
 @pytest.mark.parametrize("coeffs", [((1, 1, 0),), (8,), (-1,), (0, 2.0), (True,)])
 def test_linearized_poly_rejects_a_coefficient_that_is_not_an_element(coeffs):
     with pytest.raises(InvalidParams, match=r"coefficient .* is not an int in \[0, 8\)"):

@@ -22,10 +22,11 @@ from fqcodes.bounds import BoundReport
 from fqcodes.constructions import lift_rank_code, spread
 from fqcodes.derived import (
     evaluation_folded_code,
+    folded_code_from_vector_code,
     singer_difference_set,
     span_code,
 )
-from fqcodes.metrics import code_min_distance
+from fqcodes.metrics import code_min_distance, fold
 from fqcodes.rankmetric import gabidulin_code
 from fqcodes.serialize import (
     as_int,
@@ -163,6 +164,30 @@ def test_file_round_trip(tmp_path, factory):
     assert open(path).read() == _oracle(object_to_obj(obj))
     loaded = load_file(path)
     assert dumps_canonical(object_to_obj(loaded)) == dumps_canonical(object_to_obj(obj))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_folded_blocks_round_trip_every_block_length(tmp_path, r):
+    vc = span_code(spread(2, 2, 4), 4)  # length 4: r = 3 zero-pads the tail
+    fc = folded_code_from_vector_code(vc, r)
+    assert [w.blocks for w in fc.codewords] == [fold(w, r).blocks for w in vc.codewords]
+    path = str(tmp_path / "folded.json")
+    save_file(path, fc)
+    ctx, pad = vc.ctx, -len(vc.codewords[0]) % r
+    written = json.loads(open(path).read())["codewords"]
+    for w, blocks in zip(vc.codewords, written):
+        assert all(len(b) == r for b in blocks)
+        symbols = [ctx.element(s) for b in blocks for s in b]
+        assert symbols == list(w.symbols) + [ctx.zero] * pad
+    loaded = load_file(path)
+    assert loaded.block_len == r
+    assert [w.blocks for w in loaded.codewords] == [w.blocks for w in fc.codewords]
+
+
+def test_a_folded_word_of_no_blocks_loads_whatever_its_block_length():
+    obj = object_to_obj(evaluation_folded_code(GF8, singer_difference_set(GF8).members))
+    obj.update(block_len=2 ** 61 - 1, codewords=[[], []])
+    assert [w.blocks for w in load_obj(obj).codewords] == [(), ()]
 
 
 def test_round_trip_preserves_distances(tmp_path):

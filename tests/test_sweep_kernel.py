@@ -1,5 +1,7 @@
 """Row sweeps (subspace, subset, r-th, folded) against the per-pair oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,8 +157,8 @@ def test_guards_fire_before_members_are_prepared():
 
 
 def test_folded_code_of_unlike_folds_raises_like_per_pair():
-    a = FoldedWord(GF8, 1, ((GF8.one,),))
-    b = FoldedWord(GF8, 2, ((GF8.one, GF8.zero),))
+    a = FoldedWord(GF8, 1, (pack((GF8.one,), GF8.order),))
+    b = FoldedWord(GF8, 2, (pack((GF8.one, GF8.zero), GF8.order),))
     with pytest.raises(InvalidParams, match="block lengths"):
         FoldedCode(GF8, 1, (a, b))
     oracles = {"subset": folded_subset_distance, "subspace": folded_subspace_distance}
@@ -168,7 +170,11 @@ def test_folded_code_of_unlike_folds_raises_like_per_pair():
 # Four codewords whose rows of distances (in the comments) put the minimum
 # twice in one row, where the first j wins ("tie"); in one row and again in
 # a later one, where the earlier row keeps the witness ("later"); or only
-# in the last row, i = m - 2 ("last").
+# in the last row, i = m - 2 ("last").  "random" is 300 distinct seeded
+# words of length 6 over F_16.
+_rng = random.Random(300)
+RANDOM_WORDS = list(dict.fromkeys(tuple(_rng.randrange(16) for _ in range(6))
+                                  for _ in range(300)))
 WITNESS_CASES = [
     ("hamming", F2, "tie", [(0, 0, 0, 0), (1, 1, 1, 0), (0, 1, 1, 0), (1, 0, 1, 0)],
      (1, 2)),  # [3, 2, 2], [1, 1], [2]
@@ -176,6 +182,7 @@ WITNESS_CASES = [
      (0, 3)),  # [3, 2, 1], [1, 2], [1]
     ("hamming", F2, "last", [(0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0)],
      (2, 3)),  # [2, 2, 3], [2, 3], [1]
+    ("hamming", FieldCtx(2, 4), "random", RANDOM_WORDS, (0, 237)),
     ("insdel", F2, "tie", [(1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)],
      (0, 1)),  # [2, 2, 4], [4, 4], [4]
     ("insdel", F2, "later", [(0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1), (0, 0, 0, 0)],
