@@ -29,13 +29,11 @@ from .metrics import (
     FoldedWord,
     MetricReport,
     Word,
+    VectorCode,
+    block_rows,
     fold,
-    folded_span,
     pairwise_min_report,
-    subset_rows,
-    subspace_rows,
 )
-from .metrics import VectorCode
 from .constructions import SubspaceCode
 
 _VECTOR_GUARD = 1 << 16
@@ -78,6 +76,8 @@ class FoldedCode:
     provenance: dict | None = None
 
     def __post_init__(self):
+        if self.block_len < 1:
+            raise InvalidParams("block length must be >= 1")
         if any((w.ctx, w.block_len) != (self.ctx, self.block_len) for w in self.codewords):
             raise InvalidParams("folded words must share the code's field and block lengths")
 
@@ -90,8 +90,7 @@ def folded_code_min_distance(fc: FoldedCode, metric: str,
     if metric not in ("subset", "subspace"):
         raise InvalidParams(f"folded codes support subset/subspace, not {metric!r}")
     words = fc.codewords
-    rows = (subset_rows(frozenset(w.blocks) for w in words) if metric == "subset"
-            else subspace_rows(folded_span(w) for w in words))
+    rows = block_rows(metric, (w.blocks for w in words), fc.ctx.n * fc.block_len, fc.ctx.q)
     return pairwise_min_report(words, rows, metric, force=force)
 
 

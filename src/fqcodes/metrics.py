@@ -29,15 +29,14 @@ come from generators (pair_rows, subspace_rows, subset_rows, _hamming_rows,
 _insdel_rows) that prepare the members only once the pair-count guard has
 passed.
 
-subspace_rows holds each member's subspace (the span of a word's symbols
-or of a folded word's packed blocks, or a subspace code's member
-itself) as the frozenset of its q^dim packed vectors, Subspace.vectors(),
-so dim(U ∩ V) = log_q |U ∩ V| is one set intersection; past 2^20 vectors
-in total it scores each pair with linalg.subspace_pair_distance instead.
-subset_rows keeps each symbol or block set the same way, and an insdel
-row is one packed scan.  The oracle is a plain double loop in the tests
-over the per-pair functions, which rest on linalg.span_distance and
-symmetric_difference.
+A word's symbols, its r-fold's blocks and a folded word's blocks are all
+packed vectors of some F_q^m, and block_rows sweeps each the same way: as
+a set for the subset distance, as a span for the subspace distance.
+subspace_rows holds each span (or a subspace code's member) as the
+frozenset of its q^dim packed vectors, so dim(U ∩ V) = log_q |U ∩ V| is
+one set intersection; past 2^20 vectors in total it scores each pair with
+linalg.subspace_pair_distance instead.  An insdel row is one packed scan.
+The oracle is a plain double loop in the tests over the per-pair functions.
 """
 
 from __future__ import annotations
@@ -225,26 +224,16 @@ def insdel_distance(a: Word, b: Word) -> int:
     return n + len(b.symbols) - 2 * (n - _scan(full, masks, b.symbols).bit_count())
 
 
-def word_span(a: Word):
-    """F_q-span of the word's symbols inside F_q^n."""
-    return span(a.symbols, a.ctx.n, a.ctx.q)
-
-
 def subspace_distance(a: Word, b: Word) -> int:
     """dim(S_a + S_b) - dim(S_a ∩ S_b) for the symbol spans S_a, S_b."""
     _require_same_ctx(a, b)
     return span_distance(a.symbols, b.symbols, a.ctx.n, a.ctx.q)
 
 
-def symmetric_difference(a: frozenset | set, b: frozenset | set) -> int:
-    """|A Δ B| = |A| + |B| - 2 |A ∩ B|."""
-    return len(a) + len(b) - 2 * len(a & b)
-
-
 def subset_distance(a: Word, b: Word) -> int:
     """Symmetric-difference size of the deduplicated symbol sets."""
     _require_same_ctx(a, b)
-    return symmetric_difference(set(a.symbols), set(b.symbols))
+    return len(set(a.symbols).symmetric_difference(b.symbols))
 
 
 def fold(a: Word, r: int) -> FoldedWord:
@@ -273,7 +262,7 @@ def folded_subspace_distance(a: FoldedWord, b: FoldedWord) -> int:
 
 def folded_subset_distance(a: FoldedWord, b: FoldedWord) -> int:
     _require_same_fold(a, b)
-    return symmetric_difference(set(a.blocks), set(b.blocks))
+    return len(set(a.blocks).symmetric_difference(b.blocks))
 
 
 def r_subspace_distance(a: Word, b: Word, r: int) -> int:
@@ -373,9 +362,12 @@ def subset_rows(sets):
         yield [na + nb - 2 * len(a & b) for b, nb in zip(sets[i + 1:], sizes[i + 1:])]
 
 
-def folded_span(a: FoldedWord):
-    """F_q-span of the blocks, vectors in F_q^(n*r)."""
-    return span(a.blocks, a.ctx.n * a.block_len, a.ctx.q)
+def block_rows(metric: str, members, ambient: int, q: int):
+    """Rows of the subset or subspace distances of members, each a tuple of
+    packed vectors of F_q^ambient: a word's symbols, a folded word's blocks."""
+    if metric == "subset":
+        return subset_rows(frozenset(m) for m in members)
+    return subspace_rows(span(m, ambient, q) for m in members)
 
 
 def _row_span(rows, length: int, ctx: FieldCtx) -> list[tuple]:
@@ -475,20 +467,15 @@ def code_min_distance(c: VectorCode, metric: str, r: int | None = None,
         rows = _hamming_rows(c)
     elif metric == "insdel":
         rows = _insdel_rows(c)
-    elif metric == "subspace":
-        rows = subspace_rows(word_span(w) for w in words)
-    elif metric == "subset":
-        rows = subset_rows(frozenset(w.symbols) for w in words)
+    elif metric in ("subspace", "subset"):
+        rows = block_rows(metric, (w.symbols for w in words), c.ctx.n, c.ctx.q)
     elif metric in ("r_subspace", "r_subset"):
         if r is None or r < 1:
             raise InvalidParams("r-th metrics need a block length")
         notes = {"block_len": r}
         if c.length % r:
             notes["padding"] = "zero"
-        if metric == "r_subspace":
-            rows = subspace_rows(folded_span(fold(w, r)) for w in words)
-        else:
-            rows = subset_rows(frozenset(fold(w, r).blocks) for w in words)
+        rows = block_rows(metric[2:], (fold(w, r).blocks for w in words), c.ctx.n * r, c.ctx.q)
     else:
         raise InvalidParams(f"unknown metric {metric!r}")
     return pairwise_min_report(words, rows, metric, force=force, notes=notes)

@@ -5,13 +5,14 @@ tabular reports.  Writing is canonical (sorted keys, two-space indent,
 trailing newline) and atomic (temp file + rename), so identical runs produce
 byte-identical files.  One emitter yields that text in bounded chunks, which
 a writer hashes as it writes them and `dumps_canonical` joins.  Integers
-beyond the 53-bit float-safe range are emitted as decimal strings; readers
-accept either form.  A field element is written as its coefficient list (c_0
-first), and so is a subspace basis row; a folded word's block is its symbols'
-lists.  The library holds each of the three as a packed int: this module is
-the one place outside gf where any takes the list form.  Subspace bases are
-checked entry by entry and re-validated as RREF on read, a folded word's
-blocks for their length, and any structural problem surfaces as ParseError.
+beyond the 53-bit float-safe range are emitted as decimal strings, and
+readers accept a string only in that form.  A field element is written as
+its coefficient list (c_0 first), and so is a subspace basis row; a folded
+word's block is its symbols' lists.  The library holds each of the three as
+a packed int: this module is the one place outside gf where any takes the
+list form.  Subspace bases are checked entry by entry and re-validated as
+RREF on read, a folded word's blocks for their length, a code's members for
+repeats, and any structural problem surfaces as ParseError.
 
 Every file of a code object carries a "kind" discriminator.  `_KINDS` is
 the one table of them: it maps each kind to its class and to the pair of
@@ -27,6 +28,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -78,13 +80,21 @@ def dumps_canonical(obj) -> str:
     return "".join(_canonical_chunks(obj, []))
 
 
+_BIG_INT = re.compile(r"-?[1-9][0-9]*")
+
+
 def as_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ParseError(f"expected an integer, got {v!r}")
-    try:
-        return int(v)
-    except ValueError as exc:
-        raise ParseError(f"bad integer literal {v!r}") from exc
+    """A JSON integer, or the decimal string the writer emits for one beyond
+    +-2^53; any other string, such as " 2 ", "+2", "07" or "2", is rejected."""
+    if type(v) is int:
+        return v
+    if isinstance(v, str) and _BIG_INT.fullmatch(v):
+        try:
+            if abs(n := int(v)) > _SAFE_INT:
+                return n
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"expected an integer, got {v!r}")
 
 
 def _parses(what: str):
@@ -101,6 +111,12 @@ def _parses(what: str):
                 raise ParseError(f"invalid {what}: {exc}") from exc
         return load
     return decorate
+
+
+def _distinct(keys: list, what: str) -> None:
+    """A file lists each member of a code once; the library would drop a repeat."""
+    if len(set(keys)) != len(keys):
+        raise InvalidParams(f"{what} must be distinct")
 
 
 def _provenance(d):
@@ -218,6 +234,7 @@ def vector_code_from_obj(d) -> VectorCode:
     ctx = field_from_obj(d["field"])
     length = as_int(d["length"])
     codewords = [_word_from_lists(ctx, w) for w in d["codewords"]]
+    _distinct([w.symbols for w in codewords], "codewords")
     generator = d.get("generator")
     if generator is not None:
         generator = [_word_from_lists(ctx, w) for w in generator]
@@ -269,6 +286,7 @@ def subspace_code_from_obj(d) -> SubspaceCode:
     check_characteristic(q)
     ambient = as_int(d["ambient"])
     members = [_subspace_from_lists(q, ambient, entry["basis"]) for entry in d["subspaces"]]
+    _distinct([s.rows for s in members], "subspaces")
     cdim = d.get("constant_dim")
     dist = d.get("declared_distance")
     return SubspaceCode(q, ambient, members,
@@ -305,7 +323,10 @@ def folded_code_from_obj(d) -> FoldedCode:
             raise InvalidParams("ragged block in folded word")
         blocks = tuple(pack([_symbol_from_obj(ctx, s) for s in blk], ctx.order) for blk in w)
         words.append(FoldedWord(ctx, block_len, blocks))
-    return FoldedCode(ctx, block_len, tuple(words), _provenance(d))
+    # a bad block_len is named before a repeat: words of no blocks are all equal
+    fc = FoldedCode(ctx, block_len, tuple(words), _provenance(d))
+    _distinct([w.blocks for w in words], "codewords")
+    return fc
 
 
 # -- difference sets -----------------------------------------------------------
@@ -364,20 +385,8 @@ def bounds_csv(reports) -> str:
 
 
 def trial_summary_to_obj(s: TrialSummary) -> dict:
-    return {
-        "kind": "trial_summary",
-        "trials": s.trials,
-        "successes": s.successes,
-        "wrong": s.wrong,
-        "ambiguous": s.ambiguous,
-        "success_rate": s.success_rate,
-        "capability": s.capability,
-        "within_guarantee": s.within_guarantee,
-        "insertions": s.insertions,
-        "deletions": s.deletions,
-        "seed": s.seed,
-        "prng": s.prng,
-    }
+    fields = {f.name: getattr(s, f.name) for f in dataclasses.fields(s) if f.name != "records"}
+    return {"kind": "trial_summary", "success_rate": s.success_rate, **fields}
 
 
 # kind on disk -> (class, writer of the rest of the object, reader)

@@ -32,6 +32,7 @@ from .gf import FieldCtx
 from .linalg import ext_rank
 from .metrics import (
     Word,
+    block_rows,
     code_min_distance,
     hamming_distance,
     insdel_distance,
@@ -39,7 +40,6 @@ from .metrics import (
     r_subset_distance,
     r_subspace_distance,
     subset_distance,
-    subset_rows,
     subspace_distance,
 )
 from .metrics import VectorCode
@@ -210,7 +210,7 @@ def suite_folded_eval() -> SuiteResult:
                   f"({ds.v},{ds.k},{ds.lam})")
         res.check(f"m(D)==lambda n={n}", m_of_d(ctx, ds.members) == ds.lam)
         fc = evaluation_folded_code(ctx, ds.members)
-        dists = {d for row in subset_rows(frozenset(w.blocks) for w in fc.codewords)
+        dists = {d for row in block_rows("subset", (w.blocks for w in fc.codewords), n, 2)
                  for d in row}
         expected = 2 * (ds.k - ds.lam)
         res.check(f"equidistant n={n}", dists == {expected},

@@ -47,11 +47,8 @@ def test_half_singleton_examples():
 
 
 def test_strong_half_singleton_examples():
-    s = strong_half_singleton([2, 4])
-    assert s.doubled == 4
-    assert s.undoubled == 2
-    one = strong_half_singleton([3])
-    assert one.doubled == 2 * 3  # k = 1 reduces to 2 d_1
+    assert strong_half_singleton([2, 4]) == 2
+    assert 2 * strong_half_singleton([3]) == 2 * 3  # k = 1 reduces to 2 d_1
     with pytest.raises(InvalidParams, match="must be strictly increasing"):
         strong_half_singleton([3, 3])
     with pytest.raises(InvalidParams, match="must be strictly increasing"):
@@ -65,7 +62,7 @@ def test_strong_half_singleton_chains_below_plain():
         for k in range(1, n + 1):
             ghw = [n - k + r for r in range(1, k + 1)]
             s = strong_half_singleton(ghw)
-            assert s.doubled <= half_singleton(n, k) or half_singleton(n, k) == 2
+            assert 2 * s <= half_singleton(n, k) or half_singleton(n, k) == 2
 
 
 def test_levenshtein_and_klo():

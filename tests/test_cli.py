@@ -10,6 +10,7 @@ from fqcodes.cli import CONSTRUCT_KINDS, build_parser, check_options, main
 from fqcodes.constructions import lift_rank_code, spread
 from fqcodes.derived import (
     all_vectors_code,
+    evaluation_folded_code,
     folded_code_from_vector_code,
     singer_difference_set,
 )
@@ -172,6 +173,47 @@ def test_metric_on_a_folded_code_with_a_short_block_exits_2(tmp_path, capsys):
     obj["codewords"][1][1] = obj["codewords"][1][1][:1]  # one symbol short
     path.write_text(json.dumps(obj))
     assert "ragged block in folded word" in _assert_exit_2(capsys, path)
+
+
+@pytest.mark.parametrize("block_len", [0, -1])
+def test_metric_on_a_folded_code_with_a_block_length_below_one_exits_2(
+        tmp_path, capsys, block_len):
+    path = tmp_path / "folded.json"
+    save_file(str(path), evaluation_folded_code(FieldCtx(2, 3), [1, 2]))
+    obj = json.loads(path.read_text())
+    obj.update(block_len=block_len, codewords=[[], []])
+    path.write_text(json.dumps(obj))
+    assert "block length must be >= 1" in _assert_exit_2(capsys, path)
+
+
+def _two_word_code():
+    ctx = FieldCtx(2, 2)
+    return VectorCode(ctx, 2, [word(ctx, [(1, 0), (0, 1)]), word(ctx, [(1, 1), (0, 0)])])
+
+
+@pytest.mark.parametrize("key, value", [("q", " 2 "), ("q", "+2"), ("q", "\u0662"),
+                                        ("length", "0_3")])
+def test_metric_on_a_non_canonical_integer_string_exits_2(tmp_path, capsys, key, value):
+    path = tmp_path / "code.json"
+    save_file(str(path), _two_word_code())
+    obj = json.loads(path.read_text())
+    (obj["field"] if key == "q" else obj)[key] = value
+    path.write_text(json.dumps(obj))
+    assert f"expected an integer, got {value!r}" in _assert_exit_2(capsys, path)
+
+
+@pytest.mark.parametrize("code, members", [
+    (_two_word_code, "codewords"),
+    (lambda: spread(2, 2, 4), "subspaces"),
+    (lambda: folded_code_from_vector_code(_two_word_code(), 1), "codewords"),
+])
+def test_metric_on_a_code_file_that_repeats_a_member_exits_2(tmp_path, capsys, code, members):
+    path = tmp_path / "code.json"
+    save_file(str(path), code())
+    obj = json.loads(path.read_text())
+    obj[members].append(obj[members][0])
+    path.write_text(json.dumps(obj))
+    assert f"{members} must be distinct" in _assert_exit_2(capsys, path)
 
 
 def test_metric_on_non_utf8_file_exits_2(tmp_path, capsys):

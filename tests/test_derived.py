@@ -262,6 +262,13 @@ def test_folded_code_checks_the_field_and_block_length_of_every_word():
         FoldedCode(GF8, 1, (a, FoldedWord(other, 1, (pack((other.one,), other.order),))))
 
 
+@pytest.mark.parametrize("block_len", [0, -1])
+def test_folded_code_rejects_a_block_length_below_one(block_len):
+    empty = FoldedWord(GF8, block_len, ())
+    with pytest.raises(InvalidParams, match="block length must be >= 1"):
+        FoldedCode(GF8, block_len, (empty, empty))
+
+
 # -- the translation-overlap spectrum and the evaluation code's distance ------
 
 def _direct_overlaps(ctx, members):
