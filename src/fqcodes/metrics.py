@@ -93,6 +93,8 @@ class FoldedWord:
     blocks: tuple
 
     def __post_init__(self):
+        if self.block_len < 1:
+            raise InvalidParams("block length must be >= 1")
         bound = self.ctx.order ** self.block_len if self.blocks else 0  # no power for no blocks
         for b in self.blocks:
             if not (type(b) is int and 0 <= b < bound):

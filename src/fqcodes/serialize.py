@@ -10,26 +10,25 @@ readers accept a string only in that form.  A field element is written as
 its coefficient list (c_0 first), and so is a subspace basis row; a folded
 word's block is its symbols' lists.  The library holds each of the three as
 a packed int: this module is the one place outside gf where any takes the
-list form.  Subspace bases are checked entry by entry and re-validated as
-RREF on read, a folded word's blocks for their length, a code's members for
-repeats, and any structural problem surfaces as ParseError.
+list form.
 
 Every file of a code object carries a "kind" discriminator.  `_KINDS` is
-the one table of them: it maps each kind to its class and to the pair of
-functions that write and read the rest of the object.  `object_to_obj`
-looks the class up there and adds the kind; `load_obj` looks the kind up
-and calls its reader.
+the one table of them: each kind's class, writer, reader and JSON shape.
+`load_obj` checks a file against its shape with `_read`, then calls the
+reader, and is the one place that names the kind in a ParseError:
+`malformed <kind>` for a misfit, `invalid <kind>` for a value the library
+rejects, such as a basis not in RREF or a repeated member.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
 import re
 import tempfile
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .bounds import BoundReport
@@ -39,7 +38,7 @@ from .derived import DifferenceSet, FoldedCode
 from .errors import FqcodesError, InvalidParams, ParseError
 from .gf import FieldCtx, check_characteristic, pack, unpack
 from .linalg import Subspace, span
-from .metrics import FoldedWord, MetricReport, VectorCode, Word
+from .metrics import FoldedWord, MetricReport, VectorCode, Word, word
 from .rankmetric import LinearizedPoly, RankCode
 
 _SAFE_INT = 1 << 53
@@ -83,9 +82,9 @@ def dumps_canonical(obj) -> str:
 _BIG_INT = re.compile(r"-?[1-9][0-9]*")
 
 
-def as_int(v) -> int:
+def as_int(v, at: str = "") -> int:
     """A JSON integer, or the decimal string the writer emits for one beyond
-    +-2^53; any other string, such as " 2 ", "+2", "07" or "2", is rejected."""
+    +-2^53; any other string, such as "+2" or "07", is rejected (at path `at`)."""
     if type(v) is int:
         return v
     if isinstance(v, str) and _BIG_INT.fullmatch(v):
@@ -94,37 +93,45 @@ def as_int(v) -> int:
                 return n
         except ValueError:  # more digits than int() converts
             pass
-    raise ParseError(f"expected an integer, got {v!r}")
+    raise ParseError(f"{at}: " * bool(at) + f"expected an integer, got {v!r}")
 
 
-def _parses(what: str):
-    """Make a loader raise only ParseError: `malformed <what>` for a missing
-    key or a wrong JSON type, `invalid <what>` for a value the library rejects."""
-    def decorate(loader):
-        @functools.wraps(loader)
-        def load(d):
-            try:
-                return loader(d)
-            except (KeyError, TypeError) as exc:
-                raise ParseError(f"malformed {what}: {exc}") from exc
-            except FqcodesError as exc:
-                raise ParseError(f"invalid {what}: {exc}") from exc
-        return load
-    return decorate
+def _read(v, shape, at: str):
+    """v checked against `shape` and returned as plain ints, lists and dicts.
+    A shape is int; [s], an array of s; {key: s}, an object of exactly those
+    keys, returned with all of them; dict, any object; or (s,), s or null,
+    which a missing key reads as.  `at` is v's path, "" at the top."""
+    if type(shape) is tuple and v is None:
+        return None
+    shape, null = (shape[0], " or null") if type(shape) is tuple else (shape, "")
+    if shape is int:
+        return as_int(v, at)
+    if type(v) is not (list if type(shape) is list else dict):
+        what = "an array" if type(shape) is list else "an object"
+        raise ParseError(f"{at} must be {what}{null}, not {type(v).__name__}")
+    if type(shape) is list:
+        todo = [(shape[0], v)]  # fast path: whether v fits as it is, a level at a time
+        for s, nodes in todo:  # in C where it can; an array of objects key by key
+            if type(s) is list and {*map(type, nodes)} <= {list}:
+                todo.append((s[0], [*chain.from_iterable(nodes)]))
+            elif type(s) is dict and all(type(n) is dict and n.keys() == s.keys() for n in nodes):
+                todo += [(t, [n[k] for n in nodes]) for k, t in s.items()]
+            elif not (s is int and {*map(type, nodes)} <= {int}):
+                break
+        else:
+            return v
+        return [_read(x, shape[0], f"{at}[{i}]") for i, x in enumerate(v)]
+    if shape is dict:
+        return v
+    if not v.keys() <= shape.keys():
+        raise ParseError(f"unknown key {min(v.keys() - shape.keys())!r}" + f" in {at}" * bool(at))
+    return {k: _read(v.get(k), s, f"{at}.{k}" if at else k) for k, s in shape.items()}
 
 
 def _distinct(keys: list, what: str) -> None:
     """A file lists each member of a code once; the library would drop a repeat."""
     if len(set(keys)) != len(keys):
         raise InvalidParams(f"{what} must be distinct")
-
-
-def _provenance(d):
-    """The optional provenance of a code file: an object or null."""
-    prov = d.get("provenance")
-    if prov is not None and not isinstance(prov, dict):
-        raise ParseError(f"provenance must be an object or null, not {type(prov).__name__}")
-    return prov
 
 
 def _umask() -> int:
@@ -166,18 +173,12 @@ def sha256_file(path: str) -> str:
 
 # -- field ---------------------------------------------------------------
 
-def _symbol_from_obj(ctx: FieldCtx, coeffs) -> int:
-    """A symbol read from a file: its integer coefficients, each in [0, q)."""
-    return ctx.element([as_int(c) for c in coeffs])
-
-
 def field_to_obj(ctx: FieldCtx) -> dict:
     return {"q": ctx.q, "n": ctx.n, "modulus": list(ctx.modulus)}
 
 
-@_parses("field object")
 def field_from_obj(d) -> FieldCtx:
-    return FieldCtx(as_int(d["q"]), as_int(d["n"]), [as_int(c) for c in d["modulus"]])
+    return FieldCtx(d["q"], d["n"], d["modulus"])
 
 
 # -- subspaces -------------------------------------------------------------
@@ -191,7 +192,6 @@ def _subspace_from_lists(q: int, ambient: int, basis) -> Subspace:
     that already form a zero-row-free RREF matrix."""
     rows = []
     for r in basis:
-        r = [as_int(e) for e in r]
         if len(r) != ambient:
             raise InvalidParams(f"basis row of length {len(r)} in ambient {ambient}")
         for e in r:
@@ -214,10 +214,6 @@ def _word_to_lists(w: Word):
     return [list(w.ctx.coefficients(s)) for s in w.symbols]
 
 
-def _word_from_lists(ctx: FieldCtx, w) -> Word:
-    return Word(ctx, tuple(_symbol_from_obj(ctx, s) for s in w))
-
-
 def vector_code_to_obj(c: VectorCode) -> dict:
     return {
         "field": field_to_obj(c.ctx),
@@ -229,16 +225,12 @@ def vector_code_to_obj(c: VectorCode) -> dict:
     }
 
 
-@_parses("vector code")
 def vector_code_from_obj(d) -> VectorCode:
     ctx = field_from_obj(d["field"])
-    length = as_int(d["length"])
-    codewords = [_word_from_lists(ctx, w) for w in d["codewords"]]
+    codewords = [word(ctx, w) for w in d["codewords"]]
     _distinct([w.symbols for w in codewords], "codewords")
-    generator = d.get("generator")
-    if generator is not None:
-        generator = [_word_from_lists(ctx, w) for w in generator]
-    return VectorCode(ctx, length, codewords, generator=generator, provenance=_provenance(d))
+    gen = [word(ctx, w) for w in d["generator"]] if d["generator"] is not None else None
+    return VectorCode(ctx, d["length"], codewords, generator=gen, provenance=d["provenance"])
 
 
 # -- rank codes --------------------------------------------------------------
@@ -254,17 +246,13 @@ def rank_code_to_obj(c: RankCode) -> dict:
     }
 
 
-@_parses("rank code")
 def rank_code_from_obj(d) -> RankCode:
     ctx = field_from_obj(d["field"])
-    src = d.get("src_field")
-    src = field_from_obj(src) if src is not None else None
-    members = [LinearizedPoly(ctx, tuple(_symbol_from_obj(ctx, a) for a in coeffs), src)
+    src = field_from_obj(d["src_field"]) if d["src_field"] is not None else None
+    members = [LinearizedPoly(ctx, tuple(map(ctx.element, coeffs)), src)
                for coeffs in d["members"]]
-    declared = d.get("declared_rank_distance")
-    return RankCode(ctx, members, as_int(d["t"]), src=src,
-                    declared_rank_distance=as_int(declared) if declared is not None else None,
-                    provenance=_provenance(d))
+    return RankCode(ctx, members, d["t"], src=src, provenance=d["provenance"],
+                    declared_rank_distance=d["declared_rank_distance"])
 
 
 # -- subspace codes ----------------------------------------------------------
@@ -280,19 +268,13 @@ def subspace_code_to_obj(sc: SubspaceCode) -> dict:
     }
 
 
-@_parses("subspace code")
 def subspace_code_from_obj(d) -> SubspaceCode:
-    q = as_int(d["q"])
+    q, ambient = d["q"], d["ambient"]
     check_characteristic(q)
-    ambient = as_int(d["ambient"])
     members = [_subspace_from_lists(q, ambient, entry["basis"]) for entry in d["subspaces"]]
     _distinct([s.rows for s in members], "subspaces")
-    cdim = d.get("constant_dim")
-    dist = d.get("declared_distance")
-    return SubspaceCode(q, ambient, members,
-                        constant_dim=as_int(cdim) if cdim is not None else None,
-                        declared_distance=as_int(dist) if dist is not None else None,
-                        provenance=_provenance(d))
+    return SubspaceCode(q, ambient, members, constant_dim=d["constant_dim"],
+                        declared_distance=d["declared_distance"], provenance=d["provenance"])
 
 
 # -- folded codes -------------------------------------------------------------
@@ -313,20 +295,16 @@ def folded_code_to_obj(fc: FoldedCode) -> dict:
     }
 
 
-@_parses("folded code")
 def folded_code_from_obj(d) -> FoldedCode:
-    ctx = field_from_obj(d["field"])
-    block_len = as_int(d["block_len"])
+    ctx, block_len = field_from_obj(d["field"]), d["block_len"]
     words = []
     for w in d["codewords"]:
         if any(len(blk) != block_len for blk in w):
             raise InvalidParams("ragged block in folded word")
-        blocks = tuple(pack([_symbol_from_obj(ctx, s) for s in blk], ctx.order) for blk in w)
+        blocks = tuple(pack(list(map(ctx.element, blk)), ctx.order) for blk in w)
         words.append(FoldedWord(ctx, block_len, blocks))
-    # a bad block_len is named before a repeat: words of no blocks are all equal
-    fc = FoldedCode(ctx, block_len, tuple(words), _provenance(d))
     _distinct([w.blocks for w in words], "codewords")
-    return fc
+    return FoldedCode(ctx, block_len, tuple(words), d["provenance"])
 
 
 # -- difference sets -----------------------------------------------------------
@@ -341,12 +319,9 @@ def difference_set_to_obj(ds: DifferenceSet) -> dict:
     }
 
 
-@_parses("difference set")
 def difference_set_from_obj(d) -> DifferenceSet:
     ctx = field_from_obj(d["field"])
-    members = tuple(_symbol_from_obj(ctx, m) for m in d["members"])
-    return DifferenceSet(ctx, members, as_int(d["v"]), as_int(d["k"]),
-                         as_int(d["lambda"]))
+    return DifferenceSet(ctx, tuple(map(ctx.element, d["members"])), d["v"], d["k"], d["lambda"])
 
 
 # -- reports ---------------------------------------------------------------------
@@ -389,18 +364,27 @@ def trial_summary_to_obj(s: TrialSummary) -> dict:
     return {"kind": "trial_summary", "success_rate": s.success_rate, **fields}
 
 
-# kind on disk -> (class, writer of the rest of the object, reader)
+_FIELD = {"q": int, "n": int, "modulus": [int]}
+# kind on disk -> (class, writer of the rest of the object, reader, its shape)
 _KINDS = {
-    "vector_code": (VectorCode, vector_code_to_obj, vector_code_from_obj),
-    "rank_code": (RankCode, rank_code_to_obj, rank_code_from_obj),
-    "subspace_code": (SubspaceCode, subspace_code_to_obj, subspace_code_from_obj),
-    "folded_code": (FoldedCode, folded_code_to_obj, folded_code_from_obj),
-    "difference_set": (DifferenceSet, difference_set_to_obj, difference_set_from_obj),
+    "vector_code": (VectorCode, vector_code_to_obj, vector_code_from_obj, {
+        "field": _FIELD, "length": int, "codewords": [[[int]]],
+        "generator": ([[[int]]],), "provenance": (dict,)}),
+    "rank_code": (RankCode, rank_code_to_obj, rank_code_from_obj, {
+        "field": _FIELD, "src_field": (_FIELD,), "t": int, "members": [[[int]]],
+        "declared_rank_distance": (int,), "provenance": (dict,)}),
+    "subspace_code": (SubspaceCode, subspace_code_to_obj, subspace_code_from_obj, {
+        "q": int, "ambient": int, "subspaces": [{"basis": [[int]]}],
+        "constant_dim": (int,), "declared_distance": (int,), "provenance": (dict,)}),
+    "folded_code": (FoldedCode, folded_code_to_obj, folded_code_from_obj, {
+        "field": _FIELD, "block_len": int, "codewords": [[[[int]]]], "provenance": (dict,)}),
+    "difference_set": (DifferenceSet, difference_set_to_obj, difference_set_from_obj, {
+        "field": _FIELD, "members": [[int]], "v": int, "k": int, "lambda": int}),
 }
 
 
 def object_to_obj(obj) -> dict:
-    for kind, (cls, to_obj, _) in _KINDS.items():
+    for kind, (cls, to_obj, _, _) in _KINDS.items():
         if isinstance(obj, cls):
             return {"kind": kind, **to_obj(obj)}
     raise ParseError(f"cannot serialize {type(obj).__name__}")
@@ -413,7 +397,13 @@ def load_obj(d):
         raise ParseError("file has no 'kind' discriminator") from exc
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}")
-    return _KINDS[kind][2](d)
+    _, _, reader, shape = _KINDS[kind]
+    try:
+        return reader(_read({k: x for k, x in d.items() if k != "kind"}, shape, ""))
+    except ParseError as exc:  # only _read raises it
+        raise ParseError(f"malformed {kind.replace('_', ' ')}: {exc}") from None
+    except FqcodesError as exc:
+        raise ParseError(f"invalid {kind.replace('_', ' ')}: {exc}") from exc
 
 
 def load_file(path: str):

@@ -239,6 +239,38 @@ def test_metric_on_bad_provenance_exits_2(tmp_path, capsys):
     assert "provenance must be an object or null" in _assert_exit_2(capsys, path)
 
 
+def _junk_beside_a_basis(obj):
+    obj["subspaces"][0]["junk"] = 1
+
+
+@pytest.mark.parametrize("code, change, argv, message", [
+    (lambda: gabidulin_code(FieldCtx(2, 2), 1), lambda obj: obj.update(members={}),
+     "construct --kind lifted-mrd --from {code} --out {out}",
+     "malformed rank code: members must be an array, not dict"),
+    (lambda: folded_code_from_vector_code(_two_word_code(), 1),
+     lambda obj: obj.update(codewords={"": None}), "metric {code} --metric subset",
+     "malformed folded code: codewords must be an array, not dict"),
+    (lambda: spread(2, 2, 4), lambda obj: obj.update(subspaces={}),
+     "metric {code} --metric subspace",
+     "malformed subspace code: subspaces must be an array, not dict"),
+    (_two_word_code, lambda obj: obj.update(extra=5), "metric {code} --metric subset",
+     "malformed vector code: unknown key 'extra'"),
+    (lambda: spread(2, 2, 4), _junk_beside_a_basis, "metric {code} --metric subspace",
+     "malformed subspace code: unknown key 'junk' in subspaces[0]"),
+], ids=["rank members object", "folded codewords object", "subspaces object",
+        "unknown top-level key", "unknown key beside a basis"])
+def test_a_code_file_that_does_not_fit_its_shape_exits_2(tmp_path, capsys, code, change, argv,
+                                                         message):
+    path, out = tmp_path / "code.json", tmp_path / "out.json"
+    save_file(str(path), code())
+    obj = json.loads(path.read_text())
+    change(obj)
+    path.write_text(json.dumps(obj))
+    err = _assert_one_line_exit_2(capsys, *argv.format(code=path, out=out).split())
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("q, message", [(4, "q=4 is not prime"),
                                         (2 ** 61 - 1, "exceeds supported maximum")])
 def test_metric_on_subspace_code_over_a_bad_q_exits_2(tmp_path, capsys, q, message):
@@ -837,7 +869,7 @@ def test_a_rank_code_with_a_falsy_src_field_exits_2(tmp_path, capsys, src_field)
     path = _rank_code_file(tmp_path, src_field=src_field)
     err = _assert_one_line_exit_2(capsys, "construct", "--kind", "lifted-mrd", "--from", path,
                                   "--out", str(tmp_path / "lifted.json"))
-    assert err.startswith("error: invalid rank code: malformed field object: ")
+    assert err.startswith("error: malformed rank code: src_field")
     assert not (tmp_path / "lifted.json").exists()
 
 

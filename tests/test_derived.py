@@ -264,9 +264,9 @@ def test_folded_code_checks_the_field_and_block_length_of_every_word():
 
 @pytest.mark.parametrize("block_len", [0, -1])
 def test_folded_code_rejects_a_block_length_below_one(block_len):
-    empty = FoldedWord(GF8, block_len, ())
+    # a code of no words has no word to check the block length
     with pytest.raises(InvalidParams, match="block length must be >= 1"):
-        FoldedCode(GF8, block_len, (empty, empty))
+        FoldedCode(GF8, block_len, ())
 
 
 # -- the translation-overlap spectrum and the evaluation code's distance ------

@@ -1,5 +1,6 @@
 """Fuzzed file input: a mutated artifact loads or raises ParseError, and
 every command that reads it exits 0, 1 or 2, with one stderr line unless 0.
+An artifact that loads is written back as it was read, apart from defaults.
 
 Each example takes a valid artifact written by save_file and replaces or
 deletes one node of its JSON tree."""
@@ -21,7 +22,7 @@ from fqcodes.gf import FieldCtx
 from fqcodes.linalg import span
 from fqcodes.metrics import VectorCode, word
 from fqcodes.rankmetric import gabidulin_code
-from fqcodes.serialize import load_file, save_file
+from fqcodes.serialize import dumps_canonical, load_file, load_obj, object_to_obj, save_file
 
 F4 = FieldCtx(2, 2)
 GF8 = FieldCtx(2, 3)
@@ -150,3 +151,36 @@ def test_every_file_command_exits_without_a_traceback(artifacts, data):
         if code:
             prefix = "error: " if code == 2 else "verification failure: "
             assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1, argv
+
+
+# the keys a file may leave out, each written back as null
+OPTIONAL = {
+    "vector_code": ("generator", "provenance"),
+    "rank_code": ("src_field", "declared_rank_distance", "provenance"),
+    "subspace_code": ("constant_dim", "declared_distance", "provenance"),
+    "folded_code": ("provenance",),
+    "difference_set": (),
+}
+
+
+def _written_back(d):
+    """d as the writer emits what load_obj reads from it: each missing
+    optional key null, an empty provenance null, an int beyond +-2^53 a
+    decimal string, and a rank code's src_field equal to its field null."""
+    d = json.loads(dumps_canonical(dict({key: None for key in OPTIONAL[d["kind"]]}, **d)))
+    if "provenance" in d:
+        d["provenance"] = d["provenance"] or None
+    if d["kind"] == "rank_code" and d["src_field"] == d["field"]:
+        d["src_field"] = None
+    return d
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_mutated_artifact_that_loads_is_written_back_as_read(artifacts, data):
+    mutated = _draw_mutated(data, artifacts[1])[1]
+    try:
+        loaded = load_obj(mutated)
+    except ParseError:
+        return
+    assert json.loads(dumps_canonical(object_to_obj(loaded))) == _written_back(mutated)

@@ -429,6 +429,13 @@ def test_word_rejects_a_symbol_that_is_not_an_element(symbols):
         FoldedWord(GF8, 1, (0, *symbols))
 
 
+@pytest.mark.parametrize("block_len", [0, -1])
+def test_folded_word_rejects_a_block_length_below_one(block_len):
+    for blocks in [(), (0,)]:
+        with pytest.raises(InvalidParams, match="block length must be >= 1"):
+            FoldedWord(GF8, block_len, blocks)
+
+
 @pytest.mark.parametrize("block_len, block", [(2, 64), (3, 512), (2, True), (2, (1, 2))])
 def test_folded_word_rejects_a_block_that_is_not_a_packed_int(block_len, block):
     bound = GF8.order ** block_len

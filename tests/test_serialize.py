@@ -54,22 +54,28 @@ def test_field_round_trip():
     assert field_from_obj(obj) == GF8
 
 
+def _load_field(field):
+    """A field object, read as the field of a difference set file."""
+    obj = object_to_obj(singer_difference_set(GF8))
+    return load_obj(dict(obj, field=field)).ctx
+
+
 def test_field_rejects_bad_modulus():
     with pytest.raises(ParseError):
-        field_from_obj({"q": 2, "n": 3, "modulus": [1, 1, 1, 1]})
+        _load_field({"q": 2, "n": 3, "modulus": [1, 1, 1, 1]})
 
 
 @pytest.mark.parametrize("modulus", [[1, 1, 0, 3], [3, -1, 0, 1]])
 def test_field_rejects_non_canonical_modulus(modulus):
     # both reduce mod 2 to the irreducible [1, 1, 0, 1]
-    with pytest.raises(ParseError, match=r"invalid field object: modulus coefficient not in \[0, 2\)"):
-        field_from_obj({"q": 2, "n": 3, "modulus": modulus})
+    with pytest.raises(ParseError, match=r"invalid difference set: modulus coefficient not in \[0, 2\)"):
+        _load_field({"q": 2, "n": 3, "modulus": modulus})
 
 
 def test_field_caps_the_characteristic_before_the_primality_test():
     # 2^61 - 1 is prime; trial division up to its square root would not finish
     with pytest.raises(ParseError, match="q=2305843009213693951 exceeds supported maximum"):
-        field_from_obj({"q": 2 ** 61 - 1, "n": 1, "modulus": [0, 1]})
+        _load_field({"q": 2 ** 61 - 1, "n": 1, "modulus": [0, 1]})
 
 
 def _load_subspace(obj):
