@@ -44,10 +44,10 @@ class DifferenceSet:
     """(v, k, lambda) difference set in the multiplicative group of F_{q^n}.
 
     v and k are checked against the field and the members, which must be
-    distinct and nonzero.  lambda is not: a file whose members refute its
-    lambda loads, and `construct --kind folded-eval --ds` then reports the
-    measured distance against 2(k - lambda) as a verification failure
-    (exit 1), not as a malformed file (exit 2)."""
+    distinct nonzero field elements.  lambda is not: a file whose members
+    refute its lambda loads, and `construct --kind folded-eval --ds` then
+    reports the measured distance against 2(k - lambda) as a verification
+    failure (exit 1), not as a malformed file (exit 2)."""
 
     ctx: FieldCtx
     members: tuple
@@ -61,6 +61,7 @@ class DifferenceSet:
                                 f"{self.ctx.order - 1} elements")
         if self.k != len(self.members):
             raise InvalidParams(f"k={self.k} but there are {len(self.members)} members")
+        self.ctx.check_elements(self.members, "member")
         if self.ctx.zero in self.members or len(set(self.members)) != self.k:
             raise InvalidParams("members must be distinct and nonzero")
 

@@ -50,20 +50,17 @@ def rref(vectors, ambient: int, q: int) -> tuple[tuple[int, ...], int]:
     return tuple(pack(r, q) for r in rows), rank
 
 
-def gf2_rank(packed: list[int]) -> int:
-    """Rank over F_2 of rows bit-packed into ints (fast path for pair sweeps)."""
-    r = 0
-    rows = list(packed)
-    for i in range(len(rows)):
-        row = rows[i]
-        if not row:
-            continue
-        low = row & -row
-        for j in range(i + 1, len(rows)):
-            if rows[j] & low:
-                rows[j] ^= row
-        r += 1
-    return r
+def gf2_rank(packed) -> int:
+    """Rank over F_2 of rows bit-packed into ints >= 0: one pivot per top bit,
+    each row reduced by the pivot at its top bit until it is zero or its top
+    bit is new."""
+    pivots = {}
+    for row in packed:
+        while row and (top := row.bit_length()) in pivots:
+            row ^= pivots[top]
+        if row:
+            pivots[top] = row
+    return len(pivots)
 
 
 def packed_rank(vectors, ambient: int, q: int) -> int:

@@ -16,11 +16,11 @@ Fredriksson & Navarro 2005).  pack_lcs_masks puts equal-length words side
 by side in one int, one byte-aligned slot of match bits and a guard bit
 per word, and packed_lcs scores a sequence against all of them in one
 scan.  A code's masks are built once (VectorCode.lcs_masks) for
-channel.decode_nearest and the insdel sweep; insdel_distance packs its one
-word per call.  At most LCS_CHUNK words share an int, so m words of length
-n in w-byte slots take at most LCS_CHUNK w m n bytes of masks whatever the
-alphabet.  The O(|a||b|) DP lcs_length is kept as the oracle the kernel is
-tested against.
+channel.decode_nearest and the insdel sweep; lcs_length, behind
+insdel_distance, packs its one sequence per call.  At most LCS_CHUNK words
+share an int, so m words of length n in w-byte slots take at most
+LCS_CHUNK w m n bytes of masks whatever the alphabet.  The O(|a||b|) DP
+the kernel is tested against lives in the tests (sweep_oracle.lcs_dp).
 
 Every code-level sweep is one pairwise_min_report over rows, row i holding
 member i's distances to members i+1, ..., m-1; the witness is the first
@@ -113,26 +113,6 @@ def hamming_distance(a: Word, b: Word) -> int:
     return sum(1 for x, y in zip(a.symbols, b.symbols) if x != y)
 
 
-def lcs_length(a, b) -> int:
-    """Longest common subsequence length by the standard O(|a||b|) DP.
-
-    The reference the packed kernel (pack_lcs_masks, packed_lcs) is tested
-    against; the library itself scores pairs with the kernel.
-    """
-    m, n = len(a), len(b)
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        cur = [0] * (n + 1)
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            if ai == b[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        prev = cur
-    return prev[n]
-
-
 _POPCOUNT = bytes(i.bit_count() for i in range(256))
 
 
@@ -215,15 +195,18 @@ def packed_lcs(packed: tuple, symbols) -> bytes | list[int]:
     return out
 
 
-def insdel_distance(a: Word, b: Word) -> int:
-    """|a| + |b| - 2 LCS(a, b); the number of insertions plus deletions.
+def lcs_length(a, b) -> int:
+    """LCS length of the sequences a and b: a is one slot, so its LCS with b
+    is len(a) minus the set match bits of one scan."""
+    n = len(a)
+    _, full, masks = _pack_chunk((a,), n, n + 1)
+    return n - _scan(full, masks, b).bit_count()
 
-    a is one slot, so its LCS with b is n minus the set match bits of the scan.
-    """
+
+def insdel_distance(a: Word, b: Word) -> int:
+    """|a| + |b| - 2 LCS(a, b); the number of insertions plus deletions."""
     _require_same_ctx(a, b)
-    n = len(a.symbols)
-    _, full, masks = _pack_chunk((a.symbols,), n, n + 1)
-    return n + len(b.symbols) - 2 * (n - _scan(full, masks, b.symbols).bit_count())
+    return len(a) + len(b) - 2 * lcs_length(a.symbols, b.symbols)
 
 
 def subspace_distance(a: Word, b: Word) -> int:

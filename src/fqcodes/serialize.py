@@ -6,11 +6,11 @@ trailing newline) and atomic (temp file + rename), so identical runs produce
 byte-identical files.  One emitter yields that text in bounded chunks, which
 a writer hashes as it writes them and `dumps_canonical` joins.  Integers
 beyond the 53-bit float-safe range are emitted as decimal strings, and
-readers accept a string only in that form.  A field element is written as
-its coefficient list (c_0 first), and so is a subspace basis row; a folded
-word's block is its symbols' lists.  The library holds each of the three as
-a packed int: this module is the one place outside gf where any takes the
-list form.
+readers accept such an integer only in that form.  A field element is
+written as its coefficient list (c_0 first), and so is a subspace basis
+row; a folded word's block is its symbols' lists.  The library holds each
+of the three as a packed int: this module is the one place outside gf
+where any takes the list form.
 
 Every file of a code object carries a "kind" discriminator.  `_KINDS` is
 the one table of them: each kind's class, writer, reader and JSON shape.
@@ -83,9 +83,10 @@ _BIG_INT = re.compile(r"-?[1-9][0-9]*")
 
 
 def as_int(v, at: str = "") -> int:
-    """A JSON integer, or the decimal string the writer emits for one beyond
-    +-2^53; any other string, such as "+2" or "07", is rejected (at path `at`)."""
-    if type(v) is int:
+    """An integer in the one form the writer emits: a JSON integer within
+    +-2^53, a decimal string beyond it.  Anything else, such as a number
+    beyond +-2^53, "+2" or "07", is rejected (at path `at`)."""
+    if type(v) is int and -_SAFE_INT <= v <= _SAFE_INT:
         return v
     if isinstance(v, str) and _BIG_INT.fullmatch(v):
         try:
@@ -100,7 +101,8 @@ def _read(v, shape, at: str):
     """v checked against `shape` and returned as plain ints, lists and dicts.
     A shape is int; [s], an array of s; {key: s}, an object of exactly those
     keys, returned with all of them; dict, any object; or (s,), s or null,
-    which a missing key reads as.  `at` is v's path, "" at the top."""
+    which a missing key reads as (any other missing key is an error).  `at`
+    is v's path, "" at the top."""
     if type(shape) is tuple and v is None:
         return None
     shape, null = (shape[0], " or null") if type(shape) is tuple else (shape, "")
@@ -123,8 +125,11 @@ def _read(v, shape, at: str):
         return [_read(x, shape[0], f"{at}[{i}]") for i, x in enumerate(v)]
     if shape is dict:
         return v
+    where = f" in {at}" * bool(at)
     if not v.keys() <= shape.keys():
-        raise ParseError(f"unknown key {min(v.keys() - shape.keys())!r}" + f" in {at}" * bool(at))
+        raise ParseError(f"unknown key {min(v.keys() - shape.keys())!r}{where}")
+    if missing := {k for k, s in shape.items() if type(s) is not tuple} - v.keys():
+        raise ParseError(f"missing key {min(missing)!r}{where}")
     return {k: _read(v.get(k), s, f"{at}.{k}" if at else k) for k, s in shape.items()}
 
 

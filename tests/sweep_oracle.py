@@ -1,4 +1,5 @@
-"""The exhaustive per-pair sweep that the library's sweeps are tested against."""
+"""The oracles the library's kernels are tested against: the exhaustive
+per-pair sweep and the O(|a||b|) LCS DP."""
 
 from fqcodes.metrics import MetricReport
 
@@ -16,3 +17,19 @@ def pairwise_oracle(items, dist, metric: str, notes: dict | None = None) -> Metr
                 best, idx = d, (i, j)
     i, j = idx
     return MetricReport(metric, best, (items[i], items[j]), idx, m * (m - 1) // 2, notes)
+
+
+def lcs_dp(a, b) -> int:
+    """Longest common subsequence length by the standard O(|a||b|) DP."""
+    m, n = len(a), len(b)
+    prev = [0] * (n + 1)
+    for i in range(1, m + 1):
+        cur = [0] * (n + 1)
+        ai = a[i - 1]
+        for j in range(1, n + 1):
+            if ai == b[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
+        prev = cur
+    return prev[n]

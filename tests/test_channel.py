@@ -18,7 +18,8 @@ from fqcodes.channel import (
 )
 from fqcodes.constructions import spread
 from fqcodes.derived import all_vectors_code
-from fqcodes.metrics import VectorCode, Word, insdel_distance, lcs_length, word
+from fqcodes.metrics import VectorCode, Word, insdel_distance, word
+from sweep_oracle import lcs_dp
 
 F2 = FieldCtx(2, 1)
 
@@ -79,8 +80,8 @@ def test_decode_hand_checked_tie():
 
 
 def _full_scan(vc, received):
-    """Oracle decoder: every codeword scored with the DP lcs_length."""
-    dists = [len(cw) + len(received) - 2 * lcs_length(cw.symbols, received.symbols)
+    """Oracle decoder: every codeword scored with the LCS DP."""
+    dists = [len(cw) + len(received) - 2 * lcs_dp(cw.symbols, received.symbols)
              for cw in vc.codewords]
     best = min(dists)
     return AMBIGUOUS if dists.count(best) > 1 else vc.codewords[dists.index(best)]

@@ -18,7 +18,7 @@ from fqcodes.gf import FieldCtx
 from fqcodes.errors import ParseError
 from fqcodes.metrics import VectorCode, word
 from fqcodes.rankmetric import RankCode, gabidulin_code, gabidulin_rect
-from fqcodes.serialize import field_to_obj, load_file, save_file, sha256_file
+from fqcodes.serialize import dumps_canonical, field_to_obj, load_file, save_file, sha256_file
 from fqcodes.suites import SUITES
 
 
@@ -257,8 +257,16 @@ def _junk_beside_a_basis(obj):
      "malformed vector code: unknown key 'extra'"),
     (lambda: spread(2, 2, 4), _junk_beside_a_basis, "metric {code} --metric subspace",
      "malformed subspace code: unknown key 'junk' in subspaces[0]"),
+    (_two_word_code, lambda obj: obj.pop("codewords"), "metric {code} --metric subset",
+     "malformed vector code: missing key 'codewords'"),
+    (_two_word_code, lambda obj: obj["field"].pop("modulus"), "metric {code} --metric subset",
+     "malformed vector code: missing key 'modulus' in field"),
+    (lambda: spread(2, 2, 4), lambda obj: obj["subspaces"][1].pop("basis"),
+     "metric {code} --metric subspace",
+     "malformed subspace code: missing key 'basis' in subspaces[1]"),
 ], ids=["rank members object", "folded codewords object", "subspaces object",
-        "unknown top-level key", "unknown key beside a basis"])
+        "unknown top-level key", "unknown key beside a basis", "missing top-level key",
+        "missing key in the field", "missing basis"])
 def test_a_code_file_that_does_not_fit_its_shape_exits_2(tmp_path, capsys, code, change, argv,
                                                          message):
     path, out = tmp_path / "code.json", tmp_path / "out.json"
@@ -278,7 +286,7 @@ def test_metric_on_subspace_code_over_a_bad_q_exits_2(tmp_path, capsys, q, messa
     save_file(str(path), spread(2, 2, 4))
     obj = json.loads(path.read_text())
     obj["q"] = q
-    path.write_text(json.dumps(obj))
+    path.write_text(dumps_canonical(obj))  # q beyond 2^53 as the string a file holds
     code, _, err = run(capsys, "metric", str(path), "--metric", "subspace")
     assert code == 2
     assert err.startswith("error: invalid subspace code: ") and err.count("\n") == 1
@@ -781,6 +789,59 @@ def test_a_file_of_the_wrong_kind_exits_2_naming_it(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# well-formed input that the command itself refuses: argv (with {name} for
+# the input files, {gab_twice} for a rank code listing one member twice and
+# {out} for the output) and the one line it exits 2 with
+REFUSED = {
+    "subset on a subspace code": ("metric {spread} --metric subset --out {out}",
+                                  "subspace code files only support --metric subspace"),
+    "block-enlarged odd degree": ("construct --kind block-enlarged --n 3 --t 2 --out {out}",
+                                  "block enlargement needs an even degree"),
+    "gabidulin t = n": ("construct --kind gabidulin --n 3 --t 3 --out {out}",
+                        "t=3 out of range for domain degree 3"),
+    "gabidulin n = 0": ("construct --kind gabidulin --n 0 --t 0 --out {out}",
+                        "extension degree n=0 must be >= 1"),
+    "folded-eval ds of another field": ("construct --kind folded-eval --n 4 --ds {ds} --out {out}",
+                                        "difference set lives in a different field"),
+    "simulate negative ins": ("simulate --code {av} --ins -1 --out {out}",
+                              "channel counts must be >= 0"),
+    "simulate negative trials": ("simulate --code {av} --trials -1 --out {out}",
+                                 "trial count must be >= 0"),
+    "lifted-mrd repeated member": ("construct --kind lifted-mrd --from {gab_twice} --out {out}",
+                                   "invalid rank code: rank code members must be distinct"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_a_refused_command_exits_2_with_one_line_and_writes_nothing(tmp_path, capsys, case):
+    template, message = REFUSED[case]
+    paths = _input_files(tmp_path)
+    obj = json.loads((tmp_path / "gab.json").read_text())
+    obj["members"].append(obj["members"][0])
+    paths["gab_twice"] = tmp_path / "gab_twice.json"
+    paths["gab_twice"].write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    _assert_rejected(capsys, tmp_path, template.format(out=out, **paths).split(), message)
+
+
+@pytest.mark.parametrize("lam, code, err", [
+    (2 ** 61 - 1, 2, "error: malformed difference set: lambda: expected an integer, "
+                     "got 2305843009213693951\n"),
+    ("2305843009213693951", 1, "verification failure: measured subset distance 4 != "
+                               "2(k - lambda) = -4611686018427387896\n"),
+], ids=["a number", "the string a file holds"])
+def test_an_integer_beyond_2_53_is_read_only_as_a_decimal_string(tmp_path, capsys, lam, code,
+                                                                 err):
+    paths = _input_files(tmp_path)
+    obj = json.loads((tmp_path / "ds.json").read_text())
+    obj["lambda"] = lam
+    (tmp_path / "ds.json").write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    assert run(capsys, "construct", "--kind", "folded-eval", "--n", "3", "--ds", paths["ds"],
+               "--out", str(out)) == (code, "", err)
+    assert not out.exists()
+
+
 def test_metric_on_a_folded_code_rejects_a_vector_metric(tmp_path, capsys):
     paths = _input_files(tmp_path)
     folded = str(tmp_path / "folded.json")
@@ -869,7 +930,9 @@ def test_a_rank_code_with_a_falsy_src_field_exits_2(tmp_path, capsys, src_field)
     path = _rank_code_file(tmp_path, src_field=src_field)
     err = _assert_one_line_exit_2(capsys, "construct", "--kind", "lifted-mrd", "--from", path,
                                   "--out", str(tmp_path / "lifted.json"))
-    assert err.startswith("error: malformed rank code: src_field")
+    expected = ("missing key 'modulus' in src_field" if src_field == {} else
+                f"src_field must be an object or null, not {type(src_field).__name__}")
+    assert err == f"error: malformed rank code: {expected}\n"
     assert not (tmp_path / "lifted.json").exists()
 
 

@@ -14,6 +14,7 @@ from fqcodes.constructions import (
     SubspaceCode,
 )
 from fqcodes.derived import (
+    DifferenceSet,
     FoldedCode,
     all_vectors_code,
     evaluation_folded_code,
@@ -168,6 +169,12 @@ def test_singer_guards():
         singer_difference_set(FieldCtx(2, 2))
     with pytest.raises(InvalidParams):
         singer_difference_set(FieldCtx(3, 3))
+
+
+@pytest.mark.parametrize("member", [99, True, -1, 2.0])
+def test_a_difference_set_member_must_be_a_field_element(member):
+    with pytest.raises(InvalidParams, match=f"^member {member!r} is not an int in \\[0, 8\\)$"):
+        DifferenceSet(GF8, (member, 3), 7, 2, 0)
 
 
 def test_singer_frobenius_invariant():

@@ -198,11 +198,20 @@ def test_vectors_are_the_packed_linear_combinations():
 
 
 def test_gf2_fast_rank_matches_generic():
+    """0-12 rows of width 1-20, with zero rows and repeated rows mixed in."""
     rng = random.Random(5)
-    for _ in range(200):
-        rows = [[rng.randrange(2) for _ in range(6)] for _ in range(4)]
-        packed = [pack(r, 2) for r in rows]
-        assert gf2_rank(packed) == rref(packed, 6, 2)[1]
+    for _ in range(1000):
+        width = rng.randint(1, 20)
+        packed = []
+        for _ in range(rng.randint(0, 12)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                packed.append(0)
+            elif kind == 1 and packed:
+                packed.append(rng.choice(packed))
+            else:
+                packed.append(rng.randrange(1 << width))
+        assert gf2_rank(packed) == rref(packed, width, 2)[1]
 
 
 def test_ext_rank_and_kernel_over_extension_field():

@@ -165,8 +165,9 @@ OPTIONAL = {
 
 def _written_back(d):
     """d as the writer emits what load_obj reads from it: each missing
-    optional key null, an empty provenance null, an int beyond +-2^53 a
-    decimal string, and a rank code's src_field equal to its field null."""
+    optional key null, an empty provenance null, an int beyond +-2^53 in a
+    provenance a decimal string, and a rank code's src_field equal to its
+    field null."""
     d = json.loads(dumps_canonical(dict({key: None for key in OPTIONAL[d["kind"]]}, **d)))
     if "provenance" in d:
         d["provenance"] = d["provenance"] or None

@@ -28,7 +28,7 @@ from fqcodes.metrics import (
     subspace_distance,
     word,
 )
-from sweep_oracle import pairwise_oracle
+from sweep_oracle import lcs_dp, pairwise_oracle
 
 F2 = FieldCtx(2, 1)
 F4 = FieldCtx(2, 2)
@@ -83,7 +83,7 @@ def test_lcs_dp_matches_brute_force():
     for _ in range(200):
         a = [rng.randrange(2) for _ in range(rng.randrange(5))]
         b = [rng.randrange(2) for _ in range(rng.randrange(5))]
-        assert lcs_length(a, b) == _lcs_brute(a, b)
+        assert lcs_dp(a, b) == _lcs_brute(a, b)
 
 
 @st.composite
@@ -103,8 +103,20 @@ def _symbol_pair(draw, alphabets=(1, 2, 3, 256)):
 @example(([0, 1, 2] * 30, [2, 1, 0] * 25))
 def test_bit_parallel_lcs_matches_the_dp(pair):
     a, b = pair
-    assert packed_lcs(pack_lcs_masks([a], len(a)), b)[0] == lcs_length(a, b)
-    assert packed_lcs(pack_lcs_masks([b], len(b)), a)[0] == lcs_length(a, b)
+    assert packed_lcs(pack_lcs_masks([a], len(a)), b)[0] == lcs_dp(a, b)
+    assert packed_lcs(pack_lcs_masks([b], len(b)), a)[0] == lcs_dp(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symbol_pair())
+@example(([], []))
+@example(([], [0, 1]))
+@example(([1, 0], []))
+@example(([0] * 3, [0] * 140))
+def test_lcs_length_matches_the_dp(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_dp(a, b)
+    assert lcs_length(b, a) == lcs_dp(a, b)
 
 
 SLOT_BOUNDARIES = (1, 7, 8, 15, 16, 247, 248, 255, 256, 300)
@@ -141,7 +153,7 @@ def test_packed_scores_match_the_dp_for_every_word(case):
     words, n, received = case
     scores = packed_lcs(pack_lcs_masks(words, n), received)
     assert isinstance(scores, bytes if n < 256 else list)
-    assert list(scores) == [lcs_length(w, received) for w in words]
+    assert list(scores) == [lcs_dp(w, received) for w in words]
 
 
 def test_packed_masks_fill_chunks_of_lcs_chunk_words():
@@ -157,7 +169,7 @@ def test_packed_masks_fill_chunks_of_lcs_chunk_words():
 @given(_symbol_pair(alphabets=(3,)))
 def test_insdel_distance_over_f3_matches_the_dp(pair):
     a, b = (Word(FieldCtx(3, 1), tuple(s)) for s in pair)
-    assert insdel_distance(a, b) == len(a) + len(b) - 2 * lcs_length(a.symbols, b.symbols)
+    assert insdel_distance(a, b) == len(a) + len(b) - 2 * lcs_dp(a.symbols, b.symbols)
 
 
 @st.composite
@@ -175,7 +187,7 @@ def _small_code(draw):
 def test_insdel_sweep_matches_the_lcs_dp_pairwise_sweep(c):
     rep = code_min_distance(c, "insdel")
     oracle = pairwise_oracle(
-        c.codewords, lambda x, y: len(x) + len(y) - 2 * lcs_length(x.symbols, y.symbols),
+        c.codewords, lambda x, y: len(x) + len(y) - 2 * lcs_dp(x.symbols, y.symbols),
         "insdel")
     assert (rep.minimum, rep.witness_indices, rep.pairs) == \
         (oracle.minimum, oracle.witness_indices, oracle.pairs)

@@ -75,7 +75,7 @@ def test_field_rejects_non_canonical_modulus(modulus):
 def test_field_caps_the_characteristic_before_the_primality_test():
     # 2^61 - 1 is prime; trial division up to its square root would not finish
     with pytest.raises(ParseError, match="q=2305843009213693951 exceeds supported maximum"):
-        _load_field({"q": 2 ** 61 - 1, "n": 1, "modulus": [0, 1]})
+        _load_field({"q": "2305843009213693951", "n": 1, "modulus": [0, 1]})
 
 
 def _load_subspace(obj):
@@ -139,7 +139,7 @@ def test_subspace_basis_entries_must_be_canonical(tmp_path, capsys, basis, messa
 
 def test_empty_bases_in_a_huge_ambient_space_load_at_once():
     # row reduction of no rows used to walk all 10^18 columns
-    obj = {"kind": "subspace_code", "q": 2, "ambient": 10 ** 18,
+    obj = {"kind": "subspace_code", "q": 2, "ambient": "1000000000000000000",
            "subspaces": [{"basis": []}]}
     start = time.monotonic()
     sc = load_obj(obj)
@@ -153,7 +153,7 @@ def test_empty_bases_in_a_huge_ambient_space_load_at_once():
 @pytest.mark.parametrize("q, message", [(4, "is not prime"),
                                         (2 ** 61 - 1, "exceeds supported maximum")])
 def test_subspace_loader_checks_the_characteristic(q, message):
-    obj = dict(subspace_to_obj(spread(2, 2, 4).members[0]), q=q)
+    obj = json.loads(dumps_canonical(dict(subspace_to_obj(spread(2, 2, 4).members[0]), q=q)))
     with pytest.raises(ParseError, match=f"invalid subspace code: q={q} {message}"):
         _load_subspace(obj)
 
@@ -195,7 +195,7 @@ def test_folded_blocks_round_trip_every_block_length(tmp_path, r):
 
 def test_a_folded_word_of_no_blocks_loads_whatever_its_block_length():
     obj = object_to_obj(evaluation_folded_code(GF8, singer_difference_set(GF8).members))
-    obj.update(block_len=2 ** 61 - 1, codewords=[[]])
+    obj.update(block_len="2305843009213693951", codewords=[[]])
     assert [w.blocks for w in load_obj(obj).codewords] == [()]
 
 
@@ -206,6 +206,14 @@ def test_round_trip_preserves_distances(tmp_path):
     loaded = load_file(path)
     assert code_min_distance(loaded, "insdel").minimum == \
         code_min_distance(vc, "insdel").minimum
+
+
+def test_as_int_takes_a_json_number_only_within_2_53():
+    assert as_int(2 ** 53) == 2 ** 53 and as_int(-2 ** 53) == -2 ** 53
+    for v in (2 ** 53 + 1, -2 ** 53 - 1, 2 ** 61 - 1):
+        with pytest.raises(ParseError, match=f"^at: expected an integer, got {v}$"):
+            as_int(v, "at")
+        assert as_int(str(v)) == v
 
 
 def test_big_integers_serialized_as_strings():
