@@ -50,7 +50,7 @@ from .derived import (
     span_code,
 )
 from .errors import FqcodesError, InvalidParams, PropertyViolation
-from .gf import FieldCtx
+from .gf import FieldCtx, unpack
 from .metrics import VectorCode, code_min_distance
 from .rankmetric import RankCode, gabidulin_code, rank_distance_of_code
 from .serialize import (
@@ -63,7 +63,6 @@ from .serialize import (
     metric_report_to_obj,
     save_file,
     sha256_file,
-    subspace_to_obj,
     trial_summary_to_obj,
 )
 from .suites import SUITE_OPTIONS, SUITES, run_suites
@@ -191,7 +190,7 @@ def _cmd_construct(args) -> int:
         sidon = sidon_search(ctx, args.k)
         obj = orbit_cyclic_code(ctx, sidon)
         obj.declared_distance = 2 * args.k - 2
-        obj.provenance["sidon_basis"] = subspace_to_obj(sidon)["basis"]
+        obj.provenance["sidon_basis"] = [list(unpack(r, q, sidon.ambient)) for r in sidon.rows]
     elif kind == "block-enlarged":
         obj = block_enlarged_family(ctx, args.t)
     elif kind in ("span", "all-vectors"):

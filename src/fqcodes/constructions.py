@@ -57,6 +57,10 @@ class SubspaceCode:
         for s in members:
             if s.q != q or s.ambient != ambient:
                 raise InvalidParams("member subspace from a different ambient space")
+            for r in s.rows:  # the rank kernels take packed rows; gf2_rank loops on r < 0
+                if not (type(r) is int and 0 <= r
+                        and (r.bit_length() <= ambient or r < q ** ambient)):
+                    raise InvalidParams(f"member row {r!r} is not an int in [0, {q}^{ambient})")
             if constant_dim is not None and s.dim != constant_dim:
                 raise InvalidParams(
                     f"member of dimension {s.dim} in a constant-dimension-{constant_dim} code")

@@ -9,8 +9,13 @@ beyond the 53-bit float-safe range are emitted as decimal strings, and
 readers accept such an integer only in that form.  A field element is
 written as its coefficient list (c_0 first), and so is a subspace basis
 row; a folded word's block is its symbols' lists.  The library holds each
-of the three as a packed int: this module is the one place outside gf
-where any takes the list form.
+of the three as a packed int, and so do the trees the `*_to_obj` writers
+return: a word, a folded word's blocks, a basis, a rank-code member and a
+difference set's members are each one `_Packed` leaf, a run of packed
+ints.  The emitter writes a leaf from a cache of each int's text, keyed
+by (q, n, per, indent), so a symbol is unpacked once per artifact, not
+once per use, and it yields a chunk after each leaf.  Readers take the
+list form, which no tree holds.
 
 Every file of a code object carries a "kind" discriminator.  `_KINDS` is
 the one table of them: each kind's class, writer, reader and JSON shape.
@@ -37,40 +42,79 @@ from .constructions import SubspaceCode
 from .derived import DifferenceSet, FoldedCode
 from .errors import FqcodesError, InvalidParams, ParseError
 from .gf import FieldCtx, check_characteristic, pack, unpack
-from .linalg import Subspace, span
+from .linalg import Subspace
 from .metrics import FoldedWord, MetricReport, VectorCode, Word, word
 from .rankmetric import LinearizedPoly, RankCode
 
 _SAFE_INT = 1 << 53
-_CHUNK = 8192  # pieces of JSON text joined into one chunk
+_CHUNK = 8192  # pieces of JSON text joined into one chunk; also the text cache's size
 
 
-def _canonical_chunks(x, out: list, pad: str = ""):
+@dataclasses.dataclass
+class _Packed:
+    """A run of packed ints, which the emitter writes as one JSON array: each
+    int as the array of its n base-q digits (gf.unpack), or, for per > 0, as
+    per such arrays cut from its n * per digits, as a folded block is.  Every
+    run of symbols, blocks or basis rows a writer emits is one such leaf."""
+
+    ints: tuple
+    q: int
+    n: int
+    per: int = 0
+
+
+def _array(items: list, pad: str) -> str:
+    """The JSON array, at indent `pad`, of items already rendered as text."""
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _packed_text(x: int, leaf: _Packed, pad: str) -> str:
+    """The text of x, one int of `leaf`, as an element of it at indent `pad`."""
+    n, inner = leaf.n, pad + "  "
+    digits = [*map(str, unpack(x, leaf.q, n * (leaf.per or 1)))]  # each < q, a small int
+    if not leaf.per:
+        return _array(digits, pad)
+    return _array([_array(digits[i:i + n], inner) for i in range(0, n * leaf.per, n)], pad)
+
+
+def _canonical_chunks(x, out: list, pad: str = "", texts: dict | None = None):
     """Yield json.dumps(x, sort_keys=True, indent=2) + "\\n", with every int beyond
-    +-2^53 as a decimal string, in chunks of about _CHUNK pieces gathered in out,
-    a new list.  A nested call (at indent `pad`) adds its pieces to the caller's."""
-    if isinstance(x, str):
+    +-2^53 as a decimal string and every _Packed leaf as the arrays it stands
+    for, in chunks of about _CHUNK pieces gathered in out, a new list, and a
+    chunk after each leaf.  A nested call (at indent `pad`) adds its pieces to
+    the caller's and shares `texts`: per (q, n, per, indent), each int's text
+    as a leaf element, the same for every leaf of that key."""
+    if texts is None:
+        texts = {}
+    if type(x) is _Packed:
+        cache = texts.setdefault((x.q, x.n, x.per, pad), {})
+        if len(cache) > _CHUNK:  # bounds the cache when few ints repeat
+            cache.clear()
+        for v in set(x.ints).difference(cache):
+            cache[v] = _packed_text(v, x, pad + "  ")
+        out.append(_array([*map(cache.__getitem__, x.ints)], pad))
+    elif isinstance(x, str):
         out.append(_quote(x))
     elif isinstance(x, dict) and x:
         out.append("{")
         for i, k in enumerate(sorted(x)):  # _quote raises TypeError on a non-str key
             out.append(f"{',' if i else ''}\n{pad}  {_quote(k)}: ")
-            yield from _canonical_chunks(x[k], out, pad + "  ")
+            yield from _canonical_chunks(x[k], out, pad + "  ", texts)
         out.append(f"\n{pad}}}")
     elif isinstance(x, (list, tuple)) and x:
         if all(type(v) is int for v in x) and -_SAFE_INT <= min(x) and max(x) <= _SAFE_INT:
-            out.append(f"[\n{pad}  " + f",\n{pad}  ".join(map(str, x)) + f"\n{pad}]")
+            out.append(_array([*map(str, x)], pad))
         else:
             out.append("[")
             for i, v in enumerate(x):
                 out.append(f"{',' if i else ''}\n{pad}  ")
-                yield from _canonical_chunks(v, out, pad + "  ")
+                yield from _canonical_chunks(v, out, pad + "  ", texts)
             out.append(f"\n{pad}]")
     elif isinstance(x, int) and abs(x) > _SAFE_INT:
         out.append(_quote(str(x)))
     else:  # an empty list or dict, None, a bool, an int or a float; TypeError on others
         out.append(json.dumps(x))
-    if len(out) > _CHUNK or not pad:  # only the top-level call has pad "": the end
+    if len(out) > _CHUNK or not pad or type(x) is _Packed:  # pad "" only at the top: the end
         yield "".join(out) + ("" if pad else "\n")
         out.clear()
 
@@ -188,43 +232,42 @@ def field_from_obj(d) -> FieldCtx:
 
 # -- subspaces -------------------------------------------------------------
 
-def _basis_to_lists(s: Subspace) -> list:
-    return [list(unpack(r, s.q, s.ambient)) for r in s.rows]
-
-
 def _subspace_from_lists(q: int, ambient: int, basis) -> Subspace:
     """A subspace read from its basis: rows of `ambient` entries in [0, q)
-    that already form a zero-row-free RREF matrix."""
-    rows = []
+    that already form a zero-row-free RREF matrix, checked as such: each
+    row's first nonzero entry, its pivot, is 1 and lies right of the pivot
+    above, and every other entry of a pivot's column is 0."""
     for r in basis:
         if len(r) != ambient:
             raise InvalidParams(f"basis row of length {len(r)} in ambient {ambient}")
         for e in r:
             if not 0 <= e < q:
                 raise InvalidParams(f"basis entry {e} is not in [0, {q})")
-        rows.append(pack(r, q))
-    s = span(rows, ambient, q)
-    if s.rows != tuple(rows):
+    pivots = [next((j for j, e in enumerate(r) if e), None) for r in basis]
+    rref = (None not in pivots and all(r[j] == 1 for j, r in zip(pivots, basis))
+            and all(a < b for a, b in zip(pivots, pivots[1:]))
+            and not any(r[j] for i, r in enumerate(basis) for j in pivots[i + 1:]))
+    if not rref:
         raise InvalidParams("subspace basis must be a zero-row-free RREF matrix")
-    return s
+    return Subspace(q, ambient, tuple(pack(r, q) for r in basis))
 
 
-def subspace_to_obj(s: Subspace) -> dict:
-    return {"ambient": s.ambient, "q": s.q, "basis": _basis_to_lists(s)}
+def _basis(s: Subspace) -> _Packed:
+    return _Packed(s.rows, s.q, s.ambient)
 
 
 # -- vector codes ----------------------------------------------------------
 
-def _word_to_lists(w: Word):
-    return [list(w.ctx.coefficients(s)) for s in w.symbols]
+def _symbols(w: Word) -> _Packed:
+    return _Packed(w.symbols, w.ctx.q, w.ctx.n)
 
 
 def vector_code_to_obj(c: VectorCode) -> dict:
     return {
         "field": field_to_obj(c.ctx),
         "length": c.length,
-        "codewords": [_word_to_lists(w) for w in c.codewords],
-        "generator": ([_word_to_lists(w) for w in c.generator]
+        "codewords": [_symbols(w) for w in c.codewords],
+        "generator": ([_symbols(w) for w in c.generator]
                       if c.generator is not None else None),
         "provenance": c.provenance or None,
     }
@@ -246,7 +289,7 @@ def rank_code_to_obj(c: RankCode) -> dict:
         "src_field": field_to_obj(c.src) if c.src is not None else None,
         "t": c.t,
         "declared_rank_distance": c.declared_rank_distance,
-        "members": [[list(c.ctx.coefficients(a)) for a in p.coeffs] for p in c.members],
+        "members": [_Packed(p.coeffs, c.ctx.q, c.ctx.n) for p in c.members],
         "provenance": c.provenance or None,
     }
 
@@ -268,7 +311,7 @@ def subspace_code_to_obj(sc: SubspaceCode) -> dict:
         "ambient": sc.ambient,
         "constant_dim": sc.constant_dim,
         "declared_distance": sc.declared_distance,
-        "subspaces": [{"basis": _basis_to_lists(s)} for s in sc.members],
+        "subspaces": [{"basis": _basis(s)} for s in sc.members],
         "provenance": sc.provenance or None,
     }
 
@@ -284,18 +327,15 @@ def subspace_code_from_obj(d) -> SubspaceCode:
 
 # -- folded codes -------------------------------------------------------------
 
-def _blocks_to_lists(w: FoldedWord):
-    """Each block as its symbols' coefficient lists: its n r base-q digits in runs of n."""
-    n, q, width = w.ctx.n, w.ctx.q, w.ctx.n * w.block_len
-    return [[list(d[i:i + n]) for i in range(0, width, n)]
-            for d in (unpack(b, q, width) for b in w.blocks)]
+def _blocks(w: FoldedWord) -> _Packed:
+    return _Packed(w.blocks, w.ctx.q, w.ctx.n, w.block_len)
 
 
 def folded_code_to_obj(fc: FoldedCode) -> dict:
     return {
         "field": field_to_obj(fc.ctx),
         "block_len": fc.block_len,
-        "codewords": [_blocks_to_lists(w) for w in fc.codewords],
+        "codewords": [_blocks(w) for w in fc.codewords],
         "provenance": fc.provenance or None,
     }
 
@@ -317,7 +357,7 @@ def folded_code_from_obj(d) -> FoldedCode:
 def difference_set_to_obj(ds: DifferenceSet) -> dict:
     return {
         "field": field_to_obj(ds.ctx),
-        "members": [list(ds.ctx.coefficients(m)) for m in ds.members],
+        "members": _Packed(ds.members, ds.ctx.q, ds.ctx.n),
         "v": ds.v,
         "k": ds.k,
         "lambda": ds.lam,
@@ -334,10 +374,10 @@ def difference_set_from_obj(d) -> DifferenceSet:
 def _witness_to_obj(item):
     """A sweep's witness: a Word, a FoldedWord or a Subspace."""
     if isinstance(item, Word):
-        return {"word": _word_to_lists(item)}
+        return {"word": _symbols(item)}
     if isinstance(item, FoldedWord):
-        return {"blocks": _blocks_to_lists(item)}
-    return {"basis": _basis_to_lists(item)}
+        return {"blocks": _blocks(item)}
+    return {"basis": _basis(item)}
 
 
 def metric_report_to_obj(r: MetricReport) -> dict:

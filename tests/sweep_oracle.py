@@ -1,7 +1,10 @@
 """The oracles the library's kernels are tested against: the exhaustive
-per-pair sweep and the O(|a||b|) LCS DP."""
+per-pair sweep, the O(|a||b|) LCS DP, and `expand`, which turns the packed
+leaves of a serialize writer's tree into the lists that json.dumps writes."""
 
+from fqcodes.gf import unpack
 from fqcodes.metrics import MetricReport
+from fqcodes.serialize import _Packed
 
 
 def pairwise_oracle(items, dist, metric: str, notes: dict | None = None) -> MetricReport:
@@ -33,3 +36,18 @@ def lcs_dp(a, b) -> int:
                 cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
         prev = cur
     return prev[n]
+
+
+def expand(tree):
+    """tree with lists for tuples and each _Packed leaf as the nested lists it
+    stands for, unpacked here by gf.unpack rather than by the emitter: an int
+    as its n digits, or, for per > 0, as per lists of n digits each."""
+    if isinstance(tree, _Packed):
+        n, per = tree.n, tree.per
+        digits = [list(unpack(x, tree.q, n * (per or 1))) for x in tree.ints]
+        return [[d[i * n:(i + 1) * n] for i in range(per)] if per else d for d in digits]
+    if isinstance(tree, dict):
+        return {k: expand(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [expand(v) for v in tree]
+    return tree

@@ -6,7 +6,14 @@ import pytest
 
 from fqcodes.errors import InvalidParams
 from fqcodes.gf import FieldCtx, is_prime, pack, prime_field, unpack
-from fqcodes.linalg import enumerate_subspaces, ext_matmul, kernel, span, subspace_pair_distance
+from fqcodes.linalg import (
+    Subspace,
+    enumerate_subspaces,
+    ext_matmul,
+    kernel,
+    span,
+    subspace_pair_distance,
+)
 from fqcodes.constructions import (
     SubspaceCode,
     _greedy_row_disjoint_multipliers,
@@ -28,7 +35,7 @@ from fqcodes.rankmetric import (
     poly_to_matrix,
 )
 from fqcodes.serialize import subspace_code_from_obj, subspace_code_to_obj
-from sweep_oracle import pairwise_oracle
+from sweep_oracle import expand, pairwise_oracle
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 
@@ -82,6 +89,22 @@ def test_fast_path_matches_generic_sweep():
     fast = subspace_code_min_distance(sc)
     generic = pairwise_oracle(sc.members, subspace_pair_distance, "subspace")
     assert (fast.minimum, fast.witness_indices) == (generic.minimum, generic.witness_indices)
+
+
+@pytest.mark.parametrize("rows", [(-2, 3), (3, -1), (1 << 22,), (1 << 100,), (True,), (1.0,)])
+def test_a_subspace_code_refuses_a_member_row_that_is_not_a_packed_vector(rows):
+    # past 2^20 vectors the sweep scores a pair by rank, and gf2_rank never
+    # returned on a negative row
+    big = span([1 << i for i in range(21)], 22, 2)
+    with pytest.raises(InvalidParams, match=r"^member row .* is not an int in \[0, 2\^22\)$"):
+        subspace_code_min_distance(SubspaceCode(2, 22, [big, Subspace(2, 22, rows)]))
+
+
+def test_a_subspace_code_takes_rows_up_to_q_to_the_ambient():
+    top = Subspace(3, 2, (3 ** 2 - 1,))  # not in RREF, but a packed vector
+    assert SubspaceCode(3, 2, [top]).members == (top,)
+    with pytest.raises(InvalidParams, match=r"member row 9 is not an int in \[0, 3\^2\)"):
+        SubspaceCode(3, 2, [Subspace(3, 2, (3 ** 2,))])
 
 
 def test_lift_zero_code():
@@ -416,13 +439,13 @@ def test_every_subspace_is_its_canonical_span(q):
         assert all(isinstance(r, int) for r in s.rows)
         assert s == span(s.rows, s.ambient, s.q)
         alone = subspace_code_to_obj(SubspaceCode(s.q, s.ambient, [s]))
-        assert subspace_code_from_obj(alone).members == (s,)
+        assert subspace_code_from_obj(expand(alone)).members == (s,)
     by_ambient = {}
     for s in subspaces:
         by_ambient.setdefault(s.ambient, []).append(s)
     for ambient, members in by_ambient.items():
         code = SubspaceCode(q, ambient, members)
-        loaded = subspace_code_from_obj(subspace_code_to_obj(code))
+        loaded = subspace_code_from_obj(expand(subspace_code_to_obj(code)))
         assert loaded.members == code.members
         assert all(s == span(s.rows, s.ambient, s.q) for s in loaded.members)
 

@@ -9,6 +9,7 @@ import re
 import stat
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,17 +18,26 @@ from hypothesis import strategies as st
 from fqcodes import serialize
 from fqcodes.cli import main
 from fqcodes.errors import InvalidParams, ParseError
-from fqcodes.gf import FieldCtx
+from fqcodes.gf import FieldCtx, unpack
 from fqcodes.bounds import BoundReport
-from fqcodes.constructions import lift_rank_code, spread
+from fqcodes.constructions import (
+    SubspaceCode,
+    block_enlarged_family,
+    lift_rank_code,
+    spread,
+    subspace_code_min_distance,
+)
 from fqcodes.derived import (
+    FoldedCode,
     evaluation_folded_code,
+    folded_code_min_distance,
     folded_code_from_vector_code,
     singer_difference_set,
     span_code,
 )
-from fqcodes.metrics import code_min_distance, fold
-from fqcodes.rankmetric import gabidulin_code
+from fqcodes.linalg import span
+from fqcodes.metrics import FoldedWord, VectorCode, Word, code_min_distance, fold
+from fqcodes.rankmetric import gabidulin_code, gabidulin_rect
 from fqcodes.serialize import (
     as_int,
     atomic_write_text,
@@ -42,8 +52,8 @@ from fqcodes.serialize import (
     object_to_obj,
     save_file,
     sha256_file,
-    subspace_to_obj,
 )
+from sweep_oracle import expand
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 
@@ -56,7 +66,7 @@ def test_field_round_trip():
 
 def _load_field(field):
     """A field object, read as the field of a difference set file."""
-    obj = object_to_obj(singer_difference_set(GF8))
+    obj = expand(object_to_obj(singer_difference_set(GF8)))
     return load_obj(dict(obj, field=field)).ctx
 
 
@@ -78,6 +88,12 @@ def test_field_caps_the_characteristic_before_the_primality_test():
         _load_field({"q": "2305843009213693951", "n": 1, "modulus": [0, 1]})
 
 
+def _subspace_obj(s):
+    """A subspace as a subspace code file lists it, with its q and ambient."""
+    basis = [list(unpack(r, s.q, s.ambient)) for r in s.rows]
+    return {"q": s.q, "ambient": s.ambient, "basis": basis}
+
+
 def _load_subspace(obj):
     """A subspace object, read as the one member of a subspace code file."""
     sc = load_obj({"kind": "subspace_code", "q": obj["q"], "ambient": obj["ambient"],
@@ -88,8 +104,8 @@ def _load_subspace(obj):
 def test_subspace_round_trip_and_validation():
     sc = spread(2, 2, 4)
     s = sc.members[0]
-    assert _load_subspace(subspace_to_obj(s)) == s
-    bad = subspace_to_obj(s)
+    assert _load_subspace(_subspace_obj(s)) == s
+    bad = _subspace_obj(s)
     bad["basis"] = [[1, 1, 0, 0], [1, 0, 0, 0]]  # not RREF
     with pytest.raises(ParseError):
         _load_subspace(bad)
@@ -132,9 +148,30 @@ def test_subspace_basis_entries_must_be_canonical(tmp_path, capsys, basis, messa
     with pytest.raises(ParseError, match=f"^invalid subspace code: {message}$"):
         load_file(path)
     assert re.search(message, _metric_exit_2(capsys, path))
-    obj = dict(subspace_to_obj(spread(2, 2, 4).members[1]), basis=basis)
+    obj = dict(_subspace_obj(spread(2, 2, 4).members[1]), basis=basis)
     with pytest.raises(ParseError, match=f"^invalid subspace code: {message}$"):
         _load_subspace(obj)
+
+
+@pytest.mark.parametrize("basis", [
+    [[1, 0, 2, 0], [0, 0, 0, 0]],  # a zero row
+    [[0, 0, 0, 0]],
+    [[0, 1, 0, 0], [1, 0, 0, 0]],  # pivots falling
+    [[1, 0, 0, 0], [1, 1, 0, 0]],  # pivots level
+    [[2, 0, 0, 0]],  # a pivot that is not 1
+    [[1, 0, 0, 0], [0, 0, 2, 1]],
+    [[1, 1, 0, 0], [0, 1, 0, 0]],  # nonzero above a pivot
+    [[1, 0, 2, 0], [0, 1, 1, 0], [0, 0, 1, 0]],
+])
+def test_a_basis_must_be_in_rref(basis):
+    message = "subspace basis must be a zero-row-free RREF matrix"
+    with pytest.raises(ParseError, match=f"^invalid subspace code: {message}$"):
+        _load_subspace({"q": 3, "ambient": 4, "basis": basis})
+
+
+def test_a_basis_in_rref_loads_as_its_packed_rows():
+    s = _load_subspace({"q": 3, "ambient": 4, "basis": [[1, 2, 0, 1], [0, 0, 1, 2]]})
+    assert s == span([1 * 27 + 2 * 9 + 1, 1 * 3 + 2], 4, 3)
 
 
 def test_empty_bases_in_a_huge_ambient_space_load_at_once():
@@ -153,24 +190,43 @@ def test_empty_bases_in_a_huge_ambient_space_load_at_once():
 @pytest.mark.parametrize("q, message", [(4, "is not prime"),
                                         (2 ** 61 - 1, "exceeds supported maximum")])
 def test_subspace_loader_checks_the_characteristic(q, message):
-    obj = json.loads(dumps_canonical(dict(subspace_to_obj(spread(2, 2, 4).members[0]), q=q)))
+    obj = json.loads(dumps_canonical(dict(_subspace_obj(spread(2, 2, 4).members[0]), q=q)))
     with pytest.raises(ParseError, match=f"invalid subspace code: q={q} {message}"):
         _load_subspace(obj)
+
+
+F3_2 = FieldCtx(3, 2)
+F4 = FieldCtx(2, 2)
+
+
+def _empty_word_code():
+    return VectorCode(F4, 0, [Word(F4, ())])
 
 
 @pytest.mark.parametrize("factory", [
     lambda: gabidulin_code(GF8, 1),
     lambda: lift_rank_code(gabidulin_code(GF8, 1)),
     lambda: spread(2, 2, 4),
-    lambda: span_code(spread(2, 2, 4), 2),
+    lambda: span_code(spread(2, 2, 4), 2),  # with a generator
     lambda: singer_difference_set(GF8),
     lambda: evaluation_folded_code(GF8, singer_difference_set(GF8).members),
+    lambda: span_code(spread(3, 1, 2), 3),  # over F_9
+    _empty_word_code,  # a word of no symbols
+    lambda: gabidulin_rect(FieldCtx(3, 1), F3_2, 0),  # with a src_field
+    lambda: spread(3, 2, 6),
+    lambda: block_enlarged_family(F3_2, 1),
+    lambda: SubspaceCode(2, 3, [span([], 3, 2), span([0b100, 0b011], 3, 2)]),  # 0-dimensional
+    lambda: folded_code_from_vector_code(span_code(spread(2, 2, 4), 4), 1),
+    lambda: folded_code_from_vector_code(span_code(spread(2, 2, 4), 4), 2),
+    lambda: folded_code_from_vector_code(span_code(spread(3, 1, 2), 5), 3),
+    lambda: FoldedCode(F4, 2, (FoldedWord(F4, 2, ()),)),  # a folded word of no blocks
 ])
 def test_file_round_trip(tmp_path, factory):
     obj = factory()
     path = str(tmp_path / "artifact.json")
     assert save_file(path, obj) == sha256_file(path)
-    assert open(path).read() == _oracle(object_to_obj(obj))
+    assert open(path).read() == _oracle(expand(object_to_obj(obj)))
+    assert dumps_canonical(object_to_obj(obj)) == open(path).read()
     loaded = load_file(path)
     assert dumps_canonical(object_to_obj(loaded)) == dumps_canonical(object_to_obj(obj))
 
@@ -269,7 +325,7 @@ _FIRST_COEFF = {
 ])
 @pytest.mark.parametrize("bad", ["a", 5, -1, 1.0, True, None])
 def test_symbol_coefficients_must_be_canonical_integers(factory, bad):
-    obj = object_to_obj(factory())
+    obj = expand(object_to_obj(factory()))
     symbol = _FIRST_COEFF[obj["kind"]](obj)
     symbol[0] = bad
     with pytest.raises(ParseError):
@@ -284,7 +340,7 @@ def test_symbol_coefficients_must_be_canonical_integers(factory, bad):
 ])
 @pytest.mark.parametrize("bad", ["abc", [["a", 1]], 0, False])
 def test_provenance_must_be_an_object_or_null(factory, bad):
-    obj = object_to_obj(factory())
+    obj = expand(object_to_obj(factory()))
     obj["provenance"] = bad
     with pytest.raises(ParseError, match="provenance must be an object or null"):
         load_obj(obj)
@@ -303,7 +359,7 @@ def test_load_file_rejects_bad_encoding_and_deep_nesting(tmp_path):
 
 
 def test_generator_row_of_wrong_length_rejected():
-    obj = object_to_obj(span_code(spread(2, 2, 4), 2))
+    obj = expand(object_to_obj(span_code(spread(2, 2, 4), 2)))
     obj["generator"] = [[]]
     with pytest.raises(ParseError, match="invalid vector code: generator row of wrong length"):
         load_obj(obj)
@@ -403,8 +459,11 @@ _INTS = st.one_of(st.integers(), st.integers(-3, 3), st.sampled_from(_EDGE_INTS)
 _SCALARS = st.one_of(
     st.none(), st.booleans(), _INTS, st.text(),
     st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]))
+_PACKED = st.tuples(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.integers(0, 3)).flatmap(
+    lambda a: st.lists(st.integers(0, a[0] ** (a[1] * max(a[2], 1)) - 1), max_size=4).map(
+        lambda ints: serialize._Packed(tuple(ints), *a)))
 _TREES = st.recursive(
-    _SCALARS,
+    _SCALARS | _PACKED,
     lambda children: st.one_of(
         st.lists(_INTS, max_size=5),  # the writer's one-piece case
         st.lists(children, max_size=5),
@@ -421,7 +480,7 @@ def _save_tree(path, tree) -> str:
 
 
 def _check_writers(tree):
-    want = _oracle(tree)
+    want = _oracle(expand(tree))
     assert dumps_canonical(tree) == want
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "tree.json")
@@ -453,6 +512,69 @@ def test_writer_refuses_what_it_has_no_rule_for(tmp_path, bad):
     with pytest.raises(TypeError):
         _save_tree(str(tmp_path / "bad.json"), bad)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("factory", [lambda: spread(2, 2, 4), lambda: gabidulin_code(GF8, 1)])
+def test_a_provenance_int_beyond_2_53_is_written_as_a_string(factory):
+    obj = factory()
+    obj.provenance.update(big=2 ** 60, edge=[2 ** 53, -(2 ** 53 + 1)])
+    want = _oracle(expand(object_to_obj(obj)))
+    assert dumps_canonical(object_to_obj(obj)) == want
+    assert json.loads(want)["provenance"]["big"] == str(2 ** 60)
+    assert json.loads(want)["provenance"]["edge"] == [2 ** 53, str(-(2 ** 53 + 1))]
+
+
+def test_empty_runs_are_written_as_empty_arrays():
+    assert json.loads(dumps_canonical(object_to_obj(_empty_word_code())))["codewords"] == [[]]
+    fc = FoldedCode(F4, 2, (FoldedWord(F4, 2, ()),))
+    assert json.loads(dumps_canonical(object_to_obj(fc)))["codewords"] == [[]]
+    sc = SubspaceCode(2, 3, [span([], 3, 2)])
+    assert json.loads(dumps_canonical(object_to_obj(sc)))["subspaces"] == [{"basis": []}]
+
+
+@pytest.mark.parametrize("report", [
+    lambda: code_min_distance(span_code(spread(3, 1, 2), 3), "insdel"),  # Word witnesses
+    lambda: folded_code_min_distance(
+        folded_code_from_vector_code(span_code(spread(2, 2, 4), 4), 3), "subset"),  # FoldedWord
+    lambda: subspace_code_min_distance(spread(3, 2, 6)),  # Subspace witnesses
+])
+def test_a_metric_report_is_written_as_json_dumps_writes_its_lists(report):
+    rep = report()
+    want = _oracle(expand(metric_report_to_obj(rep)))
+    assert dumps_canonical(metric_report_to_obj(rep)) == want
+    assert len(json.loads(want)["witness"]) == 2
+
+
+def test_the_text_cache_keeps_apart_leaves_that_differ_in_one_key_field():
+    P = serialize._Packed
+    tree = {"d": [P((1, 5), 2, 3), P((1, 5), 2, 3, 1), P((1, 5), 3, 3), P((1, 5), 2, 4)],
+            "e": P((1, 5), 2, 3)}  # and in indent
+    assert dumps_canonical(tree) == _oracle(expand(tree))
+
+
+def _peak(save) -> int:
+    """The tracemalloc peak of save(), in bytes."""
+    tracemalloc.start()
+    try:
+        save()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_saving_a_folded_code_keeps_memory_bounded(tmp_path):
+    fc = evaluation_folded_code(FieldCtx(2, 8), singer_difference_set(FieldCtx(2, 8)).members)
+    assert _peak(lambda: save_file(str(tmp_path / "folded8.json"), fc)) < 1 << 20  # of 4.5 MB
+
+
+def test_the_text_cache_stays_bounded_when_few_ints_repeat(tmp_path):
+    # 40,000 distinct ints of one (q, n, per, indent), five times what the cache holds;
+    # unbounded, the cache peaked at 1.8 times the file size
+    tree = [serialize._Packed(range(i * 1000, (i + 1) * 1000), 2, 16) for i in range(40)]
+    path = str(tmp_path / "tree.json")
+    peak = _peak(lambda: _save_tree(path, tree))
+    assert open(path).read() == _oracle(expand(tree))
+    assert peak < 0.75 * os.path.getsize(path)
 
 
 def test_atomic_write_text_writes_utf8_and_returns_its_digest(tmp_path):
