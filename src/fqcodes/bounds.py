@@ -89,10 +89,6 @@ def klo_bound(q: int) -> int:
     return value
 
 
-def _rotate_right(symbols):
-    return (symbols[-1],) + symbols[:-1]
-
-
 def cyclic_shift_witness(c: VectorCode) -> Word:
     """A nonzero codeword whose left cyclic shift is also a codeword.
 
@@ -116,7 +112,7 @@ def cyclic_shift_witness(c: VectorCode) -> Word:
     if not kernel:
         raise PropertyViolation("stacked parity system had full rank despite k > n/2")
     x = kernel[0]
-    witness = Word(ctx, _rotate_right(x))
+    witness = Word(ctx, (x[-1],) + x[:-1])  # x rotated right
     shifted = Word(ctx, x)
     if not (any(s != ctx.zero for s in x)
             and c.contains(witness) and c.contains(shifted)):

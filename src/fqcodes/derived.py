@@ -39,6 +39,13 @@ from .constructions import SubspaceCode
 _VECTOR_GUARD = 1 << 16
 
 
+def _check_points(ctx: FieldCtx, points, what: str) -> None:
+    """Raise InvalidParams unless the points are distinct nonzero elements of ctx."""
+    ctx.check_elements(points, what)
+    if ctx.zero in points or len(set(points)) != len(points):
+        raise InvalidParams(f"{what}s must be distinct and nonzero")
+
+
 @dataclass(frozen=True)
 class DifferenceSet:
     """(v, k, lambda) difference set in the multiplicative group of F_{q^n}.
@@ -61,9 +68,7 @@ class DifferenceSet:
                                 f"{self.ctx.order - 1} elements")
         if self.k != len(self.members):
             raise InvalidParams(f"k={self.k} but there are {len(self.members)} members")
-        self.ctx.check_elements(self.members, "member")
-        if self.ctx.zero in self.members or len(set(self.members)) != self.k:
-            raise InvalidParams("members must be distinct and nonzero")
+        _check_points(self.ctx, self.members, "member")
 
 
 @dataclass(frozen=True)
@@ -112,19 +117,26 @@ def _span_symbols(rows, length: int, ctx: FieldCtx):
     return tuple(symbols[:length])
 
 
+def _word_code(sc: SubspaceCode, l: int, symbols, construction: str,
+               **provenance) -> VectorCode:
+    """The length-l code over F_{q^ambient} of one word per member s of sc,
+    symbols(s, ctx); its provenance adds the given keys to those every
+    word code of a subspace code records."""
+    ctx = FieldCtx(sc.q, sc.ambient)
+    words = [Word(ctx, symbols(s, ctx)) for s in sc.members]
+    return VectorCode(ctx, l, words,
+                      provenance={"construction": construction, "length": l,
+                                  "source": sc.provenance or None,
+                                  "modulus": list(ctx.modulus), **provenance})
+
+
 def span_code(sc: SubspaceCode, l: int) -> VectorCode:
     """One length-l spanning word per member subspace, over F_{q^ambient}."""
-    ctx = FieldCtx(sc.q, sc.ambient)
     max_dim = max((s.dim for s in sc.members), default=0)
     if l < max_dim:
         raise InvalidParams(f"length {l} cannot span dimension {max_dim}")
-    words = [Word(ctx, _span_symbols(s.rows, l, ctx)) for s in sc.members]
-    return VectorCode(ctx, l, words,
-                      provenance={"construction": "span_code", "length": l,
-                                  "padding": "b1+bj cycle",
-                                  "source": sc.provenance or None,
-                                  "source_distance": sc.declared_distance,
-                                  "modulus": list(ctx.modulus)})
+    return _word_code(sc, l, lambda s, ctx: _span_symbols(s.rows, l, ctx), "span_code",
+                      padding="b1+bj cycle", source_distance=sc.declared_distance)
 
 
 def _dimension_and_t(sc: SubspaceCode, what: str) -> tuple[int, int]:
@@ -141,13 +153,8 @@ def partial_span_code(sc: SubspaceCode, l: int) -> VectorCode:
     k, t = _dimension_and_t(sc, "partial span code")
     if not t + 1 <= l <= k:
         raise InvalidParams(f"need {t + 1} <= l <= {k}, got {l}")
-    ctx = FieldCtx(sc.q, sc.ambient)
-    words = [Word(ctx, s.rows[:l]) for s in sc.members]
-    return VectorCode(ctx, l, words,
-                      provenance={"construction": "partial_span_code", "length": l,
-                                  "source": sc.provenance or None,
-                                  "guaranteed_distance": 2 * (l - t),
-                                  "modulus": list(ctx.modulus)})
+    return _word_code(sc, l, lambda s, ctx: s.rows[:l], "partial_span_code",
+                      guaranteed_distance=2 * (l - t))
 
 
 def all_vectors_code(sc: SubspaceCode, l: int) -> VectorCode:
@@ -159,18 +166,10 @@ def all_vectors_code(sc: SubspaceCode, l: int) -> VectorCode:
         raise InvalidParams(f"need {low} < l <= {q ** k}, got {l}")
     if q ** k > _VECTOR_GUARD:
         raise SearchTooLarge("member subspaces too large to list")
-    ctx = FieldCtx(sc.q, sc.ambient)
-    words = []
-    for s in sc.members:
-        ordered = sorted(s.vectors())
-        ordered = ordered[1:] + ordered[:1]  # zero sorts first; move it last
-        words.append(Word(ctx, tuple(ordered[:l])))
-    return VectorCode(ctx, l, words,
-                      provenance={"construction": "all_vectors_code", "length": l,
-                                  "symbol_order": "nonzero lexicographic, zero last",
-                                  "source": sc.provenance or None,
-                                  "guaranteed_distance": 2 * (l - low),
-                                  "modulus": list(ctx.modulus)})
+    # zero sorts first; it moves last
+    return _word_code(sc, l, lambda s, ctx: (*sorted(s.vectors())[1:], 0)[:l], "all_vectors_code",
+                      symbol_order="nonzero lexicographic, zero last",
+                      guaranteed_distance=2 * (l - low))
 
 
 def overlap_spectrum(ctx: FieldCtx, members) -> list[int]:
@@ -228,9 +227,7 @@ def m_of_d(ctx: FieldCtx, members) -> int:
     members = list(members)
     if not members:
         raise InvalidParams("m(D) of an empty set")
-    ctx.check_elements(members, "member")
-    if ctx.zero in members or len(set(members)) != len(members):
-        raise InvalidParams("D must consist of distinct nonzero elements")
+    _check_points(ctx, members, "member")
     return max(overlap_spectrum(ctx, members)[1:], default=0)
 
 
@@ -242,11 +239,9 @@ def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
     distances reduce to translation overlaps of the point set.
     """
     points = list(points)
-    ctx.check_elements(points, "point")
+    _check_points(ctx, points, "point")
     if not points:
         raise InvalidParams("the evaluation point set is empty")
-    if ctx.zero in points or len(set(points)) != len(points):
-        raise InvalidParams("points must be distinct and nonzero")
     # w -> w x_1 is injective, so the codewords are distinct
     words = tuple(FoldedWord(ctx, 1, tuple(ctx.mul(w, x) for x in points))
                   for w in range(1, ctx.order))
@@ -259,13 +254,15 @@ def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
 def scalar_orbit_subset_distance(fc: FoldedCode, points) -> int | None:
     """2(k - m(D)), D = points, when the codewords are (w x_1, ..., w x_k)
     for every nonzero w, one codeword each, as `evaluation_folded_code`
-    builds them; None otherwise.
+    builds them; None otherwise.  The points must be distinct nonzero
+    elements of the code's field.
 
     Codeword w's block set is wD, so |wD Δ w'D| = 2(k - |yD ∩ D|) with
     y = w'/w, and y runs over every nonzero element but 1.  Checked in
     O(|C| k): w is read off the first block, then every block is checked.
     """
     ctx, points = fc.ctx, list(points)
+    _check_points(ctx, points, "point")
     if not points or fc.block_len != 1 or len(fc) != ctx.order - 1 or len(fc) < 2:
         return None
     scale = ctx.inv(points[0])
@@ -277,13 +274,11 @@ def scalar_orbit_subset_distance(fc: FoldedCode, points) -> int | None:
         scalars.add(w)
     if len(scalars) != len(fc):
         return None
-    return 2 * (len(points) - m_of_d(ctx, points))
+    return 2 * (len(points) - max(overlap_spectrum(ctx, points)[1:]))
 
 
 def folded_code_from_vector_code(c: VectorCode, s: int) -> FoldedCode:
     """Fold every codeword with block length s; cardinality is preserved."""
-    if s < 1:
-        raise InvalidParams("fold parameter must be >= 1")
     words = tuple(fold(w, s) for w in c.codewords)
     prov = {"construction": "folded_vector_code", "block_len": s,
             "source": c.provenance or None}

@@ -64,11 +64,6 @@ def is_prime(p: int) -> bool:
     return p >= 2 and _prime_factors(p) == [p]
 
 
-def _is_int(x) -> bool:
-    """Exactly an int: a bool (or any other subclass of int) is not one."""
-    return type(x) is int
-
-
 def pack(digits, q: int) -> int:
     """The int whose base-q digits are `digits`, the first most significant."""
     x = 0
@@ -168,7 +163,7 @@ def _coprime(a: list[int], b: list[int], q: int) -> bool:
 
 def check_characteristic(q: int) -> None:
     """Raise InvalidParams unless q is an int prime of at most _MAX_CHARACTERISTIC."""
-    if not _is_int(q):
+    if type(q) is not int:  # a bool (or any other subclass of int) is not one
         raise InvalidParams(f"q={q!r} is not an int")
     if q > _MAX_CHARACTERISTIC:
         raise InvalidParams(f"q={q} exceeds supported maximum {_MAX_CHARACTERISTIC}")
@@ -207,7 +202,7 @@ class FieldCtx:
 
     def __init__(self, q: int, n: int, modulus=None):
         check_characteristic(q)
-        if not _is_int(n):
+        if type(n) is not int:
             raise InvalidParams(f"extension degree n={n!r} is not an int")
         if n < 1:
             raise InvalidParams(f"extension degree n={n} must be >= 1")
@@ -217,7 +212,7 @@ class FieldCtx:
             modulus = _smallest_irreducible(q, n)
         else:
             modulus = tuple(modulus)
-            if not all(_is_int(c) and 0 <= c < q for c in modulus):
+            if not all(type(c) is int and 0 <= c < q for c in modulus):
                 raise InvalidParams(f"modulus coefficient not in [0, {q}): {list(modulus)}")
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise InvalidParams(f"modulus must be monic of degree {n}")
@@ -254,7 +249,7 @@ class FieldCtx:
         if len(coeffs) != self.n:
             raise InvalidParams(f"element needs {self.n} coefficients, got {len(coeffs)}")
         for c in coeffs:
-            if not (_is_int(c) and 0 <= c < self.q):
+            if not (type(c) is int and 0 <= c < self.q):
                 raise InvalidParams(f"coefficient {c!r} is not in [0, {self.q})")
         return pack(coeffs, self.q)
 
@@ -265,12 +260,12 @@ class FieldCtx:
     def check_elements(self, xs, what: str = "symbol") -> None:
         """Raise InvalidParams unless every x in xs is an element, an int in [0, q^n)."""
         for x in xs:
-            if not (type(x) is int and 0 <= x < self.order):  # _is_int, inlined: per symbol
+            if not (type(x) is int and 0 <= x < self.order):
                 raise InvalidParams(f"{what} {x!r} is not an int in [0, {self.order})")
 
     def element_at(self, index: int) -> int:
         """The index-th element in lexicographic order (c_0 most significant)."""
-        if not (_is_int(index) and 0 <= index < self.order):
+        if not (type(index) is int and 0 <= index < self.order):
             raise InvalidParams(f"element index {index!r} out of range [0, {self.order})")
         return index
 

@@ -16,8 +16,8 @@ The one specialization is `gf2_rank`, the rank over F_2 of packed rows.
 A subspace is stored through its unique reduced-row-echelon basis, packed,
 so subspace equality is plain tuple equality and sets of subspaces
 deduplicate exactly.  `span`, `rref` and `kernel` reject any vector that
-is not an int in [0, q^m); a Subspace itself is a plain record and trusts
-its rows.
+is not an int in [0, q^m), and a Subspace rejects such a row as it is
+built, so no rank kernel sees one; it trusts that its rows are in RREF.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _coordinates(vectors, ambient: int, q: int) -> list[tuple]:
     """The digit rows of packed vectors, each checked to be an int in [0, q^ambient)."""
     rows = []
     for v in vectors:
-        if not (type(v) is int and 0 <= v < q ** ambient):  # gf._is_int, inlined: per vector
+        if not (type(v) is int and 0 <= v < q ** ambient):
             raise InvalidParams(f"vector {v!r} is not an int in [0, {q ** ambient})")
         rows.append(unpack(v, q, ambient))
     return rows
@@ -73,11 +73,20 @@ def packed_rank(vectors, ambient: int, q: int) -> int:
 @dataclass(frozen=True)
 class Subspace:
     """An F_q-linear subspace of F_q^ambient: the packed rows of its RREF
-    basis.  Build one with `span`, which checks and reduces its input."""
+    basis.  Each row must be an int in [0, q^ambient), since gf2_rank loops
+    on a negative one; that the rows are in RREF is trusted.  Build one with
+    `span`, which reduces its input."""
 
     q: int
     ambient: int
     rows: tuple
+
+    def __post_init__(self):
+        ambient = self.ambient
+        for r in self.rows:  # bit lengths first: a valid q = 2 row needs no q^ambient
+            if not (type(r) is int and 0 <= r
+                    and (r.bit_length() <= ambient or r < self.q ** ambient)):
+                raise InvalidParams(f"member row {r!r} is not an int in [0, {self.q}^{ambient})")
 
     @property
     def dim(self) -> int:

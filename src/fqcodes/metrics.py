@@ -251,14 +251,12 @@ def folded_subset_distance(a: FoldedWord, b: FoldedWord) -> int:
 
 
 def r_subspace_distance(a: Word, b: Word, r: int) -> int:
-    _require_same_ctx(a, b)
     if len(a) != len(b):
         raise InvalidParams("r-th distances need equal lengths")
     return folded_subspace_distance(fold(a, r), fold(b, r))
 
 
 def r_subset_distance(a: Word, b: Word, r: int) -> int:
-    _require_same_ctx(a, b)
     if len(a) != len(b):
         raise InvalidParams("r-th distances need equal lengths")
     return folded_subset_distance(fold(a, r), fold(b, r))
@@ -355,13 +353,6 @@ def block_rows(metric: str, members, ambient: int, q: int):
     return subspace_rows(span(m, ambient, q) for m in members)
 
 
-def _row_span(rows, length: int, ctx: FieldCtx) -> list[tuple]:
-    """Every linear combination of the rows, refused beyond _MATERIALIZE_GUARD words."""
-    if ctx.order ** len(rows) > _MATERIALIZE_GUARD:
-        raise SearchTooLarge("row span too large to materialize")
-    return span_vectors(rows, length, ctx)
-
-
 class VectorCode:
     """A set of equal-length words over F_{q^n}, optionally with a generator.
 
@@ -385,7 +376,9 @@ class VectorCode:
             rows = [g.symbols for g in self.generator]
             if ext_rank(rows, length, ctx) != len(rows):
                 raise InvalidParams("generator rows are not linearly independent")
-            span = _row_span(rows, length, ctx)
+            if ctx.order ** len(rows) > _MATERIALIZE_GUARD:
+                raise SearchTooLarge("row span too large to materialize")
+            span = span_vectors(rows, length, ctx)
         seen = {}
         for w in codewords if codewords is not None else [Word(ctx, v) for v in span]:
             self._check_word(w, "codeword")

@@ -123,11 +123,6 @@ class RankCode:
         return (poly_to_matrix(p) for p in self.members)
 
 
-def _coefficient_tuples(ctx: FieldCtx, t: int):
-    """All (t+1)-tuples of coefficients, a_0 most significant in element order."""
-    return itertools.product(ctx.elements(), repeat=t + 1)
-
-
 def gabidulin_code(ctx: FieldCtx, t: int) -> RankCode:
     """All q-polynomials of degree parameter t on F_{q^n}; rank distance n - t."""
     code = gabidulin_rect(ctx, ctx, t)
@@ -146,7 +141,9 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
     size = dst.order ** (t + 1)
     if size > _GABIDULIN_GUARD:
         raise SearchTooLarge(f"{size} members exceed the materialization guard")
-    members = [LinearizedPoly(dst, coeffs, src) for coeffs in _coefficient_tuples(dst, t)]
+    # every (t+1)-tuple of coefficients, a_0 most significant in element order
+    members = [LinearizedPoly(dst, coeffs, src)
+               for coeffs in itertools.product(dst.elements(), repeat=t + 1)]
     return RankCode(dst, members, t, src=src,
                     declared_rank_distance=src.n - t,
                     provenance={"construction": "gabidulin_rect", "q": src.q,

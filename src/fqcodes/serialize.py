@@ -102,14 +102,11 @@ def _canonical_chunks(x, out: list, pad: str = "", texts: dict | None = None):
             yield from _canonical_chunks(x[k], out, pad + "  ", texts)
         out.append(f"\n{pad}}}")
     elif isinstance(x, (list, tuple)) and x:
-        if all(type(v) is int for v in x) and -_SAFE_INT <= min(x) and max(x) <= _SAFE_INT:
-            out.append(_array([*map(str, x)], pad))
-        else:
-            out.append("[")
-            for i, v in enumerate(x):
-                out.append(f"{',' if i else ''}\n{pad}  ")
-                yield from _canonical_chunks(v, out, pad + "  ", texts)
-            out.append(f"\n{pad}]")
+        out.append("[")
+        for i, v in enumerate(x):
+            out.append(f"{',' if i else ''}\n{pad}  ")
+            yield from _canonical_chunks(v, out, pad + "  ", texts)
+        out.append(f"\n{pad}]")
     elif isinstance(x, int) and abs(x) > _SAFE_INT:
         out.append(_quote(str(x)))
     else:  # an empty list or dict, None, a bool, an int or a float; TypeError on others

@@ -113,6 +113,19 @@ def test_partial_span_code_range_guard():
     assert code_min_distance(vc, "subspace").minimum >= 2
 
 
+def test_partial_span_code_words_and_provenance():
+    # each word is the first basis row of a member of the F_3 spread, in member order
+    vc = partial_span_code(spread(3, 2, 4), 1)
+    assert (vc.ctx, vc.length) == (FieldCtx(3, 4, [1, 0, 1, 1, 1]), 1)
+    assert [w.symbols for w in vc.codewords] == [
+        (39,), (29,), (46,), (9,), (33,), (28,), (34,), (31,), (27,), (30,)]
+    assert vc.provenance == {
+        "construction": "partial_span_code", "length": 1,
+        "source": {"construction": "spread", "q": 3, "block_dim": 2, "ambient": 4,
+                   "modulus": [1, 0, 1, 1, 1]},
+        "guaranteed_distance": 2, "modulus": [1, 0, 1, 1, 1]}
+
+
 def test_all_vectors_spread_l3():
     sc = spread(2, 2, 4)
     vc = all_vectors_code(sc, 3)
@@ -195,9 +208,9 @@ def test_m_of_d_examples():
     assert m_of_d(GF8, everything) == 7
     with pytest.raises(InvalidParams, match=r"m\(D\) of an empty set"):
         m_of_d(GF8, [])
-    with pytest.raises(InvalidParams, match="distinct nonzero"):
+    with pytest.raises(InvalidParams, match="members must be distinct and nonzero"):
         m_of_d(GF8, [GF8.zero])
-    with pytest.raises(InvalidParams, match="distinct nonzero"):
+    with pytest.raises(InvalidParams, match="members must be distinct and nonzero"):
         m_of_d(GF8, single * 2)
     with pytest.raises(InvalidParams, match="member 8 is not an int"):
         m_of_d(GF8, [GF8.order])
@@ -352,3 +365,14 @@ def test_evaluation_code_distance_checks_every_codeword():
     assert scalar_orbit_subset_distance(fc, points[::-1]) is None  # other point order
     folded2 = folded_code_from_vector_code(all_vectors_code(spread(2, 2, 4), 4), 2)
     assert scalar_orbit_subset_distance(folded2, points) is None
+
+
+@pytest.mark.parametrize("points, message", [
+    ([999], r"^point 999 is not an int in \[0, 8\)$"),
+    ([0], "^points must be distinct and nonzero$"),
+    ([1, 1], "^points must be distinct and nonzero$"),
+])
+def test_evaluation_code_distance_checks_its_points_first(points, message):
+    fc = evaluation_folded_code(FieldCtx(2, 3), [1])
+    with pytest.raises(InvalidParams, match=message):
+        scalar_orbit_subset_distance(fc, points)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx, pack, prime_field, unpack
 from fqcodes.linalg import (
+    Subspace,
     enumerate_subspaces,
     ext_kernel_basis,
     ext_rank,
@@ -290,3 +291,17 @@ def test_ext_rref_over_the_prime_field_matches_the_residue_kernel(data):
     got_rows, got_rank, got_pivots = ext_rref(rows, cols, prime_field(q))
     assert got_rows == [tuple(r) for r in want_rows]
     assert (got_rank, got_pivots) == (want_rank, want_pivots)
+
+
+@pytest.mark.parametrize("rows", [(-2, 3), (3, -1), (8,), (1 << 100,), (True,), (1.0,)])
+def test_a_subspace_refuses_a_row_that_is_not_a_packed_vector(rows):
+    # gf2_rank never returns on a negative row, so a pair distance would hang
+    with pytest.raises(InvalidParams, match=r"^member row .* is not an int in \[0, 2\^3\)$"):
+        Subspace(2, 3, rows)
+
+
+def test_a_subspace_takes_rows_up_to_q_to_the_ambient():
+    top = Subspace(3, 2, (3 ** 2 - 1,))  # not in RREF, but a packed vector
+    assert subspace_pair_distance(top, span([1], 2, 3)) == 2
+    with pytest.raises(InvalidParams, match=r"^member row 9 is not an int in \[0, 3\^2\)$"):
+        Subspace(3, 2, (3 ** 2,))
