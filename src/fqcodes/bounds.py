@@ -13,9 +13,8 @@ returned table, never raised: the measurement is the product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidParams, PropertyViolation
+from .gf import Value
 from .linalg import ext_kernel_basis
 from .metrics import (
     VectorCode,
@@ -27,14 +26,13 @@ from .metrics import (
 _HALVED_METRICS = ("insdel", "subspace", "subset")
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """One evaluated bound (or measurement) with optional satisfaction flag."""
 
-    bound: str
-    parameters: dict
-    value: int
-    satisfied: bool | None = None
+    __slots__ = ("bound", "parameters", "value", "satisfied")
+
+    def __init__(self, bound: str, parameters: dict, value: int, satisfied: bool | None = None):
+        Value.__init__(self, bound, parameters, value, satisfied)
 
 
 def singleton_bound(n: int, d: int, q: int, metric: str) -> BoundReport:

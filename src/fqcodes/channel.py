@@ -14,9 +14,9 @@ radius ties are impossible and therefore diagnostic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import InvalidParams
+from .gf import Value
 from .metrics import VectorCode, Word, code_min_distance, packed_lcs
 
 PRNG_NAME = "mt19937"
@@ -32,15 +32,13 @@ class _Ambiguous:
 AMBIGUOUS = _Ambiguous()
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    insertions: int
-    deletions: int
-    seed: int
+class ChannelSpec(Value):
+    __slots__ = ("insertions", "deletions", "seed")
 
-    def __post_init__(self):
-        if self.insertions < 0 or self.deletions < 0:
+    def __init__(self, insertions: int, deletions: int, seed: int):
+        if insertions < 0 or deletions < 0:
             raise InvalidParams("channel counts must be >= 0")
+        Value.__init__(self, insertions, deletions, seed)
 
 
 def _apply_with_rng(w: Word, insertions: int, deletions: int,
@@ -77,19 +75,9 @@ def correction_capability(c: VectorCode, force: bool = False) -> int:
     return (code_min_distance(c, "insdel", force=force).minimum - 1) // 2
 
 
-@dataclass(frozen=True)
-class TrialSummary:
-    trials: int
-    successes: int
-    wrong: int
-    ambiguous: int
-    capability: int
-    within_guarantee: bool
-    insertions: int
-    deletions: int
-    seed: int
-    prng: str
-    records: tuple  # one transcript line per trial: trial,seed,ins,del,result
+class TrialSummary(Value):
+    __slots__ = ("trials", "successes", "wrong", "ambiguous", "capability", "within_guarantee",
+                 "insertions", "deletions", "seed", "prng", "records")
 
     @property
     def success_rate(self) -> float:

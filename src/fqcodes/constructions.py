@@ -20,7 +20,6 @@ code's distance claim.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InvalidParams, NotFound, SearchTooLarge
 from .gf import FieldCtx
@@ -284,9 +283,10 @@ def block_enlarged_family(ctx: FieldCtx, t: int) -> SubspaceCode:
     code = lift_rank_code(gabidulin_code(ctx, t))  # declared distance 2(n - t)
     q = ctx.q
     exp = (3 * n // 2) * (t + 1) - n * n // 4
-    formula = Fraction(4 * (q ** (n // 2) - 1) * q ** exp, n * n)  # may be non-integral
+    num, den = 4 * (q ** (n // 2) - 1) * q ** exp, n * n  # the value may be non-integral
+    g = math.gcd(num, den)
     code.provenance = {"construction": "block_enlarged", "q": q, "n": n, "t": t,
                        "raw_pairs": len(code) * h1_count * h2_count,
                        "h1_count": h1_count, "h2_count": h2_count,
-                       "formula_value": str(formula)}
+                       "formula_value": f"{num // g}" if den == g else f"{num // g}/{den // g}"}
     return code

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import array
 import sys
-from dataclasses import dataclass
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
-from .gf import FieldCtx
+from .gf import FieldCtx, Value
 from .metrics import (
     FoldedWord,
     MetricReport,
@@ -46,8 +45,7 @@ def _check_points(ctx: FieldCtx, points, what: str) -> None:
         raise InvalidParams(f"{what}s must be distinct and nonzero")
 
 
-@dataclass(frozen=True)
-class DifferenceSet:
+class DifferenceSet(Value):
     """(v, k, lambda) difference set in the multiplicative group of F_{q^n}.
 
     v and k are checked against the field and the members, which must be
@@ -56,36 +54,30 @@ class DifferenceSet:
     reports the measured distance against 2(k - lambda) as a verification
     failure (exit 1), not as a malformed file (exit 2)."""
 
-    ctx: FieldCtx
-    members: tuple
-    v: int
-    k: int
-    lam: int
+    __slots__ = ("ctx", "members", "v", "k", "lam")
 
-    def __post_init__(self):
-        if self.v != self.ctx.order - 1:
-            raise InvalidParams(f"v={self.v} but the multiplicative group has "
-                                f"{self.ctx.order - 1} elements")
-        if self.k != len(self.members):
-            raise InvalidParams(f"k={self.k} but there are {len(self.members)} members")
-        _check_points(self.ctx, self.members, "member")
+    def __init__(self, ctx: FieldCtx, members: tuple, v: int, k: int, lam: int):
+        if v != ctx.order - 1:
+            raise InvalidParams(f"v={v} but the multiplicative group has {ctx.order - 1} elements")
+        if k != len(members):
+            raise InvalidParams(f"k={k} but there are {len(members)} members")
+        _check_points(ctx, members, "member")
+        Value.__init__(self, ctx, members, v, k, lam)
 
 
-@dataclass(frozen=True)
-class FoldedCode:
+class FoldedCode(Value):
     """A set of folded words with a uniform block structure, checked here
     once so that the sweeps need not check each pair."""
 
-    ctx: FieldCtx
-    block_len: int
-    codewords: tuple
-    provenance: dict | None = None
+    __slots__ = ("ctx", "block_len", "codewords", "provenance")
 
-    def __post_init__(self):
-        if self.block_len < 1:
+    def __init__(self, ctx: FieldCtx, block_len: int, codewords: tuple,
+                 provenance: dict | None = None):
+        if block_len < 1:
             raise InvalidParams("block length must be >= 1")
-        if any((w.ctx, w.block_len) != (self.ctx, self.block_len) for w in self.codewords):
+        if any((w.ctx, w.block_len) != (ctx, block_len) for w in codewords):
             raise InvalidParams("folded words must share the code's field and block lengths")
+        Value.__init__(self, ctx, block_len, codewords, provenance)
 
     def __len__(self):
         return len(self.codewords)

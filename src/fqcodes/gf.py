@@ -194,6 +194,49 @@ def _smallest_irreducible(q: int, n: int) -> tuple[int, ...]:
     raise InvalidParams(f"no irreducible of degree {n} over F_{q}")  # unreachable
 
 
+class Value:
+    """An immutable record whose fields are its __slots__, in order: equal to
+    a record of the same class with equal fields, hashed as their tuple and
+    shown as Name(field=value, ...).  This constructor takes every field, by
+    position or name; a class with checks or defaults makes its own, which
+    checks first and then calls this one.  Word, FoldedWord and Subspace,
+    built and hashed in bulk, spell their fields out in all three methods."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:
+            values += tuple(named.pop(k) for k in names[len(values):] if k in named)
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._fields()
+
+
 class FieldCtx:
     """The field F_{q^n} with a fixed monic irreducible modulus."""
 

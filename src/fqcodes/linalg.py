@@ -11,7 +11,8 @@ elements, so `rref` (and through it `span`) unpacks the vectors into their
 digits over the prime field F_q = FieldCtx(q, 1), reduces them and packs
 the result; the extension-field functions (generalized Hamming weights,
 parity checks, generator ranks) call it with their FieldCtx.
-The one specialization is `gf2_rank`, the rank over F_2 of packed rows.
+The one specialization is `_gf2_pivots`, F_2 elimination of packed rows
+(`gf2_rank`, and `span_distance` for q = 2).
 
 A subspace is stored through its unique reduced-row-echelon basis, packed,
 so subspace equality is plain tuple equality and sets of subspaces
@@ -23,10 +24,9 @@ built, so no rank kernel sees one; it trusts that its rows are in RREF.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvalidParams, SearchTooLarge
-from .gf import add_packed, pack, prime_field, unpack
+from .gf import Value, add_packed, pack, prime_field, unpack
 
 _ENUM_GUARD = 1 << 20       # cap on q^ambient for subspace enumeration
 _ENUM_COUNT_CAP = 1 << 22   # cap on the number of subspaces materialized
@@ -50,17 +50,23 @@ def rref(vectors, ambient: int, q: int) -> tuple[tuple[int, ...], int]:
     return tuple(pack(r, q) for r in rows), rank
 
 
-def gf2_rank(packed) -> int:
-    """Rank over F_2 of rows bit-packed into ints >= 0: one pivot per top bit,
-    each row reduced by the pivot at its top bit until it is zero or its top
-    bit is new."""
-    pivots = {}
+def _gf2_pivots(packed, pivots: dict, full: int = -1) -> dict:
+    """Add rows bit-packed into ints >= 0 to pivots, one per top bit: each row
+    is reduced by the pivot at its top bit until it is zero or its top bit is
+    new.  Stops once there are `full` pivots."""
     for row in packed:
+        if len(pivots) == full:
+            break
         while row and (top := row.bit_length()) in pivots:
             row ^= pivots[top]
         if row:
             pivots[top] = row
-    return len(pivots)
+    return pivots
+
+
+def gf2_rank(packed) -> int:
+    """Rank over F_2 of rows bit-packed into ints >= 0."""
+    return len(_gf2_pivots(packed, {}))
 
 
 def packed_rank(vectors, ambient: int, q: int) -> int:
@@ -70,23 +76,30 @@ def packed_rank(vectors, ambient: int, q: int) -> int:
     return ext_rank(_coordinates(vectors, ambient, q), ambient, prime_field(q))
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """An F_q-linear subspace of F_q^ambient: the packed rows of its RREF
     basis.  Each row must be an int in [0, q^ambient), since gf2_rank loops
     on a negative one; that the rows are in RREF is trusted.  Build one with
     `span`, which reduces its input."""
 
-    q: int
-    ambient: int
-    rows: tuple
+    __slots__ = ("q", "ambient", "rows")
 
-    def __post_init__(self):
-        ambient = self.ambient
-        for r in self.rows:  # bit lengths first: a valid q = 2 row needs no q^ambient
+    def __init__(self, q: int, ambient: int, rows: tuple):
+        for r in rows:  # bit lengths first: a valid q = 2 row needs no q^ambient
             if not (type(r) is int and 0 <= r
-                    and (r.bit_length() <= ambient or r < self.q ** ambient)):
-                raise InvalidParams(f"member row {r!r} is not an int in [0, {self.q}^{ambient})")
+                    and (r.bit_length() <= ambient or r < q ** ambient)):
+                raise InvalidParams(f"member row {r!r} is not an int in [0, {q}^{ambient})")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.ambient, self.rows) == (other.q, other.ambient, other.rows)
+
+    def __hash__(self):
+        return hash((self.q, self.ambient, self.rows))
 
     @property
     def dim(self) -> int:
@@ -114,7 +127,11 @@ def span(vectors, ambient: int, q: int) -> Subspace:
 def span_distance(a, b, ambient: int, q: int) -> int:
     """Subspace distance dim(A + B) - dim(A ∩ B) of the spans of the vector
     lists a and b in F_q^ambient, each vector packed into an int (gf.pack):
-    2 rank(a ∪ b) - rank a - rank b."""
+    2 rank(a ∪ b) - rank a - rank b.  Over F_2 each list is reduced once, and
+    b's pivots are added to a copy of a's until they span F_2^ambient."""
+    if q == 2:
+        pa, pb = _gf2_pivots(a, {}), _gf2_pivots(b, {})
+        return 2 * len(_gf2_pivots(pb.values(), dict(pa), ambient)) - len(pa) - len(pb)
     a, b = list(a), list(b)
     return (2 * packed_rank(a + b, ambient, q)
             - packed_rank(a, ambient, q) - packed_rank(b, ambient, q))

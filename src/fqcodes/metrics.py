@@ -41,12 +41,11 @@ The oracle is a plain double loop in the tests over the per-pair functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import ne
 
 from .errors import InvalidParams, SearchTooLarge
-from .gf import FieldCtx, pack
+from .gf import FieldCtx, Value, pack
 from .linalg import (
     EXT_BASES_GUARD,
     enumerate_ext_rref_bases,
@@ -64,15 +63,23 @@ LCS_CHUNK = 256  # words per packed int in pack_lcs_masks
 _MATERIALIZE_GUARD = 1 << 20
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A fixed word over F_{q^n}: an ordered tuple of field elements."""
 
-    ctx: FieldCtx
-    symbols: tuple
+    __slots__ = ("ctx", "symbols")
 
-    def __post_init__(self):
-        self.ctx.check_elements(self.symbols)
+    def __init__(self, ctx: FieldCtx, symbols: tuple):
+        ctx.check_elements(symbols)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.symbols) == (other.ctx, other.symbols)
+
+    def __hash__(self):
+        return hash((self.ctx, self.symbols))
 
     def __len__(self):
         return len(self.symbols)
@@ -83,26 +90,35 @@ def word(ctx: FieldCtx, symbols) -> Word:
     return Word(ctx, tuple(ctx.element(s) for s in symbols))
 
 
-@dataclass(frozen=True)
-class FoldedWord:
+class FoldedWord(Value):
     """A word whose symbols are grouped into blocks of block_len symbols, each
     block one int, pack(block, q^n): its vector in F_q^(n*block_len)."""
 
-    ctx: FieldCtx
-    block_len: int
-    blocks: tuple
+    __slots__ = ("ctx", "block_len", "blocks")
 
-    def __post_init__(self):
-        if self.block_len < 1:
+    def __init__(self, ctx: FieldCtx, block_len: int, blocks: tuple):
+        if block_len < 1:
             raise InvalidParams("block length must be >= 1")
-        bound = self.ctx.order ** self.block_len if self.blocks else 0  # no power for no blocks
-        for b in self.blocks:
+        bound = ctx.order ** block_len if blocks else 0  # no power for no blocks
+        for b in blocks:
             if not (type(b) is int and 0 <= b < bound):
                 raise InvalidParams(f"block {b!r} is not an int in [0, {bound})")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "block_len", block_len)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ctx, self.block_len, self.blocks)
+                == (other.ctx, other.block_len, other.blocks))
+
+    def __hash__(self):
+        return hash((self.ctx, self.block_len, self.blocks))
 
 
 def _require_same_ctx(a, b):
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise InvalidParams("words live in different fields")
 
 
@@ -262,16 +278,10 @@ def r_subset_distance(a: Word, b: Word, r: int) -> int:
     return folded_subset_distance(fold(a, r), fold(b, r))
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(Value):
     """Result of an exhaustive minimum-distance sweep."""
 
-    metric: str
-    minimum: int
-    witness: tuple
-    witness_indices: tuple
-    pairs: int
-    notes: dict | None = None
+    __slots__ = ("metric", "minimum", "witness", "witness_indices", "pairs", "notes")
 
     def csv_line(self) -> str:
         i, j = self.witness_indices

@@ -16,39 +16,34 @@ which the test suite and the `verify` CLI command both exploit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
-from .gf import FieldCtx, add_packed, pack
+from .gf import FieldCtx, Value, add_packed, pack
 from .linalg import packed_rank, subspace_count
 from .metrics import pair_rows, pairwise_min_report
 
 _GABIDULIN_GUARD = 1 << 22
 
 
-@dataclass(frozen=True)
-class LinearizedPoly:
+class LinearizedPoly(Value):
     """Sum of a_i x^(q^i); coefficients in ctx, argument in src (default ctx).
 
     A src equal to ctx is stored as None, so each map has one form."""
 
-    ctx: FieldCtx
-    coeffs: tuple
-    src: FieldCtx | None = None
+    __slots__ = ("ctx", "coeffs", "src")
 
-    def __post_init__(self):
-        if self.src == self.ctx:
-            object.__setattr__(self, "src", None)
-        domain = self.domain
-        if domain.q != self.ctx.q:
+    def __init__(self, ctx: FieldCtx, coeffs: tuple, src: FieldCtx | None = None):
+        domain = ctx if src is None else src
+        if domain.q != ctx.q:
             raise InvalidParams("embedding requires matching base characteristic")
-        if domain.n > self.ctx.n:
-            raise InvalidParams(f"cannot embed degree {domain.n} into degree {self.ctx.n}")
-        if not self.coeffs:
+        if domain.n > ctx.n:
+            raise InvalidParams(f"cannot embed degree {domain.n} into degree {ctx.n}")
+        if not coeffs:
             raise InvalidParams("a linearized polynomial needs at least one coefficient")
-        if len(self.coeffs) - 1 >= domain.n:
+        if len(coeffs) - 1 >= domain.n:
             raise InvalidParams("degree parameter must be below the domain degree")
-        self.ctx.check_elements(self.coeffs, "coefficient")
+        ctx.check_elements(coeffs, "coefficient")
+        Value.__init__(self, ctx, coeffs, None if src == ctx else src)
 
     @property
     def domain(self) -> FieldCtx:
@@ -186,11 +181,10 @@ def rank_distance_of_code(c: RankCode) -> int:
     return pairwise_min_report(matrices, pair_rows(matrices, dist), "rank").minimum
 
 
-@dataclass(frozen=True)
-class RankDistribution:
+class RankDistribution(Value):
     """counts[i] = number of members of rank i."""
 
-    counts: tuple
+    __slots__ = ("counts",)
 
     def total(self) -> int:
         return sum(self.counts)

@@ -27,7 +27,6 @@ rejects, such as a basis not in RREF or a repeated member.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -41,7 +40,7 @@ from .channel import TrialSummary
 from .constructions import SubspaceCode
 from .derived import DifferenceSet, FoldedCode
 from .errors import FqcodesError, InvalidParams, ParseError
-from .gf import FieldCtx, check_characteristic, pack, unpack
+from .gf import FieldCtx, Value, check_characteristic, pack, unpack
 from .linalg import Subspace
 from .metrics import FoldedWord, MetricReport, VectorCode, Word, word
 from .rankmetric import LinearizedPoly, RankCode
@@ -50,17 +49,16 @@ _SAFE_INT = 1 << 53
 _CHUNK = 8192  # pieces of JSON text joined into one chunk; also the text cache's size
 
 
-@dataclasses.dataclass
-class _Packed:
+class _Packed(Value):
     """A run of packed ints, which the emitter writes as one JSON array: each
     int as the array of its n base-q digits (gf.unpack), or, for per > 0, as
     per such arrays cut from its n * per digits, as a folded block is.  Every
     run of symbols, blocks or basis rows a writer emits is one such leaf."""
 
-    ints: tuple
-    q: int
-    n: int
-    per: int = 0
+    __slots__ = ("ints", "q", "n", "per")
+
+    def __init__(self, ints: tuple, q: int, n: int, per: int = 0):
+        Value.__init__(self, ints, q, n, per)
 
 
 def _array(items: list, pad: str) -> str:
@@ -390,7 +388,7 @@ def metric_report_to_obj(r: MetricReport) -> dict:
 
 
 def bound_report_to_obj(r: BoundReport) -> dict:
-    return {"kind": "bound_report", **dataclasses.asdict(r)}
+    return {"kind": "bound_report", **{k: getattr(r, k) for k in r.__slots__}}
 
 
 def bounds_csv(reports) -> str:
@@ -402,7 +400,7 @@ def bounds_csv(reports) -> str:
 
 
 def trial_summary_to_obj(s: TrialSummary) -> dict:
-    fields = {f.name: getattr(s, f.name) for f in dataclasses.fields(s) if f.name != "records"}
+    fields = {k: getattr(s, k) for k in s.__slots__ if k != "records"}
     return {"kind": "trial_summary", "success_rate": s.success_rate, **fields}
 
 

@@ -11,7 +11,6 @@ distance is twice the halved-convention value.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .bounds import cyclic_shift_witness
 from .constructions import (
@@ -28,7 +27,7 @@ from .derived import (
     span_code,
 )
 from .errors import FqcodesError, InvalidParams
-from .gf import FieldCtx
+from .gf import FieldCtx, Value
 from .linalg import ext_rank
 from .metrics import (
     Word,
@@ -50,18 +49,15 @@ from .rankmetric import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(Value):
+    __slots__ = ("name", "ok", "detail")
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: list = field(default_factory=list)
-    findings: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checks: list[CheckResult] = []
+        self.findings: list[str] = []
 
     def check(self, name: str, ok: bool, detail: str = ""):
         self.checks.append(CheckResult(name, bool(ok), detail))
@@ -71,8 +67,7 @@ class SuiteResult:
 
 
 def _random_word(ctx: FieldCtx, length: int, rng: random.Random) -> Word:
-    return Word(ctx, tuple(ctx.element_at(rng.randrange(ctx.order))
-                           for _ in range(length)))
+    return Word(ctx, tuple(rng.randrange(ctx.order) for _ in range(length)))
 
 
 def suite_pseudometric(seed: int, samples: int) -> SuiteResult:

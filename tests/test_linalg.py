@@ -249,6 +249,22 @@ def test_span_distance_is_the_subspace_distance(data):
     assert subspace_pair_distance(u, v) == expected
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_binary_span_distance_is_the_rank_formula(data):
+    ambient = data.draw(st.integers(1, 10))
+    row = st.integers(0, (1 << ambient) - 1)
+    pool = data.draw(st.lists(row, min_size=1, max_size=4))
+    full = [1 << i for i in range(ambient)]  # the unit vectors: rank ambient
+    # empty lists, rows repeated within and across the lists, and full-rank lists
+    rows = st.one_of(st.lists(st.one_of(row, st.sampled_from(pool)), max_size=2 * ambient),
+                     st.permutations(full).map(lambda p: p + [p[0]]))
+    a, b = data.draw(rows), data.draw(rows)
+    expected = 2 * gf2_rank(a + b) - gf2_rank(a) - gf2_rank(b)
+    assert span_distance(a, b, ambient, 2) == expected
+    assert span_distance(tuple(a), iter(b), ambient, 2) == expected
+
+
 def _rref_rows(rows: list[list[int]], cols: int, q: int):
     """The former F_q kernel, kept as the oracle: in-place Gauss-Jordan with
     residue arithmetic; returns (rows, rank, pivot_columns)."""
