@@ -30,9 +30,7 @@ class BoundReport(Value):
     """One evaluated bound (or measurement) with optional satisfaction flag."""
 
     __slots__ = ("bound", "parameters", "value", "satisfied")
-
-    def __init__(self, bound: str, parameters: dict, value: int, satisfied: bool | None = None):
-        Value.__init__(self, bound, parameters, value, satisfied)
+    _defaults = {"satisfied": None}
 
 
 def singleton_bound(n: int, d: int, q: int, metric: str) -> BoundReport:

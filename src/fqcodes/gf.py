@@ -197,17 +197,19 @@ def _smallest_irreducible(q: int, n: int) -> tuple[int, ...]:
 class Value:
     """An immutable record whose fields are its __slots__, in order: equal to
     a record of the same class with equal fields, hashed as their tuple and
-    shown as Name(field=value, ...).  This constructor takes every field, by
-    position or name; a class with checks or defaults makes its own, which
-    checks first and then calls this one.  Word, FoldedWord and Subspace,
-    built and hashed in bulk, spell their fields out in all three methods."""
+    shown as Name(field=value, ...).  The constructor takes the fields by
+    position or name, trailing ones defaulting from `_defaults`; a class with
+    checks makes its own, which checks first and then calls this one.  Word,
+    FoldedWord and Subspace, built and hashed in bulk, spell out their fields."""
 
     __slots__ = ()
+    _defaults: dict = {}
 
     def __init__(self, *values, **named):
-        names = self.__slots__
-        if named:
-            values += tuple(named.pop(k) for k in names[len(values):] if k in named)
+        names, defaults = self.__slots__, self._defaults
+        if len(values) < len(names):
+            values += tuple(named.pop(k) if k in named else defaults[k]
+                            for k in names[len(values):] if k in named or k in defaults)
         if named or len(values) != len(names):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
         for name, value in zip(names, values):

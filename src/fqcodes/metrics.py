@@ -282,6 +282,7 @@ class MetricReport(Value):
     """Result of an exhaustive minimum-distance sweep."""
 
     __slots__ = ("metric", "minimum", "witness", "witness_indices", "pairs", "notes")
+    _defaults = {"notes": None}
 
     def csv_line(self) -> str:
         i, j = self.witness_indices

@@ -40,7 +40,7 @@ from .channel import TrialSummary
 from .constructions import SubspaceCode
 from .derived import DifferenceSet, FoldedCode
 from .errors import FqcodesError, InvalidParams, ParseError
-from .gf import FieldCtx, Value, check_characteristic, pack, unpack
+from .gf import FieldCtx, check_characteristic, pack, unpack
 from .linalg import Subspace
 from .metrics import FoldedWord, MetricReport, VectorCode, Word, word
 from .rankmetric import LinearizedPoly, RankCode
@@ -49,7 +49,7 @@ _SAFE_INT = 1 << 53
 _CHUNK = 8192  # pieces of JSON text joined into one chunk; also the text cache's size
 
 
-class _Packed(Value):
+class _Packed:
     """A run of packed ints, which the emitter writes as one JSON array: each
     int as the array of its n base-q digits (gf.unpack), or, for per > 0, as
     per such arrays cut from its n * per digits, as a folded block is.  Every
@@ -58,7 +58,7 @@ class _Packed(Value):
     __slots__ = ("ints", "q", "n", "per")
 
     def __init__(self, ints: tuple, q: int, n: int, per: int = 0):
-        Value.__init__(self, ints, q, n, per)
+        self.ints, self.q, self.n, self.per = ints, q, n, per
 
 
 def _array(items: list, pad: str) -> str:

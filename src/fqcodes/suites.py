@@ -51,6 +51,7 @@ from .rankmetric import (
 
 class CheckResult(Value):
     __slots__ = ("name", "ok", "detail")
+    _defaults = {"detail": ""}
 
 
 class SuiteResult:

@@ -19,7 +19,6 @@ from fqcodes.gf import FieldCtx, Value
 from fqcodes.linalg import Subspace, span
 from fqcodes.metrics import FoldedWord, MetricReport, Word
 from fqcodes.rankmetric import LinearizedPoly, RankDistribution
-from fqcodes.serialize import _Packed
 from fqcodes.suites import CheckResult, SuiteResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -45,7 +44,6 @@ RECORDS = [
     LinearizedPoly(GF8, (1,), None),
     RankDistribution((1, 0, 7)),
     CheckResult("name", True, ""),
-    _Packed((1, 2), 2, 3, 0),
 ]
 
 
@@ -117,7 +115,6 @@ def test_constructors_take_fields_by_name_and_defaults():
     assert RankDistribution(counts=(1, 2)) == RankDistribution((1, 2))
     assert BoundReport("klo", {}, 3).satisfied is None
     assert BoundReport("klo", {}, 3, satisfied=True).satisfied is True
-    assert _Packed((1,), 2, 3).per == 0
     assert FoldedCode(GF8, 2, (FW,)).provenance is None
     assert LinearizedPoly(GF8, (1,)).src is None
     assert Subspace(q=2, ambient=3, rows=(4,)) == span([4], 3, 2)
@@ -129,10 +126,14 @@ def test_constructors_take_fields_by_name_and_defaults():
         RankDistribution((1,), counts=(1,))
     with pytest.raises(TypeError):
         RankDistribution(count=(1,))
+    assert CheckResult("name", ok=True) == CheckResult("name", True, "")
+    assert MetricReport("hamming", 1, (W, V), (0, 1), 1).notes is None
     with pytest.raises(TypeError):
-        CheckResult("name", ok=True)  # detail missing
+        CheckResult("name", detail="")  # ok missing
     with pytest.raises(TypeError):
-        CheckResult("name", detail="", other=True)
+        CheckResult("name", True, "", detail="")
+    with pytest.raises(TypeError):
+        CheckResult("name", True, other=True)
 
 
 def test_a_suite_result_is_a_mutable_record():
