@@ -199,8 +199,8 @@ class Value:
     a record of the same class with equal fields, hashed as their tuple and
     shown as Name(field=value, ...).  The constructor takes the fields by
     position or name, trailing ones defaulting from `_defaults`; a class with
-    checks makes its own, which checks first and then calls this one.  Word,
-    FoldedWord and Subspace, built and hashed in bulk, spell out their fields."""
+    checks runs them in its own before calling this one.  Word, FoldedWord and
+    Subspace, built in bulk, set their fields directly but compare and hash here."""
 
     __slots__ = ()
     _defaults: dict = {}

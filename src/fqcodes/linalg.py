@@ -16,9 +16,9 @@ The one specialization is `_gf2_pivots`, F_2 elimination of packed rows
 
 A subspace is stored through its unique reduced-row-echelon basis, packed,
 so subspace equality is plain tuple equality and sets of subspaces
-deduplicate exactly.  `span`, `rref` and `kernel` reject any vector that
-is not an int in [0, q^m), and a Subspace rejects such a row as it is
-built, so no rank kernel sees one; it trusts that its rows are in RREF.
+deduplicate exactly.  Each public function given packed vectors and their
+length m rejects one that is not an int in [0, q^m), and a Subspace such a
+row, so no rank kernel sees one; a Subspace trusts its rows are in RREF.
 """
 
 from __future__ import annotations
@@ -33,14 +33,18 @@ _ENUM_COUNT_CAP = 1 << 22   # cap on the number of subspaces materialized
 EXT_BASES_GUARD = 10 ** 6   # cap on the bases enumerate_ext_rref_bases lists
 
 
+def _checked(vectors, ambient: int, q: int) -> list[int]:
+    """The packed vectors as a list, each checked to be an int in [0, q^ambient)."""
+    vectors, bound = list(vectors), q ** ambient
+    for v in vectors:
+        if not (type(v) is int and 0 <= v < bound):
+            raise InvalidParams(f"vector {v!r} is not an int in [0, {bound})")
+    return vectors
+
+
 def _coordinates(vectors, ambient: int, q: int) -> list[tuple]:
     """The digit rows of packed vectors, each checked to be an int in [0, q^ambient)."""
-    rows = []
-    for v in vectors:
-        if not (type(v) is int and 0 <= v < q ** ambient):
-            raise InvalidParams(f"vector {v!r} is not an int in [0, {q ** ambient})")
-        rows.append(unpack(v, q, ambient))
-    return rows
+    return [unpack(v, q, ambient) for v in _checked(vectors, ambient, q)]
 
 
 def rref(vectors, ambient: int, q: int) -> tuple[tuple[int, ...], int]:
@@ -72,7 +76,7 @@ def gf2_rank(packed) -> int:
 def packed_rank(vectors, ambient: int, q: int) -> int:
     """Rank of vectors of F_q^ambient, each packed into an int (gf.pack)."""
     if q == 2:
-        return gf2_rank(vectors)
+        return gf2_rank(_checked(vectors, ambient, 2))
     return ext_rank(_coordinates(vectors, ambient, q), ambient, prime_field(q))
 
 
@@ -92,14 +96,6 @@ class Subspace(Value):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.q, self.ambient, self.rows) == (other.q, other.ambient, other.rows)
-
-    def __hash__(self):
-        return hash((self.q, self.ambient, self.rows))
 
     @property
     def dim(self) -> int:
@@ -125,22 +121,25 @@ def span(vectors, ambient: int, q: int) -> Subspace:
 
 
 def span_distance(a, b, ambient: int, q: int) -> int:
-    """Subspace distance dim(A + B) - dim(A ∩ B) of the spans of the vector
-    lists a and b in F_q^ambient, each vector packed into an int (gf.pack):
-    2 rank(a ∪ b) - rank a - rank b.  Over F_2 each list is reduced once, and
-    b's pivots are added to a copy of a's until they span F_2^ambient."""
+    """dim(A + B) - dim(A ∩ B) for the spans A, B of the packed vectors a, b,
+    each checked to lie in F_q^ambient: 2 rank(a ∪ b) - rank a - rank b."""
+    return _span_distance(_checked(a, ambient, q), _checked(b, ambient, q), ambient, q)
+
+
+def _span_distance(a, b, ambient: int, q: int) -> int:
+    """span_distance of checked vectors.  Over F_2 each list is reduced once,
+    and b's pivots are added to a copy of a's until they span F_2^ambient."""
     if q == 2:
         pa, pb = _gf2_pivots(a, {}), _gf2_pivots(b, {})
         return 2 * len(_gf2_pivots(pb.values(), dict(pa), ambient)) - len(pa) - len(pb)
-    a, b = list(a), list(b)
-    return (2 * packed_rank(a + b, ambient, q)
+    return (2 * packed_rank([*a, *b], ambient, q)
             - packed_rank(a, ambient, q) - packed_rank(b, ambient, q))
 
 
 def subspace_pair_distance(u: Subspace, v: Subspace) -> int:
     if u.q != v.q or u.ambient != v.ambient:
         raise InvalidParams("subspace distance needs a common ambient space")
-    return span_distance(u.rows, v.rows, u.ambient, u.q)
+    return _span_distance(u.rows, v.rows, u.ambient, u.q)
 
 
 def kernel(rows, ncols: int, q: int) -> Subspace:

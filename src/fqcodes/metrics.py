@@ -48,11 +48,11 @@ from .errors import InvalidParams, SearchTooLarge
 from .gf import FieldCtx, Value, pack
 from .linalg import (
     EXT_BASES_GUARD,
+    _span_distance,
     enumerate_ext_rref_bases,
     ext_matmul,
     ext_rank,
     span,
-    span_distance,
     span_vectors,
     subspace_count,
     subspace_pair_distance,
@@ -72,14 +72,6 @@ class Word(Value):
         ctx.check_elements(symbols)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "symbols", symbols)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.symbols) == (other.ctx, other.symbols)
-
-    def __hash__(self):
-        return hash((self.ctx, self.symbols))
 
     def __len__(self):
         return len(self.symbols)
@@ -106,15 +98,6 @@ class FoldedWord(Value):
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "block_len", block_len)
         object.__setattr__(self, "blocks", blocks)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ctx, self.block_len, self.blocks)
-                == (other.ctx, other.block_len, other.blocks))
-
-    def __hash__(self):
-        return hash((self.ctx, self.block_len, self.blocks))
 
 
 def _require_same_ctx(a, b):
@@ -228,7 +211,7 @@ def insdel_distance(a: Word, b: Word) -> int:
 def subspace_distance(a: Word, b: Word) -> int:
     """dim(S_a + S_b) - dim(S_a ∩ S_b) for the symbol spans S_a, S_b."""
     _require_same_ctx(a, b)
-    return span_distance(a.symbols, b.symbols, a.ctx.n, a.ctx.q)
+    return _span_distance(a.symbols, b.symbols, a.ctx.n, a.ctx.q)
 
 
 def subset_distance(a: Word, b: Word) -> int:
@@ -258,7 +241,7 @@ def _require_same_fold(a: FoldedWord, b: FoldedWord):
 def folded_subspace_distance(a: FoldedWord, b: FoldedWord) -> int:
     """Subspace distance of the block spans inside F_q^(n*r)."""
     _require_same_fold(a, b)
-    return span_distance(a.blocks, b.blocks, a.ctx.n * a.block_len, a.ctx.q)
+    return _span_distance(a.blocks, b.blocks, a.ctx.n * a.block_len, a.ctx.q)
 
 
 def folded_subset_distance(a: FoldedWord, b: FoldedWord) -> int:

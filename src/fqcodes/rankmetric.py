@@ -98,7 +98,7 @@ class RankCode:
         self.members = tuple(members)
         if any((p.ctx, p.src) != (ctx, self.src) for p in self.members):
             raise InvalidParams("rank code members must share the code's field and domain")
-        if len(set(self.members)) != len(self.members):
+        if len({p.coeffs for p in self.members}) != len(self.members):
             raise InvalidParams("rank code members must be distinct")
         self.declared_rank_distance = declared_rank_distance
         self.provenance = dict(provenance) if provenance else {}

@@ -16,6 +16,7 @@ from fqcodes.linalg import (
     ext_rref,
     gf2_rank,
     kernel,
+    packed_rank,
     rref,
     span,
     span_distance,
@@ -168,7 +169,8 @@ def test_field_elements_as_vectors():
     assert f8.coefficients(a3) == (1, 1, 0)
 
 
-@pytest.mark.parametrize("vector", [(3, 0, -1), (1, 0, 1), -1, 8, 2 ** 70, 1.0, "5", None, True])
+@pytest.mark.parametrize("vector", [(3, 0, -1), (1, 0, 1), -1, -2, 8, 2 ** 70, 1.0, "5", None,
+                                    True])
 def test_span_rejects_a_vector_that_is_not_a_packed_int_in_range(vector):
     # (3, 0, -1) used to be reduced mod 2 to the line through (1, 0, 1)
     with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
@@ -177,6 +179,13 @@ def test_span_rejects_a_vector_that_is_not_a_packed_int_in_range(vector):
         rref([vector], 3, 2)
     with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
         kernel([vector], 3, 2)
+    # F_2 elimination never returns on [3, -2]: -2 ^ 3 keeps the top bit of 3
+    with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
+        packed_rank([3, vector], 3, 2)
+    with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
+        span_distance([3, vector], [], 3, 2)
+    with pytest.raises(InvalidParams, match=r"is not an int in \[0, 8\)"):
+        span_distance([1], [vector], 3, 2)
 
 
 @pytest.mark.parametrize("vector", [(3, 0, 2), (1, 0, 0), -4, 8, 12, True])
