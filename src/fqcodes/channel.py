@@ -61,7 +61,7 @@ def decode_nearest(c: VectorCode, received: Word):
     Every codeword has length c.length, so the insdel-nearest codewords
     are those with the longest common subsequence with the received word.
     """
-    if received.ctx != c.ctx:
+    if received.ctx is not c.ctx and received.ctx != c.ctx:
         raise InvalidParams("words live in different fields")
     if not c.codewords:
         raise InvalidParams("cannot decode with a code that has no codewords")

@@ -11,8 +11,9 @@ elements, so `rref` (and through it `span`) unpacks the vectors into their
 digits over the prime field F_q = FieldCtx(q, 1), reduces them and packs
 the result; the extension-field functions (generalized Hamming weights,
 parity checks, generator ranks) call it with their FieldCtx.
-The one specialization is `_gf2_pivots`, F_2 elimination of packed rows
-(`gf2_rank`, and `span_distance` for q = 2).
+The one specialization is F_2 elimination of packed rows, by the pivot at
+each row's top bit: `gf2_rank`, and written out inline in `_span_distance`
+for q = 2.
 
 A subspace is stored through its unique reduced-row-echelon basis, packed,
 so subspace equality is plain tuple equality and sets of subspaces
@@ -24,6 +25,7 @@ row, so no rank kernel sees one; a Subspace trusts its rows are in RREF.
 from __future__ import annotations
 
 import itertools
+from operator import xor
 
 from .errors import InvalidParams, SearchTooLarge
 from .gf import Value, add_packed, pack, prime_field, unpack
@@ -54,23 +56,17 @@ def rref(vectors, ambient: int, q: int) -> tuple[tuple[int, ...], int]:
     return tuple(pack(r, q) for r in rows), rank
 
 
-def _gf2_pivots(packed, pivots: dict, full: int = -1) -> dict:
-    """Add rows bit-packed into ints >= 0 to pivots, one per top bit: each row
-    is reduced by the pivot at its top bit until it is zero or its top bit is
-    new.  Stops once there are `full` pivots."""
+def gf2_rank(packed) -> int:
+    """Rank over F_2 of rows bit-packed into ints >= 0: the number of pivots,
+    one per top bit, when each row is reduced by the pivot at its top bit
+    until it is zero or its top bit is new."""
+    pivots = {}
     for row in packed:
-        if len(pivots) == full:
-            break
         while row and (top := row.bit_length()) in pivots:
             row ^= pivots[top]
         if row:
             pivots[top] = row
-    return pivots
-
-
-def gf2_rank(packed) -> int:
-    """Rank over F_2 of rows bit-packed into ints >= 0."""
-    return len(_gf2_pivots(packed, {}))
+    return len(pivots)
 
 
 def packed_rank(vectors, ambient: int, q: int) -> int:
@@ -127,11 +123,43 @@ def span_distance(a, b, ambient: int, q: int) -> int:
 
 
 def _span_distance(a, b, ambient: int, q: int) -> int:
-    """span_distance of checked vectors.  Over F_2 each list is reduced once,
-    and b's pivots are added to a copy of a's until they span F_2^ambient."""
+    """span_distance of checked vectors.
+
+    Over F_2 it is three passes of the `gf2_rank` elimination, written out
+    inline because each pair distance of a sweep or suite is one call:
+    a is reduced to pivots pa, b to pivots pb, then pb's rows are reduced
+    into pa, which leaves pa a basis of A + B.  Each pass stops once its
+    pivots number `ambient`.  When A or B alone is all of F_2^ambient, so
+    is A + B, and the distance is 2 ambient - rank a - rank b with no merge.
+    """
     if q == 2:
-        pa, pb = _gf2_pivots(a, {}), _gf2_pivots(b, {})
-        return 2 * len(_gf2_pivots(pb.values(), dict(pa), ambient)) - len(pa) - len(pb)
+        pa = {}
+        for row in a:
+            while row and (top := row.bit_length()) in pa:
+                row ^= pa[top]
+            if row:
+                pa[top] = row
+                if len(pa) == ambient:
+                    break
+        pb = {}
+        for row in b:
+            while row and (top := row.bit_length()) in pb:
+                row ^= pb[top]
+            if row:
+                pb[top] = row
+                if len(pb) == ambient:
+                    break
+        ra, rb = len(pa), len(pb)
+        if ra == ambient or rb == ambient:
+            return 2 * ambient - ra - rb
+        for row in pb.values():
+            while row and (top := row.bit_length()) in pa:
+                row ^= pa[top]
+            if row:
+                pa[top] = row
+                if len(pa) == ambient:
+                    break
+        return 2 * len(pa) - ra - rb
     return (2 * packed_rank([*a, *b], ambient, q)
             - packed_rank(a, ambient, q) - packed_rank(b, ambient, q))
 
@@ -276,11 +304,13 @@ def ext_matmul(a_rows, b_rows, ncols: int, ctx) -> list[tuple]:
 def span_vectors(rows, ncols: int, ctx) -> list[tuple]:
     """Every ctx-linear combination of the rows, in message order: the
     coefficient of the first row is the most significant, and each
-    coefficient runs over the elements in order."""
+    coefficient runs over the elements in order.  Over characteristic 2
+    the sums are XOR."""
+    add = xor if ctx.q == 2 else ctx.add
     out = [(ctx.zero,) * ncols]
     for row in rows:
         multiples = [tuple(ctx.mul(c, e) for e in row) for c in ctx.elements()]
-        out = [tuple(map(ctx.add, v, m)) for v in out for m in multiples]
+        out = [tuple(map(add, v, m)) for v in out for m in multiples]
     return out
 
 

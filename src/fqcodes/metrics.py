@@ -107,9 +107,9 @@ def _require_same_ctx(a, b):
 
 def hamming_distance(a: Word, b: Word) -> int:
     _require_same_ctx(a, b)
-    if len(a) != len(b):
+    if len(a.symbols) != len(b.symbols):
         raise InvalidParams("hamming distance needs equal lengths")
-    return sum(1 for x, y in zip(a.symbols, b.symbols) if x != y)
+    return sum(map(ne, a.symbols, b.symbols))
 
 
 _POPCOUNT = bytes(i.bit_count() for i in range(256))
@@ -205,7 +205,7 @@ def lcs_length(a, b) -> int:
 def insdel_distance(a: Word, b: Word) -> int:
     """|a| + |b| - 2 LCS(a, b); the number of insertions plus deletions."""
     _require_same_ctx(a, b)
-    return len(a) + len(b) - 2 * lcs_length(a.symbols, b.symbols)
+    return len(a.symbols) + len(b.symbols) - 2 * lcs_length(a.symbols, b.symbols)
 
 
 def subspace_distance(a: Word, b: Word) -> int:
@@ -227,12 +227,12 @@ def fold(a: Word, r: int) -> FoldedWord:
     syms = list(a.symbols)
     if len(syms) % r:
         syms.extend([a.ctx.zero] * (r - len(syms) % r))
-    blocks = tuple(pack(syms[i:i + r], a.ctx.order) for i in range(0, len(syms), r))
+    blocks = tuple([pack(syms[i:i + r], a.ctx.order) for i in range(0, len(syms), r)])
     return FoldedWord(a.ctx, r, blocks)
 
 
 def _require_same_fold(a: FoldedWord, b: FoldedWord):
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise InvalidParams("folded words live in different fields")
     if a.block_len != b.block_len:
         raise InvalidParams("folded words have different block lengths")
@@ -373,16 +373,19 @@ class VectorCode:
             if ctx.order ** len(rows) > _MATERIALIZE_GUARD:
                 raise SearchTooLarge("row span too large to materialize")
             span = span_vectors(rows, length, ctx)
+        if codewords is None:  # independent rows: distinct words of this field and length
+            self.codewords = tuple([Word(ctx, v) for v in span])
+            return
         seen = {}
-        for w in codewords if codewords is not None else [Word(ctx, v) for v in span]:
+        for w in codewords:
             self._check_word(w, "codeword")
             seen.setdefault(w.symbols, w)
         self.codewords = tuple(seen.values())
-        if codewords is not None and span is not None and set(span) != set(seen):
+        if span is not None and set(span) != set(seen):
             raise InvalidParams("codeword set does not equal the generator row span")
 
     def _check_word(self, w: Word, what: str) -> None:
-        if w.ctx != self.ctx:
+        if w.ctx is not self.ctx and w.ctx != self.ctx:
             raise InvalidParams(f"{what} from a different field")
         if len(w) != self.length:
             raise InvalidParams(f"{what} of wrong length")

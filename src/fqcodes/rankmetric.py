@@ -16,6 +16,7 @@ which the test suite and the `verify` CLI command both exploit.
 from __future__ import annotations
 
 import itertools
+from operator import xor
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx, Value, add_packed, pack
@@ -43,7 +44,7 @@ class LinearizedPoly(Value):
         if len(coeffs) - 1 >= domain.n:
             raise InvalidParams("degree parameter must be below the domain degree")
         ctx.check_elements(coeffs, "coefficient")
-        Value.__init__(self, ctx, coeffs, None if src == ctx else src)
+        Value.__init__(self, ctx, coeffs, None if domain is ctx or domain == ctx else src)
 
     @property
     def domain(self) -> FieldCtx:
@@ -115,7 +116,32 @@ class RankCode:
         return len(self.members)
 
     def matrices(self):
-        return (poly_to_matrix(p) for p in self.members)
+        """Each member's matrix, as poly_to_matrix gives it, in member order.
+
+        Row j of the map x -> sum a_i phi(x^(q^i)) is sum_i a_i phi(b_j^(q^i)),
+        b_j the domain's power basis and phi its embedding into ctx (see
+        linearized_eval).  The images phi(b_j^(q^i)) are computed once per
+        code, for every i below the domain degree, since t need not bound a
+        member's degree; each image row scaled by a coefficient value is
+        kept once it is first needed, so a member costs one cached lookup
+        and one row sum per nonzero coefficient.
+        """
+        ctx, dom = self.ctx, self.src or self.ctx
+        shift = ctx.order // dom.order
+        basis = dom.basis()
+        images = [tuple(dom.frobenius(b, i) * shift for b in basis) for i in range(dom.n)]
+        scaled = [{} for _ in images]  # scaled[i][a]: a times the rows images[i]
+        add, mul = (xor if ctx.q == 2 else ctx.add), ctx.mul
+        zero = (ctx.zero,) * dom.n
+        for p in self.members:
+            rows = zero
+            for a, image, cache in zip(p.coeffs, images, scaled):
+                if a:
+                    term = cache.get(a)
+                    if term is None:
+                        term = cache[a] = tuple(mul(a, x) for x in image)
+                    rows = term if rows is zero else tuple(map(add, rows, term))
+            yield rows
 
 
 def gabidulin_code(ctx: FieldCtx, t: int) -> RankCode:
@@ -191,11 +217,12 @@ class RankDistribution(Value):
 
 
 def empirical_rank_distribution(c: RankCode) -> RankDistribution:
-    """Exhaustive census of member ranks."""
-    max_rank = min(c.nrows, c.ncols)
-    counts = [0] * (max_rank + 1)
-    for p in c.members:
-        counts[poly_rank(p)] += 1
+    """Exhaustive census of member ranks: the rank of each matrix of
+    `RankCode.matrices`, which poly_rank would give member by member."""
+    q, ncols = c.ctx.q, c.ncols
+    counts = [0] * (min(c.nrows, ncols) + 1)
+    for m in c.matrices():
+        counts[packed_rank(m, ncols, q)] += 1
     return RankDistribution(tuple(counts))
 
 

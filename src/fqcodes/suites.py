@@ -6,11 +6,21 @@ and a finding (a measured value that disagrees with a documented claim,
 reported but not fatal).  The folded-evaluation suite, for instance, must
 pass equidistance exactly while still reporting that the measured subset
 distance is twice the halved-convention value.
+
+The sampling suites, pseudometric and chain, draw their words from one
+symbol stream each, `_random_symbols(order, random.Random(seed))`: word
+after word, each symbol the value the next `rng.randrange(order)` call
+would return, but read 2,048 Mersenne Twister outputs at a time and turned
+into symbols by one bytes.translate, with no list of samples.  The stream
+copies how CPython's randrange draws; a Python whose randrange draws
+differently would only change which samples run, not what is checked,
+and would fail the stream test in tests/test_suites.py.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain, islice, repeat
 
 from .bounds import cyclic_shift_witness
 from .constructions import (
@@ -67,17 +77,37 @@ class SuiteResult:
         self.findings.append(text)
 
 
-def _random_word(ctx: FieldCtx, length: int, rng: random.Random) -> Word:
-    return Word(ctx, tuple(rng.randrange(ctx.order) for _ in range(length)))
+_CHUNK = 2048  # Mersenne Twister outputs drawn per getrandbits call
+
+
+def _random_symbols(order: int, rng: random.Random):
+    """An endless iterator of rng.randrange(order) values, for 2 <= order <= 255.
+
+    randrange(order) keeps the top k = order.bit_length() bits of one 32-bit
+    output and draws again while they are >= order.  getrandbits(32 m) is m
+    such outputs, the first in the lowest bits, so raw[3::4] holds their top
+    bytes, and one translate turns a chunk of them into symbols: table maps
+    a byte to its top k bits and reject drops the bytes whose top k bits
+    are >= order.  The rng runs ahead by up to a chunk, so nothing else may
+    draw from it once the stream has started.
+    """
+    if not 2 <= order <= 255:
+        raise InvalidParams(f"order={order} is outside [2, 255]")
+    shift = 8 - order.bit_length()
+    table = bytes(b >> shift for b in range(256))
+    reject = bytes(b for b in range(256) if b >> shift >= order)
+    return chain.from_iterable(
+        rng.getrandbits(32 * _CHUNK).to_bytes(4 * _CHUNK, "little")[3::4].translate(table, reject)
+        for _ in repeat(None))
 
 
 def suite_pseudometric(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("pseudometric")
     ctx = FieldCtx(2, 3)
-    rng = random.Random(seed)
+    symbols = _random_symbols(ctx.order, random.Random(seed))
     bad = 0
     for _ in range(samples):
-        x, y, z = (_random_word(ctx, 5, rng) for _ in range(3))
+        x, y, z = (Word(ctx, tuple(islice(symbols, 5))) for _ in range(3))
         for dist in (subspace_distance, subset_distance):
             dxz, dxy, dyz = dist(x, z), dist(x, y), dist(y, z)
             if dxz < 0 or dxz > dxy + dyz or dxy != dist(y, x):
@@ -85,7 +115,7 @@ def suite_pseudometric(seed: int, samples: int) -> SuiteResult:
     res.check("triangle+symmetry", bad == 0, f"{bad} violations in {samples} triples")
     bad_r = 0
     for _ in range(max(samples // 10, 1)):
-        x, y, z = (_random_word(ctx, 4, rng) for _ in range(3))
+        x, y, z = (Word(ctx, tuple(islice(symbols, 4))) for _ in range(3))
         for dist in (lambda a, b: r_subspace_distance(a, b, 2),
                      lambda a, b: r_subset_distance(a, b, 2)):
             if dist(x, z) > dist(x, y) + dist(y, z):
@@ -105,9 +135,10 @@ def _chain_ok(x: Word, y: Word) -> bool:
 def suite_chain(seed: int, samples: int) -> SuiteResult:
     res = SuiteResult("chain")
     ctx = FieldCtx(2, 3)
-    rng = random.Random(seed)
+    symbols = _random_symbols(ctx.order, random.Random(seed))
     bad = sum(1 for _ in range(samples)
-              if not _chain_ok(_random_word(ctx, 5, rng), _random_word(ctx, 5, rng)))
+              if not _chain_ok(Word(ctx, tuple(islice(symbols, 5))),
+                               Word(ctx, tuple(islice(symbols, 5)))))
     res.check("random pairs", bad == 0, f"{bad} violations in {samples} pairs")
     f4 = FieldCtx(2, 2)
     words = [Word(f4, (a, b)) for a in f4.elements() for b in f4.elements()]

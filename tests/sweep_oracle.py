@@ -1,9 +1,12 @@
 """The oracles the library's kernels are tested against: the exhaustive
-per-pair sweep, the O(|a||b|) LCS DP, and `expand`, which turns the packed
-leaves of a serialize writer's tree into the lists that json.dumps writes."""
+per-pair sweep, the O(|a||b|) LCS DP, the word-by-word sampling of the
+verify suites, and `expand`, which turns the packed leaves of a serialize
+writer's tree into the lists that json.dumps writes."""
 
-from fqcodes.gf import unpack
-from fqcodes.metrics import MetricReport
+import random
+
+from fqcodes.gf import FieldCtx, unpack
+from fqcodes.metrics import MetricReport, Word
 from fqcodes.serialize import _Packed
 
 
@@ -36,6 +39,11 @@ def lcs_dp(a, b) -> int:
                 cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
         prev = cur
     return prev[n]
+
+
+def random_word(ctx: FieldCtx, length: int, rng: random.Random) -> Word:
+    """A word of `length` symbols, each one rng.randrange(ctx.order) call."""
+    return Word(ctx, tuple(rng.randrange(ctx.order) for _ in range(length)))
 
 
 def expand(tree):

@@ -265,9 +265,12 @@ def test_binary_span_distance_is_the_rank_formula(data):
     row = st.integers(0, (1 << ambient) - 1)
     pool = data.draw(st.lists(row, min_size=1, max_size=4))
     full = [1 << i for i in range(ambient)]  # the unit vectors: rank ambient
-    # empty lists, rows repeated within and across the lists, and full-rank lists
-    rows = st.one_of(st.lists(st.one_of(row, st.sampled_from(pool)), max_size=2 * ambient),
-                     st.permutations(full).map(lambda p: p + [p[0]]))
+    some = st.lists(st.one_of(row, st.sampled_from(pool)), max_size=2 * ambient)
+    # empty lists, rows repeated within and across the lists, and lists that
+    # reach full rank before they end, with random rows before and after
+    rows = st.one_of(some, st.permutations(full).map(lambda p: p + [p[0]]),
+                     st.tuples(some, st.permutations(full), some)
+                     .map(lambda t: t[0] + t[1] + t[2]))
     a, b = data.draw(rows), data.draw(rows)
     expected = 2 * gf2_rank(a + b) - gf2_rank(a) - gf2_rank(b)
     assert span_distance(a, b, ambient, 2) == expected

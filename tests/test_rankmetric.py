@@ -236,6 +236,40 @@ def test_empirical_distribution_examples():
     assert census.total() == 4096
 
 
+def _understated_degree_code():
+    # t = 0 is accepted although two members have degree 2
+    ctx = FieldCtx(3, 3)
+    return RankCode(ctx, [LinearizedPoly(ctx, (1, 2, 3)), LinearizedPoly(ctx, (0, 0, 5)),
+                          LinearizedPoly(ctx, (4,)), LinearizedPoly(ctx, (0,))], 0)
+
+
+MATRIX_CODES = {
+    "gabidulin-2-3-1": lambda: gabidulin_code(FieldCtx(2, 3), 1),
+    "gabidulin-2-4-2": lambda: gabidulin_code(FieldCtx(2, 4), 2),
+    "gabidulin-3-2-1": lambda: gabidulin_code(FieldCtx(3, 2), 1),
+    "gabidulin-3-3-1": lambda: gabidulin_code(FieldCtx(3, 3), 1),
+    "gabidulin-5-2-0": lambda: gabidulin_code(FieldCtx(5, 2), 0),
+    "rect-2-2-to-2-4": lambda: gabidulin_rect(FieldCtx(2, 2), FieldCtx(2, 4), 1),
+    "rect-3-2-to-3-3": lambda: gabidulin_rect(FieldCtx(3, 2), FieldCtx(3, 3), 1),
+    "understated-t": _understated_degree_code,
+}
+
+
+@pytest.mark.parametrize("build", MATRIX_CODES.values(), ids=MATRIX_CODES.keys())
+def test_code_matrices_are_the_member_matrices(build):
+    code = build()
+    assert list(code.matrices()) == [poly_to_matrix(p) for p in code.members]
+
+
+@pytest.mark.parametrize("build", MATRIX_CODES.values(), ids=MATRIX_CODES.keys())
+def test_census_is_the_per_member_rank_census(build):
+    code = build()
+    counts = [0] * (min(code.nrows, code.ncols) + 1)
+    for p in code.members:
+        counts[poly_rank(p)] += 1
+    assert empirical_rank_distribution(code).counts == tuple(counts)
+
+
 def test_rect_coincides_with_square_when_h_zero():
     square = gabidulin_code(GF8, 1)
     rect = gabidulin_rect(GF8, GF8, 1)
