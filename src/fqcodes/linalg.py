@@ -6,14 +6,14 @@ its coefficient vector, and over F_2 the int is the bit-packed row.  Every
 F_q vector this module takes or returns has that form: the inputs of
 `span`, `rref` and `kernel`, the rows of a Subspace and its `vectors()`.
 
-`ext_rref` is the only Gauss-Jordan loop.  It works on rows of field
-elements, so `rref` (and through it `span`) unpacks the vectors into their
-digits over the prime field F_q = FieldCtx(q, 1), reduces them and packs
-the result; the extension-field functions (generalized Hamming weights,
-parity checks, generator ranks) call it with their FieldCtx.
-The one specialization is F_2 elimination of packed rows, by the pivot at
-each row's top bit: `gf2_rank`, and written out inline in `_span_distance`
-for q = 2.
+`ext_rref` is the one general Gauss-Jordan loop.  It works on rows of
+field elements, so over an odd prime field F_q = FieldCtx(q, 1) `rref` (and
+through it `span`) unpacks the vectors into their digits, reduces them and
+packs the result; the extension-field functions (generalized Hamming
+weights, parity checks, generator ranks) call it with their FieldCtx.
+The one specialization is `_gf2_pivots`, F_2 elimination of packed rows by
+the pivot at each row's top bit.  Over F_2, `gf2_rank`, `_span_distance`
+and `rref` (so `span`) all work through it on the ints, with no digits.
 
 A subspace is stored through its unique reduced-row-echelon basis, packed,
 so subspace equality is plain tuple equality and sets of subspaces
@@ -51,22 +51,43 @@ def _coordinates(vectors, ambient: int, q: int) -> list[tuple]:
 
 def rref(vectors, ambient: int, q: int) -> tuple[tuple[int, ...], int]:
     """Unique reduced row echelon form of the packed vectors, zero rows
-    last, and its rank."""
-    rows, rank, _ = ext_rref(_coordinates(vectors, ambient, q), ambient, prime_field(q))
-    return tuple(pack(r, q) for r in rows), rank
+    last, and its rank.
+
+    Over F_2 the pivots of `_gf2_pivots`, highest top bit first, are the
+    echelon rows; each pivot's bit is cleared from the rows above it.
+    """
+    if q != 2:
+        rows, rank, _ = ext_rref(_coordinates(vectors, ambient, q), ambient, prime_field(q))
+        return tuple(pack(r, q) for r in rows), rank
+    vectors = _checked(vectors, ambient, 2)
+    rows = [row for _, row in sorted(_gf2_pivots(vectors, {}, ambient).items(), reverse=True)]
+    for i, row in enumerate(rows):
+        bit = 1 << (row.bit_length() - 1)
+        for j in range(i):
+            if rows[j] & bit:
+                rows[j] ^= row
+    return tuple(rows) + (0,) * (len(vectors) - len(rows)), len(rows)
 
 
-def gf2_rank(packed) -> int:
-    """Rank over F_2 of rows bit-packed into ints >= 0: the number of pivots,
-    one per top bit, when each row is reduced by the pivot at its top bit
-    until it is zero or its top bit is new."""
-    pivots = {}
-    for row in packed:
+def _gf2_pivots(rows, pivots: dict, full: int) -> dict:
+    """Eliminate bit-packed F_2 rows (ints >= 0) into `pivots`, a dict from
+    top bit to row: each row is reduced by the pivot at its top bit until it
+    is zero or its top bit is new, and then kept as that bit's pivot.  Stops
+    once there are `full` pivots; returns `pivots`, extended in place."""
+    for row in rows:
         while row and (top := row.bit_length()) in pivots:
             row ^= pivots[top]
         if row:
             pivots[top] = row
-    return len(pivots)
+            if len(pivots) == full:
+                break
+    return pivots
+
+
+def gf2_rank(packed) -> int:
+    """Rank over F_2 of rows bit-packed into ints >= 0: the number of
+    `_gf2_pivots`, with no width to stop at."""
+    return len(_gf2_pivots(packed, {}, -1))
 
 
 def packed_rank(vectors, ambient: int, q: int) -> int:
@@ -78,7 +99,7 @@ def packed_rank(vectors, ambient: int, q: int) -> int:
 
 class Subspace(Value):
     """An F_q-linear subspace of F_q^ambient: the packed rows of its RREF
-    basis.  Each row must be an int in [0, q^ambient), since gf2_rank loops
+    basis.  Each row must be an int in [0, q^ambient), since _gf2_pivots loops
     on a negative one; that the rows are in RREF is trusted.  Build one with
     `span`, which reduces its input."""
 
@@ -125,41 +146,17 @@ def span_distance(a, b, ambient: int, q: int) -> int:
 def _span_distance(a, b, ambient: int, q: int) -> int:
     """span_distance of checked vectors.
 
-    Over F_2 it is three passes of the `gf2_rank` elimination, written out
-    inline because each pair distance of a sweep or suite is one call:
-    a is reduced to pivots pa, b to pivots pb, then pb's rows are reduced
-    into pa, which leaves pa a basis of A + B.  Each pass stops once its
-    pivots number `ambient`.  When A or B alone is all of F_2^ambient, so
-    is A + B, and the distance is 2 ambient - rank a - rank b with no merge.
+    Over F_2, `_gf2_pivots` reduces a to pivots pa, b to pivots pb, then
+    pb's rows into pa, which leaves pa a basis of A + B; each call stops at
+    `ambient` pivots.  When A or B alone is all of F_2^ambient, so is A + B,
+    and the distance is 2 ambient - rank a - rank b with no merge.
     """
     if q == 2:
-        pa = {}
-        for row in a:
-            while row and (top := row.bit_length()) in pa:
-                row ^= pa[top]
-            if row:
-                pa[top] = row
-                if len(pa) == ambient:
-                    break
-        pb = {}
-        for row in b:
-            while row and (top := row.bit_length()) in pb:
-                row ^= pb[top]
-            if row:
-                pb[top] = row
-                if len(pb) == ambient:
-                    break
-        ra, rb = len(pa), len(pb)
+        ra = len(pa := _gf2_pivots(a, {}, ambient))
+        rb = len(pb := _gf2_pivots(b, {}, ambient))
         if ra == ambient or rb == ambient:
             return 2 * ambient - ra - rb
-        for row in pb.values():
-            while row and (top := row.bit_length()) in pa:
-                row ^= pa[top]
-            if row:
-                pa[top] = row
-                if len(pa) == ambient:
-                    break
-        return 2 * len(pa) - ra - rb
+        return 2 * len(_gf2_pivots(pb.values(), pa, ambient)) - ra - rb
     return (2 * packed_rank([*a, *b], ambient, q)
             - packed_rank(a, ambient, q) - packed_rank(b, ambient, q))
 

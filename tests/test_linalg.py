@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqcodes import linalg
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx, pack, prime_field, unpack
 from fqcodes.linalg import (
@@ -207,6 +208,55 @@ def test_vectors_are_the_packed_linear_combinations():
         assert {unpack(v, q, 3) for v in vectors} == combos
 
 
+def _digit_rref(packed, width: int):
+    """The oracle for F_2: `ext_rref` over prime_field(2) on the digit rows,
+    packed back; (rows with zero rows last, rank)."""
+    rows, rank, _ = ext_rref([unpack(v, 2, width) for v in packed], width, prime_field(2))
+    return tuple(pack(r, 2) for r in rows), rank
+
+
+def _binary_rows(width: int):
+    """0-14 packed rows of F_2^width: zero rows, rows repeated within the
+    list, and lists that reach full rank before they end."""
+    row = st.integers(0, (1 << width) - 1)
+    some = st.lists(st.one_of(row, st.just(0)), max_size=7)
+    repeated = st.lists(row, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [0]), max_size=14))
+    full = st.tuples(some, st.permutations([1 << i for i in range(width)]), some).map(
+        lambda t: (t[0] + t[1] + t[2])[:14])
+    return st.one_of(some, repeated, full)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda w: st.tuples(st.just(w), _binary_rows(w))))
+def test_binary_rref_and_span_match_the_digit_oracle(case):
+    width, rows = case
+    want_rows, want_rank = _digit_rref(rows, width)
+    assert rref(rows, width, 2) == (want_rows, want_rank)
+    assert rref(iter(rows), width, 2) == (want_rows, want_rank)
+    assert span(rows, width, 2).rows == want_rows[:want_rank]
+
+
+def test_binary_rref_and_span_never_unpack(monkeypatch):
+    """Over F_2 the packed rows are reduced as ints, with no digits and no
+    general kernel; q = 3 still goes through `ext_rref`."""
+    general, calls = linalg.ext_rref, []
+
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("ext_rref", "unpack", "pack"):
+        monkeypatch.setattr(linalg, name, refuse(name))
+    assert rref([0b110, 0b011, 0b101, 0], 3, 2) == ((0b101, 0b011, 0, 0), 2)
+    assert span([0b110, 0b011], 3, 2).rows == (0b101, 0b011)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "ext_rref", lambda *args: calls.append(1) or general(*args))
+    assert rref([5, 1], 2, 3) == ((pack((1, 0), 3), pack((0, 1), 3)), 2)
+    assert calls == [1]
+
+
 def test_gf2_fast_rank_matches_generic():
     """0-12 rows of width 1-20, with zero rows and repeated rows mixed in."""
     rng = random.Random(5)
@@ -221,7 +271,7 @@ def test_gf2_fast_rank_matches_generic():
                 packed.append(rng.choice(packed))
             else:
                 packed.append(rng.randrange(1 << width))
-        assert gf2_rank(packed) == rref(packed, width, 2)[1]
+        assert gf2_rank(packed) == _digit_rref(packed, width)[1]
 
 
 def test_ext_rank_and_kernel_over_extension_field():
@@ -272,7 +322,8 @@ def test_binary_span_distance_is_the_rank_formula(data):
                      st.tuples(some, st.permutations(full), some)
                      .map(lambda t: t[0] + t[1] + t[2]))
     a, b = data.draw(rows), data.draw(rows)
-    expected = 2 * gf2_rank(a + b) - gf2_rank(a) - gf2_rank(b)
+    expected = (2 * _digit_rref(a + b, ambient)[1]
+                - _digit_rref(a, ambient)[1] - _digit_rref(b, ambient)[1])
     assert span_distance(a, b, ambient, 2) == expected
     assert span_distance(tuple(a), iter(b), ambient, 2) == expected
 
