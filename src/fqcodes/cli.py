@@ -35,7 +35,6 @@ from .constructions import (
     orbit_cyclic_code,
     sidon_search,
     spread,
-    structural_min_distance,
     subspace_code_min_distance,
 )
 from .derived import (
@@ -45,7 +44,6 @@ from .derived import (
     evaluation_folded_code,
     folded_code_from_vector_code,
     folded_code_min_distance,
-    scalar_orbit_subset_distance,
     singer_difference_set,
     span_code,
 )
@@ -189,7 +187,7 @@ def _cmd_construct(args) -> int:
     elif kind == "sidon-orbit":
         sidon = sidon_search(ctx, args.k)
         obj = orbit_cyclic_code(ctx, sidon)
-        obj.declared_distance = 2 * args.k - 2
+        obj.declared_distance = max(2 * args.k - 2, 2)  # the orbit of a line is every line
         obj.provenance["sidon_basis"] = [list(unpack(r, q, sidon.ambient)) for r in sidon.rows]
     elif kind == "block-enlarged":
         obj = block_enlarged_family(ctx, args.t)
@@ -210,9 +208,7 @@ def _cmd_construct(args) -> int:
         else:
             ds = singer_difference_set(ctx)
         obj = evaluation_folded_code(ctx, ds.members)
-        measured = scalar_orbit_subset_distance(obj, ds.members)
-        if measured is None:
-            measured = folded_code_min_distance(obj, "subset", force=args.force).minimum
+        measured = folded_code_min_distance(obj, "subset", force=args.force).minimum
         if measured != 2 * (ds.k - ds.lam):
             raise PropertyViolation(f"measured subset distance {measured} != "
                                     f"2(k - lambda) = {2 * (ds.k - ds.lam)}")
@@ -238,9 +234,7 @@ def _verify_subspace_code(sc: SubspaceCode, force: bool, exact: bool = False) ->
     if len(sc) < 2:
         sc.provenance["verified_distance"] = None  # vacuous for singletons
         return sc
-    measured = structural_min_distance(sc)
-    if measured is None:
-        measured = subspace_code_min_distance(sc, force=force).minimum
+    measured = subspace_code_min_distance(sc, force=force).minimum
     declared = sc.declared_distance
     if declared is not None:
         bad = measured != declared if exact else measured < declared

@@ -3,10 +3,9 @@
 All constructions return a SubspaceCode whose members are canonical RREF
 subspaces, deduplicated exactly.  Declared distances are whatever the
 construction guarantees; the CLI re-verifies them before anything is
-written to disk.  `structural_min_distance` gives the exact minimum of a
-lifted linear code or a cyclic orbit code in O(|C|) distances, after
-checking from the members that the code is one; any other code is swept
-over all pairs by `subspace_code_min_distance`, which stays the oracle.
+written to disk.  `subspace_code_min_distance` scores row 0 alone for a
+lifted linear code or a cyclic orbit code in `field`, once the members
+show that the code is one, and sweeps every pair of any other code.
 
 A spread is the cyclic orbit of its subfield, so `orbit_cyclic_code` is the
 one multiplicative-orbit loop; it stops at the orbit-stabilizer count.
@@ -31,8 +30,8 @@ from .linalg import (
     span,
     subspace_pair_distance,
 )
-from .metrics import MetricReport, pairwise_min_report, subspace_rows
-from .rankmetric import RankCode, gabidulin_code, linear_min_rank
+from .metrics import MetricReport, pairwise_min_report, row0_report, subspace_rows
+from .rankmetric import RankCode, gabidulin_code, linear_space
 
 _SIDON_GUARD = 1 << 16
 
@@ -70,14 +69,18 @@ class SubspaceCode:
 
 
 def subspace_code_min_distance(sc: SubspaceCode, force: bool = False) -> MetricReport:
-    """Exhaustive minimum subspace distance over all unordered member pairs."""
-    return pairwise_min_report(sc.members, subspace_rows(sc.members), "subspace", force=force)
+    """Exact minimum subspace distance over all unordered member pairs:
+    row 0 alone when `_lifted` or `_orbit` holds, else every pair."""
+    members = sc.members
+    if len(members) > 1 and (_lifted(sc) or sc.field is not None and _orbit(sc.field, sc)):
+        return row0_report(members, subspace_pair_distance, "subspace")
+    return pairwise_min_report(members, subspace_rows(members), "subspace", force=force)
 
 
-def _lifted_min_distance(sc: SubspaceCode) -> int | None:
-    """2 min rank(A), A != 0, when every member is rowspan(I | A) and the A's
-    form an F_q-linear space; then d(rowspan(I | A), rowspan(I | B)) =
-    2 rank(A - B) and A - B is an A (Silva, Kschischang and Koetter 2008)."""
+def _lifted(sc: SubspaceCode) -> bool:
+    """Is every member rowspan(I | A), with the A's an F_q-linear space?
+    Then the isometry (x, y) -> (x, y + xB) maps rowspan(I | A) to
+    rowspan(I | A + B) (Silva, Kschischang and Koetter 2008)."""
     q, k = sc.q, sc.members[0].dim
     ncols = sc.ambient - k
     pivots = [q ** (k - 1 - i) for i in range(k)]  # the rows of I, packed
@@ -85,40 +88,24 @@ def _lifted_min_distance(sc: SubspaceCode) -> int | None:
     for s in sc.members:
         split = [divmod(r, q ** ncols) for r in s.rows]
         if [p for p, _ in split] != pivots:
-            return None
+            return False
         matrices.append(tuple(a for _, a in split))
-    rank = linear_min_rank(matrices, k, ncols, q)
-    return None if rank is None else 2 * rank
+    return linear_space(matrices, k, ncols, q)
 
 
-def _orbit_min_distance(ctx: FieldCtx, sc: SubspaceCode) -> int | None:
-    """min d(V, W) over the members W != V = members[0], when the members
-    are the orbit {xV : x != 0}: they are closed under multiplication by a
-    primitive element and as many as the orbit-stabilizer count.  x is an
-    F_q-linear bijection, so d(xV, yV) = d(V, x^-1 yV) (Trautmann,
+def _orbit(ctx: FieldCtx, sc: SubspaceCode) -> bool:
+    """Are the members the orbit {xV : x != 0} of V = members[0]: closed
+    under a primitive element and as many as the orbit-stabilizer count?
+    Each x is an F_q-linear bijection, hence an isometry (Trautmann,
     Manganiello, Braun and Rosenthal 2013)."""
-    v = sc.members[0]
     if (sc.q, sc.ambient) != (ctx.q, ctx.n):
-        return None
-    if len(sc) != (ctx.order - 1) // (ctx.q ** _stabilizer_degree(ctx, v) - 1):
-        return None
+        return False
+    if len(sc) != (ctx.order - 1) // (ctx.q ** _stabilizer_degree(ctx, sc.members[0]) - 1):
+        return False
     g = ctx.primitive_element()
     rows = {s.rows for s in sc.members}
-    if any(span([ctx.mul(g, r) for r in s.rows], ctx.n, ctx.q).rows not in rows
-           for s in sc.members):
-        return None
-    return min(subspace_pair_distance(v, w) for w in sc.members[1:])
-
-
-def structural_min_distance(sc: SubspaceCode) -> int | None:
-    """The exact minimum subspace distance of a code of at least two members
-    from its group structure: a lifted linear code, or a cyclic orbit code
-    in `sc.field`.  Each premise is checked from the members; None when
-    neither holds, and then only the exhaustive sweep knows the minimum."""
-    lifted = _lifted_min_distance(sc)
-    if lifted is not None or sc.field is None:
-        return lifted
-    return _orbit_min_distance(sc.field, sc)
+    return all(span([ctx.mul(g, r) for r in s.rows], ctx.n, ctx.q).rows in rows
+               for s in sc.members)
 
 
 def lift_rank_code(rc: RankCode) -> SubspaceCode:

@@ -12,9 +12,9 @@ All translation overlaps come from one big-int product, `overlap_spectrum`.
 The Singer set (the trace-zero hyperplane of F_{2^n}) is constructed and
 then its difference-set property is re-verified for every y rather than
 trusted; a failure raises PropertyViolation since it can only mean a bug.
-`scalar_orbit_subset_distance` checks that a folded code is the evaluation
-code of a point set D and then gives its minimum subset distance,
-2(k - m(D)), without a pairwise sweep.
+A folded code that is the evaluation code of its codeword 0's points is
+an orbit of the nonzero scalars, so `folded_code_min_distance` scores row
+0 alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ from .metrics import (
     VectorCode,
     block_rows,
     fold,
+    folded_subset_distance,
+    folded_subspace_distance,
     pairwise_min_report,
+    row0_report,
 )
 from .constructions import SubspaceCode
 
@@ -83,11 +86,29 @@ class FoldedCode(Value):
         return len(self.codewords)
 
 
+def _scalar_orbit(fc: FoldedCode) -> bool:
+    """Are the codewords w c_0 for every nonzero w, one each, with block
+    length 1, as `evaluation_folded_code` builds them?  Multiplication by w,
+    an F_q-linear bijection, then keeps both block-set distances."""
+    ctx, words = fc.ctx, fc.codewords
+    if fc.block_len != 1 or len(words) != ctx.order - 1:
+        return False
+    # a nonzero point makes the q^n - 1 translates of codeword 0 distinct, so
+    # if all are among the q^n - 1 codewords, they are the codewords, once each
+    blocks, points = {c.blocks for c in words}, words[0].blocks
+    return any(points) and all(
+        tuple(ctx.mul(w, x) for x in points) in blocks for w in range(1, ctx.order))
+
+
 def folded_code_min_distance(fc: FoldedCode, metric: str,
                              force: bool = False) -> MetricReport:
+    """Exact minimum block-set distance: row 0 alone on a scalar orbit."""
     if metric not in ("subset", "subspace"):
         raise InvalidParams(f"folded codes support subset/subspace, not {metric!r}")
     words = fc.codewords
+    if _scalar_orbit(fc):
+        dist = folded_subset_distance if metric == "subset" else folded_subspace_distance
+        return row0_report(words, dist, metric)
     rows = block_rows(metric, (w.blocks for w in words), fc.ctx.n * fc.block_len, fc.ctx.q)
     return pairwise_min_report(words, rows, metric, force=force)
 
@@ -241,32 +262,6 @@ def evaluation_folded_code(ctx: FieldCtx, points) -> FoldedCode:
                       provenance={"construction": "evaluation_folded",
                                   "points": len(points),
                                   "modulus": list(ctx.modulus)})
-
-
-def scalar_orbit_subset_distance(fc: FoldedCode, points) -> int | None:
-    """2(k - m(D)), D = points, when the codewords are (w x_1, ..., w x_k)
-    for every nonzero w, one codeword each, as `evaluation_folded_code`
-    builds them; None otherwise.  The points must be distinct nonzero
-    elements of the code's field.
-
-    Codeword w's block set is wD, so |wD Δ w'D| = 2(k - |yD ∩ D|) with
-    y = w'/w, and y runs over every nonzero element but 1.  Checked in
-    O(|C| k): w is read off the first block, then every block is checked.
-    """
-    ctx, points = fc.ctx, list(points)
-    _check_points(ctx, points, "point")
-    if not points or fc.block_len != 1 or len(fc) != ctx.order - 1 or len(fc) < 2:
-        return None
-    scale = ctx.inv(points[0])
-    scalars = set()
-    for c in fc.codewords:
-        w = ctx.mul(c.blocks[0], scale)
-        if not w or c.blocks != tuple(ctx.mul(w, x) for x in points):
-            return None
-        scalars.add(w)
-    if len(scalars) != len(fc):
-        return None
-    return 2 * (len(points) - max(overlap_spectrum(ctx, points)[1:]))
 
 
 def folded_code_from_vector_code(c: VectorCode, s: int) -> FoldedCode:

@@ -27,7 +27,8 @@ member i's distances to members i+1, ..., m-1; the witness is the first
 attaining pair in codeword order, so reports are reproducible.  The rows
 come from generators (pair_rows, subspace_rows, subset_rows, _hamming_rows,
 _insdel_rows) that prepare the members only once the pair-count guard has
-passed.
+passed.  row0_report scores row 0 alone, for a code on which a checked
+group of isometries acts transitively.
 
 A word's symbols, its r-fold's blocks and a folded word's blocks are all
 packed vectors of some F_q^m, and block_rows sweeps each the same way: as
@@ -42,6 +43,7 @@ The oracle is a plain double loop in the tests over the per-pair functions.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from operator import ne
 
 from .errors import InvalidParams, SearchTooLarge
@@ -309,6 +311,15 @@ def pair_rows(members, dist):
     members = tuple(members)
     for i, a in enumerate(members):
         yield [dist(a, b) for b in members[i + 1:]]
+
+
+def row0_report(members, dist, metric: str) -> MetricReport:
+    """The sweep's report from row 0 alone, for members on which a group of
+    isometries acts transitively, a premise the caller checks: d(c_i, c_j)
+    = d(c_0, g c_j) for the g taking c_i to c_0, so row 0 attains the
+    minimum and no later row changes the report.  Only m - 1 pairs are
+    scored, so the pair-count guard does not apply."""
+    return pairwise_min_report(members, islice(pair_rows(members, dist), 1), metric, force=True)
 
 
 def subspace_rows(subspaces):

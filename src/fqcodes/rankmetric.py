@@ -11,6 +11,8 @@ The rank distribution of a square MRD code is available twice: as an
 exhaustive census of member ranks and as the closed-form alternating sum,
 evaluated in exact integer arithmetic.  The two must agree entrywise,
 which the test suite and the `verify` CLI command both exploit.
+On a linear code (`linear_space`) translation is a transitive group of
+rank isometries, so `rank_distance_of_code` scores row 0 alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from operator import xor
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
 from .gf import FieldCtx, Value, add_packed, pack
 from .linalg import packed_rank, subspace_count
-from .metrics import pair_rows, pairwise_min_report
+from .metrics import pair_rows, pairwise_min_report, row0_report
 
 _GABIDULIN_GUARD = 1 << 22
 
@@ -171,39 +173,26 @@ def gabidulin_rect(src: FieldCtx, dst: FieldCtx, t: int) -> RankCode:
                                 "k": src.n, "h": dst.n - src.n, "t": t})
 
 
-def linear_min_rank(matrices, nrows: int, ncols: int, q: int) -> int | None:
-    """The minimum rank of a nonzero matrix, when the matrices are distinct
-    and form an F_q-linear space; None when they do not.
-
-    A matrix is a tuple of nrows packed rows of F_q^ncols.  The premise is
-    checked as q^rank == |C| for the matrices flattened to vectors of
-    F_q^(nrows*ncols).  A linear space holds the difference of any two of
-    its members, so the minimum is then its minimum rank distance.
-    """
-    matrices = list(matrices)
+def linear_space(matrices, nrows: int, ncols: int, q: int) -> bool:
+    """Are the matrices, each a tuple of nrows packed rows of F_q^ncols,
+    distinct and an F_q-linear space?  Checked as q^rank == |C| for the
+    matrices flattened to vectors of F_q^(nrows*ncols)."""
     flat = [pack(m, q ** ncols) for m in matrices]
-    if (len(set(flat)) != len(flat)
-            or q ** packed_rank(flat, nrows * ncols, q) != len(flat)):
-        return None
-    return min((packed_rank(m, ncols, q) for m, f in zip(matrices, flat) if f), default=None)
+    return len(set(flat)) == len(flat) and q ** packed_rank(flat, nrows * ncols, q) == len(flat)
 
 
 def rank_distance_of_code(c: RankCode) -> int:
-    """Exact minimum rank distance.
-
-    On a linear code (`linear_min_rank`) only members are scanned;
-    otherwise every pair is, by the rank of the difference of its matrices.
-    """
+    """Exact minimum rank distance of the pairs' matrix differences, over
+    row 0 alone on a linear code (`linear_space`)."""
     if len(c.members) < 2:
         raise InvalidParams("rank distance needs at least two members")
     q, ncols = c.ctx.q, c.ncols
     matrices = list(c.matrices())
-    linear = linear_min_rank(matrices, c.nrows, ncols, q)
-    if linear is not None:
-        return linear
 
     def dist(a, b):
         return packed_rank([add_packed(x, y, q, -1) for x, y in zip(a, b)], ncols, q)
+    if linear_space(matrices, c.nrows, ncols, q):
+        return row0_report(matrices, dist, "rank").minimum
     return pairwise_min_report(matrices, pair_rows(matrices, dist), "rank").minimum
 
 

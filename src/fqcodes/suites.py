@@ -5,7 +5,8 @@ two kinds of outcome: a failed check (an implementation bug, nonzero exit)
 and a finding (a measured value that disagrees with a documented claim,
 reported but not fatal).  The folded-evaluation suite, for instance, must
 pass equidistance exactly while still reporting that the measured subset
-distance is twice the halved-convention value.
+distance is twice the halved-convention value.  The spread and orbit
+suites sweep every pair, independently of the row-0 premises.
 
 The sampling suites, pseudometric and chain, draw their words from one
 symbol stream each, `_random_symbols(order, random.Random(seed))`: word
@@ -28,7 +29,6 @@ from .constructions import (
     sidon_check,
     sidon_search,
     spread,
-    subspace_code_min_distance,
 )
 from .derived import (
     evaluation_folded_code,
@@ -46,10 +46,12 @@ from .metrics import (
     hamming_distance,
     insdel_distance,
     pair_rows,
+    pairwise_min_report,
     r_subset_distance,
     r_subspace_distance,
     subset_distance,
     subspace_distance,
+    subspace_rows,
 )
 from .metrics import VectorCode
 from .rankmetric import (
@@ -170,11 +172,11 @@ def suite_spread() -> SuiteResult:
                 cover[v] = cover.get(v, 0) + 1
     res.check("partition", len(cover) == 15 and set(cover.values()) == {1},
               f"covered {len(cover)} vectors")
-    rep = subspace_code_min_distance(sc)
+    rep = pairwise_min_report(sc.members, subspace_rows(sc.members), "subspace")
     res.check("distance 4", rep.minimum == 4, f"min={rep.minimum}")
     sc6 = spread(2, 2, 6)
     res.check("member count (2,2,6)", len(sc6) == 21, f"{len(sc6)} members")
-    rep6 = subspace_code_min_distance(sc6)
+    rep6 = pairwise_min_report(sc6.members, subspace_rows(sc6.members), "subspace")
     res.check("distance 4 (2,2,6)", rep6.minimum == 4, f"min={rep6.minimum}")
     return res
 
@@ -186,7 +188,7 @@ def suite_orbit() -> SuiteResult:
     res.check("sidon found", sidon_check(ctx, sidon), "first 2-dim Sidon space")
     orbit = orbit_cyclic_code(ctx, sidon)
     res.check("orbit size", len(orbit) == 31, f"{len(orbit)} members")
-    rep = subspace_code_min_distance(orbit)
+    rep = pairwise_min_report(orbit.members, subspace_rows(orbit.members), "subspace")
     res.check("orbit distance 2k-2", rep.minimum == 2, f"min={rep.minimum}")
     sc = span_code(orbit, 2)
     insdel = code_min_distance(sc, "insdel")

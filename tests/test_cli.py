@@ -1,13 +1,18 @@
 """CLI commands, exit codes, manifests, byte-identical reruns."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from fqcodes import __version__, cli
+from fqcodes import __version__, constructions, metrics
 from fqcodes.cli import CONSTRUCT_KINDS, build_parser, check_options, main
-from fqcodes.constructions import lift_rank_code, spread
+from fqcodes.constructions import SubspaceCode, lift_rank_code, spread
 from fqcodes.derived import (
     all_vectors_code,
     evaluation_folded_code,
@@ -95,6 +100,17 @@ def test_construct_sidon_orbit(tmp_path, capsys):
     assert len(sc) == 31
     assert sc.declared_distance == 2
     assert sc.provenance["verified_distance"] == 2
+
+
+@pytest.mark.parametrize("q, n, lines", [(2, 4, 15), (3, 3, 13)])
+def test_construct_sidon_orbit_of_a_line_declares_distance_2(tmp_path, capsys, q, n, lines):
+    # a 1-dimensional Sidon space's orbit is every line, and distinct lines
+    # are at distance 2, not 2k - 2 = 0
+    out = str(tmp_path / "lines.json")
+    assert run(capsys, "construct", "--kind", "sidon-orbit", "--q", str(q), "--n", str(n),
+               "--k", "1", "--out", out)[0] == 0
+    sc = load_file(out)
+    assert (len(sc), sc.declared_distance, sc.provenance["verified_distance"]) == (lines, 2, 2)
 
 
 def test_construct_folded_eval(tmp_path, capsys):
@@ -1029,13 +1045,17 @@ def test_a_square_rank_code_has_one_file_form(tmp_path):
     assert gabidulin_rect(ctx, ctx, 1).src is None
 
 
-# -- construct certifies lifted and orbit codes from their structure ----------
+# -- row 0 gives the distance of lifted, orbit and folded-eval codes -----------
 
-def _count_sweeps(monkeypatch):
+def _count_paths(monkeypatch):
+    """Each subspace sweep ("sweep") and each pair distance scored on the
+    row-0 path ("pair") of constructions.subspace_code_min_distance."""
     calls = []
-    sweep = cli.subspace_code_min_distance
-    monkeypatch.setattr(cli, "subspace_code_min_distance",
-                        lambda *a, **k: calls.append(1) or sweep(*a, **k))
+    sweep, pair = constructions.subspace_rows, constructions.subspace_pair_distance
+    monkeypatch.setattr(constructions, "subspace_rows",
+                        lambda *a: calls.append("sweep") or sweep(*a))
+    monkeypatch.setattr(constructions, "subspace_pair_distance",
+                        lambda *a: calls.append("pair") or pair(*a))
     return calls
 
 
@@ -1045,21 +1065,62 @@ def test_construct_lifted_mrd_from_a_non_linear_rank_code_still_sweeps(tmp_path,
     src = str(tmp_path / "rank.json")
     save_file(src, RankCode(gab.ctx, gab.members[1:40], 1))  # 39 members: not linear
     out = str(tmp_path / "lifted.json")
-    calls = _count_sweeps(monkeypatch)
+    calls = _count_paths(monkeypatch)
     assert run(capsys, "construct", "--kind", "lifted-mrd", "--from", src, "--out", out)[0] == 0
-    assert calls == [1]
+    assert calls == ["sweep"]
     code, stdout, _ = run(capsys, "metric", out, "--metric", "subspace", "--format", "csv")
     assert code == 0
     assert stdout.startswith(f"subspace,{load_file(out).provenance['verified_distance']},")
 
 
 def test_construct_certifies_a_spread_past_the_pair_guard(tmp_path, capsys, monkeypatch):
-    # 5,461 members, 14.9 M pairs: the sweep would need --force
+    # 5,461 members, 14.9 M pairs: construct scores row 0 alone, 5,460 pairs;
+    # the loaded file has no field, so metric would sweep it and needs --force
     out = str(tmp_path / "spread.json")
-    calls = _count_sweeps(monkeypatch)
+    calls = _count_paths(monkeypatch)
     assert run(capsys, "construct", "--kind", "spread", "--k", "2", "--n", "14",
                "--out", out)[0] == 0
-    assert calls == []
+    assert calls == ["pair"] * 5460
     assert load_file(out).provenance["verified_distance"] == 4
     code, _, err = run(capsys, "metric", out, "--metric", "subspace")
     assert code == 2 and "exceed the guard" in err
+
+
+def test_metric_needs_no_force_past_the_guard_when_row_0_holds(tmp_path, capsys, monkeypatch):
+    lifted, folded, half = (str(tmp_path / f) for f in ("lifted.json", "fev.json", "half.json"))
+    assert run(capsys, "construct", "--kind", "lifted-mrd", "--n", "3", "--t", "1",
+               "--out", lifted)[0] == 0
+    assert run(capsys, "construct", "--kind", "folded-eval", "--n", "4", "--out", folded)[0] == 0
+    full = load_file(lifted)  # 64 members
+    keep = sorted(random.Random(0).sample(range(64), 32))
+    save_file(half, SubspaceCode(2, 6, [full.members[i] for i in keep], 3))
+    jobs = [(lifted, "subspace"), (folded, "subset"), (folded, "subspace"), (half, "subspace")]
+    expected = [run(capsys, "metric", path, "--metric", metric)[1] for path, metric in jobs]
+    monkeypatch.setattr(metrics, "PAIR_GUARD", 10)
+    for (path, metric), stdout in zip(jobs[:3], expected):
+        assert run(capsys, "metric", path, "--metric", metric) == (0, stdout, "")
+    code, _, err = run(capsys, "metric", half, "--metric", "subspace")
+    assert code == 2 and "exceed the guard" in err
+    assert run(capsys, "metric", half, "--metric", "subspace", "--force") == (0, expected[3], "")
+
+
+def test_traced_cli_patches_every_binding_on_the_row_0_paths(tmp_path, capsys):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    assert run(capsys, "construct", "--kind", "lifted-mrd", "--n", "3", "--t", "1",
+               "--out", str(tmp_path / "lifted.json"))[0] == 0
+    for argv, counted, calls in (
+            (["metric", "lifted.json", "--metric", "subspace"],
+             "constructions.subspace_code_min_distance", 1),
+            (["construct", "--kind", "folded-eval", "--n", "5", "--out", "fev.json"],
+             "metrics.folded_subset_distance", 30),  # row 0 of 31 codewords
+            (["construct", "--kind", "gabidulin", "--n", "3", "--t", "1", "--out", "gab.json"],
+             "metrics.pairwise_min_report", 1)):
+        subprocess.run([sys.executable, str(root / "bench" / "traced_cli.py"), "trace.json",
+                        "job", "0", "--", *argv], cwd=tmp_path, env=env, check=True,
+                       capture_output=True)
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert (trace["rc"], trace["unpatched"]) == (0, [])
+        assert trace["calls"][counted] == calls

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from fqcodes.errors import InvalidParams
+from fqcodes import metrics
+from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx, is_prime, pack, prime_field, unpack
 from fqcodes.linalg import (
     Subspace,
@@ -17,6 +18,8 @@ from fqcodes.linalg import (
 from fqcodes.constructions import (
     SubspaceCode,
     _greedy_row_disjoint_multipliers,
+    _lifted,
+    _orbit,
     _stabilizer_degree,
     _subfield_basis,
     block_enlarged_family,
@@ -25,9 +28,9 @@ from fqcodes.constructions import (
     sidon_check,
     sidon_search,
     spread,
-    structural_min_distance,
     subspace_code_min_distance,
 )
+from fqcodes.metrics import row0_report
 from fqcodes.rankmetric import (
     LinearizedPoly,
     RankCode,
@@ -450,9 +453,9 @@ def test_every_subspace_is_its_canonical_span(q):
         assert all(s == span(s.rows, s.ambient, s.q) for s in loaded.members)
 
 
-# -- certified minimum distances from checked structure ----------------------
+# -- row 0 gives the minimum once a transitive isometry group is checked ------
 
-def _lifted(q, n, t):
+def _lifted_mrd(q, n, t):
     return lift_rank_code(gabidulin_code(FieldCtx(q, n), t))
 
 
@@ -462,9 +465,9 @@ def _sidon_orbit(q, n, k):
 
 
 STRUCTURED_CODES = {
-    "lifted (2,3,2)": lambda: _lifted(2, 3, 2),
-    "lifted (2,4,1)": lambda: _lifted(2, 4, 1),
-    "lifted (3,3,1)": lambda: _lifted(3, 3, 1),
+    "lifted (2,3,2)": lambda: _lifted_mrd(2, 3, 2),
+    "lifted (2,4,1)": lambda: _lifted_mrd(2, 4, 1),
+    "lifted (3,3,1)": lambda: _lifted_mrd(3, 3, 1),
     "block-enlarged (3,2,1)": lambda: block_enlarged_family(FieldCtx(3, 2), 1),
     "spread (2,2,4)": lambda: spread(2, 2, 4),
     "spread (2,2,6)": lambda: spread(2, 2, 6),
@@ -474,12 +477,40 @@ STRUCTURED_CODES = {
 }
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """A pair-count guard of 0: every full sweep raises SearchTooLarge, and
+    only a row-0 report, which the guard does not cover, comes back."""
+    monkeypatch.setattr(metrics, "PAIR_GUARD", 0)
+
+
+def _oracle(sc):
+    """pairwise_oracle over the members, each pair scored from the vector
+    sets of its two members, dim U + dim V - 2 log_q |U ∩ V|: no row
+    reduction, and fast enough for the 729 members of lifted (3,3,1)."""
+    vectors = {s.rows: frozenset(s.vectors()) for s in sc.members}
+    log_q = {sc.q ** k: k for k in range(sc.ambient + 1)}
+    return pairwise_oracle(
+        sc.members,
+        lambda u, v: u.dim + v.dim - 2 * log_q[len(vectors[u.rows] & vectors[v.rows])],
+        "subspace")
+
+
+def _assert_swept(sc):
+    """Both premises fail on sc, so it takes the full sweep (past the guard
+    only with force), and the sweep's report is the oracle's."""
+    assert _lifted(sc) is False
+    assert sc.field is None or _orbit(sc.field, sc) is False
+    with pytest.raises(SearchTooLarge):
+        subspace_code_min_distance(sc)
+    assert subspace_code_min_distance(sc, force=True) == _oracle(sc)
+
+
 @pytest.mark.parametrize("build", STRUCTURED_CODES.values(), ids=STRUCTURED_CODES)
-def test_structural_distance_equals_the_exhaustive_sweep(build):
+def test_structural_distance_equals_the_exhaustive_sweep(build, no_sweep):
     sc = build()
-    certified = structural_min_distance(sc)
-    assert certified is not None
-    assert certified == subspace_code_min_distance(sc).minimum
+    assert _lifted(sc) is True or _orbit(sc.field, sc) is True
+    assert subspace_code_min_distance(sc) == _oracle(sc)
 
 
 def _without(sc, index, field):
@@ -488,27 +519,27 @@ def _without(sc, index, field):
 
 
 @pytest.mark.parametrize("build", [lambda: spread(2, 2, 6), lambda: _sidon_orbit(2, 5, 2),
-                                   lambda: _lifted(2, 3, 1), lambda: _lifted(3, 2, 1)],
+                                   lambda: _lifted_mrd(2, 3, 1), lambda: _lifted_mrd(3, 2, 1)],
                          ids=["spread", "sidon orbit", "lifted", "lifted over F_3"])
-def test_a_code_missing_one_member_is_not_certified(build):
+def test_a_code_missing_one_member_is_not_certified(build, no_sweep):
     sc = build()
-    assert structural_min_distance(_without(sc, 3, sc.field)) is None
+    _assert_swept(_without(sc, 3, sc.field))
 
 
-def test_an_orbit_code_needs_its_field():
+def test_an_orbit_code_needs_its_field(no_sweep):
     sc = _sidon_orbit(2, 5, 2)
-    assert structural_min_distance(_without(sc, len(sc), None)) is None  # all members
-    assert structural_min_distance(_without(sc, len(sc), FieldCtx(2, 6))) is None
+    _assert_swept(_without(sc, len(sc), None))  # all members
+    _assert_swept(_without(sc, len(sc), FieldCtx(2, 6)))
+    _assert_swept(_without(sc, len(sc), FieldCtx(2, 4)))  # members outside the field
 
 
-def test_an_orbit_certificate_needs_closure_and_the_orbit_size():
+def test_an_orbit_certificate_needs_closure_and_the_orbit_size(no_sweep):
     ctx = FieldCtx(2, 4)
     sc = spread(2, 2, 4)
     # as many members as the orbit of members[0], but one is not in it
     outsider = next(s for s in enumerate_subspaces(2, 4, 2) if s.rows not in
                     {m.rows for m in sc.members})
-    swapped = SubspaceCode(2, 4, sc.members[:-1] + (outsider,), 2, field=ctx)
-    assert structural_min_distance(swapped) is None
+    _assert_swept(SubspaceCode(2, 4, sc.members[:-1] + (outsider,), 2, field=ctx))
     # two whole orbits: closed under multiplication, but twice the orbit size
     ctx5 = FieldCtx(2, 5)
     first = orbit_cyclic_code(ctx5, sidon_search(ctx5, 2))
@@ -516,12 +547,22 @@ def test_an_orbit_certificate_needs_closure_and_the_orbit_size():
     second = orbit_cyclic_code(ctx5, next(s for s in enumerate_subspaces(2, 5, 2)
                                           if s.rows not in seen))
     both = SubspaceCode(2, 5, first.members + second.members, 2, field=ctx5)
-    assert structural_min_distance(both) is None
-    assert subspace_code_min_distance(both).minimum == 2
+    _assert_swept(both)
+    assert subspace_code_min_distance(both, force=True).minimum == 2
 
 
-def test_lifted_certificate_reads_the_identity_block():
-    sc = _lifted(2, 3, 1)
+def test_lifted_certificate_reads_the_identity_block(no_sweep):
+    sc = _lifted_mrd(2, 3, 1)
     # the same linear space of A's, lifted as rowspan(A | I): no identity block
     flipped = [span([(r % 8) * 8 + r // 8 for r in s.rows], 6, 2) for s in sc.members]
-    assert structural_min_distance(SubspaceCode(2, 6, flipped, 3)) is None
+    _assert_swept(SubspaceCode(2, 6, flipped, 3))
+
+
+def test_a_random_half_of_a_lifted_code_is_swept_though_row_0_matches(no_sweep):
+    full = _lifted_mrd(5, 2, 1)
+    keep = sorted(random.Random(0).sample(range(len(full)), len(full) // 2))
+    half = SubspaceCode(5, full.ambient, [full.members[i] for i in keep], 2)
+    # row 0 happens to give the sweep's report here, which is why the premise
+    # is checked from the members rather than assumed
+    assert row0_report(half.members, subspace_pair_distance, "subspace") == _oracle(half)
+    _assert_swept(half)

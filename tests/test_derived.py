@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from fqcodes.errors import InvalidParams
+from fqcodes import metrics
+from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx, pack
 from fqcodes.constructions import (
     lift_rank_code,
@@ -16,6 +17,7 @@ from fqcodes.constructions import (
 from fqcodes.derived import (
     DifferenceSet,
     FoldedCode,
+    _scalar_orbit,
     all_vectors_code,
     evaluation_folded_code,
     folded_code_from_vector_code,
@@ -23,12 +25,19 @@ from fqcodes.derived import (
     m_of_d,
     overlap_spectrum,
     partial_span_code,
-    scalar_orbit_subset_distance,
     singer_difference_set,
     span_code,
 )
-from fqcodes.metrics import FoldedWord, code_min_distance, fold, r_subset_distance
+from fqcodes.metrics import (
+    FoldedWord,
+    code_min_distance,
+    fold,
+    folded_subset_distance,
+    folded_subspace_distance,
+    r_subset_distance,
+)
 from fqcodes.rankmetric import gabidulin_code
+from sweep_oracle import pairwise_oracle
 
 GF8 = FieldCtx(2, 3, [1, 1, 0, 1])
 
@@ -323,30 +332,52 @@ def test_overlap_spectrum_of_random_sets_matches_the_direct_loop(q, n):
         assert m_of_d(ctx, members) == max(expected[1:], default=0)
 
 
-def _subset_sweep(fc):
-    return folded_code_min_distance(fc, "subset").minimum
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """A pair-count guard of 0: every full sweep raises SearchTooLarge, and
+    only a row-0 report, which the guard does not cover, comes back."""
+    monkeypatch.setattr(metrics, "PAIR_GUARD", 0)
+
+
+_BLOCK_DISTANCES = (("subset", folded_subset_distance), ("subspace", folded_subspace_distance))
+
+
+def _assert_row0(fc, distances=_BLOCK_DISTANCES):
+    """fc is a scalar orbit, so row 0 alone gives each report, which must
+    be the oracle's: minimum, witness, witness indices and pairs."""
+    assert _scalar_orbit(fc) is True
+    for metric, dist in distances:
+        assert folded_code_min_distance(fc, metric) == pairwise_oracle(fc.codewords, dist, metric)
+
+
+def _assert_swept(fc):
+    """fc is not a scalar orbit, so it takes the full sweep (past the guard
+    only with force), and the sweep's report is the oracle's."""
+    assert _scalar_orbit(fc) is False
+    with pytest.raises(SearchTooLarge):
+        folded_code_min_distance(fc, "subset")
+    assert folded_code_min_distance(fc, "subset", force=True) == \
+        pairwise_oracle(fc.codewords, folded_subset_distance, "subset")
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_evaluation_code_distance_of_the_singer_set_equals_the_sweep(n):
+def test_evaluation_code_distance_of_the_singer_set_equals_the_sweep(n, no_sweep):
     ctx = FieldCtx(2, n)
     ds = singer_difference_set(ctx)
     fc = evaluation_folded_code(ctx, ds.members)
-    assert scalar_orbit_subset_distance(fc, ds.members) == _subset_sweep(fc) \
-        == 2 * (ds.k - ds.lam)
+    _assert_row0(fc, _BLOCK_DISTANCES[:1] if n == 8 else _BLOCK_DISTANCES)  # subspace: 3 s at n = 8
+    assert folded_code_min_distance(fc, "subset").minimum == 2 * (ds.k - ds.lam)
 
 
 @pytest.mark.parametrize("q, n", [(2, 4), (2, 5), (3, 3), (5, 2)])
-def test_evaluation_code_distance_of_random_sets_equals_the_sweep(q, n):
+def test_evaluation_code_distance_of_random_sets_equals_the_sweep(q, n, no_sweep):
     ctx = FieldCtx(q, n)
     rng = random.Random(n)
     for size in (1, 2, 5):
-        points = rng.sample(range(1, ctx.order), size)
-        fc = evaluation_folded_code(ctx, points)
-        assert scalar_orbit_subset_distance(fc, points) == _subset_sweep(fc)
+        _assert_row0(evaluation_folded_code(ctx, rng.sample(range(1, ctx.order), size)))
 
 
-def test_evaluation_code_distance_checks_every_codeword():
+def test_evaluation_code_distance_checks_every_codeword(no_sweep):
     ctx = FieldCtx(2, 4)
     points = singer_difference_set(ctx).members
     fc = evaluation_folded_code(ctx, points)
@@ -354,17 +385,18 @@ def test_evaluation_code_distance_checks_every_codeword():
 
     def code(ws):
         return FoldedCode(ctx, 1, tuple(ws))
-    assert scalar_orbit_subset_distance(code(words[1:]), points) is None  # one w missing
-    assert scalar_orbit_subset_distance(code(words[:-1] + words[:1]), points) is None  # w twice
+    _assert_swept(code(words[1:]))  # one w missing
+    _assert_swept(code(words[:-1] + words[:1]))  # w twice
     zero = FoldedWord(ctx, 1, (pack((ctx.zero,), ctx.order),) * len(points))
-    assert scalar_orbit_subset_distance(code(words[:-1] + (zero,)), points) is None  # w = 0
+    for i in range(len(words)):  # w = 0 at each position, codeword 0's points included
+        _assert_swept(code(words[:i] + (zero,) + words[i + 1:]))
     blocks = list(words[5].blocks)
     blocks[-1] = pack((ctx.add(blocks[-1], ctx.one),), ctx.order)  # one symbol off w * x_k
-    altered = code(words[:5] + (FoldedWord(ctx, 1, tuple(blocks)),) + words[6:])
-    assert scalar_orbit_subset_distance(altered, points) is None
-    assert scalar_orbit_subset_distance(fc, points[::-1]) is None  # other point order
-    folded2 = folded_code_from_vector_code(all_vectors_code(spread(2, 2, 4), 4), 2)
-    assert scalar_orbit_subset_distance(folded2, points) is None
+    _assert_swept(code(words[:5] + (FoldedWord(ctx, 1, tuple(blocks)),) + words[6:]))
+    _assert_swept(folded_code_from_vector_code(all_vectors_code(spread(2, 2, 4), 4), 2))
+    # the points are read from codeword 0, so the codewords in another order
+    # are the orbit of another point tuple and still take row 0
+    _assert_row0(code(words[::-1]))
 
 
 @pytest.mark.parametrize("points, message", [
@@ -372,7 +404,6 @@ def test_evaluation_code_distance_checks_every_codeword():
     ([0], "^points must be distinct and nonzero$"),
     ([1, 1], "^points must be distinct and nonzero$"),
 ])
-def test_evaluation_code_distance_checks_its_points_first(points, message):
-    fc = evaluation_folded_code(FieldCtx(2, 3), [1])
+def test_evaluation_folded_code_checks_its_points(points, message):
     with pytest.raises(InvalidParams, match=message):
-        scalar_orbit_subset_distance(fc, points)
+        evaluation_folded_code(FieldCtx(2, 3), points)

@@ -6,9 +6,9 @@ import pytest
 
 from fqcodes.errors import InvalidParams, SearchTooLarge
 from fqcodes.gf import FieldCtx
-from fqcodes import rankmetric
+from fqcodes import metrics, rankmetric
 from fqcodes.linalg import rref, subspace_count
-from fqcodes.metrics import pairwise_min_report
+from fqcodes.metrics import pairwise_min_report, row0_report
 from fqcodes.rankmetric import (
     LinearizedPoly,
     RankCode,
@@ -16,6 +16,7 @@ from fqcodes.rankmetric import (
     empirical_rank_distribution,
     gabidulin_code,
     gabidulin_rect,
+    linear_space,
     linearized_eval,
     poly_rank,
     poly_to_matrix,
@@ -172,6 +173,30 @@ def test_member_scan_runs_only_on_linear_codes(monkeypatch, members, linear):
     else:
         with pytest.raises(AssertionError, match="pairwise sweep"):
             rank_distance_of_code(sub)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gabidulin_code(GF8, 1),
+    lambda: gabidulin_code(FieldCtx(2, 4), 0),
+    lambda: gabidulin_code(FieldCtx(3, 2), 1),
+    lambda: gabidulin_rect(FieldCtx(2, 2), FieldCtx(2, 3), 1),
+], ids=["gabidulin-2-3-1", "gabidulin-2-4-0", "gabidulin-3-2-1", "rect-2-2-to-2-3"])
+def test_row_0_of_a_gabidulin_code_is_the_oracle(monkeypatch, build):
+    code = build()
+    matrices = list(code.matrices())
+    assert linear_space(matrices, code.nrows, code.ncols, code.ctx.q) is True
+    poly = dict(zip(matrices, code.members))
+    oracle = pairwise_oracle(matrices, lambda a, b: poly_rank(_sub(poly[a], poly[b])), "rank")
+    reports = []
+
+    def recorded(*args):
+        reports.append(row0_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(rankmetric, "row0_report", recorded)
+    monkeypatch.setattr(metrics, "PAIR_GUARD", 0)  # a full sweep would raise
+    assert rank_distance_of_code(code) == oracle.minimum
+    assert reports == [oracle]
 
 
 # Rows of rank distances: [1, 3, 1], [2, 2], [3] (a tie in row 0, the first
