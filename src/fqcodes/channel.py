@@ -17,7 +17,7 @@ import random
 
 from .errors import InvalidParams
 from .gf import Value
-from .metrics import VectorCode, Word, code_min_distance, packed_lcs
+from .metrics import VectorCode, Word, _require_same_ctx, code_min_distance, packed_lcs
 
 PRNG_NAME = "mt19937"
 
@@ -61,8 +61,7 @@ def decode_nearest(c: VectorCode, received: Word):
     Every codeword has length c.length, so the insdel-nearest codewords
     are those with the longest common subsequence with the received word.
     """
-    if received.ctx is not c.ctx and received.ctx != c.ctx:
-        raise InvalidParams("words live in different fields")
+    _require_same_ctx(received, c)
     if not c.codewords:
         raise InvalidParams("cannot decode with a code that has no codewords")
     scores = packed_lcs(c.lcs_masks, received.symbols)

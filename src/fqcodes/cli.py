@@ -245,10 +245,17 @@ def _verify_subspace_code(sc: SubspaceCode, force: bool, exact: bool = False) ->
     return sc
 
 
+def _check_block_len(code: VectorCode, r: int | None) -> None:
+    """Refuse r past the code's length: it scores as the length but pads in r^2 time."""
+    if r is not None and r > code.length:
+        raise InvalidParams(f"--block-len {r} exceeds the code length {code.length}")
+
+
 def _cmd_metric(args) -> int:
     obj = _load(args.code, (VectorCode, SubspaceCode, FoldedCode),
                 "vector, subspace or folded code")
     if isinstance(obj, VectorCode):
+        _check_block_len(obj, args.block_len)
         rep = code_min_distance(obj, args.metric, r=args.block_len, force=args.force)
     elif isinstance(obj, SubspaceCode):
         if args.metric != "subspace":
@@ -319,8 +326,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    fc = folded_code_from_vector_code(_load(args.code, VectorCode, "vector code"),
-                                      args.block_len)
+    code = _load(args.code, VectorCode, "vector code")
+    _check_block_len(code, args.block_len)
+    fc = folded_code_from_vector_code(code, args.block_len)
     _write_manifest(args, {"block_len": args.block_len}, [args.code], save_file(args.out, fc))
     return _emit(args, {"kind": "folded_code", "out": args.out, "members": len(fc)},
                  f"folded_code,{args.out}\n")

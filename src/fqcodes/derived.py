@@ -23,12 +23,13 @@ import array
 import sys
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
-from .gf import FieldCtx, Value
+from .gf import FieldCtx, Value, check_ints
 from .metrics import (
     FoldedWord,
     MetricReport,
     Word,
     VectorCode,
+    _MATERIALIZE_GUARD,
     block_rows,
     fold,
     folded_subset_distance,
@@ -43,7 +44,7 @@ _VECTOR_GUARD = 1 << 16
 
 def _check_points(ctx: FieldCtx, points, what: str) -> None:
     """Raise InvalidParams unless the points are distinct nonzero elements of ctx."""
-    ctx.check_elements(points, what)
+    check_ints(points, ctx.order, what)
     if ctx.zero in points or len(set(points)) != len(points):
         raise InvalidParams(f"{what}s must be distinct and nonzero")
 
@@ -148,6 +149,8 @@ def span_code(sc: SubspaceCode, l: int) -> VectorCode:
     max_dim = max((s.dim for s in sc.members), default=0)
     if l < max_dim:
         raise InvalidParams(f"length {l} cannot span dimension {max_dim}")
+    if (size := len(sc.members) * l) > _MATERIALIZE_GUARD:
+        raise SearchTooLarge(f"{size} symbols exceed the materialization guard")
     return _word_code(sc, l, lambda s, ctx: _span_symbols(s.rows, l, ctx), "span_code",
                       padding="b1+bj cycle", source_distance=sc.declared_distance)
 

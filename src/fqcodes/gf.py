@@ -8,8 +8,9 @@ for q = 2 addition is XOR, and a symbol is already the bit-packed row that
 F_2 rank computations use.  The prime field F_q is FieldCtx(q, 1), whose
 elements are the residues 0 .. q-1, so a row over F_q and a row over
 F_{q^n} are the same kind of object.  The coefficient form appears only in
-`element` (coefficients in, validated), `coefficients` (out) and the
-polynomial multiplication that builds the tables and serves larger fields.
+`element` (coefficients in), `coefficients` (out) and the polynomial
+multiplication that builds the tables and serves larger fields.  Each
+packed value or digit the library is given passes one check, `check_ints`.
 
 The modulus is a monic irreducible polynomial stored constant-term-first
 (modulus[i] = coefficient of x^i).  When omitted it defaults to the
@@ -171,6 +172,14 @@ def check_characteristic(q: int) -> None:
         raise InvalidParams(f"q={q} is not prime")
 
 
+def check_ints(xs, bound: int, what: str) -> None:
+    """The one range check of packed values and digits: raise InvalidParams
+    at the first x in xs that is not an int (a bool is not one) in [0, bound)."""
+    for x in xs:
+        if type(x) is not int or not 0 <= x < bound:
+            raise InvalidParams(f"{what} {x!r} is not an int in [0, {bound})")
+
+
 def _is_irreducible(f: list[int], q: int) -> bool:
     """Rabin's test for a monic f of degree n >= 1: f divides x^(q^n) - x, and
     gcd(x^(q^(n/p)) - x, f) = 1 for every prime p dividing n."""
@@ -257,8 +266,7 @@ class FieldCtx:
             modulus = _smallest_irreducible(q, n)
         else:
             modulus = tuple(modulus)
-            if not all(type(c) is int and 0 <= c < q for c in modulus):
-                raise InvalidParams(f"modulus coefficient not in [0, {q}): {list(modulus)}")
+            check_ints(modulus, q, "modulus coefficient")
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise InvalidParams(f"modulus must be monic of degree {n}")
             if not _is_irreducible(list(modulus), q):
@@ -293,25 +301,16 @@ class FieldCtx:
         coeffs = tuple(coeffs)
         if len(coeffs) != self.n:
             raise InvalidParams(f"element needs {self.n} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if not (type(c) is int and 0 <= c < self.q):
-                raise InvalidParams(f"coefficient {c!r} is not in [0, {self.q})")
+        check_ints(coeffs, self.q, "coefficient")
         return pack(coeffs, self.q)
 
     def coefficients(self, x: int) -> tuple:
         """The coefficients (c_0, ..., c_{n-1}) of x: its vector in F_q^n."""
         return unpack(x, self.q, self.n)
 
-    def check_elements(self, xs, what: str = "symbol") -> None:
-        """Raise InvalidParams unless every x in xs is an element, an int in [0, q^n)."""
-        for x in xs:
-            if not (type(x) is int and 0 <= x < self.order):
-                raise InvalidParams(f"{what} {x!r} is not an int in [0, {self.order})")
-
     def element_at(self, index: int) -> int:
         """The index-th element in lexicographic order (c_0 most significant)."""
-        if not (type(index) is int and 0 <= index < self.order):
-            raise InvalidParams(f"element index {index!r} out of range [0, {self.order})")
+        check_ints((index,), self.order, "element index")
         return index
 
     def elements(self) -> range:

@@ -18,8 +18,8 @@ and `rref` (so `span`) all work through it on the ints, with no digits.
 A subspace is stored through its unique reduced-row-echelon basis, packed,
 so subspace equality is plain tuple equality and sets of subspaces
 deduplicate exactly.  Each public function given packed vectors and their
-length m rejects one that is not an int in [0, q^m), and a Subspace such a
-row, so no rank kernel sees one; a Subspace trusts its rows are in RREF.
+length m, and a Subspace given its rows, checks them with gf.check_ints,
+so no rank kernel sees a bad one; a Subspace trusts its rows are in RREF.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import itertools
 from operator import xor
 
 from .errors import InvalidParams, SearchTooLarge
-from .gf import Value, add_packed, pack, prime_field, unpack
+from .gf import Value, add_packed, check_ints, pack, prime_field, unpack
 
 _ENUM_GUARD = 1 << 20       # cap on q^ambient for subspace enumeration
 _ENUM_COUNT_CAP = 1 << 22   # cap on the number of subspaces materialized
@@ -37,10 +37,8 @@ EXT_BASES_GUARD = 10 ** 6   # cap on the bases enumerate_ext_rref_bases lists
 
 def _checked(vectors, ambient: int, q: int) -> list[int]:
     """The packed vectors as a list, each checked to be an int in [0, q^ambient)."""
-    vectors, bound = list(vectors), q ** ambient
-    for v in vectors:
-        if not (type(v) is int and 0 <= v < bound):
-            raise InvalidParams(f"vector {v!r} is not an int in [0, {bound})")
+    vectors = list(vectors)
+    check_ints(vectors, q ** ambient, "vector")
     return vectors
 
 
@@ -106,10 +104,7 @@ class Subspace(Value):
     __slots__ = ("q", "ambient", "rows")
 
     def __init__(self, q: int, ambient: int, rows: tuple):
-        for r in rows:  # bit lengths first: a valid q = 2 row needs no q^ambient
-            if not (type(r) is int and 0 <= r
-                    and (r.bit_length() <= ambient or r < q ** ambient)):
-                raise InvalidParams(f"member row {r!r} is not an int in [0, {q}^{ambient})")
+        check_ints(rows, q ** ambient if rows else 0, "member row")  # no rows, no power
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", rows)

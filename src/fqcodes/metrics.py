@@ -47,7 +47,7 @@ from itertools import islice
 from operator import ne
 
 from .errors import InvalidParams, SearchTooLarge
-from .gf import FieldCtx, Value, pack
+from .gf import FieldCtx, Value, check_ints, pack
 from .linalg import (
     EXT_BASES_GUARD,
     _span_distance,
@@ -71,7 +71,7 @@ class Word(Value):
     __slots__ = ("ctx", "symbols")
 
     def __init__(self, ctx: FieldCtx, symbols: tuple):
-        ctx.check_elements(symbols)
+        check_ints(symbols, ctx.order, "symbol")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "symbols", symbols)
 
@@ -93,10 +93,7 @@ class FoldedWord(Value):
     def __init__(self, ctx: FieldCtx, block_len: int, blocks: tuple):
         if block_len < 1:
             raise InvalidParams("block length must be >= 1")
-        bound = ctx.order ** block_len if blocks else 0  # no power for no blocks
-        for b in blocks:
-            if not (type(b) is int and 0 <= b < bound):
-                raise InvalidParams(f"block {b!r} is not an int in [0, {bound})")
+        check_ints(blocks, ctx.order ** block_len if blocks else 0, "block")  # no blocks, no power
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "block_len", block_len)
         object.__setattr__(self, "blocks", blocks)

@@ -21,7 +21,7 @@ import itertools
 from operator import xor
 
 from .errors import InvalidParams, PropertyViolation, SearchTooLarge
-from .gf import FieldCtx, Value, add_packed, pack
+from .gf import FieldCtx, Value, add_packed, check_ints, pack
 from .linalg import packed_rank, subspace_count
 from .metrics import pair_rows, pairwise_min_report, row0_report
 
@@ -45,7 +45,7 @@ class LinearizedPoly(Value):
             raise InvalidParams("a linearized polynomial needs at least one coefficient")
         if len(coeffs) - 1 >= domain.n:
             raise InvalidParams("degree parameter must be below the domain degree")
-        ctx.check_elements(coeffs, "coefficient")
+        check_ints(coeffs, ctx.order, "coefficient")
         Value.__init__(self, ctx, coeffs, None if domain is ctx or domain == ctx else src)
 
     @property

@@ -40,7 +40,7 @@ from .channel import TrialSummary
 from .constructions import SubspaceCode
 from .derived import DifferenceSet, FoldedCode
 from .errors import FqcodesError, InvalidParams, ParseError
-from .gf import FieldCtx, check_characteristic, pack, unpack
+from .gf import FieldCtx, check_characteristic, check_ints, pack, unpack
 from .linalg import Subspace
 from .metrics import FoldedWord, MetricReport, VectorCode, Word, word
 from .rankmetric import LinearizedPoly, RankCode
@@ -235,9 +235,7 @@ def _subspace_from_lists(q: int, ambient: int, basis) -> Subspace:
     for r in basis:
         if len(r) != ambient:
             raise InvalidParams(f"basis row of length {len(r)} in ambient {ambient}")
-        for e in r:
-            if not 0 <= e < q:
-                raise InvalidParams(f"basis entry {e} is not in [0, {q})")
+        check_ints(r, q, "basis entry")
     pivots = [next((j for j, e in enumerate(r) if e), None) for r in basis]
     rref = (None not in pivots and all(r[j] == 1 for j, r in zip(pivots, basis))
             and all(a < b for a, b in zip(pivots, pivots[1:]))

@@ -397,6 +397,39 @@ def test_fold_command(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("metric {av} --metric r_subset --block-len 1000000000",
+     "--block-len 1000000000 exceeds the code length 4"),
+    ("fold --code {av} --block-len 1000000000 --out {out}",
+     "--block-len 1000000000 exceeds the code length 4"),
+    ("construct --kind span --from {spread} --length 1000000000 --out {out}",
+     "5000000000 symbols exceed the materialization guard"),
+])
+def test_a_huge_block_or_word_length_exits_2_at_once(tmp_path, capsys, argv, message):
+    # padding to a huge block, or listing huge words, once ran out of memory
+    spread_path, av, out = (str(tmp_path / f) for f in ("spread.json", "av.json", "out.json"))
+    run(capsys, "construct", "--kind", "spread", "--q", "2", "--k", "2",
+        "--n", "4", "--out", spread_path)
+    run(capsys, "construct", "--kind", "all-vectors", "--from", spread_path,
+        "--length", "4", "--out", av)
+    start = time.monotonic()
+    code, stdout, err = run(capsys, *argv.format(av=av, spread=spread_path, out=out).split())
+    assert time.monotonic() - start < 1
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not os.path.exists(out)
+
+
+def test_a_block_length_past_the_code_length_scores_as_the_length():
+    # why the CLI takes block lengths only up to the code's length
+    c = all_vectors_code(spread(2, 2, 4), 4)
+    for metric in ("r_subset", "r_subspace"):
+        at_length = metrics.code_min_distance(c, metric, r=4)
+        for r in (5, 9):
+            past = metrics.code_min_distance(c, metric, r=r)
+            assert (past.minimum, past.witness_indices) == \
+                (at_length.minimum, at_length.witness_indices)
+
+
 def test_metric_out_writes_report_file(tmp_path, capsys):
     spread_path = str(tmp_path / "spread.json")
     run(capsys, "construct", "--kind", "spread", "--q", "2", "--k", "2",

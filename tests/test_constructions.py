@@ -99,14 +99,14 @@ def test_a_subspace_code_refuses_a_member_row_that_is_not_a_packed_vector(rows):
     # past 2^20 vectors the sweep scores a pair by rank, and gf2_rank never
     # returned on a negative row
     big = span([1 << i for i in range(21)], 22, 2)
-    with pytest.raises(InvalidParams, match=r"^member row .* is not an int in \[0, 2\^22\)$"):
+    with pytest.raises(InvalidParams, match=r"^member row .* is not an int in \[0, 4194304\)$"):
         subspace_code_min_distance(SubspaceCode(2, 22, [big, Subspace(2, 22, rows)]))
 
 
 def test_a_subspace_code_takes_rows_up_to_q_to_the_ambient():
     top = Subspace(3, 2, (3 ** 2 - 1,))  # not in RREF, but a packed vector
     assert SubspaceCode(3, 2, [top]).members == (top,)
-    with pytest.raises(InvalidParams, match=r"member row 9 is not an int in \[0, 3\^2\)"):
+    with pytest.raises(InvalidParams, match=r"member row 9 is not an int in \[0, 9\)"):
         SubspaceCode(3, 2, [Subspace(3, 2, (3 ** 2,))])
 
 

@@ -87,14 +87,14 @@ def test_fields_of_a_large_characteristic_build_quickly():
 
 
 def test_non_canonical_modulus_rejected():
-    with pytest.raises(InvalidParams, match=r"modulus coefficient not in \[0, 2\)"):
+    with pytest.raises(InvalidParams, match=r"modulus coefficient 3 is not an int in \[0, 2\)"):
         FieldCtx(2, 3, [1, 1, 0, 3])
 
 
 @pytest.mark.parametrize("q, n, modulus, message", [
-    (2, 3, [1, 1.9, 0, True], r"modulus coefficient not in \[0, 2\)"),
-    (2, 3, [1, 1, 0, True], r"modulus coefficient not in \[0, 2\)"),
-    (2, 3, [1.0, 1, 0, 1], r"modulus coefficient not in \[0, 2\)"),
+    (2, 3, [1, 1.9, 0, True], r"modulus coefficient 1.9 is not an int in \[0, 2\)"),
+    (2, 3, [1, 1, 0, True], r"modulus coefficient True is not an int in \[0, 2\)"),
+    (2, 3, [1.0, 1, 0, 1], r"modulus coefficient 1.0 is not an int in \[0, 2\)"),
     (2.0, 3, None, r"q=2.0 is not an int"),
     (True, 1, None, r"q=True is not an int"),
     (2, 3.0, None, r"extension degree n=3.0 is not an int"),
@@ -267,9 +267,9 @@ def test_element_ordering_constant_term_most_significant():
 
 def test_element_rejects_non_canonical_coefficients():
     for coeffs in ((2, 0, 0), (0, -1, 0), (1, 0, 3)):
-        with pytest.raises(InvalidParams, match=r"coefficient -?\d is not in \[0, 2\)"):
+        with pytest.raises(InvalidParams, match=r"coefficient -?\d is not an int in \[0, 2\)"):
             GF8.element(coeffs)
-    with pytest.raises(InvalidParams, match=r"coefficient 0.5 is not in \[0, 2\)"):
+    with pytest.raises(InvalidParams, match=r"coefficient 0.5 is not an int in \[0, 2\)"):
         GF8.element((0.5, 0, 0))
     with pytest.raises(InvalidParams, match="element needs 3 coefficients, got 2"):
         GF8.element((1, 0))
@@ -278,8 +278,8 @@ def test_element_rejects_non_canonical_coefficients():
 
 
 @pytest.mark.parametrize("reject, message", [
-    (lambda: GF8.element((True, 0, False)), r"coefficient True is not in \[0, 2\)"),
-    (lambda: GF8.element_at(True), r"element index True out of range \[0, 8\)"),
+    (lambda: GF8.element((True, 0, False)), r"coefficient True is not an int in \[0, 2\)"),
+    (lambda: GF8.element_at(True), r"element index True is not an int in \[0, 8\)"),
 ])
 def test_bools_are_not_elements(reject, message):
     # True == 1, so an isinstance(x, int) test alone would accept bools

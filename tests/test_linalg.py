@@ -375,12 +375,19 @@ def test_ext_rref_over_the_prime_field_matches_the_residue_kernel(data):
 @pytest.mark.parametrize("rows", [(-2, 3), (3, -1), (8,), (1 << 100,), (True,), (1.0,)])
 def test_a_subspace_refuses_a_row_that_is_not_a_packed_vector(rows):
     # gf2_rank never returns on a negative row, so a pair distance would hang
-    with pytest.raises(InvalidParams, match=r"^member row .* is not an int in \[0, 2\^3\)$"):
+    with pytest.raises(InvalidParams, match=r"^member row .* is not an int in \[0, 8\)$"):
         Subspace(2, 3, rows)
 
 
 def test_a_subspace_takes_rows_up_to_q_to_the_ambient():
     top = Subspace(3, 2, (3 ** 2 - 1,))  # not in RREF, but a packed vector
     assert subspace_pair_distance(top, span([1], 2, 3)) == 2
-    with pytest.raises(InvalidParams, match=r"^member row 9 is not an int in \[0, 3\^2\)$"):
+    with pytest.raises(InvalidParams, match=r"^member row 9 is not an int in \[0, 9\)$"):
         Subspace(3, 2, (3 ** 2,))
+
+
+def test_a_subspace_with_no_rows_takes_no_power_for_its_bound():
+    # 2^(10^18) would never finish; with no row to check it is not computed
+    assert Subspace(2, 10 ** 18, ()).rows == ()
+    with pytest.raises(InvalidParams, match=r"^member row -1 is not an int in \[0, 8\)$"):
+        Subspace(2, 3, (-1,))

@@ -456,7 +456,14 @@ def test_folded_word_rejects_a_block_that_is_not_a_packed_int(block_len, block):
     assert FoldedWord(GF8, block_len, (0, bound - 1)).blocks == (0, bound - 1)
 
 
+def test_a_folded_word_with_no_blocks_takes_no_power_for_its_bound():
+    # 8^(10^18) would never finish; with no block to check it is not computed
+    assert FoldedWord(GF8, 10 ** 18, ()).blocks == ()
+    with pytest.raises(InvalidParams, match=r"^block 64 is not an int in \[0, 64\)$"):
+        FoldedWord(GF8, 2, (64,))
+
+
 def test_word_from_coefficients_rejects_non_canonical_coefficients():
-    with pytest.raises(InvalidParams, match=r"coefficient 2 is not in \[0, 2\)"):
+    with pytest.raises(InvalidParams, match=r"coefficient 2 is not an int in \[0, 2\)"):
         word(GF8, [(0, 2, 0)])
     assert word(GF8, [(0, 1, 0)]).symbols == (GF8.element((0, 1, 0)),)

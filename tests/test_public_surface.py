@@ -64,3 +64,16 @@ def test_every_public_definition_is_reached():
                 continue
             unreached.append(f"{module}: {qualname}")
     assert not unreached, "public API that nothing reaches: " + ", ".join(unreached)
+
+
+def test_packed_values_have_one_range_check():
+    """The error for a packed value out of range is worded once, inside
+    gf.check_ints, so no module grows its own copy of the check."""
+    hits = [(path.name, number) for path in sorted(SRC.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if "is not an int in [0," in line]
+    assert len(hits) == 1 and hits[0][0] == "gf.py", hits
+    gf = ast.parse((SRC / "gf.py").read_text())
+    check = next(node for node in gf.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_ints")
+    assert check.lineno <= hits[0][1] <= check.end_lineno

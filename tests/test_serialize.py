@@ -78,7 +78,7 @@ def test_field_rejects_bad_modulus():
 @pytest.mark.parametrize("modulus", [[1, 1, 0, 3], [3, -1, 0, 1]])
 def test_field_rejects_non_canonical_modulus(modulus):
     # both reduce mod 2 to the irreducible [1, 1, 0, 1]
-    with pytest.raises(ParseError, match=r"invalid difference set: modulus coefficient not in \[0, 2\)"):
+    with pytest.raises(ParseError, match=r"invalid difference set: modulus coefficient 3 is not an int in \[0, 2\)"):
         _load_field({"q": 2, "n": 3, "modulus": modulus})
 
 
@@ -139,8 +139,8 @@ def test_subspace_validation_rejects_non_rref(tmp_path, capsys):
 
 @pytest.mark.parametrize("basis, message", [
     # 3 and -1 reduce mod 2 to the valid RREF basis [[1, 0, 1, 0], [0, 1, 0, 0]]
-    ([[1, 0, 3, 0], [0, 1, 0, 0]], r"basis entry 3 is not in \[0, 2\)"),
-    ([[1, 0, -1, 0], [0, 1, 0, 0]], r"basis entry -1 is not in \[0, 2\)"),
+    ([[1, 0, 3, 0], [0, 1, 0, 0]], r"basis entry 3 is not an int in \[0, 2\)"),
+    ([[1, 0, -1, 0], [0, 1, 0, 0]], r"basis entry -1 is not an int in \[0, 2\)"),
     ([[1, 0, 1], [0, 1, 0]], "basis row of length 3 in ambient 4"),
 ])
 def test_subspace_basis_entries_must_be_canonical(tmp_path, capsys, basis, message):
